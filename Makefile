@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all ci fmt-check vet build test test-serial test-race test-cluster test-spill smoke convert-smoke bench-smoke bench bench-json bench-obs bench-cluster bench-load fuzz-smoke serve staticcheck trace-demo
+.PHONY: all ci fmt-check vet build test test-bench test-serial test-race test-cluster test-spill smoke convert-smoke bench-smoke bench bench-json bench-obs bench-cluster bench-load fuzz-smoke serve staticcheck trace-demo
 
 # Benchmarks recorded in the persistent BENCH_PR.json trajectory (and gated
 # by bench-smoke): the engine acceptance suite plus the graph-layer
@@ -12,7 +12,7 @@ BENCH_JSON_PKGS = . ./internal/graph ./internal/seqcolor ./internal/serve ./inte
 
 all: ci
 
-ci: fmt-check vet build test test-serial test-race test-cluster test-spill smoke convert-smoke bench-smoke fuzz-smoke
+ci: fmt-check vet build test test-bench test-serial test-race test-cluster test-spill smoke convert-smoke bench-smoke fuzz-smoke
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -28,6 +28,11 @@ build:
 test:
 	$(GO) test ./...
 
+# The benchmark harness is a nested module (distcolor/bench), which the
+# root-module ./... patterns skip: vet and test it from its own directory.
+test-bench:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
 # The message plane must be bit-identical at any parallelism; run the LOCAL
 # engine suite pinned to a single worker to prove the degenerate case
 # (delivery, compaction and output collection all collapse onto one shard).
@@ -36,11 +41,11 @@ test-serial:
 
 # Race-detector pass over the concurrent packages: the serving layer (job
 # scheduler, LRU store, coalescing, cancellation) and the LOCAL engine's
-# sharded message plane, plus the root-package cancellation/registry and
-# cross-GOMAXPROCS determinism tests.
+# sharded message plane, plus the root-package cancellation/registry,
+# trace/progress and cross-GOMAXPROCS determinism tests.
 test-race:
 	$(GO) test -race ./internal/serve/... ./internal/local/... ./internal/cluster/...
-	$(GO) test -race -run 'Cancel|Registry|Deadline|Progress|Luby|Deterministic|ProperColoring|Golden' .
+	$(GO) test -race -run 'Cancel|Registry|Deadline|Progress|TraceMatches|Luby|Deterministic|ProperColoring|Golden' .
 
 # Clustering suite under the race detector: the ring/quota/health unit
 # tests plus the in-process 3-replica harness (routing determinism,

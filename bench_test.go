@@ -95,7 +95,7 @@ func BenchmarkGPS7_n4000(b *testing.B) {
 	g := gen.Apollonian(4000, r)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := GoldbergPlotkinShannon7(g, Options{Seed: uint64(i + 1)}); err != nil {
+		if _, err := Run(context.Background(), g, "gps7", WithSeed(uint64(i+1))); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -151,7 +151,7 @@ func BenchmarkSparseListColor(b *testing.B) {
 				b.SetBytes(int64(2 * g.M())) // adjacency entries touched per pass
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					res, err := SparseListColor(g, tc.d, nil, Options{})
+					res, err := Run(context.Background(), g, "sparse", WithD(tc.d))
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -113,7 +113,7 @@ func init() {
 		RoundBound:  polylog3Bound,
 		Run: func(ctx context.Context, g *Graph, rc *RunConfig) (*Coloring, error) {
 			res, err := core.Arboricity2a(ctx, rc.network(g), rc.Params.Int("a"), core.Config{
-				Lists: rc.Lists, BallC: rc.BallC, Progress: rc.ledgerProgress(), Trace: rc.ledgerTrace(),
+				Lists: rc.Lists, BallC: rc.BallC, Trace: rc.trace,
 			})
 			if err != nil {
 				return nil, err
@@ -137,7 +137,7 @@ func init() {
 		RoundBound: polylog3Bound,
 		Run: func(ctx context.Context, g *Graph, rc *RunConfig) (*Coloring, error) {
 			res, err := core.GenusHg(ctx, rc.network(g), rc.Params.Int("genus"), core.Config{
-				Lists: rc.Lists, BallC: rc.BallC, Progress: rc.ledgerProgress(), Trace: rc.ledgerTrace(),
+				Lists: rc.Lists, BallC: rc.BallC, Trace: rc.trace,
 			})
 			if err != nil {
 				return nil, err
@@ -164,7 +164,7 @@ func init() {
 				lists = UniformLists(g.N(), g.MaxDegree())
 			}
 			res, err := core.DeltaListColor(ctx, rc.network(g), core.Config{
-				Lists: lists, BallC: rc.BallC, Progress: rc.ledgerProgress(), Trace: rc.ledgerTrace(),
+				Lists: lists, BallC: rc.BallC, Trace: rc.trace,
 			})
 			if err != nil {
 				return nil, err
@@ -185,7 +185,7 @@ func init() {
 				lists = niceLists(g, rc.RNG())
 			}
 			res, err := core.RunNice(ctx, rc.network(g), core.Config{
-				Lists: lists, BallC: rc.BallC, Progress: rc.ledgerProgress(), Trace: rc.ledgerTrace(),
+				Lists: lists, BallC: rc.BallC, Trace: rc.trace,
 			})
 			if err != nil {
 				return nil, err
@@ -203,7 +203,7 @@ func init() {
 		// plus a constant-round merge.
 		RoundBound: func(n, _ int) int { return 256*logN(n) + 512 },
 		Run: func(ctx context.Context, g *Graph, rc *RunConfig) (*Coloring, error) {
-			ledger := &local.Ledger{Progress: rc.ledgerProgress(), Trace: rc.ledgerTrace()}
+			ledger := rc.ledger()
 			res, err := gps.Planar7(ctx, rc.network(g), ledger)
 			if err != nil {
 				return nil, err
@@ -225,7 +225,7 @@ func init() {
 		// layers under default a=2, ε=½.
 		RoundBound: func(n, _ int) int { return 512*logN(n) + 1024 },
 		Run: func(ctx context.Context, g *Graph, rc *RunConfig) (*Coloring, error) {
-			ledger := &local.Ledger{Progress: rc.ledgerProgress(), Trace: rc.ledgerTrace()}
+			ledger := rc.ledger()
 			res, err := be.ColorArb(ctx, rc.network(g), ledger, rc.Params.Int("a"), rc.Params.Float("eps"))
 			if err != nil {
 				return nil, err
@@ -251,8 +251,7 @@ func coreRun(ctx context.Context, g *Graph, rc *RunConfig,
 	cfg core.Config) (*Coloring, error) {
 	cfg.Lists = rc.Lists
 	cfg.BallC = rc.BallC
-	cfg.Progress = rc.ledgerProgress()
-	cfg.Trace = rc.ledgerTrace()
+	cfg.Trace = rc.trace
 	res, err := run(ctx, rc.network(g), cfg)
 	if err != nil {
 		return nil, err
@@ -302,7 +301,7 @@ func runRandomized(ctx context.Context, g *Graph, rc *RunConfig) (*Coloring, err
 		perm := rng.Perm(g.MaxDegree() + 4)
 		lists[v] = perm[:g.Degree(v)+1]
 	}
-	ledger := &local.Ledger{Progress: rc.ledgerProgress(), Trace: rc.ledgerTrace()}
+	ledger := rc.ledger()
 	colors, err := reduce.RandomizedListColor(ctx, nw, ledger, "randomized", lists, rng.Uint64(), rc.MaxRounds(g))
 	if err != nil {
 		return nil, err

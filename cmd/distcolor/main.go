@@ -262,15 +262,14 @@ func writeColors(path, format string, colors []int) error {
 
 // progressPrinter renders live phase progress on stderr, throttled so the
 // (very frequent) one-round layered-pass charges do not flood the terminal.
-// With a trace recorder attached it also shows the rounds/s and messages/s
-// rates over the last print interval; progress events and trace updates
-// both happen on the run goroutine, so reading the recorder here is safe.
+// It also shows the rounds/s and messages/s rates over the last print
+// interval, read from the run's trace; progress events are trace updates
+// on the run goroutine, so reading the recorder here is safe.
 type progressPrinter struct {
 	trace      *distcolor.RoundTrace
 	last       time.Time
 	lastRounds int
 	lastMsgs   int
-	events     int
 }
 
 func newProgressPrinter(trace *distcolor.RoundTrace) *progressPrinter {
@@ -278,18 +277,13 @@ func newProgressPrinter(trace *distcolor.RoundTrace) *progressPrinter {
 }
 
 func (p *progressPrinter) observe(e distcolor.PhaseEvent) {
-	p.events++
 	now := time.Now()
 	dt := now.Sub(p.last)
 	if dt < 100*time.Millisecond {
 		return
 	}
 	p.last = now
-	if p.trace == nil {
-		fmt.Fprintf(os.Stderr, "\r[%s] %-24s %10d rounds (%d events)", e.Algorithm, e.Phase, e.Rounds, p.events)
-		return
-	}
-	rounds, msgs := p.trace.Rounds(), p.trace.Messages()
+	rounds, msgs := e.Rounds, p.trace.Messages()
 	fmt.Fprintf(os.Stderr, "\r[%s] %-24s %10d rounds %9.0f rounds/s %12.0f msg/s",
 		e.Algorithm, e.Phase, rounds,
 		float64(rounds-p.lastRounds)/dt.Seconds(),
@@ -309,15 +303,7 @@ func writeSpans(path, algo string, seed uint64, rep *distcolor.TraceReport, star
 	root.SetAttr("algo", algo)
 	root.SetAttr("rounds", fmt.Sprint(rep.Rounds))
 	root.SetAttr("messages", fmt.Sprint(rep.Messages))
-	for _, p := range rep.Phases {
-		if p.StartUnixNs == 0 || p.EndUnixNs == 0 {
-			continue
-		}
-		tracer.Record(root.Context(), "engine."+p.Phase,
-			time.Unix(0, p.StartUnixNs), time.Unix(0, p.EndUnixNs),
-			obs.Attr{Key: "rounds", Value: fmt.Sprint(p.Rounds)},
-			obs.Attr{Key: "messages", Value: fmt.Sprint(p.Messages)})
-	}
+	runcfg.RecordEngineSpans(tracer, root.Context(), rep)
 	root.End()
 	rep.TraceID = root.Trace.String()
 	f, err := os.Create(path)

@@ -29,14 +29,11 @@
 //   - gps7 / be / randomized / luby: the baselines the paper improves upon.
 //
 // Every algorithm returns the exact LOCAL round cost it incurred (with a
-// per-phase breakdown) alongside the coloring; colorings are verified
-// internally before being returned. The historical per-algorithm functions
-// (SparseListColor, Planar6, …) remain as thin wrappers over Run and keep
-// compiling unchanged.
+// per-phase breakdown) alongside the coloring; Run verifies every coloring
+// once over the whole graph before returning it.
 package distcolor
 
 import (
-	"context"
 	"fmt"
 	"math/rand/v2"
 
@@ -122,22 +119,6 @@ func coloringFromLedger(colors []int, ledger *local.Ledger) *Coloring {
 	return c
 }
 
-// Options tune a legacy wrapper run. The zero value is ready to use. New
-// code should call Run with functional options instead.
-type Options struct {
-	// Seed shuffles the node identifiers (0 = identity permutation). The
-	// LOCAL model assigns IDs adversarially; shuffling exercises that.
-	Seed uint64
-	// BallC overrides the paper's ball-radius constant (experts only; see
-	// core.DefaultBallC).
-	BallC float64
-}
-
-func (o Options) runOptions(extra ...Option) []Option {
-	opts := []Option{WithSeed(o.Seed), WithBallC(o.BallC)}
-	return append(opts, extra...)
-}
-
 // network binds g to an ID assignment: identity for seed 0, a seed-derived
 // shuffle otherwise.
 func network(g *Graph, seed uint64) *local.Network {
@@ -148,71 +129,8 @@ func network(g *Graph, seed uint64) *local.Network {
 	return local.NewShuffledNetwork(g, rng)
 }
 
-// SparseListColor is Theorem 1.3: given d ≥ max(3, mad(G)) and lists of
-// size ≥ d (nil lists = palette {0..d-1}), returns either a proper
-// list-coloring or a K_{d+1} certificate.
-func SparseListColor(g *Graph, d int, lists [][]int, opts Options) (*Coloring, error) {
-	return Run(context.Background(), g, "sparse", opts.runOptions(WithD(d), WithLists(lists))...)
-}
-
-// Planar6 is Corollary 2.3(1): a 6-list-coloring of a planar graph in
-// O(log³ n) rounds.
-func Planar6(g *Graph, lists [][]int, opts Options) (*Coloring, error) {
-	return Run(context.Background(), g, "planar6", opts.runOptions(WithLists(lists))...)
-}
-
-// TriangleFreePlanar4 is Corollary 2.3(2): 4 list-colors for triangle-free
-// planar graphs.
-func TriangleFreePlanar4(g *Graph, lists [][]int, opts Options) (*Coloring, error) {
-	return Run(context.Background(), g, "trianglefree4", opts.runOptions(WithLists(lists))...)
-}
-
-// PlanarGirth6Color3 is Corollary 2.3(3): 3 list-colors for planar graphs
-// of girth ≥ 6.
-func PlanarGirth6Color3(g *Graph, lists [][]int, opts Options) (*Coloring, error) {
-	return Run(context.Background(), g, "girth6", opts.runOptions(WithLists(lists))...)
-}
-
-// ArboricityColor is Corollary 1.4: a 2a-list-coloring for graphs of
-// arboricity a ≥ 2.
-func ArboricityColor(g *Graph, a int, lists [][]int, opts Options) (*Coloring, error) {
-	return Run(context.Background(), g, "arboricity", opts.runOptions(WithArboricity(a), WithLists(lists))...)
-}
-
-// DeltaListColor is Corollary 2.1: Δ-list-coloring for Δ ≥ 3, or
-// seqcolor.ErrNoColoring when a K_{Δ+1} component is infeasible.
-func DeltaListColor(g *Graph, lists [][]int, opts Options) (*Coloring, error) {
-	return Run(context.Background(), g, "delta", opts.runOptions(WithLists(lists))...)
-}
-
-// NiceListColor is Theorem 6.1: an L-list-coloring for any nice list
-// assignment (|L(v)| ≥ deg(v), with ≥ deg(v)+1 when deg(v) ≤ 2 or N(v) is a
-// clique) in O(Δ² log³ n) rounds.
-func NiceListColor(g *Graph, lists [][]int, opts Options) (*Coloring, error) {
-	return Run(context.Background(), g, "nice", opts.runOptions(WithLists(lists))...)
-}
-
-// GenusColor is Corollary 2.11: an H(g)-list-coloring for graphs of Euler
-// genus g ≥ 1. HeawoodNumber exposes H.
-func GenusColor(g *Graph, genus int, lists [][]int, opts Options) (*Coloring, error) {
-	return Run(context.Background(), g, "genus", opts.runOptions(WithGenus(genus), WithLists(lists))...)
-}
-
 // HeawoodNumber returns H(g) = ⌊(7+√(24g+1))/2⌋ (Corollary 2.11).
 func HeawoodNumber(genus int) int { return core.HeawoodNumber(genus) }
-
-// GoldbergPlotkinShannon7 is the GPS baseline: a 7-coloring of planar
-// graphs in O(log n · (log* n + c)) rounds (one fewer color needs the
-// paper's machinery).
-func GoldbergPlotkinShannon7(g *Graph, opts Options) (*Coloring, error) {
-	return Run(context.Background(), g, "gps7", opts.runOptions()...)
-}
-
-// BarenboimElkin is the arboricity baseline: ⌊(2+ε)a⌋+1 colors in
-// O((a/ε) log n) rounds.
-func BarenboimElkin(g *Graph, a int, eps float64, opts Options) (*Coloring, error) {
-	return Run(context.Background(), g, "be", opts.runOptions(WithArboricity(a), WithEps(eps))...)
-}
 
 // Verify checks that colors is a proper coloring of g drawn from lists
 // (nil lists skips the list check).

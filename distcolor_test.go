@@ -1,6 +1,7 @@
 package distcolor
 
 import (
+	"context"
 	"testing"
 
 	"math/rand/v2"
@@ -11,7 +12,7 @@ import (
 func TestFacadePlanar6(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 1))
 	g := gen.Apollonian(150, rng)
-	col, err := Planar6(g, nil, Options{Seed: 7})
+	col, err := Run(context.Background(), g, "planar6", WithSeed(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +29,7 @@ func TestFacadePlanar6(t *testing.T) {
 
 func TestFacadeSparseListColorCliqueOutcome(t *testing.T) {
 	g := gen.Complete(4)
-	col, err := SparseListColor(g, 3, nil, Options{})
+	col, err := Run(context.Background(), g, "sparse", WithD(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +44,7 @@ func TestFacadeSparseListColorCliqueOutcome(t *testing.T) {
 func TestFacadeBaselines(t *testing.T) {
 	rng := rand.New(rand.NewPCG(2, 2))
 	g := gen.Apollonian(120, rng)
-	gpsCol, err := GoldbergPlotkinShannon7(g, Options{Seed: 3})
+	gpsCol, err := Run(context.Background(), g, "gps7", WithSeed(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,14 +56,14 @@ func TestFacadeBaselines(t *testing.T) {
 	}
 
 	fu := gen.ForestUnion(120, 2, rng)
-	beCol, err := BarenboimElkin(fu, 2, 0.5, Options{Seed: 3})
+	beCol, err := Run(context.Background(), fu, "be", WithSeed(3), WithArboricity(2), WithEps(0.5))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := Verify(fu, beCol.Colors, nil); err != nil {
 		t.Fatal(err)
 	}
-	abbeCol, err := ArboricityColor(fu, 2, nil, Options{Seed: 3})
+	abbeCol, err := Run(context.Background(), fu, "arboricity", WithSeed(3), WithArboricity(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +80,7 @@ func TestFacadeBuilderRoundTrip(t *testing.T) {
 		}
 	}
 	g := b.Graph()
-	col, err := SparseListColor(g, 3, UniformLists(4, 3), Options{})
+	col, err := Run(context.Background(), g, "sparse", WithD(3), WithLists(UniformLists(4, 3)))
 	if err != nil {
 		t.Fatal(err)
 	}

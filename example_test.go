@@ -29,11 +29,11 @@ func petersen() *distcolor.Graph {
 	return g
 }
 
-// ExampleSparseListColor colors the Petersen graph with 3 colors via
-// Theorem 1.3 (d-list-coloring for mad(G) ≤ d) and verifies the result.
-func ExampleSparseListColor() {
+// ExampleRun_sparse colors the Petersen graph with 3 colors via Theorem
+// 1.3 (d-list-coloring for mad(G) ≤ d) and verifies the result.
+func ExampleRun_sparse() {
 	g := petersen()
-	col, err := distcolor.SparseListColor(g, 3, nil, distcolor.Options{})
+	col, err := distcolor.Run(context.Background(), g, "sparse", distcolor.WithD(3))
 	if err != nil {
 		panic(err)
 	}
@@ -46,8 +46,7 @@ func ExampleSparseListColor() {
 
 // ExampleRun is the registry-driven entry point: pick an algorithm by wire
 // name, tune it with functional options, watch live phase progress, and
-// bound the run with a context. The historical wrappers (SparseListColor,
-// Planar6, …) are shims over exactly this call.
+// bound the run with a context.
 func ExampleRun() {
 	g := petersen()
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
@@ -84,9 +83,10 @@ func ExampleAlgorithms() {
 	// sparse — Theorem 1.3
 }
 
-// ExamplePlanar6 6-list-colors the octahedron (a 4-regular planar graph)
-// via Corollary 2.3(1), drawing each vertex's color from its own list.
-func ExamplePlanar6() {
+// ExampleRun_planar6 6-list-colors the octahedron (a 4-regular planar
+// graph) via Corollary 2.3(1), drawing each vertex's color from its own
+// list.
+func ExampleRun_planar6() {
 	edges := [][2]int{
 		{0, 1}, {0, 2}, {0, 3}, {0, 4},
 		{5, 1}, {5, 2}, {5, 3}, {5, 4},
@@ -97,7 +97,7 @@ func ExamplePlanar6() {
 		panic(err)
 	}
 	lists := distcolor.UniformLists(6, 6) // any 6-lists work
-	col, err := distcolor.Planar6(g, lists, distcolor.Options{})
+	col, err := distcolor.Run(context.Background(), g, "planar6", distcolor.WithLists(lists))
 	if err != nil {
 		panic(err)
 	}
@@ -106,9 +106,9 @@ func ExamplePlanar6() {
 	// verified: true
 }
 
-// ExampleArboricityColor colors a 4×4 grid (arboricity 2) with 2a = 4
+// ExampleRun_arboricity colors a 4×4 grid (arboricity 2) with 2a = 4
 // colors via Corollary 1.4.
-func ExampleArboricityColor() {
+func ExampleRun_arboricity() {
 	b := distcolor.NewBuilder(16)
 	for r := 0; r < 4; r++ {
 		for c := 0; c < 4; c++ {
@@ -121,7 +121,7 @@ func ExampleArboricityColor() {
 		}
 	}
 	g := b.Graph()
-	col, err := distcolor.ArboricityColor(g, 2, nil, distcolor.Options{})
+	col, err := distcolor.Run(context.Background(), g, "arboricity", distcolor.WithArboricity(2))
 	if err != nil {
 		panic(err)
 	}

@@ -3,6 +3,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand/v2"
@@ -26,7 +27,8 @@ func main() {
 		fmt.Printf("union of %d random spanning forests: n=%d m=%d (arboricity ≤ %d certified by flow)\n",
 			a, g.N(), g.M(), a)
 
-		ours, err := distcolor.ArboricityColor(g, a, nil, distcolor.Options{Seed: 5})
+		ours, err := distcolor.Run(context.Background(), g, "arboricity",
+			distcolor.WithSeed(5), distcolor.WithArboricity(a))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -37,7 +39,8 @@ func main() {
 			distcolor.NumColors(ours.Colors), 2*a, ours.Rounds)
 
 		for _, eps := range []float64{1.0, 0.5, 1 / float64(a+1)} {
-			bel, err := distcolor.BarenboimElkin(g, a, eps, distcolor.Options{Seed: 5})
+			bel, err := distcolor.Run(context.Background(), g, "be",
+				distcolor.WithSeed(5), distcolor.WithArboricity(a), distcolor.WithEps(eps))
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand/v2"
@@ -33,7 +34,7 @@ func main() {
 	}
 	fmt.Printf("nice list sizes: %v (deg-sized, +1 only for deg ≤ 2 / simplicial)\n", sizes)
 
-	col, err := distcolor.NiceListColor(g, lists, distcolor.Options{Seed: 9})
+	col, err := distcolor.Run(context.Background(), g, "nice", distcolor.WithSeed(9), distcolor.WithLists(lists))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func main() {
 		perm := rng.Perm(9)
 		dlists[v] = perm[:4]
 	}
-	dcol, err := distcolor.DeltaListColor(reg, dlists, distcolor.Options{Seed: 9})
+	dcol, err := distcolor.Run(context.Background(), reg, "delta", distcolor.WithSeed(9), distcolor.WithLists(dlists))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -64,7 +65,7 @@ func main() {
 	// The infeasible case is *detected*, not mis-colored: K5 with one
 	// shared 4-list has no system of distinct representatives.
 	k5 := gen.Complete(5)
-	_, err = distcolor.DeltaListColor(k5, distcolor.UniformLists(5, 4), distcolor.Options{})
+	_, err = distcolor.Run(context.Background(), k5, "delta", distcolor.WithLists(distcolor.UniformLists(5, 4)))
 	fmt.Printf("K5 with identical 4-lists: %v (certified by Hall matching)\n", err)
 }
 

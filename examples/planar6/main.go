@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -38,11 +39,11 @@ func main() {
 	for _, fam := range families {
 		for _, n := range []int{500, 2000} {
 			g := fam.make(n)
-			gpsCol, err := distcolor.GoldbergPlotkinShannon7(g, distcolor.Options{Seed: 3})
+			gpsCol, err := distcolor.Run(context.Background(), g, "gps7", distcolor.WithSeed(3))
 			if err != nil {
 				log.Fatal(err)
 			}
-			ourCol, err := distcolor.Planar6(g, nil, distcolor.Options{Seed: 3})
+			ourCol, err := distcolor.Run(context.Background(), g, "planar6", distcolor.WithSeed(3))
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -3,6 +3,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand/v2"
@@ -19,7 +20,7 @@ func main() {
 	fmt.Printf("planar triangulation: %d vertices, %d edges (= 3n-6)\n", g.N(), g.M())
 
 	// Plain 6-coloring (palette {0..5}).
-	col, err := distcolor.Planar6(g, nil, distcolor.Options{Seed: 7})
+	col, err := distcolor.Run(context.Background(), g, "planar6", distcolor.WithSeed(7))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -35,7 +36,7 @@ func main() {
 		perm := rng.Perm(14)
 		lists[v] = perm[:6]
 	}
-	lcol, err := distcolor.Planar6(g, lists, distcolor.Options{Seed: 7})
+	lcol, err := distcolor.Run(context.Background(), g, "planar6", distcolor.WithSeed(7), distcolor.WithLists(lists))
 	if err != nil {
 		log.Fatal(err)
 	}

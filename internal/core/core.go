@@ -63,13 +63,10 @@ type Config struct {
 	// MaxIterations bounds the peeling loop (0 = 8·d³·log n + 64, safely
 	// above the paper's O(d³ log n); the Δ ≤ d case needs only O(d log n)).
 	MaxIterations int
-	// Progress, when non-nil, observes every round charge on the run's
-	// ledger as it lands (live phase progress). Called synchronously; must
-	// be fast and non-blocking.
-	Progress local.ProgressFunc
-	// Trace, when non-nil, records the run's execution profile (per-phase
-	// rounds, engine messages, shard timings); sub-runs record into the
-	// same trace live. See local.RoundTrace.
+	// Trace, when non-nil, observes the run: it records the execution
+	// profile (per-phase rounds, engine messages, shard timings) and feeds
+	// live progress; sub-runs record into the same trace live. See
+	// local.RoundTrace.
 	Trace *local.RoundTrace
 }
 
@@ -109,7 +106,8 @@ func (r *Result) Rounds() int { return r.Ledger.Rounds() }
 // a (d+1)-clique inside Result. Cancellation is cooperative: ctx is checked
 // at every peeling iteration, every extension layer, and every round of the
 // message-passing subroutines, so a cancelled run stops within one round
-// and returns ctx.Err().
+// and returns ctx.Err(). Run does not verify the coloring: callers check
+// it once over the whole graph (distcolor.Run does).
 func Run(ctx context.Context, nw *local.Network, cfg Config) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -135,7 +133,7 @@ func Run(ctx context.Context, nw *local.Network, cfg Config) (*Result, error) {
 			return nil, fmt.Errorf("core: vertex %d has list of size %d < d=%d", v, len(lists[v]), d)
 		}
 	}
-	ledger := &local.Ledger{Progress: cfg.Progress, Trace: cfg.Trace}
+	ledger := &local.Ledger{Trace: cfg.Trace}
 	res := &Result{Ledger: ledger, Lists: lists}
 	if n == 0 {
 		res.Colors = nil
@@ -238,9 +236,6 @@ func peelAndExtend(ctx context.Context, nw *local.Network, res *Result, lists []
 		res.Iterations[i].RootBalls = ext.roots
 		res.Iterations[i].TreeSize = ext.treeSize
 		res.Iterations[i].MaxDepth = ext.maxDepth
-	}
-	if err := seqcolor.Verify(g, colors, lists); err != nil {
-		return fmt.Errorf("core: internal verification failed: %w", err)
 	}
 	res.Colors = colors
 	return nil

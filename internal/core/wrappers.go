@@ -57,7 +57,7 @@ func RunNice(ctx context.Context, nw *local.Network, cfg Config) (*Result, error
 	if err := ValidateNice(nw, lists); err != nil {
 		return nil, err
 	}
-	ledger := &local.Ledger{Progress: cfg.Progress, Trace: cfg.Trace}
+	ledger := &local.Ledger{Trace: cfg.Trace}
 	res := &Result{Ledger: ledger, Lists: lists}
 	if n == 0 {
 		return res, nil
@@ -106,7 +106,7 @@ func DeltaListColor(ctx context.Context, nw *local.Network, cfg Config) (*Result
 			return nil, fmt.Errorf("core: vertex %d has list of size %d < Δ=%d", v, len(lists[v]), delta)
 		}
 	}
-	ledger := &local.Ledger{Progress: cfg.Progress, Trace: cfg.Trace}
+	ledger := &local.Ledger{Trace: cfg.Trace}
 	colors := make([]int, n)
 	for v := range colors {
 		colors[v] = Uncolored
@@ -140,7 +140,7 @@ func DeltaListColor(ctx context.Context, nw *local.Network, cfg Config) (*Result
 			subLists[i] = lists[v]
 		}
 		nw2 := local.NewNetwork(sub)
-		sres, err := Run(ctx, nw2, Config{D: delta, Lists: subLists, BallC: cfg.BallC, Progress: cfg.Progress, Trace: cfg.Trace})
+		sres, err := Run(ctx, nw2, Config{D: delta, Lists: subLists, BallC: cfg.BallC, Trace: cfg.Trace})
 		if err != nil {
 			return nil, err
 		}
@@ -151,26 +151,13 @@ func DeltaListColor(ctx context.Context, nw *local.Network, cfg Config) (*Result
 		for i, v := range orig {
 			colors[v] = sres.Colors[i]
 		}
-		mergeLedger(ledger, sres.Ledger)
+		// The sub-run recorded into the shared trace live; Merge only
+		// folds its phases into this ledger.
+		ledger.Merge("", sres.Ledger)
 		res.Radius = sres.Radius
 		res.Iterations = sres.Iterations
 	}
-	if err := seqcolor.Verify(g, colors, lists); err != nil {
-		return nil, fmt.Errorf("core: internal verification failed: %w", err)
-	}
 	return res, nil
-}
-
-// mergeLedger folds the sub-run's charges into the outer ledger without
-// re-triggering the Progress observer or the shared trace (the sub-run
-// already reported them live through its own forwarded observer, and its
-// ledger records into the same RoundTrace — re-charging here would double
-// every merged phase in the trace).
-func mergeLedger(dst, src *local.Ledger) {
-	obs, tr := dst.Progress, dst.Trace
-	dst.Progress, dst.Trace = nil, nil
-	dst.Merge("", src)
-	dst.Progress, dst.Trace = obs, tr
 }
 
 // Planar6 is Corollary 2.3(1): 6-list-coloring of planar graphs in

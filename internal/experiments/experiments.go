@@ -470,6 +470,7 @@ func E9(scale Scale) *Section {
 					c.name, c.d, label, c.bound, err))
 				continue
 			}
+			mustColors(c.g, res)
 			minFrac := 1.0
 			for _, it := range res.Iterations {
 				f := float64(it.Happy) / float64(it.Alive)

@@ -77,15 +77,22 @@ func TestRunSyncCancelMidRunNoLeak(t *testing.T) {
 func TestLedgerProgressObserver(t *testing.T) {
 	var got []PhaseCost
 	var totals []int
-	l := &Ledger{Progress: func(phase string, delta, total int) {
+	tr := &RoundTrace{}
+	OnCharge(tr, func(phase string, delta, total int) {
 		got = append(got, PhaseCost{Phase: phase, Rounds: delta})
 		totals = append(totals, total)
-	}}
+	})
+	l := &Ledger{Trace: tr}
 	l.Charge("a", 2)
 	l.Charge("a", 3) // merged into the same phase entry, still observed
 	l.Charge("b", 0) // zero charges are not observed
 	l.Charge("c", 1)
-	want := []PhaseCost{{Phase: "a", Rounds: 2}, {Phase: "a", Rounds: 3}, {Phase: "c", Rounds: 1}}
+	// A sub-run sharing the trace reports live with the run-wide total;
+	// merging its ledger afterwards must not report the charges again.
+	sub := &Ledger{Trace: tr}
+	sub.Charge("d", 4)
+	l.Merge("sub/", sub)
+	want := []PhaseCost{{Phase: "a", Rounds: 2}, {Phase: "a", Rounds: 3}, {Phase: "c", Rounds: 1}, {Phase: "d", Rounds: 4}}
 	if len(got) != len(want) {
 		t.Fatalf("observed %v, want %v", got, want)
 	}
@@ -94,7 +101,14 @@ func TestLedgerProgressObserver(t *testing.T) {
 			t.Fatalf("event %d: %+v, want %+v", i, got[i], want[i])
 		}
 	}
-	if totals[len(totals)-1] != l.Rounds() || l.Rounds() != 6 {
-		t.Fatalf("totals %v, ledger %d", totals, l.Rounds())
+	if totals[len(totals)-1] != l.Rounds() || l.Rounds() != 10 || tr.Rounds() != 10 {
+		t.Fatalf("totals %v, ledger %d, trace %d", totals, l.Rounds(), tr.Rounds())
+	}
+	if prev := OnCharge(tr, nil); prev == nil {
+		t.Fatal("OnCharge did not return the previous observer")
+	}
+	l.Charge("e", 1)
+	if len(got) != len(want) {
+		t.Fatalf("detached observer still called: %v", got)
 	}
 }

@@ -79,12 +79,6 @@ type PhaseCost struct {
 	Rounds int
 }
 
-// ProgressFunc observes round charges as they land on a ledger: phase is the
-// charged phase name, delta the rounds just charged, total the cumulative
-// rounds so far. Observers run synchronously on the charging goroutine and
-// must be fast and non-blocking.
-type ProgressFunc func(phase string, delta, total int)
-
 // Ledger accumulates the LOCAL round cost of an algorithm execution, with a
 // per-phase breakdown, plus message statistics for the message-passing
 // engine (the LOCAL model does not bound message size; the ledger records
@@ -97,18 +91,11 @@ type Ledger struct {
 	messages     int // messages delivered by RunSync
 	maxRoundMsgs int // largest per-round total message count
 
-	// Progress, when non-nil, is invoked on every non-zero Charge. Set it
-	// before handing the ledger to an engine; it is how live phase progress
-	// reaches distcolor.WithProgress observers.
-	Progress ProgressFunc
-
-	// Trace, when non-nil, records the execution profile: every Charge
-	// lands in it, and RunSync additionally feeds it per-round message
-	// counts, active-list sizes and per-shard delivery timings. Several
-	// ledgers may share one trace (an outer run and its sub-runs record
-	// live into the same object); whoever folds a sub-ledger into an outer
-	// one with Merge must detach the shared trace first or the merged
-	// charges are recorded twice (see core.mergeLedger).
+	// Trace, when non-nil, observes the ledger: every Charge lands in it
+	// (and reaches its live progress observer, see OnCharge), and RunSync
+	// additionally feeds it per-round message counts, active-list sizes and
+	// per-shard delivery timings. Several ledgers may share one trace: an
+	// outer run and its sub-runs record live into the same object.
 	Trace *RoundTrace
 }
 
@@ -133,17 +120,19 @@ func (l *Ledger) Charge(phase string, rounds int) {
 	if rounds < 0 {
 		panic("local: negative round charge")
 	}
+	l.record(phase, rounds)
+	if l.Trace != nil {
+		l.Trace.charge(phase, rounds)
+	}
+}
+
+// record books a charge on the ledger alone, without notifying the trace.
+func (l *Ledger) record(phase string, rounds int) {
 	l.total += rounds
 	if k := len(l.phases); k > 0 && l.phases[k-1].Phase == phase {
 		l.phases[k-1].Rounds += rounds
 	} else {
 		l.phases = append(l.phases, PhaseCost{Phase: phase, Rounds: rounds})
-	}
-	if l.Trace != nil {
-		l.Trace.charge(phase, rounds)
-	}
-	if l.Progress != nil && rounds > 0 {
-		l.Progress(phase, rounds, l.total)
 	}
 }
 
@@ -155,10 +144,12 @@ func (l *Ledger) Phases() []PhaseCost {
 	return append([]PhaseCost(nil), l.phases...)
 }
 
-// Merge adds another ledger's charges into l under the given prefix.
+// Merge appends another ledger's charges to l under the given prefix. It
+// does not notify l.Trace: a sub-run whose ledger shares the trace has
+// already recorded those charges there live.
 func (l *Ledger) Merge(prefix string, other *Ledger) {
 	for _, p := range other.phases {
-		l.Charge(prefix+p.Phase, p.Rounds)
+		l.record(prefix+p.Phase, p.Rounds)
 	}
 }
 

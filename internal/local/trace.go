@@ -53,14 +53,28 @@ type tracePhase struct {
 //
 // A RoundTrace is owned by the goroutine executing the run (the same one
 // that charges the ledger): it needs no locking, and readers must wait for
-// the run to finish — or, like progress observers, read synchronously from
-// a ledger callback.
+// the run to finish — or, like the progress observer, read synchronously
+// from within a charge.
 type RoundTrace struct {
-	phases []*tracePhase
-	byName map[string]*tracePhase
-	rounds int
-	msgs   int
-	lastT  time.Time
+	phases   []*tracePhase
+	byName   map[string]*tracePhase
+	rounds   int
+	msgs     int
+	lastT    time.Time
+	onCharge func(phase string, delta, total int)
+}
+
+// OnCharge sets fn as t's live progress observer and returns the previous
+// one (nil when unset). fn sees every non-zero charge as it lands: phase is
+// the charged phase, delta the rounds just charged, total the trace's
+// running total over every ledger feeding it. It runs synchronously on the
+// charging goroutine and must be fast and non-blocking. OnCharge is a
+// function rather than a method so the public RoundTrace alias does not
+// grow a second way to observe progress.
+func OnCharge(t *RoundTrace, fn func(phase string, delta, total int)) func(phase string, delta, total int) {
+	prev := t.onCharge
+	t.onCharge = fn
+	return prev
 }
 
 // Begin stamps the trace's wall clock so the first charge's interval is
@@ -101,6 +115,9 @@ func (t *RoundTrace) charge(phase string, rounds int) {
 		p.busyNs += now.Sub(t.lastT).Nanoseconds()
 	}
 	t.lastT = now
+	if t.onCharge != nil && rounds > 0 {
+		t.onCharge(phase, rounds, t.rounds)
+	}
 }
 
 // engineRound records one executed engine round: active nodes going in,

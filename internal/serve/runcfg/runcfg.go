@@ -1,6 +1,7 @@
 // Package runcfg is the wire-level run configuration shared by
 // cmd/distcolor and the serving layer (internal/serve): the JSON shape of a
-// job config, canonical coalescing keys, and compact result summaries.
+// job config, canonical coalescing keys, compact result summaries, and the
+// engine.<phase> spans built from a run's trace.
 //
 // runcfg holds no algorithm knowledge of its own: names, parameter schemas,
 // defaults, validation rules and palette sizes are all read from the
@@ -14,11 +15,14 @@ import (
 	"context"
 	"fmt"
 	"math/rand/v2"
+	"strconv"
 	"strings"
+	"time"
 
 	"distcolor"
 	"distcolor/internal/gen"
 	"distcolor/internal/graph"
+	"distcolor/internal/obs"
 )
 
 // genStream is the PCG stream constant for graph generation; listStream
@@ -276,6 +280,23 @@ func Run(ctx context.Context, g *graph.Graph, cfg Config, extra ...distcolor.Opt
 	res.ColorsUsed = distcolor.NumColors(col.Colors)
 	res.Verified = true
 	return res, nil
+}
+
+// RecordEngineSpans records one engine.<phase> retro-span under parent for
+// every timed phase of rep, from the trace's wall-clock attribution, with
+// the phase's rounds and messages as attributes. Timing-less phases (clock
+// never started, e.g. zero-work runs) record nothing. The server's job.run
+// span and the CLI's -spans root share this one span shape.
+func RecordEngineSpans(tracer *obs.Tracer, parent obs.SpanContext, rep *distcolor.TraceReport) {
+	for _, p := range rep.Phases {
+		if p.StartUnixNs == 0 || p.EndUnixNs == 0 {
+			continue
+		}
+		tracer.Record(parent, "engine."+p.Phase,
+			time.Unix(0, p.StartUnixNs), time.Unix(0, p.EndUnixNs),
+			obs.Attr{Key: "rounds", Value: strconv.Itoa(p.Rounds)},
+			obs.Attr{Key: "messages", Value: strconv.Itoa(p.Messages)})
+	}
 }
 
 // randomLists draws a random list of size k per vertex from cfg's palette.

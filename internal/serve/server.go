@@ -415,19 +415,7 @@ func (s *Server) execute(j *Job) {
 		}
 		runSpan.SetAttr("rounds", strconv.Itoa(rep.Rounds))
 		runSpan.SetAttr("messages", strconv.Itoa(rep.Messages))
-		// Engine phases as retro-spans under the run, from the trace's
-		// wall-clock attribution. Timing-less phases (clock never started,
-		// e.g. zero-work runs) record nothing.
-		runCtx := runSpan.Context()
-		for _, p := range rep.Phases {
-			if p.StartUnixNs == 0 || p.EndUnixNs == 0 {
-				continue
-			}
-			s.tracer.Record(runCtx, "engine."+p.Phase,
-				time.Unix(0, p.StartUnixNs), time.Unix(0, p.EndUnixNs),
-				obs.Attr{Key: "rounds", Value: strconv.Itoa(p.Rounds)},
-				obs.Attr{Key: "messages", Value: strconv.Itoa(p.Messages)})
-		}
+		runcfg.RecordEngineSpans(s.tracer, runSpan.Context(), rep)
 	}
 	runSpan.End()
 	j.finish(res, err)

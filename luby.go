@@ -95,7 +95,7 @@ func init() {
 			rng := rc.RNG()
 			nw := local.NewShuffledNetwork(g, rng)
 			delta := g.MaxDegree()
-			ledger := &local.Ledger{Progress: rc.ledgerProgress(), Trace: rc.ledgerTrace()}
+			ledger := rc.ledger()
 			seed := rng.Uint64()
 			outs, err := local.RunSync(ctx, nw, ledger, "luby", rc.MaxRounds(g), func(v int) local.Program {
 				palette := graph.NewBitset(delta + 1)

@@ -152,7 +152,6 @@ type RunConfig struct {
 
 	algo     *Algorithm
 	explicit map[string]float64
-	progress func(PhaseEvent)
 	trace    *local.RoundTrace
 	rng      *rand.Rand
 }
@@ -167,27 +166,10 @@ func (rc *RunConfig) RNG() *rand.Rand {
 	return rc.rng
 }
 
-// EmitProgress reports a phase-progress event to the run's observer, if
-// any. Algorithms built on internal engines get this for free via the
-// ledger; external RunFuncs call it directly.
-func (rc *RunConfig) EmitProgress(phase string, delta, total int) {
-	if rc.progress != nil {
-		rc.progress(PhaseEvent{Algorithm: rc.algo.Name, Phase: phase, Delta: delta, Rounds: total})
-	}
-}
-
-// ledgerProgress adapts the run's observer to the round ledger's hook.
-func (rc *RunConfig) ledgerProgress() local.ProgressFunc {
-	if rc.progress == nil {
-		return nil
-	}
-	return rc.EmitProgress
-}
-
-// ledgerTrace returns the run's trace recorder for attaching to ledgers
-// (nil when the caller did not ask for a trace — the engines then pay a
-// single nil check and record nothing).
-func (rc *RunConfig) ledgerTrace() *local.RoundTrace { return rc.trace }
+// ledger returns a fresh round ledger observed by the run's trace (nil
+// when the caller asked for neither a trace nor progress — the engines then
+// pay a single nil check and record nothing).
+func (rc *RunConfig) ledger() *local.Ledger { return &local.Ledger{Trace: rc.trace} }
 
 // network binds the graph to the run's ID assignment (shuffled when Seed is
 // non-zero — the LOCAL model assigns IDs adversarially).

@@ -192,35 +192,3 @@ func TestLubyBaseline(t *testing.T) {
 		}
 	}
 }
-
-// TestProgressEvents requires live phase events during a run, consistent
-// with the final round total.
-func TestProgressEvents(t *testing.T) {
-	rng := rand.New(rand.NewPCG(3, 3))
-	g := gen.Apollonian(300, rng)
-	var events []PhaseEvent
-	col, err := Run(context.Background(), g, "planar6",
-		WithProgress(func(e PhaseEvent) { events = append(events, e) }))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(events) == 0 {
-		t.Fatal("no progress events")
-	}
-	sum := 0
-	for _, e := range events {
-		if e.Algorithm != "planar6" {
-			t.Fatalf("event credits %q", e.Algorithm)
-		}
-		if e.Delta <= 0 {
-			t.Fatalf("non-positive delta event: %+v", e)
-		}
-		sum += e.Delta
-	}
-	if sum != col.Rounds {
-		t.Fatalf("progress deltas sum to %d, run charged %d", sum, col.Rounds)
-	}
-	if last := events[len(events)-1]; last.Rounds != col.Rounds {
-		t.Fatalf("last event total %d ≠ final rounds %d", last.Rounds, col.Rounds)
-	}
-}

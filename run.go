@@ -9,9 +9,9 @@ import (
 )
 
 // PhaseEvent is one live progress report from a running algorithm: the
-// ledger just charged Delta LOCAL rounds to Phase, bringing the emitting
-// engine's total to Rounds. Events are delivered synchronously on the
-// goroutine executing the run; observers must be fast and non-blocking.
+// run just charged Delta LOCAL rounds to Phase, bringing its cumulative
+// total to Rounds. Events are delivered synchronously on the goroutine
+// executing the run; observers must be fast and non-blocking.
 type PhaseEvent struct {
 	// Algorithm is the wire name of the running algorithm.
 	Algorithm string
@@ -19,7 +19,8 @@ type PhaseEvent struct {
 	Phase string
 	// Delta is the number of rounds this event charged.
 	Delta int
-	// Rounds is the emitting engine's cumulative round total so far.
+	// Rounds is the run's cumulative total so far; the last event's
+	// Rounds equals Coloring.Rounds.
 	Rounds int
 }
 
@@ -45,10 +46,23 @@ func WithLists(lists [][]int) Option {
 // core.DefaultBallC). Ignored by algorithms without ball phases.
 func WithBallC(c float64) Option { return func(rc *RunConfig) { rc.BallC = c } }
 
-// WithProgress registers a live phase-progress observer. It is called
-// synchronously from the run; keep it fast and non-blocking.
+// WithProgress registers a live phase-progress observer. Progress is a
+// view of the run's RoundTrace: fn sees every non-zero charge as the trace
+// records it. Without WithTrace the run records into a private trace. fn
+// is called synchronously from the run; keep it fast and non-blocking. Nil
+// is a no-op.
 func WithProgress(fn func(PhaseEvent)) Option {
-	return func(rc *RunConfig) { rc.progress = fn }
+	return func(rc *RunConfig) {
+		if fn == nil {
+			return
+		}
+		if rc.trace == nil {
+			rc.trace = &RoundTrace{}
+		}
+		local.OnCharge(rc.trace, func(phase string, delta, total int) {
+			fn(PhaseEvent{Algorithm: rc.algo.Name, Phase: phase, Delta: delta, Rounds: total})
+		})
+	}
 }
 
 // RoundTrace records a run's execution profile: per-phase LOCAL round
@@ -69,7 +83,16 @@ type TraceReport = local.TraceReport
 // the wire report with trace.Report(algo). Nil is a no-op; runs without a
 // trace pay one nil check per engine round.
 func WithTrace(t *RoundTrace) Option {
-	return func(rc *RunConfig) { rc.trace = t }
+	return func(rc *RunConfig) {
+		if t == nil {
+			return
+		}
+		if rc.trace != nil {
+			// Carry over the observer of an earlier WithProgress.
+			local.OnCharge(t, local.OnCharge(rc.trace, nil))
+		}
+		rc.trace = t
+	}
 }
 
 // WithParam sets a named algorithm parameter (see Algorithm.Params).
@@ -103,8 +126,7 @@ func WithGenus(genus int) Option { return WithParam("genus", float64(genus)) }
 // LOCAL round; the run then returns ctx.Err() without leaking goroutines.
 //
 // Every result is a pure function of (g, algo, options): runs are
-// deterministic and safe to cache or coalesce. The legacy top-level
-// wrappers (SparseListColor, Planar6, …) are thin shims over Run.
+// deterministic and safe to cache or coalesce.
 func Run(ctx context.Context, g *Graph, algo string, opts ...Option) (*Coloring, error) {
 	a, err := Lookup(algo)
 	if err != nil {
@@ -129,6 +151,9 @@ func Run(ctx context.Context, g *Graph, algo string, opts ...Option) (*Coloring,
 	}
 	if rc.trace != nil {
 		rc.trace.Begin()
+		// The progress observer lives for this run only; a caller's trace
+		// leaves Run without it.
+		defer local.OnCharge(rc.trace, nil)
 	}
 	col, err := a.Run(ctx, g, rc)
 	if err != nil {

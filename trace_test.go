@@ -13,9 +13,10 @@ import (
 // registered algorithm, the report built from a WithTrace run agrees
 // exactly with the Coloring the run returned — same total rounds, same
 // message count, and a per-phase breakdown identical to Coloring.Phases
-// (which is Ledger.ByPhase) in both content and order. Sample and timing
-// data ride along; the round accounting is the part the paper's claims
-// rest on, so it must never drift.
+// (which is Ledger.ByPhase) in both content and order. Live progress is a
+// view of the same trace, so its events must add up to the same total.
+// Sample and timing data ride along; the round accounting is the part the
+// paper's claims rest on, so it must never drift.
 func TestTraceMatchesColoring(t *testing.T) {
 	for _, a := range distcolor.Algorithms() {
 		if a.Smoke == "" {
@@ -27,10 +28,31 @@ func TestTraceMatchesColoring(t *testing.T) {
 				t.Fatalf("generating %q: %v", a.Smoke, err)
 			}
 			trace := &distcolor.RoundTrace{}
+			var events []distcolor.PhaseEvent
 			col, err := distcolor.Run(context.Background(), g, a.Name,
-				distcolor.WithSeed(3), distcolor.WithTrace(trace))
+				distcolor.WithSeed(3), distcolor.WithTrace(trace),
+				distcolor.WithProgress(func(e distcolor.PhaseEvent) { events = append(events, e) }))
 			if err != nil {
 				t.Fatal(err)
+			}
+			if len(events) == 0 {
+				t.Fatal("no progress events")
+			}
+			sum := 0
+			for _, e := range events {
+				if e.Algorithm != a.Name {
+					t.Fatalf("event credits %q: %+v", e.Algorithm, e)
+				}
+				if e.Delta <= 0 {
+					t.Fatalf("non-positive delta event: %+v", e)
+				}
+				sum += e.Delta
+			}
+			if sum != col.Rounds {
+				t.Errorf("progress deltas sum to %d, run charged %d", sum, col.Rounds)
+			}
+			if last := events[len(events)-1]; last.Rounds != col.Rounds {
+				t.Errorf("last event total %d ≠ final rounds %d", last.Rounds, col.Rounds)
 			}
 			rep := trace.Report(a.Name)
 			if rep.Algorithm != a.Name {
@@ -107,5 +129,33 @@ func TestTraceReuseAcrossRuns(t *testing.T) {
 	a, b := run(), run()
 	if a.Rounds != b.Rounds || a.Messages != b.Messages {
 		t.Fatalf("identical runs traced differently: %+v vs %+v", a, b)
+	}
+}
+
+// TestProgressOptionOrder pins that progress is a view of whichever trace
+// the run ends up with: WithProgress before WithTrace still reports, and
+// the observer does not outlive its run on a caller's trace.
+func TestProgressOptionOrder(t *testing.T) {
+	g, err := runcfg.Generate("grid:5x6", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := 0
+	trace := &distcolor.RoundTrace{}
+	col, err := distcolor.Run(context.Background(), g, "delta",
+		distcolor.WithProgress(func(distcolor.PhaseEvent) { events++ }),
+		distcolor.WithTrace(trace))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if events == 0 || trace.Rounds() != col.Rounds {
+		t.Fatalf("events=%d, trace rounds=%d, coloring rounds=%d", events, trace.Rounds(), col.Rounds)
+	}
+	seen := events
+	if _, err := distcolor.Run(context.Background(), g, "delta", distcolor.WithTrace(trace)); err != nil {
+		t.Fatal(err)
+	}
+	if events != seen {
+		t.Fatalf("observer of the first run saw %d events of the second", events-seen)
 	}
 }
