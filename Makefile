@@ -144,11 +144,13 @@ trace-demo:
 	@echo "wrote trace-demo.json — open it in https://ui.perfetto.dev"
 
 # Short native-fuzz smoke over the two graph decoders — the text edge-list
-# parser and the binary .dcsr reader (the committed seed corpora always run
-# in plain `go test`; this explores beyond them).
+# parser and the binary .dcsr reader — and over the server's one graph
+# entry point, POST /v1/graphs, across every upload kind (the committed
+# seed corpora always run in plain `go test`; this explores beyond them).
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzReadEdgeList -fuzztime 15s ./internal/graph
 	$(GO) test -run xxx -fuzz FuzzReadDCSR -fuzztime 15s ./internal/graph
+	$(GO) test -run xxx -fuzz FuzzUploadGraph -fuzztime 15s ./internal/serve
 
 # Full engine benchmark sweep (slow; use benchstat across commits).
 bench:

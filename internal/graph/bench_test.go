@@ -74,7 +74,7 @@ func FuzzRead(f *testing.F) {
 	f.Add([]byte("x\n"))
 	f.Add([]byte("5\n0 0\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g, err := Read(bytes.NewReader(data))
+		g, err := ReadEdgeList(bytes.NewReader(data))
 		if err != nil {
 			return
 		}

@@ -28,10 +28,6 @@ func (g *Graph) WriteTo(w io.Writer) (int64, error) {
 	return n, bw.Flush()
 }
 
-// Read parses the plain edge-list format written by WriteTo. It is
-// ReadEdgeList under the original name, kept for compatibility.
-func Read(r io.Reader) (*Graph, error) { return ReadEdgeList(r) }
-
 // ReadEdgeList streams the plain edge-list format into a Graph: the first
 // non-comment line is the vertex count n, then one "u v" edge per line
 // (0-based, whitespace-separated). Blank lines and lines starting with '#'

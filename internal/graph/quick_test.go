@@ -142,7 +142,7 @@ func TestQuickIORoundTrip(t *testing.T) {
 		if _, err := gv.G.WriteTo(&buf); err != nil {
 			return false
 		}
-		g2, err := Read(&buf)
+		g2, err := ReadEdgeList(&buf)
 		if err != nil {
 			return false
 		}
@@ -162,19 +162,19 @@ func TestQuickIORoundTrip(t *testing.T) {
 }
 
 func TestReadRejectsGarbage(t *testing.T) {
-	if _, err := Read(bytes.NewBufferString("")); err == nil {
+	if _, err := ReadEdgeList(bytes.NewBufferString("")); err == nil {
 		t.Error("empty input accepted")
 	}
-	if _, err := Read(bytes.NewBufferString("x\n")); err == nil {
+	if _, err := ReadEdgeList(bytes.NewBufferString("x\n")); err == nil {
 		t.Error("non-numeric count accepted")
 	}
-	if _, err := Read(bytes.NewBufferString("3\n0 0\n")); err == nil {
+	if _, err := ReadEdgeList(bytes.NewBufferString("3\n0 0\n")); err == nil {
 		t.Error("self-loop accepted")
 	}
-	if _, err := Read(bytes.NewBufferString("3\n0 1 2\n")); err == nil {
+	if _, err := ReadEdgeList(bytes.NewBufferString("3\n0 1 2\n")); err == nil {
 		t.Error("3-field line accepted")
 	}
-	g, err := Read(bytes.NewBufferString("# comment\n3\n\n0 1\n"))
+	g, err := ReadEdgeList(bytes.NewBufferString("# comment\n3\n\n0 1\n"))
 	if err != nil || g.M() != 1 {
 		t.Errorf("comments/blank lines mishandled: %v", err)
 	}

@@ -166,23 +166,8 @@ func clientIdentity(r *http.Request) string {
 
 // ---- fleet stats ----
 
-// statsDoc mirrors the numeric fields of the /v1/stats body — the subset
-// the fleet aggregate sums.
-type statsDoc struct {
-	Jobs          Snapshot `json:"jobs"`
-	QueueDepth    int64    `json:"queue_depth"`
-	QueueCapacity int64    `json:"queue_capacity"`
-	Workers       int64    `json:"workers"`
-	Graphs        struct {
-		Cached         int64 `json:"cached"`
-		WeightUsed     int64 `json:"weight_used"`
-		WeightCapacity int64 `json:"weight_capacity"`
-		Evicted        int64 `json:"evicted"`
-	} `json:"graphs"`
-}
-
-// fleetAggregate is the sum of every reporting replica's statsDoc. Latency
-// percentiles do not sum; the per-replica bodies carry them.
+// fleetAggregate is the sum of every reporting replica's /v1/stats body.
+// Latency percentiles do not sum; the per-replica bodies carry them.
 type fleetAggregate struct {
 	Replicas          int   `json:"replicas"`
 	ReplicasReporting int   `json:"replicas_reporting"`
@@ -200,7 +185,7 @@ type fleetAggregate struct {
 	GraphsEvicted     int64 `json:"graphs_evicted"`
 }
 
-func (a *fleetAggregate) add(d statsDoc) {
+func (a *fleetAggregate) add(d *statsJSON) {
 	a.ReplicasReporting++
 	a.JobsEnqueued += d.Jobs.JobsEnqueued
 	a.JobsCoalesced += d.Jobs.JobsCoalesced
@@ -208,20 +193,20 @@ func (a *fleetAggregate) add(d statsDoc) {
 	a.JobsDone += d.Jobs.JobsDone
 	a.JobsFailed += d.Jobs.JobsFailed
 	a.JobsCancelled += d.Jobs.JobsCancelled
-	a.QueueDepth += d.QueueDepth
-	a.QueueCapacity += d.QueueCapacity
-	a.Workers += d.Workers
-	a.GraphsCached += d.Graphs.Cached
+	a.QueueDepth += int64(d.QueueDepth)
+	a.QueueCapacity += int64(d.QueueCapacity)
+	a.Workers += int64(d.Workers)
+	a.GraphsCached += int64(d.Graphs.Cached)
 	a.GraphWeightUsed += d.Graphs.WeightUsed
 	a.GraphsEvicted += d.Graphs.Evicted
 }
 
 // replicaStats is one replica's row in the fleet stats body.
 type replicaStats struct {
-	Replica string          `json:"replica"`
-	Up      bool            `json:"up"`
-	Error   string          `json:"error,omitempty"`
-	Stats   json.RawMessage `json:"stats,omitempty"`
+	Replica string     `json:"replica"`
+	Up      bool       `json:"up"`
+	Error   string     `json:"error,omitempty"`
+	Stats   *statsJSON `json:"stats,omitempty"`
 }
 
 // handleFleetStats is GET /v1/stats?fleet=true on a clustered replica: the
@@ -230,16 +215,10 @@ type replicaStats struct {
 // error, never silently dropped — a fleet view that omits the down replica
 // is how outages hide.
 func (s *Server) handleFleetStats(w http.ResponseWriter, r *http.Request) {
-	localRaw, err := json.Marshal(s.localStats())
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
+	local := s.localStats()
 	agg := fleetAggregate{Replicas: 1}
-	var localDoc statsDoc
-	_ = json.Unmarshal(localRaw, &localDoc)
-	agg.add(localDoc)
-	replicas := []replicaStats{{Replica: s.cluster.Self(), Up: true, Stats: localRaw}}
+	agg.add(&local)
+	replicas := []replicaStats{{Replica: s.cluster.Self(), Up: true, Stats: &local}}
 	for _, res := range s.cluster.FanOut(r.Context(), "/v1/stats", 0) {
 		agg.Replicas++
 		row := replicaStats{Replica: res.Replica, Up: res.Up}
@@ -249,12 +228,12 @@ func (s *Server) handleFleetStats(w http.ResponseWriter, r *http.Request) {
 		case res.Status != http.StatusOK:
 			row.Error = "stats status " + strconv.Itoa(res.Status)
 		default:
-			var doc statsDoc
-			if err := json.Unmarshal(res.Body, &doc); err != nil {
+			doc := new(statsJSON)
+			if err := json.Unmarshal(res.Body, doc); err != nil {
 				row.Error = "bad stats body: " + err.Error()
 				break
 			}
-			row.Stats = json.RawMessage(res.Body)
+			row.Stats = doc
 			agg.add(doc)
 		}
 		replicas = append(replicas, row)

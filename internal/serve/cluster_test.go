@@ -195,7 +195,7 @@ func TestClusterRoutingDeterminism(t *testing.T) {
 	}
 	// The graph must be resident only on its owner.
 	for i := 0; i < 3; i++ {
-		_, ok := f.servers[i].store.Get(wantID)
+		_, _, ok := f.servers[i].store.Resolve(wantID)
 		if want := i == 2; ok != want {
 			t.Fatalf("replica %d residency of %s = %v, want %v", i, wantID, ok, want)
 		}
@@ -423,7 +423,7 @@ func TestClusterFailover(t *testing.T) {
 			succServer = f.servers[i]
 		}
 	}
-	if _, ok := succServer.store.Get(id); !ok {
+	if _, _, ok := succServer.store.Resolve(id); !ok {
 		t.Fatalf("graph %s not resident on successor after failover", id)
 	}
 	// Post-ejection, routing goes straight to the successor (no retry hop).

@@ -113,6 +113,9 @@ func (m *serveMetrics) wire(s *Server) {
 	reg.CounterFunc("distcolor_store_readmissions_total",
 		"Spilled graphs paged back in by a later request.", nil,
 		func() float64 { return float64(s.store.Spill().Readmits) })
+	reg.CounterFunc("distcolor_store_spill_drops_total",
+		"Spilled .dcsr images deleted: disk-budget evictions and images that failed to reopen.", nil,
+		func() float64 { return float64(s.store.Spill().Drops) })
 	if s.cluster != nil {
 		const forwardsHelp = "Requests forwarded to their owning replica, by outcome."
 		m.forwardsOK = reg.Counter("distcolor_cluster_forwards_total", forwardsHelp,

@@ -125,6 +125,7 @@ func TestMetricsExposition(t *testing.T) {
 		"distcolor_graph_store_hits_total":      "counter",
 		"distcolor_graph_store_misses_total":    "counter",
 		"distcolor_graph_store_evictions_total": "counter",
+		"distcolor_store_spill_drops_total":     "counter",
 		"distcolor_engine_rounds_total":         "counter",
 		"distcolor_engine_messages_total":       "counter",
 		"distcolor_engine_shard_imbalance":      "gauge",

@@ -465,7 +465,7 @@ func TestGraphStoreLRU(t *testing.T) {
 	store := NewGraphStore(3 * graphWeight(small))
 	var ids []string
 	for i := 0; i < 4; i++ {
-		id, err := store.Add(gen.Path(10))
+		id, err := store.Add(gen.Path(10), Image{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -474,24 +474,24 @@ func TestGraphStoreLRU(t *testing.T) {
 	if store.Len() != 3 || store.Evicted() != 1 {
 		t.Fatalf("len=%d evicted=%d, want 3/1", store.Len(), store.Evicted())
 	}
-	if _, ok := store.Get(ids[0]); ok {
+	if _, _, ok := store.Resolve(ids[0]); ok {
 		t.Fatal("oldest graph survived over-capacity insert")
 	}
 	// Touching ids[1] makes ids[2] the eviction victim of the next insert.
-	if _, ok := store.Get(ids[1]); !ok {
+	if _, _, ok := store.Resolve(ids[1]); !ok {
 		t.Fatal("ids[1] missing")
 	}
-	if _, err := store.Add(gen.Path(10)); err != nil {
+	if _, err := store.Add(gen.Path(10), Image{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := store.Get(ids[1]); !ok {
+	if _, _, ok := store.Resolve(ids[1]); !ok {
 		t.Fatal("recently-used graph evicted before LRU victim")
 	}
-	if _, ok := store.Get(ids[2]); ok {
+	if _, _, ok := store.Resolve(ids[2]); ok {
 		t.Fatal("LRU victim survived")
 	}
 	// A graph heavier than the whole store is rejected outright.
-	if _, err := store.Add(gen.Path(1000)); err == nil {
+	if _, err := store.Add(gen.Path(1000), Image{}); err == nil {
 		t.Fatal("over-capacity graph accepted")
 	}
 }

@@ -541,88 +541,146 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 
 // ---- handlers ----
 
-// handleUploadGraph accepts a JSON {"gen": spec, "seed": n} body
-// (Content-Type: application/json), a binary .dcsr image (Content-Type:
-// application/x-dcsr, spill mode only — spooled to the spill dir, fully
-// validated, then page-mapped without ever parsing), or a raw edge-list
-// body in the graph.ReadEdgeList format (any other content type). Small
-// edge lists stream straight into the CSR builder; bodies larger than
-// ConvertUploadBytes are converted to .dcsr in bounded memory and served
-// page-mapped like a binary upload.
+// handleUploadGraph is POST /v1/graphs, the one way a graph enters the
+// server. It picks the decoder once, from the Content-Type and the length:
+//
+//   - application/json: a {"gen": spec, "seed": n} generator spec, built
+//     (or found) by the deduplicating store;
+//   - application/x-dcsr (spill mode only): a binary .dcsr image, spooled
+//     to the spill dir;
+//   - anything else: an edge list in the graph.ReadEdgeList format, parsed
+//     straight into the CSR builder — unless it is longer than
+//     ConvertUploadBytes (spill mode, known length), in which case it is
+//     spooled and converted to .dcsr in bounded memory instead.
+//
+// Every .dcsr image, uploaded or converted, then takes the same open →
+// verify → admit path (admitImage) and is served page-mapped.
 func (s *Server) handleUploadGraph(w http.ResponseWriter, r *http.Request) {
 	if !s.admitQuota(w, r) {
 		return
 	}
 	body := http.MaxBytesReader(w, r.Body, s.opts.MaxUploadBytes)
-	ct := r.Header.Get("Content-Type")
-	if strings.HasPrefix(ct, "application/json") {
-		raw, err := io.ReadAll(body)
-		if err != nil {
-			code := http.StatusBadRequest
-			if errors.As(err, new(*http.MaxBytesError)) {
-				code = http.StatusRequestEntityTooLarge
-			}
-			writeError(w, code, "reading upload body: %v", err)
-			return
-		}
+	var (
+		id             string
+		g              *graph.Graph
+		cached, mapped bool
+		err            error
+	)
+	switch ct := r.Header.Get("Content-Type"); {
+	case strings.HasPrefix(ct, "application/json"):
+		var raw []byte
 		var req uploadRequest
-		if err := unmarshalStrict(raw, &req); err != nil {
-			writeError(w, http.StatusBadRequest, "bad JSON body: %v", err)
+		if raw, err = io.ReadAll(body); err != nil {
+			err = fmt.Errorf("reading upload body: %w", err)
+		} else if err = unmarshalStrict(raw, &req); err != nil {
+			err = fmt.Errorf("bad JSON body: %w", err)
+		} else if req.Gen == "" {
+			err = errors.New("missing \"gen\" spec")
+		} else if s.maybeForward(w, r, raw, specGraphID(specKeyFor(req.Gen, req.Seed))) {
+			// A gen-spec upload materializes the graph on the replica that
+			// owns its deterministic ID, so later jobs on that ID find it hot.
 			return
+		} else {
+			id, g, cached, _, err = s.addSpec(req.Gen, req.Seed)
 		}
-		if req.Gen == "" {
-			writeError(w, http.StatusBadRequest, "missing \"gen\" spec")
-			return
-		}
-		// A gen-spec upload materializes the graph on the replica that owns
-		// its deterministic ID, so subsequent jobs on that ID find it hot.
-		if s.maybeForward(w, r, raw, specGraphID(specKeyFor(req.Gen, req.Seed))) {
-			return
-		}
-		id, g, cached, _, err := s.store.AddSpec(req.Gen, req.Seed, func() (*graph.Graph, error) {
-			return runcfg.Generate(req.Gen, req.Seed)
-		})
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		writeJSON(w, http.StatusCreated, graphJSON{ID: id, N: g.N(), M: g.M(), MaxDeg: g.MaxDegree(), Cached: cached})
-		return
-	}
-	if strings.HasPrefix(ct, "application/x-dcsr") {
-		s.handleUploadDCSR(w, body)
-		return
-	}
-	if s.opts.SpillDir != "" && s.opts.ConvertUploadBytes > 0 && r.ContentLength > s.opts.ConvertUploadBytes {
+	case strings.HasPrefix(ct, "application/x-dcsr"):
+		id, g, mapped, err = s.admitImage(body, false)
+	case s.opts.SpillDir != "" && s.opts.ConvertUploadBytes > 0 && r.ContentLength > s.opts.ConvertUploadBytes:
 		// An edge list this large would cost more as transient builder state
-		// than as a graph; convert it out-of-core instead of parsing.
-		// Chunked uploads (ContentLength < 0) take the streaming path.
-		s.handleUploadConvert(w, body)
-		return
-	}
-	g, err := graph.ReadEdgeList(body)
-	if err != nil {
-		code := http.StatusBadRequest
-		if errors.As(err, new(*http.MaxBytesError)) {
-			code = http.StatusRequestEntityTooLarge
+		// than as a graph. Chunked uploads (ContentLength < 0) are parsed.
+		id, g, mapped, err = s.admitImage(body, true)
+	default:
+		if g, err = graph.ReadEdgeList(body); err == nil {
+			id, err = s.store.Add(g, Image{})
 		}
-		writeError(w, code, "%v", err)
-		return
 	}
-	id, err := s.store.Add(g)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		writeError(w, errorStatus(err), "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, graphJSON{ID: id, N: g.N(), M: g.M(), MaxDeg: g.MaxDegree()})
+	writeJSON(w, http.StatusCreated, graphJSON{
+		ID: id, N: g.N(), M: g.M(), MaxDeg: g.MaxDegree(), Cached: cached, Mapped: mapped,
+	})
 }
 
-// spoolUpload copies body into a fresh file under the spill dir, returning
-// its path and size. The returned status code is meaningful only on error.
-func (s *Server) spoolUpload(body io.Reader, pattern string) (path string, size int64, code int, err error) {
+// statusError pins the HTTP status of an error that errorStatus would
+// otherwise report as 400: a missing resource or a server-side failure.
+type statusError struct {
+	code int
+	err  error
+}
+
+func (e *statusError) Error() string { return e.err.Error() }
+func (e *statusError) Unwrap() error { return e.err }
+
+// errorStatus is the reply code for a failed request: 413 when reading the
+// body ran past the upload cap, the pinned code of a statusError, and 400
+// (the request was bad) otherwise.
+func errorStatus(err error) int {
+	var se *statusError
+	switch {
+	case errors.As(err, new(*http.MaxBytesError)):
+		return http.StatusRequestEntityTooLarge
+	case errors.As(err, &se):
+		return se.code
+	}
+	return http.StatusBadRequest
+}
+
+// addSpec builds — or finds, deduplicated — the graph of a generator spec.
+func (s *Server) addSpec(spec string, seed uint64) (id string, g *graph.Graph, cached bool, source string, err error) {
+	return s.store.AddSpec(spec, seed, func() (*graph.Graph, error) {
+		return runcfg.Generate(spec, seed)
+	})
+}
+
+// admitImage brings a .dcsr image in from the network: body is spooled to
+// the spill dir — as the image itself, or (convert) as an edge list that
+// graph.ConvertEdgeList turns into one — then opened (page-mapped where the
+// platform can), fully verified, since the O(1) mmap admission checks only
+// the header and the bytes came from a client, and handed to the store,
+// which owns the file from then on. On any error every file it created is
+// removed.
+func (s *Server) admitImage(body io.Reader, convert bool) (id string, g *graph.Graph, mapped bool, err error) {
+	if s.store.SpillDir() == "" {
+		return "", nil, false, errors.New(
+			"binary graph upload requires the spill tier (start the server with -spill-dir)")
+	}
+	var path string
+	var size int64
+	if convert {
+		path, size, err = s.convertUpload(body)
+	} else {
+		path, size, err = s.spool(body, "upload-*.dcsr")
+	}
+	if err != nil {
+		return "", nil, false, err
+	}
+	defer func() {
+		if err != nil {
+			os.Remove(path)
+		}
+	}()
+	mg, err := graph.OpenDCSR(path)
+	if err != nil {
+		return "", nil, false, err
+	}
+	if err = mg.Verify(); err == nil {
+		id, err = s.store.Add(mg.Graph, Image{Path: path, Bytes: size, Mapped: mg.Mapped()})
+	}
+	if err != nil {
+		mg.Close()
+		return "", nil, false, err
+	}
+	return id, mg.Graph, mg.Mapped(), nil
+}
+
+// spool copies body into a fresh file under the spill dir, returning its
+// path and size. On error nothing is left behind.
+func (s *Server) spool(body io.Reader, pattern string) (path string, size int64, err error) {
 	f, err := os.CreateTemp(s.store.SpillDir(), pattern)
 	if err != nil {
-		return "", 0, http.StatusInternalServerError, fmt.Errorf("spooling upload: %v", err)
+		return "", 0, &statusError{http.StatusInternalServerError, fmt.Errorf("spooling upload: %w", err)}
 	}
 	size, err = io.Copy(f, body)
 	if cerr := f.Close(); err == nil {
@@ -630,99 +688,35 @@ func (s *Server) spoolUpload(body io.Reader, pattern string) (path string, size 
 	}
 	if err != nil {
 		os.Remove(f.Name())
-		code := http.StatusBadRequest
-		if errors.As(err, new(*http.MaxBytesError)) {
-			code = http.StatusRequestEntityTooLarge
-		}
-		return "", 0, code, err
+		return "", 0, err
 	}
-	return f.Name(), size, 0, nil
+	return f.Name(), size, nil
 }
 
-// handleUploadDCSR admits a binary .dcsr image: spool to the spill dir,
-// open (page map on capable platforms), and — because the producer is the
-// network — run the full structural validation the O(1) mmap admission
-// skips, so a hostile image can never reach an algorithm. The store takes
-// ownership of the spooled file; eviction keeps it and re-admission is a
-// page map.
-func (s *Server) handleUploadDCSR(w http.ResponseWriter, body io.Reader) {
-	if s.store.SpillDir() == "" {
-		writeError(w, http.StatusBadRequest,
-			"binary graph upload requires the spill tier (start the server with -spill-dir)")
-		return
-	}
-	path, size, code, err := s.spoolUpload(body, "upload-*.dcsr")
+// convertUpload runs an edge-list body through the external-memory
+// builder: the body is spooled next to the spill images (the converter
+// scans it several times) and converted to a .dcsr file under the
+// configured memory budget. Only the .dcsr file outlives the call.
+func (s *Server) convertUpload(body io.Reader) (path string, size int64, err error) {
+	edges, _, err := s.spool(body, "upload-*.edges")
 	if err != nil {
-		writeError(w, code, "%v", err)
-		return
+		return "", 0, err
 	}
-	mg, err := graph.OpenDCSR(path)
-	if err != nil {
-		os.Remove(path)
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if err := mg.Verify(); err != nil {
-		mg.Close()
-		os.Remove(path)
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	id, err := s.store.AddMapped(mg, path, size)
-	if err != nil {
-		mg.Close()
-		os.Remove(path)
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, graphJSON{
-		ID: id, N: mg.N(), M: mg.M(), MaxDeg: mg.MaxDegree(), Mapped: mg.Mapped(),
-	})
-}
-
-// handleUploadConvert runs an oversized text upload through the
-// external-memory builder: the body is spooled next to the spill images
-// (the converter scans it multiple times), converted to .dcsr under the
-// configured memory budget, and admitted page-mapped. The converter fully
-// validates the edge list, so no extra verification pass is needed.
-func (s *Server) handleUploadConvert(w http.ResponseWriter, body io.Reader) {
-	spool, _, code, err := s.spoolUpload(body, "upload-*.edges")
-	if err != nil {
-		writeError(w, code, "%v", err)
-		return
-	}
-	defer os.Remove(spool)
+	defer os.Remove(edges)
 	out, err := os.CreateTemp(s.store.SpillDir(), "upload-*.dcsr")
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "creating converted graph: %v", err)
-		return
+		return "", 0, &statusError{http.StatusInternalServerError, fmt.Errorf("creating converted graph: %w", err)}
 	}
-	open := func() (io.ReadCloser, error) { return os.Open(spool) }
+	open := func() (io.ReadCloser, error) { return os.Open(edges) }
 	stats, err := graph.ConvertEdgeList(open, out, s.opts.ConvertMemBudget)
 	if cerr := out.Close(); err == nil {
 		err = cerr
 	}
 	if err != nil {
 		os.Remove(out.Name())
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
+		return "", 0, err
 	}
-	mg, err := graph.OpenDCSR(out.Name())
-	if err != nil {
-		os.Remove(out.Name())
-		writeError(w, http.StatusInternalServerError, "reopening converted graph: %v", err)
-		return
-	}
-	id, err := s.store.AddMapped(mg, out.Name(), stats.BytesWritten)
-	if err != nil {
-		mg.Close()
-		os.Remove(out.Name())
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, graphJSON{
-		ID: id, N: stats.N, M: stats.M, MaxDeg: stats.MaxDeg, Mapped: mg.Mapped(),
-	})
+	return out.Name(), stats.BytesWritten, nil
 }
 
 // handleSubmitJobs accepts one job object or a batch array of them. The
@@ -734,14 +728,9 @@ func (s *Server) handleSubmitJobs(w http.ResponseWriter, r *http.Request) {
 	if !s.admitQuota(w, r) {
 		return
 	}
-	body := http.MaxBytesReader(w, r.Body, s.opts.MaxUploadBytes)
-	raw, err := io.ReadAll(body)
+	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.opts.MaxUploadBytes))
 	if err != nil {
-		code := http.StatusBadRequest
-		if errors.As(err, new(*http.MaxBytesError)) {
-			code = http.StatusRequestEntityTooLarge
-		}
-		writeError(w, code, "reading job body: %v", err)
+		writeError(w, errorStatus(err), "reading job body: %v", err)
 		return
 	}
 	trimmed := bytes.TrimLeft(raw, " \t\r\n")
@@ -808,11 +797,11 @@ func (s *Server) submitJobs(w http.ResponseWriter, r *http.Request, reqs []jobRe
 	work := make([]resolved, 0, len(reqs))
 	var sources []string
 	for i, req := range reqs {
-		graphID, g, source, errCode, err := s.resolveGraph(req)
+		graphID, g, source, err := s.resolveGraph(req)
 		if err != nil {
 			resolveSpan.SetAttr("error", err.Error())
 			resolveSpan.End()
-			writeError(w, errCode, "job %d: %v", i, err)
+			writeError(w, errorStatus(err), "job %d: %v", i, err)
 			return
 		}
 		if !slices.Contains(sources, source) {
@@ -936,26 +925,22 @@ func (s *Server) submitJobs(w http.ResponseWriter, r *http.Request, reqs []jobRe
 // resolveGraph maps a job request to a cached graph, resolving inline gen
 // specs through the store (parse-once, deduplicated). source reports how
 // the graph materialized: "ram", "mmap", or "parse" (see GraphStore).
-func (s *Server) resolveGraph(req jobRequest) (string, *graph.Graph, string, int, error) {
+func (s *Server) resolveGraph(req jobRequest) (id string, g *graph.Graph, source string, err error) {
 	switch {
 	case req.Graph != "" && req.Gen != "":
-		return "", nil, "", http.StatusBadRequest, fmt.Errorf("give either \"graph\" or \"gen\", not both")
+		return "", nil, "", fmt.Errorf("give either \"graph\" or \"gen\", not both")
 	case req.Graph != "":
 		g, source, ok := s.store.Resolve(req.Graph)
 		if !ok {
-			return "", nil, "", http.StatusNotFound, fmt.Errorf("unknown graph %q (upload it via POST /v1/graphs)", req.Graph)
+			return "", nil, "", &statusError{http.StatusNotFound,
+				fmt.Errorf("unknown graph %q (upload it via POST /v1/graphs)", req.Graph)}
 		}
-		return req.Graph, g, source, 0, nil
+		return req.Graph, g, source, nil
 	case req.Gen != "":
-		id, g, _, source, err := s.store.AddSpec(req.Gen, req.GenSeed, func() (*graph.Graph, error) {
-			return runcfg.Generate(req.Gen, req.GenSeed)
-		})
-		if err != nil {
-			return "", nil, "", http.StatusBadRequest, err
-		}
-		return id, g, source, 0, nil
+		id, g, _, source, err = s.addSpec(req.Gen, req.GenSeed)
+		return id, g, source, err
 	default:
-		return "", nil, "", http.StatusBadRequest, fmt.Errorf("missing \"graph\" id or \"gen\" spec")
+		return "", nil, "", fmt.Errorf("missing \"graph\" id or \"gen\" spec")
 	}
 }
 
@@ -1231,29 +1216,44 @@ func streamColorsBinary(w http.ResponseWriter, colors []int, from, count int) {
 	}
 }
 
-// localStats builds this replica's /v1/stats body.
-func (s *Server) localStats() map[string]any {
-	snap := s.stats.Snapshot()
-	used, capacity := s.store.Used()
-	graphs := map[string]any{
-		"cached":          s.store.Len(),
-		"weight_used":     used,
-		"weight_capacity": capacity,
-		"evicted":         s.store.Evicted(),
-	}
+// statsJSON is the /v1/stats body of one replica; the fleet view decodes
+// its peers' bodies into it too.
+type statsJSON struct {
+	Jobs          Snapshot   `json:"jobs"`
+	QueueDepth    int        `json:"queue_depth"`
+	QueueCapacity int        `json:"queue_capacity"`
+	Workers       int        `json:"workers"`
+	Graphs        graphsJSON `json:"graphs"`
+}
+
+// graphsJSON is the graph-store block of /v1/stats and /healthz. The spill
+// fields are present only when spilling is on (a nil embedded pointer
+// encodes to nothing).
+type graphsJSON struct {
+	Cached         int   `json:"cached"`
+	WeightUsed     int64 `json:"weight_used"`
+	WeightCapacity int64 `json:"weight_capacity"`
+	Evicted        int64 `json:"evicted"`
+	*SpillStats
+}
+
+func (s *Server) graphStats() graphsJSON {
+	gs := graphsJSON{Cached: s.store.Len(), Evicted: s.store.Evicted()}
+	gs.WeightUsed, gs.WeightCapacity = s.store.Used()
 	if sp := s.store.Spill(); sp.Enabled {
-		graphs["spilled"] = sp.SpilledGraphs
-		graphs["spilled_bytes"] = sp.SpilledBytes
-		graphs["mapped_bytes"] = sp.MappedBytes
-		graphs["spills"] = sp.Spills
-		graphs["readmissions"] = sp.Readmits
+		gs.SpillStats = &sp
 	}
-	return map[string]any{
-		"jobs":           snap,
-		"queue_depth":    s.sched.QueueDepth(),
-		"queue_capacity": s.opts.QueueDepth,
-		"workers":        s.opts.Workers,
-		"graphs":         graphs,
+	return gs
+}
+
+// localStats builds this replica's /v1/stats body.
+func (s *Server) localStats() statsJSON {
+	return statsJSON{
+		Jobs:          s.stats.Snapshot(),
+		QueueDepth:    s.sched.QueueDepth(),
+		QueueCapacity: s.opts.QueueDepth,
+		Workers:       s.opts.Workers,
+		Graphs:        s.graphStats(),
 	}
 }
 
@@ -1360,19 +1360,9 @@ func (s *Server) FlightDump(w io.Writer) error {
 // health. The cluster prober reads only the status code; the body is for
 // humans and tests.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	used, capacity := s.store.Used()
-	graphs := map[string]any{
-		"cached":          s.store.Len(),
-		"weight_used":     used,
-		"weight_capacity": capacity,
-	}
-	if sp := s.store.Spill(); sp.Enabled {
-		graphs["spilled"] = sp.SpilledGraphs
-		graphs["spilled_bytes"] = sp.SpilledBytes
-	}
 	body := map[string]any{
 		"ok":     true,
-		"graphs": graphs,
+		"graphs": s.graphStats(),
 	}
 	if s.cluster != nil {
 		members := s.cluster.Members()

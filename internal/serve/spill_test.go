@@ -43,7 +43,7 @@ func TestStoreSpillReadmit(t *testing.T) {
 	var ids []string
 	for i := 0; i < 5; i++ {
 		g := gen.Path(10)
-		id, err := store.Add(g)
+		id, err := store.Add(g, Image{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,11 +93,11 @@ func TestStoreSpillSpecDedupSurvives(t *testing.T) {
 	}
 	// Push the spec graph out of RAM.
 	for i := 0; i < 4; i++ {
-		if _, err := store.Add(gen.Path(40)); err != nil {
+		if _, err := store.Add(gen.Path(40), Image{}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, ok := store.spilled[id1]; !ok {
+	if e := store.items[id1]; e == nil || e.g != nil {
 		t.Fatalf("spec graph %s not spilled", id1)
 	}
 	id2, g2, cached, source, err := store.AddSpec("path:40", 1, func() (*graph.Graph, error) {
@@ -125,7 +125,7 @@ func TestStoreSpillCapDrops(t *testing.T) {
 	}
 	var ids []string
 	for i := 0; i < 6; i++ {
-		id, err := store.Add(gen.Path(10))
+		id, err := store.Add(gen.Path(10), Image{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,6 +141,44 @@ func TestStoreSpillCapDrops(t *testing.T) {
 	if _, _, ok := store.Resolve(ids[0]); ok {
 		t.Fatal("oldest dropped graph still resolves")
 	}
+
+	// The same churn through a server: the drops surface as a counter on
+	// /metrics and, in spill mode only, as graphs.spill_drops on /v1/stats.
+	srv, ts := newTestServer(t, Options{
+		GraphCacheWeight: 2 * graphWeight(small), SpillDir: t.TempDir(), SpillMaxBytes: 400,
+	})
+	for i := 0; i < 6; i++ {
+		uploadEdgeList(t, ts, gen.Path(10))
+	}
+	drops := srv.store.Spill().Drops
+	if drops == 0 {
+		t.Fatalf("server store never dropped an image: %+v", srv.store.Spill())
+	}
+	types, samples := scrapeMetrics(t, ts.URL)
+	if types["distcolor_store_spill_drops_total"] != "counter" {
+		t.Fatalf("distcolor_store_spill_drops_total type %q, want counter", types["distcolor_store_spill_drops_total"])
+	}
+	if got := samples["distcolor_store_spill_drops_total"]; got != float64(drops) {
+		t.Fatalf("distcolor_store_spill_drops_total = %v, want %d", got, drops)
+	}
+	spillDrops := func(url string) *int64 {
+		code, raw := doJSON(t, "GET", url+"/v1/stats", nil)
+		if code != http.StatusOK {
+			t.Fatalf("stats: %d %s", code, raw)
+		}
+		return decode[struct {
+			Graphs struct {
+				SpillDrops *int64 `json:"spill_drops"`
+			} `json:"graphs"`
+		}](t, raw).Graphs.SpillDrops
+	}
+	if got := spillDrops(ts.URL); got == nil || *got != drops {
+		t.Fatalf("/v1/stats graphs.spill_drops = %v, want %d", got, drops)
+	}
+	_, plain := newTestServer(t, Options{})
+	if got := spillDrops(plain.URL); got != nil {
+		t.Fatalf("/v1/stats without spilling reports spill_drops = %d", *got)
+	}
 }
 
 // TestStoreSpillConcurrent churns a tiny store from many goroutines so the
@@ -153,7 +191,7 @@ func TestStoreSpillConcurrent(t *testing.T) {
 	}
 	var ids []string
 	for i := 0; i < 6; i++ {
-		id, err := store.Add(gen.Path(30))
+		id, err := store.Add(gen.Path(30), Image{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,6 +217,18 @@ func TestStoreSpillConcurrent(t *testing.T) {
 				if i%17 == 0 {
 					g.Mirror()
 				}
+				// Spec graphs share the churn: resident hits, readmissions
+				// and racing generations.
+				if i%5 == 0 {
+					spec := fmt.Sprintf("path:%d", 30+w%3)
+					_, sg, _, _, err := store.AddSpec(spec, 1, func() (*graph.Graph, error) {
+						return runcfg.Generate(spec, 1)
+					})
+					if err != nil || sg == nil || sg.N() != 30+w%3 {
+						t.Errorf("AddSpec(%s) under churn: g=%v err=%v", spec, sg, err)
+						return
+					}
+				}
 			}
 		}(w)
 	}
@@ -188,7 +238,7 @@ func TestStoreSpillConcurrent(t *testing.T) {
 func TestStoreMirrorWeightLazy(t *testing.T) {
 	g := gen.Path(100) // n=100, m=99
 	store := NewGraphStore(10_000)
-	id, err := store.Add(g)
+	id, err := store.Add(g, Image{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +247,7 @@ func TestStoreMirrorWeightLazy(t *testing.T) {
 		t.Fatalf("pre-mirror weight %d, want n+2m = %d", used, csrOnly)
 	}
 	g.Mirror() // what the engine does on the first message-plane job
-	if _, ok := store.Get(id); !ok {
+	if _, _, ok := store.Resolve(id); !ok {
 		t.Fatal("graph missing")
 	}
 	if used, _ := store.Used(); used != csrOnly+2*int64(g.M()) {

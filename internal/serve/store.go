@@ -40,44 +40,45 @@ type GraphStore struct {
 	cap     int64
 	used    int64
 	seq     uint64
-	items   map[string]*list.Element // graph ID → LRU element
-	bySpec  map[string]*list.Element // "seed@spec" → LRU element
-	lru     *list.List               // front = most recent; values are *storedGraph
+	items   map[string]*entry // graph ID → entry, resident or cold
+	bySpec  map[string]*entry // "seed@spec" → entry, resident or cold
+	lru     *list.List        // resident entries, front = most recent
 	evicted int64
 	hits    int64
 	misses  int64
 
 	// Spill state (zero when disabled).
-	spillDir      string
-	spillCap      int64                    // bound on diskUsed; ≤0 = unbounded
-	diskUsed      int64                    // bytes of every .dcsr file the store owns
-	coldBytes     int64                    // subset of diskUsed belonging to non-resident graphs
-	mappedBytes   int64                    // .dcsr bytes backing resident mmap'd graphs
-	spilled       map[string]*spilledGraph // graph ID → cold image
-	spilledBySpec map[string]*spilledGraph
-	spillLRU      *list.List // front = most recently spilled; values are *spilledGraph
-	spills        int64
-	readmits      int64
-	spillDrops    int64
+	spillDir    string
+	spillCap    int64      // bound on diskUsed; ≤0 = unbounded
+	diskUsed    int64      // bytes of every .dcsr file the store owns
+	coldBytes   int64      // subset of diskUsed belonging to cold entries
+	mappedBytes int64      // .dcsr bytes backing resident mmap'd graphs
+	spillLRU    *list.List // cold entries, front = most recently spilled
+	spills      int64
+	readmits    int64
+	spillDrops  int64
 }
 
-type storedGraph struct {
-	id        string
-	g         *graph.Graph
-	weight    int64  // heap entries currently charged (see heapWeight)
-	specKey   string // non-empty for gen-spec graphs (dedup key)
-	mapped    bool   // CSR arrays alias an mmap'd .dcsr image
-	file      string // on-disk .dcsr image, "" if none exists yet
-	fileBytes int64
+// Image is a .dcsr file under the spill directory that holds a graph.
+// Handing one to Add gives the store ownership of the file: from then on
+// the store decides when it is deleted.
+type Image struct {
+	Path   string // "" when the graph has no image (yet)
+	Bytes  int64  // file size, charged to the disk budget
+	Mapped bool   // the graph's CSR arrays alias the file's pages
 }
 
-// spilledGraph is a graph the LRU pushed out of RAM but whose .dcsr image
-// is kept on disk for O(1) re-admission.
-type spilledGraph struct {
+// entry is one stored graph, in one of two states: resident (g set, el in
+// lru, weight charged to the RAM budget) or cold (g nil, el in spillLRU,
+// only its image on disk, awaiting readmission). Both states share the ID
+// and spec indexes, so a state change moves the entry between the lists and
+// touches no map.
+type entry struct {
+	Image
 	id      string
-	specKey string
-	file    string
-	bytes   int64
+	specKey string       // non-empty for gen-spec graphs (dedup key)
+	g       *graph.Graph // nil while cold
+	weight  int64        // heap entries charged while resident (see heapWeight)
 	el      *list.Element
 }
 
@@ -123,12 +124,12 @@ func graphWeight(g *graph.Graph) int64 {
 // heapWeight is graphWeight restricted to what actually lives on the Go
 // heap: an mmap'd graph's CSR arrays are file-backed pages the OS can
 // reclaim, so only its (lazily built) mirror counts.
-func heapWeight(sg *storedGraph) int64 {
-	if !sg.mapped {
-		return graphWeight(sg.g)
+func heapWeight(e *entry) int64 {
+	if !e.Mapped {
+		return graphWeight(e.g)
 	}
-	if sg.g.HasMirror() {
-		return 2 * int64(sg.g.M())
+	if e.g.HasMirror() {
+		return 2 * int64(e.g.M())
 	}
 	return 0
 }
@@ -141,13 +142,11 @@ func NewGraphStore(capacity int64) *GraphStore {
 		panic("serve: graph store capacity must be positive")
 	}
 	return &GraphStore{
-		cap:           capacity,
-		items:         make(map[string]*list.Element),
-		bySpec:        make(map[string]*list.Element),
-		lru:           list.New(),
-		spilled:       make(map[string]*spilledGraph),
-		spilledBySpec: make(map[string]*spilledGraph),
-		spillLRU:      list.New(),
+		cap:      capacity,
+		items:    make(map[string]*entry),
+		bySpec:   make(map[string]*entry),
+		lru:      list.New(),
+		spillLRU: list.New(),
 	}
 }
 
@@ -170,73 +169,43 @@ func (s *GraphStore) EnableSpill(dir string, maxBytes int64) error {
 	return nil
 }
 
-// Add inserts g and returns its fresh ID, evicting (or spilling)
-// least-recently-used residents as needed. Graphs heavier than the whole
-// capacity are rejected.
-func (s *GraphStore) Add(g *graph.Graph) (string, error) {
+// Add inserts g under a fresh ID, evicting (or spilling) least-recently-used
+// residents as needed. img is the .dcsr image g was opened from, or the
+// zero Image for a graph that has none; an image needs spilling enabled,
+// and its bytes are charged to the disk budget, not the RAM budget —
+// eviction keeps the file and re-admission is a page map. Graphs heavier
+// than the whole capacity are rejected.
+func (s *GraphStore) Add(g *graph.Graph, img Image) (string, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.seq++
-	sg := &storedGraph{id: fmt.Sprintf("g%d", s.seq), g: g}
-	if err := s.admit(sg); err != nil {
-		return "", err
-	}
-	return sg.id, nil
-}
-
-// AddMapped inserts a graph opened from a .dcsr image whose file the store
-// takes ownership of: file must live under the spill directory, and from
-// now on the store decides when it is deleted. The graph's file-backed
-// bytes are charged to the disk budget, not the RAM budget — eviction
-// keeps the file and re-admission is a page map.
-func (s *GraphStore) AddMapped(mg *graph.MappedGraph, file string, fileBytes int64) (string, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.spillDir == "" {
-		return "", fmt.Errorf("serve: AddMapped requires spilling to be enabled")
+	if img.Path != "" && s.spillDir == "" {
+		return "", fmt.Errorf("serve: a graph image needs spilling to be enabled")
 	}
 	s.seq++
-	sg := &storedGraph{
-		id:        fmt.Sprintf("g%d", s.seq),
-		g:         mg.Graph,
-		mapped:    mg.Mapped(),
-		file:      file,
-		fileBytes: fileBytes,
-	}
-	if err := s.admit(sg); err != nil {
+	e := &entry{Image: img, id: fmt.Sprintf("g%d", s.seq), g: g}
+	if err := s.insert(e); err != nil {
 		return "", err
 	}
-	s.diskUsed += fileBytes
-	if sg.mapped {
-		s.mappedBytes += fileBytes
-	}
-	s.enforceSpillCap()
-	return sg.id, nil
+	return e.id, nil
 }
 
 // AddSpec inserts the graph generated from (spec, seed), deduplicating:
 // if that exact pair is resident — or spilled — its existing ID and graph
 // are returned with cached=true and no graph is built. generate is only
-// called on a full miss. source reports how the graph materialized this
-// time: "ram" (resident), "mmap" (re-admitted from a spilled image), or
-// "parse" (generated). The graph is returned directly — callers must not
-// re-Get by ID, since a concurrent insert burst could evict the entry in
-// between.
+// called on a full miss, outside the lock. source reports how the graph
+// materialized this time: "ram" (resident), "mmap" (page-mapped, possibly
+// re-admitted from a spilled image), or "parse" (generated). The graph is
+// returned directly — callers must not re-resolve by ID, since a concurrent
+// insert burst could evict the entry in between.
 func (s *GraphStore) AddSpec(spec string, seed uint64, generate func() (*graph.Graph, error)) (id string, g *graph.Graph, cached bool, source string, err error) {
 	key := specKeyFor(spec, seed)
 	s.mu.Lock()
-	if el, ok := s.bySpec[key]; ok {
-		sg := el.Value.(*storedGraph)
-		s.hits++
-		s.touch(el)
-		s.mu.Unlock()
-		return sg.id, sg.g, true, residentSource(sg), nil
-	}
-	if sp, ok := s.spilledBySpec[key]; ok {
-		if sg, ok := s.readmit(sp); ok {
+	if e := s.bySpec[key]; e != nil {
+		if source, ok := s.materialize(e); ok {
 			s.hits++
+			g = e.g // read under the lock: eviction clears it
 			s.mu.Unlock()
-			return sg.id, sg.g, true, "mmap", nil
+			return e.id, g, true, source, nil
 		}
 	}
 	s.mu.Unlock()
@@ -248,144 +217,147 @@ func (s *GraphStore) AddSpec(spec string, seed uint64, generate func() (*graph.G
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if el, ok := s.bySpec[key]; ok {
+	s.misses++
+	if e := s.bySpec[key]; e != nil && e.g != nil {
 		// A racing identical upload won; this caller still generated, so the
 		// work it did counts as a miss even though it gets the cached entry.
-		sg := el.Value.(*storedGraph)
-		s.touch(el)
-		s.misses++
-		return sg.id, sg.g, true, residentSource(sg), nil
+		s.touch(e)
+		return e.id, e.g, true, residentSource(e), nil
 	}
-	s.misses++
-	sg := &storedGraph{id: specGraphID(key), g: g, specKey: key}
-	if old, ok := s.items[sg.id]; ok {
-		// A 128-bit collision between distinct spec keys (the only way to
-		// get here — identical keys are deduplicated by bySpec) is
-		// astronomically unlikely; keep the invariant anyway.
-		s.forget(old)
+	e := &entry{id: specGraphID(key), specKey: key, g: g}
+	if old := s.items[e.id]; old != nil {
+		// A cold copy of this spec spilled while we generated, or a 128-bit
+		// collision between distinct spec keys (astronomically unlikely):
+		// the fresh graph replaces it.
+		s.remove(old)
 	}
-	if sp, ok := s.spilled[sg.id]; ok {
-		s.dropSpilled(sp)
-	}
-	if err := s.admit(sg); err != nil {
+	if err := s.insert(e); err != nil {
 		return "", nil, false, "", err
 	}
-	return sg.id, g, false, "parse", nil
+	return e.id, g, false, "parse", nil
 }
 
-func residentSource(sg *storedGraph) string {
-	if sg.mapped {
+func residentSource(e *entry) string {
+	if e.Mapped {
 		return "mmap"
 	}
 	return "ram"
 }
 
-// admit charges sg and pushes it to the LRU front, evicting from the back
-// to make room. The entry being admitted is protected: a graph whose own
-// weight exceeds what eviction can free is allowed to overshoot the cap
-// transiently rather than deadlock the store (only fully heap-resident
-// graphs heavier than the entire capacity are rejected outright).
-func (s *GraphStore) admit(sg *storedGraph) error {
-	sg.weight = heapWeight(sg)
-	if !sg.mapped && sg.weight > s.cap {
-		return fmt.Errorf("serve: graph weight %d exceeds store capacity %d", sg.weight, s.cap)
+// insert admits a new entry, indexes it by ID and spec, and charges the
+// image it arrived with (if any) to the disk budget.
+func (s *GraphStore) insert(e *entry) error {
+	if err := s.admit(e); err != nil {
+		return err
 	}
-	for s.used+sg.weight > s.cap {
+	s.items[e.id] = e
+	if e.specKey != "" {
+		s.bySpec[e.specKey] = e
+	}
+	if e.Path != "" {
+		s.diskUsed += e.Bytes
+		s.enforceSpillCap()
+	}
+	return nil
+}
+
+// admit charges a resident entry and pushes it to the RAM LRU front,
+// evicting from the back to make room. The entry being admitted is
+// protected: a graph whose own weight exceeds what eviction can free is
+// allowed to overshoot the cap transiently rather than deadlock the store
+// (only fully heap-resident graphs heavier than the entire capacity are
+// rejected outright).
+func (s *GraphStore) admit(e *entry) error {
+	e.weight = heapWeight(e)
+	if !e.Mapped && e.weight > s.cap {
+		return fmt.Errorf("serve: graph weight %d exceeds store capacity %d", e.weight, s.cap)
+	}
+	for s.used+e.weight > s.cap {
 		oldest := s.lru.Back()
 		if oldest == nil {
 			break
 		}
-		s.evict(oldest)
+		s.evict(oldest.Value.(*entry))
 	}
-	el := s.lru.PushFront(sg)
-	s.items[sg.id] = el
-	if sg.specKey != "" {
-		s.bySpec[sg.specKey] = el
+	e.el = s.lru.PushFront(e)
+	s.used += e.weight
+	if e.Mapped {
+		s.mappedBytes += e.Bytes
 	}
-	s.used += sg.weight
 	return nil
+}
+
+// release takes a resident entry off the RAM LRU and uncharges it.
+func (s *GraphStore) release(e *entry) {
+	s.lru.Remove(e.el)
+	s.used -= e.weight
+	if e.Mapped {
+		s.mappedBytes -= e.Bytes
+	}
+	e.g = nil
 }
 
 // touch bumps recency and re-weighs the entry: the mirror array appears
 // lazily (first message-plane job), so an entry's heap footprint can grow
 // between lookups. Growth may push the store over cap; evict colder
 // entries but never the one just touched.
-func (s *GraphStore) touch(el *list.Element) {
-	s.lru.MoveToFront(el)
-	sg := el.Value.(*storedGraph)
-	if w := heapWeight(sg); w != sg.weight {
-		s.used += w - sg.weight
-		sg.weight = w
+func (s *GraphStore) touch(e *entry) {
+	s.lru.MoveToFront(e.el)
+	if w := heapWeight(e); w != e.weight {
+		s.used += w - e.weight
+		e.weight = w
 		for s.used > s.cap {
 			oldest := s.lru.Back()
-			if oldest == nil || oldest == el {
+			if oldest == nil || oldest == e.el {
 				break
 			}
-			s.evict(oldest)
+			s.evict(oldest.Value.(*entry))
 		}
 	}
 }
 
-// detach removes el from the resident maps and uncharges its weight.
-func (s *GraphStore) detach(el *list.Element) *storedGraph {
-	sg := el.Value.(*storedGraph)
-	s.lru.Remove(el)
-	delete(s.items, sg.id)
-	if sg.specKey != "" {
-		delete(s.bySpec, sg.specKey)
-	}
-	s.used -= sg.weight
-	if sg.mapped {
-		s.mappedBytes -= sg.fileBytes
-	}
-	return sg
-}
-
-// evict pushes the LRU-coldest resident out of RAM: spill the .dcsr image
-// (writing it now if the graph never had one) when spilling is enabled,
-// otherwise forget the graph entirely.
-func (s *GraphStore) evict(el *list.Element) {
-	sg := s.detach(el)
+// evict pushes a resident entry out of RAM. With spilling enabled it turns
+// cold, keeping its .dcsr image (writing it now if the graph never had
+// one); otherwise — or when the disk refuses the image — the graph is
+// forgotten.
+func (s *GraphStore) evict(e *entry) {
+	g := e.g
+	s.release(e)
 	s.evicted++
 	if s.spillDir == "" {
+		s.unindex(e)
 		return
 	}
-	file, bytes := sg.file, sg.fileBytes
-	if file == "" {
-		var err error
-		file, bytes, err = s.writeSpill(sg)
+	if e.Path == "" {
+		path, n, err := s.writeSpill(e.id, g)
 		if err != nil {
-			// Disk refused the image; the eviction degrades to the
-			// spill-less behavior (forget) rather than failing the insert
-			// that triggered it.
+			// The eviction degrades to the spill-less behavior rather than
+			// failing the insert that triggered it.
+			s.unindex(e)
 			return
 		}
-		s.diskUsed += bytes
+		e.Path, e.Bytes = path, n
+		s.diskUsed += n
 	}
-	sp := &spilledGraph{id: sg.id, specKey: sg.specKey, file: file, bytes: bytes}
-	sp.el = s.spillLRU.PushFront(sp)
-	s.spilled[sp.id] = sp
-	if sp.specKey != "" {
-		s.spilledBySpec[sp.specKey] = sp
-	}
-	s.coldBytes += bytes
+	e.el = s.spillLRU.PushFront(e)
+	s.coldBytes += e.Bytes
 	s.spills++
 	s.enforceSpillCap()
 }
 
-// writeSpill serializes sg's graph under the spill dir. Called with mu
+// writeSpill serializes g under the spill dir as <id>.dcsr. Called with mu
 // held: a spill write stalls the store, which is the price of never
 // dropping a graph the disk can still hold. The write targets a temp name
 // and renames into place so a crash never leaves a half image at a
 // resolvable path.
-func (s *GraphStore) writeSpill(sg *storedGraph) (string, int64, error) {
-	final := filepath.Join(s.spillDir, sg.id+".dcsr")
-	f, err := os.CreateTemp(s.spillDir, sg.id+".tmp-*")
+func (s *GraphStore) writeSpill(id string, g *graph.Graph) (string, int64, error) {
+	final := filepath.Join(s.spillDir, id+".dcsr")
+	f, err := os.CreateTemp(s.spillDir, id+".tmp-*")
 	if err != nil {
 		return "", 0, err
 	}
 	bw := bufio.NewWriterSize(f, 1<<20)
-	n, err := sg.g.WriteDCSR(bw)
+	n, err := g.WriteDCSR(bw)
 	if err == nil {
 		err = bw.Flush()
 	}
@@ -414,104 +386,95 @@ func (s *GraphStore) enforceSpillCap() {
 		if oldest == nil {
 			break
 		}
-		s.dropSpilled(oldest.Value.(*spilledGraph))
+		s.remove(oldest.Value.(*entry))
 		s.spillDrops++
 	}
 }
 
-// dropSpilled forgets a cold image entirely, deleting its file.
-func (s *GraphStore) dropSpilled(sp *spilledGraph) {
-	s.spillLRU.Remove(sp.el)
-	delete(s.spilled, sp.id)
-	if sp.specKey != "" {
-		delete(s.spilledBySpec, sp.specKey)
-	}
-	s.coldBytes -= sp.bytes
-	s.diskUsed -= sp.bytes
-	os.Remove(sp.file)
-}
-
-// forget removes a resident entry and deletes its image: the graph is
-// gone from the store completely (ID-collision replacement only).
-func (s *GraphStore) forget(el *list.Element) {
-	sg := s.detach(el)
-	if sg.file != "" {
-		s.diskUsed -= sg.fileBytes
-		os.Remove(sg.file)
+// unindex drops e from the ID and spec indexes.
+func (s *GraphStore) unindex(e *entry) {
+	delete(s.items, e.id)
+	if e.specKey != "" {
+		delete(s.bySpec, e.specKey)
 	}
 }
 
-// readmit pages a spilled image back in under its original ID. On any
-// open failure the image is dropped and the lookup proceeds as a miss.
-// Called with mu held.
-func (s *GraphStore) readmit(sp *spilledGraph) (*storedGraph, bool) {
-	mg, err := graph.OpenDCSR(sp.file)
+// remove forgets e entirely, resident or cold, deleting its image.
+func (s *GraphStore) remove(e *entry) {
+	if e.g != nil {
+		s.release(e)
+	} else {
+		s.spillLRU.Remove(e.el)
+		s.coldBytes -= e.Bytes
+	}
+	s.unindex(e)
+	if e.Path != "" {
+		s.diskUsed -= e.Bytes
+		os.Remove(e.Path)
+	}
+}
+
+// readmit pages a cold entry's image back in under its ID. On an open
+// failure the image is dropped and the lookup proceeds as a miss. Called
+// with mu held.
+func (s *GraphStore) readmit(e *entry) bool {
+	mg, err := graph.OpenDCSR(e.Path)
 	if err != nil {
-		s.dropSpilled(sp)
+		s.remove(e)
 		s.spillDrops++
-		return nil, false
+		return false
 	}
-	s.spillLRU.Remove(sp.el)
-	delete(s.spilled, sp.id)
-	if sp.specKey != "" {
-		delete(s.spilledBySpec, sp.specKey)
-	}
-	s.coldBytes -= sp.bytes
-	sg := &storedGraph{
-		id:        sp.id,
-		g:         mg.Graph,
-		specKey:   sp.specKey,
-		mapped:    mg.Mapped(),
-		file:      sp.file,
-		fileBytes: sp.bytes,
-	}
-	// admit cannot fail here: a mapped entry is never rejected, and the
-	// heap fallback was loaded from an image we wrote, so it fit before.
-	if err := s.admit(sg); err != nil {
-		s.diskUsed -= sp.bytes
-		os.Remove(sp.file)
-		return nil, false
-	}
-	if sg.mapped {
-		s.mappedBytes += sp.bytes
+	s.spillLRU.Remove(e.el)
+	s.coldBytes -= e.Bytes
+	e.g, e.Mapped = mg.Graph, mg.Mapped()
+	// admit cannot fail for a mapped entry; a heap fallback too heavy for
+	// the whole store is forgotten.
+	if err := s.admit(e); err != nil {
+		e.g = nil
+		s.unindex(e)
+		s.diskUsed -= e.Bytes
+		os.Remove(e.Path)
+		return false
 	}
 	s.readmits++
-	return sg, true
+	return true
+}
+
+// materialize makes e resident — a recency bump, or a readmission from its
+// image — and reports how: "ram" for a heap-resident graph, "mmap" for one
+// whose arrays are (or were re-admitted as) a page-mapped .dcsr image.
+// Called with mu held.
+func (s *GraphStore) materialize(e *entry) (source string, ok bool) {
+	if e.g != nil {
+		s.touch(e)
+		return residentSource(e), true
+	}
+	if s.readmit(e) {
+		return "mmap", true
+	}
+	return "", false
 }
 
 // Resolve returns the graph for id, bumping its recency, along with how it
-// materialized: "ram" for a heap-resident hit, "mmap" for a graph whose
-// arrays are (or were re-admitted as) a page-mapped .dcsr image.
+// materialized (see materialize).
 func (s *GraphStore) Resolve(id string) (*graph.Graph, string, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if el, ok := s.items[id]; ok {
-		s.hits++
-		s.touch(el)
-		sg := el.Value.(*storedGraph)
-		return sg.g, residentSource(sg), true
-	}
-	if sp, ok := s.spilled[id]; ok {
-		if sg, ok := s.readmit(sp); ok {
+	if e := s.items[id]; e != nil {
+		if source, ok := s.materialize(e); ok {
 			s.hits++
-			return sg.g, "mmap", true
+			return e.g, source, true
 		}
 	}
 	s.misses++
 	return nil, "", false
 }
 
-// Get returns the graph for id, bumping its recency.
-func (s *GraphStore) Get(id string) (*graph.Graph, bool) {
-	g, _, ok := s.Resolve(id)
-	return g, ok
-}
-
 // Len returns the number of resident graphs.
 func (s *GraphStore) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.items)
+	return s.lru.Len()
 }
 
 // Used returns the resident heap weight and the capacity.
@@ -529,7 +492,7 @@ func (s *GraphStore) Evicted() int64 {
 	return s.evicted
 }
 
-// HitsMisses returns the lookup counters: hits are Get/Resolve or AddSpec
+// HitsMisses returns the lookup counters: hits are Resolve or AddSpec
 // calls answered by a resident or spilled graph without generating; misses
 // are failed lookups and AddSpec calls that had to generate (including
 // generate work thrown away to a racing identical upload).
@@ -539,16 +502,17 @@ func (s *GraphStore) HitsMisses() (hits, misses int64) {
 	return s.hits, s.misses
 }
 
-// SpillStats is a snapshot of the out-of-core side of the store.
+// SpillStats is a snapshot of the out-of-core side of the store. Its JSON
+// form is the spill part of the graphs block in /v1/stats and /healthz.
 type SpillStats struct {
-	Enabled       bool
-	SpilledGraphs int   // cold images on disk
-	SpilledBytes  int64 // bytes of cold images
-	DiskBytes     int64 // all owned .dcsr bytes (cold + resident mapped)
-	MappedBytes   int64 // bytes backing resident mmap'd graphs
-	Spills        int64 // evictions that kept an image
-	Readmits      int64 // spilled graphs paged back in
-	Drops         int64 // images deleted (disk budget or open failure)
+	Enabled       bool  `json:"-"`
+	SpilledGraphs int   `json:"spilled"`       // cold images on disk
+	SpilledBytes  int64 `json:"spilled_bytes"` // bytes of cold images
+	DiskBytes     int64 `json:"-"`             // all owned .dcsr bytes (cold + resident mapped)
+	MappedBytes   int64 `json:"mapped_bytes"`  // bytes backing resident mmap'd graphs
+	Spills        int64 `json:"spills"`        // evictions that kept an image
+	Readmits      int64 `json:"readmissions"`  // spilled graphs paged back in
+	Drops         int64 `json:"spill_drops"`   // images deleted (disk budget or failed reopen)
 }
 
 // Spill returns the current spill snapshot.
@@ -557,7 +521,7 @@ func (s *GraphStore) Spill() SpillStats {
 	defer s.mu.Unlock()
 	return SpillStats{
 		Enabled:       s.spillDir != "",
-		SpilledGraphs: len(s.spilled),
+		SpilledGraphs: s.spillLRU.Len(),
 		SpilledBytes:  s.coldBytes,
 		DiskBytes:     s.diskUsed,
 		MappedBytes:   s.mappedBytes,
