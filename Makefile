@@ -4,11 +4,11 @@ GO ?= go
 
 # Benchmarks recorded in the persistent BENCH_PR.json trajectory (and gated
 # by bench-smoke): the engine acceptance suite plus the graph-layer
-# primitives its hot path leans on, and the instrumented (Obs) twins of the
-# delivery and serving benchmarks so the trajectory records observability
-# cost alongside raw cost.
-BENCH_JSON_PAT = BenchmarkSparseListColor|BenchmarkCollectBallsSync|BenchmarkRunSyncDelivery|BenchmarkHappySet|BenchmarkBlocks|BenchmarkGallai|BenchmarkBFS|BenchmarkDegeneracy|BenchmarkGirth|BenchmarkDegreeListColor|BenchmarkServeThroughput$$|BenchmarkServeThroughputObs$$|BenchmarkServeThroughputCluster$$|BenchmarkServeThroughputForward$$|BenchmarkServeThroughputSpill$$|BenchmarkClusterRoute|BenchmarkGraphLoad
-BENCH_JSON_PKGS = . ./internal/graph ./internal/seqcolor ./internal/serve ./internal/cluster
+# primitives its hot path leans on, the ruling-forest layer, and the
+# instrumented (Obs) twins of the delivery and serving benchmarks so the
+# trajectory records observability cost alongside raw cost.
+BENCH_JSON_PAT = BenchmarkSparseListColor|BenchmarkCollectBallsSync|BenchmarkRunSyncDelivery|BenchmarkHappySet|BenchmarkBlocks|BenchmarkGallai|BenchmarkBFS|BenchmarkDegeneracy|BenchmarkGirth|BenchmarkDegreeListColor|BenchmarkServeThroughput$$|BenchmarkServeThroughputObs$$|BenchmarkServeThroughputCluster$$|BenchmarkServeThroughputForward$$|BenchmarkServeThroughputSpill$$|BenchmarkClusterRoute|BenchmarkGraphLoad|BenchmarkRulingCompute
+BENCH_JSON_PKGS = . ./internal/graph ./internal/seqcolor ./internal/ruling ./internal/serve ./internal/cluster
 
 all: ci
 
@@ -40,11 +40,12 @@ test-serial:
 	GOMAXPROCS=1 $(GO) test -count=1 ./internal/local/...
 
 # Race-detector pass over the concurrent packages: the serving layer (job
-# scheduler, LRU store, coalescing, cancellation) and the LOCAL engine's
-# sharded message plane, plus the root-package cancellation/registry,
+# scheduler, LRU store, coalescing, cancellation), the metrics registry
+# (registration concurrent with scrapes) and the LOCAL engine's sharded
+# message plane, plus the root-package cancellation/registry,
 # trace/progress and cross-GOMAXPROCS determinism tests.
 test-race:
-	$(GO) test -race ./internal/serve/... ./internal/local/... ./internal/cluster/...
+	$(GO) test -race ./internal/serve/... ./internal/obs/... ./internal/local/... ./internal/cluster/...
 	$(GO) test -race -run 'Cancel|Registry|Deadline|Progress|TraceMatches|Luby|Deterministic|ProperColoring|Golden' .
 
 # Clustering suite under the race detector: the ring/quota/health unit

@@ -292,9 +292,10 @@ func escapeLabel(v string) string {
 }
 
 // lookup finds or creates the (name, labels) series, checking kind
-// consistency. A name registered under two different kinds is a wiring bug
-// and panics.
-func (r *Registry) lookup(name, help string, kind metricKind, labels Labels) *series {
+// consistency, and runs set on it under the registry lock, so an
+// instrument is created and published in one critical section. A name
+// registered under two different kinds is a wiring bug and panics.
+func (r *Registry) lookup(name, help string, kind metricKind, labels Labels, set func(*series)) *series {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	f := r.families[name]
@@ -305,41 +306,42 @@ func (r *Registry) lookup(name, help string, kind metricKind, labels Labels) *se
 		panic(fmt.Sprintf("obs: metric %q registered as both %s and %s", name, f.kind, kind))
 	}
 	key := renderLabels(labels)
-	if s := f.byKey[key]; s != nil {
-		return s
+	s := f.byKey[key]
+	if s == nil {
+		s = &series{labels: key}
+		f.byKey[key] = s
+		f.series = append(f.series, s)
+		sort.Slice(f.series, func(i, j int) bool { return f.series[i].labels < f.series[j].labels })
 	}
-	s := &series{labels: key}
-	f.byKey[key] = s
-	f.series = append(f.series, s)
-	sort.Slice(f.series, func(i, j int) bool { return f.series[i].labels < f.series[j].labels })
+	set(s)
 	return s
 }
 
 // Counter registers (or finds) a counter series.
 func (r *Registry) Counter(name, help string, labels Labels) *Counter {
-	s := r.lookup(name, help, kindCounter, labels)
-	if s.counter == nil {
-		s.counter = &Counter{}
-	}
-	return s.counter
+	return r.lookup(name, help, kindCounter, labels, func(s *series) {
+		if s.counter == nil {
+			s.counter = &Counter{}
+		}
+	}).counter
 }
 
 // Gauge registers (or finds) an integer gauge series.
 func (r *Registry) Gauge(name, help string, labels Labels) *Gauge {
-	s := r.lookup(name, help, kindGauge, labels)
-	if s.gauge == nil && s.gfunc == nil && s.fgauge == nil {
-		s.gauge = &Gauge{}
-	}
-	return s.gauge
+	return r.lookup(name, help, kindGauge, labels, func(s *series) {
+		if s.gauge == nil && s.gfunc == nil && s.fgauge == nil {
+			s.gauge = &Gauge{}
+		}
+	}).gauge
 }
 
 // FloatGauge registers (or finds) a float gauge series.
 func (r *Registry) FloatGauge(name, help string, labels Labels) *FloatGauge {
-	s := r.lookup(name, help, kindGauge, labels)
-	if s.fgauge == nil && s.gauge == nil && s.gfunc == nil {
-		s.fgauge = &FloatGauge{}
-	}
-	return s.fgauge
+	return r.lookup(name, help, kindGauge, labels, func(s *series) {
+		if s.fgauge == nil && s.gauge == nil && s.gfunc == nil {
+			s.fgauge = &FloatGauge{}
+		}
+	}).fgauge
 }
 
 // CounterFunc registers a counter series whose value is read at scrape time
@@ -347,8 +349,7 @@ func (r *Registry) FloatGauge(name, help string, labels Labels) *FloatGauge {
 // cache already tracks, say). fn must be safe to call concurrently and must
 // never decrease.
 func (r *Registry) CounterFunc(name, help string, labels Labels, fn func() float64) {
-	s := r.lookup(name, help, kindCounter, labels)
-	s.gfunc = fn
+	r.lookup(name, help, kindCounter, labels, func(s *series) { s.gfunc = fn })
 }
 
 // GaugeFunc registers a gauge series whose value is computed at scrape time
@@ -356,17 +357,53 @@ func (r *Registry) CounterFunc(name, help string, labels Labels, fn func() float
 // weight) where mirroring into a stored gauge would just invite skew. fn
 // must be safe to call concurrently.
 func (r *Registry) GaugeFunc(name, help string, labels Labels, fn func() float64) {
-	s := r.lookup(name, help, kindGauge, labels)
-	s.gfunc = fn
+	r.lookup(name, help, kindGauge, labels, func(s *series) { s.gfunc = fn })
 }
 
 // Histogram registers (or finds) a histogram series.
 func (r *Registry) Histogram(name, help string, labels Labels) *Histogram {
-	s := r.lookup(name, help, kindHistogram, labels)
-	if s.hist == nil {
-		s.hist = &Histogram{}
+	return r.lookup(name, help, kindHistogram, labels, func(s *series) {
+		if s.hist == nil {
+			s.hist = &Histogram{}
+		}
+	}).hist
+}
+
+// snapshot copies every family and its series under the lock, families
+// sorted by name. Rendering reads only the copies, so a scrape never races
+// a concurrent registration; the instruments themselves are atomic.
+func (r *Registry) snapshot() []family {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	fams := make([]family, 0, len(r.families))
+	for _, f := range r.families {
+		copies := make([]series, len(f.series))
+		ptrs := make([]*series, len(f.series))
+		for i, s := range f.series {
+			copies[i] = *s
+			ptrs[i] = &copies[i]
+		}
+		fams = append(fams, family{name: f.name, help: f.help, kind: f.kind, series: ptrs})
 	}
-	return s.hist
+	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
+	return fams
+}
+
+// writeSeries renders one series' sample lines (histograms with bucket
+// exemplars when exemplars is true).
+func writeSeries(b *strings.Builder, name string, s *series, exemplars bool) {
+	switch {
+	case s.hist != nil:
+		writeHistogram(b, name, s, exemplars)
+	case s.gfunc != nil:
+		fmt.Fprintf(b, "%s%s %s\n", name, s.labels, formatValue(s.gfunc()))
+	case s.fgauge != nil:
+		fmt.Fprintf(b, "%s%s %s\n", name, s.labels, formatValue(s.fgauge.Value()))
+	case s.gauge != nil:
+		fmt.Fprintf(b, "%s%s %d\n", name, s.labels, s.gauge.Value())
+	case s.counter != nil:
+		fmt.Fprintf(b, "%s%s %d\n", name, s.labels, s.counter.Value())
+	}
 }
 
 // formatValue renders a float without exponent surprises for integral
@@ -383,35 +420,12 @@ func formatValue(v float64) string {
 // sorted by name and series by label signature, so output is deterministic
 // for a given registry state.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	r.mu.Lock()
-	names := make([]string, 0, len(r.families))
-	for name := range r.families {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	fams := make([]*family, len(names))
-	for i, name := range names {
-		fams[i] = r.families[name]
-	}
-	r.mu.Unlock()
-
 	var b strings.Builder
-	for _, f := range fams {
+	for _, f := range r.snapshot() {
 		fmt.Fprintf(&b, "# HELP %s %s\n", f.name, f.help)
 		fmt.Fprintf(&b, "# TYPE %s %s\n", f.name, f.kind)
 		for _, s := range f.series {
-			switch {
-			case s.hist != nil:
-				writeHistogram(&b, f.name, s, false)
-			case s.gfunc != nil:
-				fmt.Fprintf(&b, "%s%s %s\n", f.name, s.labels, formatValue(s.gfunc()))
-			case s.fgauge != nil:
-				fmt.Fprintf(&b, "%s%s %s\n", f.name, s.labels, formatValue(s.fgauge.Value()))
-			case s.gauge != nil:
-				fmt.Fprintf(&b, "%s%s %d\n", f.name, s.labels, s.gauge.Value())
-			case s.counter != nil:
-				fmt.Fprintf(&b, "%s%s %d\n", f.name, s.labels, s.counter.Value())
-			}
+			writeSeries(&b, f.name, s, false)
 		}
 	}
 	_, err := io.WriteString(w, b.String())
@@ -451,20 +465,8 @@ func writeHistogram(b *strings.Builder, name string, s *series, exemplars bool) 
 // trace IDs, counter metadata with the `_total` suffix stripped per the
 // OpenMetrics naming rules, and the mandatory `# EOF` terminator.
 func (r *Registry) WriteOpenMetrics(w io.Writer) error {
-	r.mu.Lock()
-	names := make([]string, 0, len(r.families))
-	for name := range r.families {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	fams := make([]*family, len(names))
-	for i, name := range names {
-		fams[i] = r.families[name]
-	}
-	r.mu.Unlock()
-
 	var b strings.Builder
-	for _, f := range fams {
+	for _, f := range r.snapshot() {
 		meta := f.name
 		if f.kind == kindCounter {
 			meta = strings.TrimSuffix(meta, "_total")
@@ -472,18 +474,7 @@ func (r *Registry) WriteOpenMetrics(w io.Writer) error {
 		fmt.Fprintf(&b, "# HELP %s %s\n", meta, f.help)
 		fmt.Fprintf(&b, "# TYPE %s %s\n", meta, f.kind)
 		for _, s := range f.series {
-			switch {
-			case s.hist != nil:
-				writeHistogram(&b, f.name, s, true)
-			case s.gfunc != nil:
-				fmt.Fprintf(&b, "%s%s %s\n", f.name, s.labels, formatValue(s.gfunc()))
-			case s.fgauge != nil:
-				fmt.Fprintf(&b, "%s%s %s\n", f.name, s.labels, formatValue(s.fgauge.Value()))
-			case s.gauge != nil:
-				fmt.Fprintf(&b, "%s%s %d\n", f.name, s.labels, s.gauge.Value())
-			case s.counter != nil:
-				fmt.Fprintf(&b, "%s%s %d\n", f.name, s.labels, s.counter.Value())
-			}
+			writeSeries(&b, f.name, s, true)
 		}
 	}
 	b.WriteString("# EOF\n")

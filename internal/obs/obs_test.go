@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -205,5 +206,59 @@ func TestConcurrentObserve(t *testing.T) {
 	}
 	if math.Abs(h.Sum()-workers*per*1e-3) > 1e-6 {
 		t.Fatalf("histogram sum = %g, want %g", h.Sum(), float64(workers*per)*1e-3)
+	}
+}
+
+// TestConcurrentRegisterScrape registers new labelled series of every kind
+// from several goroutines while another goroutine scrapes in both formats.
+// Under -race it catches an instrument published outside the registry lock
+// or a series list read while a registration appends to it; without -race
+// it checks that every registered series is rendered.
+func TestConcurrentRegisterScrape(t *testing.T) {
+	r := NewRegistry()
+	const workers, per = 4, 100
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				l := Labels{"w": strconv.Itoa(w), "i": strconv.Itoa(i)}
+				r.Counter("reg_counter_total", "c", l).Inc()
+				r.Gauge("reg_gauge", "g", l).Set(1)
+				r.FloatGauge("reg_fgauge", "f", l).Set(0.5)
+				r.Histogram("reg_hist", "h", l).Observe(1e-3)
+				r.CounterFunc("reg_cfunc_total", "cf", l, func() float64 { return 1 })
+				r.GaugeFunc("reg_gfunc", "gf", l, func() float64 { return 2 })
+			}
+		}()
+	}
+	stop := make(chan struct{})
+	scraped := make(chan struct{})
+	go func() {
+		defer close(scraped)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			var b strings.Builder
+			_ = r.WritePrometheus(&b)
+			_ = r.WriteOpenMetrics(&b)
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	<-scraped
+
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"reg_counter_total", "reg_gauge", "reg_fgauge", "reg_hist_count", "reg_cfunc_total", "reg_gfunc"} {
+		if got := strings.Count(b.String(), "\n"+name+"{"); got != workers*per {
+			t.Errorf("%s: %d series rendered, want %d", name, got, workers*per)
+		}
 	}
 }

@@ -4,20 +4,34 @@
 // vertex-disjoint rooted trees such that every vertex of U lies in a tree,
 // roots are pairwise at distance ≥ α, and tree depth is ≤ β = O(α log n).
 //
-// The ruling set is computed by the classic bit-by-bit merge: maintain a
-// candidate set (initially U); at bit level i, candidates whose IDs agree
-// above bit i are merged — candidates with bit i = 1 survive only if no
-// same-group candidate with bit i = 0 lies within distance < α. Each level
-// costs α LOCAL rounds (a distance-α BFS); there are ⌈log₂(n+1)⌉ levels.
+// The ruling set is the classic bit-by-bit merge: maintain a candidate set
+// (initially U); at bit level i, candidates whose IDs agree above bit i are
+// merged — candidates with bit i = 1 survive only if no same-group
+// candidate with bit i = 0 lies within distance < α. Each level costs α
+// LOCAL rounds (a distance-α BFS); there are ⌈log₂(n+1)⌉ levels.
+//
+// The central simulation settles each connected component of the masked
+// graph on its own, since no BFS leaves its component. In a component
+// whose diameter bound is ≤ α−1 (saturated: with the paper's
+// α = 2·⌈c·log n⌉+2 almost all of them) the merge provably leaves exactly
+// the component's minimum-ID U vertex, so that vertex is elected in one
+// pass. The other components' candidates are sorted by ID once; every
+// level's groups are then contiguous runs of equal ID prefix, each settled
+// by one bounded BFS from its bit-0 members. Either way the rulers are
+// those of the merge, and the ledger is charged the merge's α rounds per
+// level whatever the simulation skipped: the LOCAL algorithm is unchanged.
+//
 // The forest is then the multi-source BFS forest of the rulers, trimmed to
 // the union of root paths of U-vertices; its construction costs depth
 // rounds. All charges are recorded on the ledger.
 package ruling
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"distcolor/internal/graph"
 	"distcolor/internal/local"
@@ -54,7 +68,6 @@ func Compute(ctx context.Context, nw *local.Network, ledger *local.Ledger, phase
 	if alpha < 1 {
 		return nil, fmt.Errorf("ruling: alpha must be ≥ 1, got %d", alpha)
 	}
-	inU := make([]bool, n)
 	for _, v := range u {
 		if v < 0 || v >= n {
 			return nil, fmt.Errorf("ruling: U vertex %d out of range", v)
@@ -62,101 +75,100 @@ func Compute(ctx context.Context, nw *local.Network, ledger *local.Ledger, phase
 		if mask != nil && !mask[v] {
 			return nil, fmt.Errorf("ruling: U vertex %d outside mask", v)
 		}
-		inU[v] = true
 	}
 
-	// --- Phase 1: ruling set by bit-level merges. One pooled traversal
-	// serves every group BFS: levels × groups bounded searches with zero
-	// per-search allocation.
+	// --- Phase 1: the ruling set. One pooled traversal serves every BFS.
 	tr := g.AcquireTraversal()
 	defer g.ReleaseTraversal(tr)
 
-	// Saturation fast path: the merge asks "is some same-group bit-0
-	// candidate within distance < α?". When α−1 is at least the diameter of
-	// the candidate's component, the answer is simply "does its component
-	// hold such a candidate" — an O(1) lookup. With the paper's
-	// α = 2·⌈c·log n⌉+2 this covers almost every query (component diameters
-	// are far below c·log n on the workloads); only components with
-	// diameter upper bound > α−1 fall back to a genuine bounded BFS.
-	compID := make([]int, n)
-	for i := range compID {
-		compID[i] = -1
-	}
-	var compDiamUB []int // 2·ecc(first vertex): an upper bound on diameter
-	for v := 0; v < n; v++ {
-		if (mask != nil && !mask[v]) || compID[v] != -1 {
+	// Label the components that hold U. 2·ecc of the first U vertex seen
+	// bounds the component's diameter; a component is saturated when that
+	// bound is ≤ α−1, i.e. every vertex in it is within distance < α of
+	// every other.
+	comp := make([]int32, n) // 1 + component index; 0 = not labelled
+	var diamUB []int
+	var winner []int // minimum-ID U vertex of each component
+	for i, v := range u {
+		if comp[v] != 0 {
+			if nw.ID[v] < nw.ID[winner[comp[v]-1]] {
+				winner[comp[v]-1] = v
+			}
 			continue
 		}
-		tr.Run([]int{v}, mask, -1)
-		id := len(compDiamUB)
-		for _, u32 := range tr.Order() {
-			compID[u32] = id
+		tr.Run(u[i:i+1], mask, -1)
+		diamUB = append(diamUB, 2*tr.MaxDist())
+		winner = append(winner, v)
+		for _, w := range tr.Order() {
+			comp[w] = int32(len(diamUB))
 		}
-		compDiamUB = append(compDiamUB, 2*tr.MaxDist())
 	}
 
-	isRuler := make([]bool, n)
+	// A saturated component's tournament leaves exactly its minimum-ID U
+	// vertex: after level b each (component, ID>>(b+1)) class keeps only
+	// its minimum, since a bit-0 member always lies within distance < α of
+	// the bit-1 member it competes with. Only the other components' U
+	// vertices run the merge, sorted by ID once so that every level's
+	// groups are contiguous runs of equal ID prefix with the bit-0 members
+	// first.
+	var cand []int
 	for _, v := range u {
-		isRuler[v] = true
+		if diamUB[comp[v]-1] > alpha-1 {
+			cand = append(cand, v)
+		}
 	}
+	slices.SortFunc(cand, func(a, b int) int { return cmp.Compare(nw.ID[a], nw.ID[b]) })
+	cand = slices.Compact(cand) // U may repeat a vertex
 	levels := bits.Len(uint(n)) // IDs are 1..n
-	zeroComps := map[int]bool{} // components holding a bit-0 member, per group
 	for bit := 0; bit < levels; bit++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		// Group rulers by ID prefix above this bit.
-		groups := map[int][]int{}
-		for v := 0; v < n; v++ {
-			if isRuler[v] {
-				groups[nw.ID[v]>>(bit+1)] = append(groups[nw.ID[v]>>(bit+1)], v)
-			}
-		}
-		for _, members := range groups {
-			var zeros []int
-			hasOne := false
-			clear(zeroComps)
-			for _, v := range members {
-				if (nw.ID[v]>>bit)&1 == 0 {
-					zeros = append(zeros, v)
-					zeroComps[compID[v]] = true
-				} else {
-					hasOne = true
+		// Each run drops the bit-1 members within distance < α of a bit-0
+		// member, compacting cand in place: the write index never passes
+		// the read index, and each run's BFS reads its sources before the
+		// write index reaches them.
+		live := cand[:0]
+		for i := 0; i < len(cand); {
+			prefix := nw.ID[cand[i]] >> (bit + 1)
+			ones, end := i, i
+			for end < len(cand) && nw.ID[cand[end]]>>(bit+1) == prefix {
+				if (nw.ID[cand[end]]>>bit)&1 == 0 {
+					ones++
 				}
+				end++
 			}
-			if len(zeros) == 0 || !hasOne {
+			// cand[i:ones] holds the run's bit-0 members, cand[ones:end]
+			// its bit-1 members.
+			if ones == i || ones == end {
+				live = append(live, cand[i:end]...)
+				i = end
 				continue
 			}
-			// Drop bit-1 members within distance < alpha of a bit-0 member:
-			// saturated components by component identity, the rest by BFS.
-			slowZeros := zeros[:0:0]
-			for _, z := range zeros {
-				if compDiamUB[compID[z]] > alpha-1 {
-					slowZeros = append(slowZeros, z)
+			tr.Run(cand[i:ones], mask, alpha-1)
+			live = append(live, cand[i:ones]...)
+			for _, v := range cand[ones:end] {
+				if !tr.Reached(v) {
+					live = append(live, v)
 				}
 			}
-			if len(slowZeros) > 0 {
-				tr.Run(slowZeros, mask, alpha-1)
-			}
-			for _, v := range members {
-				if (nw.ID[v]>>bit)&1 != 1 {
-					continue
-				}
-				c := compID[v]
-				if zeroComps[c] && compDiamUB[c] <= alpha-1 {
-					isRuler[v] = false
-				} else if len(slowZeros) > 0 && tr.Reached(v) {
-					isRuler[v] = false
-				}
-			}
+			i = end
 		}
+		cand = live
 		if ledger != nil {
 			ledger.Charge(phase, alpha)
 		}
 	}
+	roots := cand
+	for c, w := range winner {
+		if diamUB[c] <= alpha-1 {
+			roots = append(roots, w)
+		}
+	}
+	slices.Sort(roots)
 
 	f := &Forest{
 		Alpha:  alpha,
+		Roots:  roots,
 		Parent: make([]int, n),
 		Depth:  make([]int, n),
 		InTree: make([]bool, n),
@@ -165,13 +177,6 @@ func Compute(ctx context.Context, nw *local.Network, ledger *local.Ledger, phase
 		f.Parent[v] = -1
 		f.Depth[v] = -1
 	}
-	var roots []int
-	for v := 0; v < n; v++ {
-		if isRuler[v] {
-			roots = append(roots, v)
-		}
-	}
-	f.Roots = roots
 
 	// --- Phase 2: BFS forest from the rulers, trimmed to U's root paths.
 	tr.Run(roots, mask, -1)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/bits"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"distcolor/internal/gen"
@@ -229,5 +230,237 @@ func TestRulingSetMaximality(t *testing.T) {
 	}
 	if len(f.Roots) != len(u) {
 		t.Errorf("alpha=1: %d roots, want %d", len(f.Roots), len(u))
+	}
+}
+
+// referenceRulers is the bit-by-bit merge run literally, the differential
+// oracle for Compute's component election and ID-ordered merge: every bit
+// level regroups all live candidates by ID prefix in a map and settles each
+// group on its own. It returns the rulers in ascending vertex order and
+// charges α rounds per level, as Compute must.
+func referenceRulers(nw *local.Network, ledger *local.Ledger, phase string,
+	mask []bool, u []int, alpha int) []int {
+	g := nw.G
+	n := g.N()
+	tr := g.AcquireTraversal()
+	defer g.ReleaseTraversal(tr)
+
+	compID := make([]int, n)
+	for i := range compID {
+		compID[i] = -1
+	}
+	var compDiamUB []int
+	for v := 0; v < n; v++ {
+		if (mask != nil && !mask[v]) || compID[v] != -1 {
+			continue
+		}
+		tr.Run([]int{v}, mask, -1)
+		id := len(compDiamUB)
+		for _, u32 := range tr.Order() {
+			compID[u32] = id
+		}
+		compDiamUB = append(compDiamUB, 2*tr.MaxDist())
+	}
+
+	isRuler := make([]bool, n)
+	for _, v := range u {
+		isRuler[v] = true
+	}
+	levels := bits.Len(uint(n))
+	zeroComps := map[int]bool{}
+	for bit := 0; bit < levels; bit++ {
+		groups := map[int][]int{}
+		for v := 0; v < n; v++ {
+			if isRuler[v] {
+				groups[nw.ID[v]>>(bit+1)] = append(groups[nw.ID[v]>>(bit+1)], v)
+			}
+		}
+		for _, members := range groups {
+			var zeros []int
+			hasOne := false
+			clear(zeroComps)
+			for _, v := range members {
+				if (nw.ID[v]>>bit)&1 == 0 {
+					zeros = append(zeros, v)
+					zeroComps[compID[v]] = true
+				} else {
+					hasOne = true
+				}
+			}
+			if len(zeros) == 0 || !hasOne {
+				continue
+			}
+			slowZeros := zeros[:0:0]
+			for _, z := range zeros {
+				if compDiamUB[compID[z]] > alpha-1 {
+					slowZeros = append(slowZeros, z)
+				}
+			}
+			if len(slowZeros) > 0 {
+				tr.Run(slowZeros, mask, alpha-1)
+			}
+			for _, v := range members {
+				if (nw.ID[v]>>bit)&1 != 1 {
+					continue
+				}
+				c := compID[v]
+				if zeroComps[c] && compDiamUB[c] <= alpha-1 {
+					isRuler[v] = false
+				} else if len(slowZeros) > 0 && tr.Reached(v) {
+					isRuler[v] = false
+				}
+			}
+		}
+		if ledger != nil {
+			ledger.Charge(phase, alpha)
+		}
+	}
+	var roots []int
+	for v := 0; v < n; v++ {
+		if isRuler[v] {
+			roots = append(roots, v)
+		}
+	}
+	return roots
+}
+
+// referenceCompute completes referenceRulers with the forest phase: the
+// multi-source BFS forest of the rulers, trimmed to the root paths of U,
+// charged maxDepth+1 rounds.
+func referenceCompute(nw *local.Network, ledger *local.Ledger, phase string,
+	mask []bool, u []int, alpha int) *Forest {
+	g := nw.G
+	n := g.N()
+	roots := referenceRulers(nw, ledger, phase, mask, u, alpha)
+	f := &Forest{Alpha: alpha, Roots: roots, Parent: make([]int, n), Depth: make([]int, n), InTree: make([]bool, n)}
+	for v := 0; v < n; v++ {
+		f.Parent[v] = -1
+		f.Depth[v] = -1
+	}
+	res := g.BFS(roots, mask, -1)
+	keep := make([]bool, n)
+	for _, v := range u {
+		for x := v; x != -1 && !keep[x]; x = res.Parent[x] {
+			keep[x] = true
+		}
+	}
+	for v := 0; v < n; v++ {
+		if keep[v] {
+			f.InTree[v] = true
+			f.Parent[v] = res.Parent[v]
+			f.Depth[v] = res.Dist[v]
+			f.MaxDepth = max(f.MaxDepth, res.Dist[v])
+		}
+	}
+	if ledger != nil {
+		ledger.Charge(phase, f.MaxDepth+1)
+	}
+	return f
+}
+
+// randomPieces returns a disjoint union of 2–6 small paths, cycles, grids
+// and random 3-regular graphs, so one ruling call sees components on both
+// sides of the saturation threshold.
+func randomPieces(t *testing.T, rng *rand.Rand) *graph.Graph {
+	t.Helper()
+	var pieces []*graph.Graph
+	for k := 2 + rng.IntN(5); k > 0; k-- {
+		switch rng.IntN(4) {
+		case 0:
+			pieces = append(pieces, gen.Path(1+rng.IntN(40)))
+		case 1:
+			pieces = append(pieces, gen.Cycle(3+rng.IntN(38)))
+		case 2:
+			pieces = append(pieces, gen.Grid(1+rng.IntN(8), 1+rng.IntN(8)))
+		default:
+			g, err := gen.RandomRegular(4+2*rng.IntN(14), 3, rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pieces = append(pieces, g)
+		}
+	}
+	return gen.Disjoint(pieces...)
+}
+
+// TestComputeMatchesReference checks Compute against the map-based
+// original on seeded random inputs: mixed component shapes, α from 1 to 8
+// plus one above every diameter, random U subsets (with an occasional
+// duplicate), random masks and shuffled IDs. Roots, the forest and the
+// charged rounds must all agree exactly.
+func TestComputeMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewPCG(15, 1802))
+	for trial := 0; trial < 300; trial++ {
+		g := randomPieces(t, rng)
+		n := g.N()
+		nw := local.NewNetwork(g)
+		rng.Shuffle(n, func(i, j int) { nw.ID[i], nw.ID[j] = nw.ID[j], nw.ID[i] })
+		var mask []bool
+		if rng.IntN(2) == 0 {
+			mask = make([]bool, n)
+			for v := range mask {
+				mask[v] = rng.Float64() < 0.85
+			}
+		}
+		p := 0.1 + 0.9*rng.Float64()
+		var u []int
+		for v := 0; v < n; v++ {
+			if (mask == nil || mask[v]) && rng.Float64() < p {
+				u = append(u, v)
+			}
+		}
+		if len(u) > 0 && rng.IntN(4) == 0 {
+			u = append(u, u[rng.IntN(len(u))])
+		}
+		for _, alpha := range []int{1, 2, 3, 4, 5, 6, 7, 8, 2*n + 2} {
+			var got, want local.Ledger
+			f, err := Compute(context.Background(), nw, &got, "ruling", mask, u, alpha)
+			if err != nil {
+				t.Fatalf("trial %d α=%d: %v", trial, alpha, err)
+			}
+			ref := referenceCompute(nw, &want, "ruling", mask, u, alpha)
+			if !slices.Equal(f.Roots, ref.Roots) {
+				t.Fatalf("trial %d α=%d: roots %v, reference %v", trial, alpha, f.Roots, ref.Roots)
+			}
+			if !slices.Equal(f.Parent, ref.Parent) || !slices.Equal(f.Depth, ref.Depth) ||
+				!slices.Equal(f.InTree, ref.InTree) || f.MaxDepth != ref.MaxDepth {
+				t.Fatalf("trial %d α=%d: forest differs from reference", trial, alpha)
+			}
+			if got.Rounds() != want.Rounds() {
+				t.Fatalf("trial %d α=%d: %d rounds, reference %d", trial, alpha, got.Rounds(), want.Rounds())
+			}
+		}
+	}
+}
+
+// BenchmarkRulingCompute times one ruling-forest call on the two paths of
+// the ruling set: an Apollonian graph at the paper's α for n=1e5, where
+// every component is saturated and elects its minimum-ID vertex, and a grid
+// at α=8, whose one component is far wider than α and runs the ID-ordered
+// merge level by level.
+func BenchmarkRulingCompute(b *testing.B) {
+	cases := []struct {
+		name  string
+		g     func() *graph.Graph
+		alpha int
+	}{
+		{"apollonian:100000/alpha1518", func() *graph.Graph {
+			return gen.Apollonian(100000, rand.New(rand.NewPCG(1, 1)))
+		}, 1518},
+		{"grid300x300/alpha8", func() *graph.Graph { return gen.Grid(300, 300) }, 8},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			g := c.g()
+			nw := local.NewShuffledNetwork(g, rand.New(rand.NewPCG(2, 2)))
+			u := allVertices(g)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := Compute(context.Background(), nw, nil, "", nil, u, c.alpha); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

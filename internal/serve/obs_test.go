@@ -414,6 +414,24 @@ func TestCancelRunningJobCountedOnce(t *testing.T) {
 	}
 }
 
+// latencyWindow was the sliding-window size of the retired sort-on-snapshot
+// latency estimator. It survives as the reference scale for the percentile
+// agreement tests: the histogram path must agree with a nearest-rank sort
+// over a window of exactly this size to within one log₂ bucket.
+const latencyWindow = 2048
+
+// percentile returns the p-th percentile (nearest-rank) of sorted samples.
+// It is the exact-sort reference the histogram quantiles are tested
+// against (agreement within one bucket on windows up to latencyWindow); no
+// serving path sorts.
+func percentile(sorted []time.Duration, p int) time.Duration {
+	i := (len(sorted)*p + 99) / 100
+	if i > 0 {
+		i--
+	}
+	return sorted[i]
+}
+
 // TestPercentileNearestRank is the table test for the legacy nearest-rank
 // reference at the window sizes the histogram agreement test leans on.
 func TestPercentileNearestRank(t *testing.T) {
