@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all ci fmt-check vet build test test-bench test-serial test-race test-cluster test-spill smoke convert-smoke bench-smoke bench bench-json bench-obs bench-cluster bench-load fuzz-smoke serve staticcheck trace-demo
+.PHONY: all ci fmt-check vet build test test-bench test-serial test-race test-cluster test-spill smoke convert-smoke bench-smoke bench-allocs bench bench-json bench-obs bench-cluster bench-load fuzz-smoke serve staticcheck trace-demo
 
 # Benchmarks recorded in the persistent BENCH_PR.json trajectory (and gated
 # by bench-smoke): the engine acceptance suite plus the graph-layer
@@ -12,7 +12,7 @@ BENCH_JSON_PKGS = . ./internal/graph ./internal/seqcolor ./internal/ruling ./int
 
 all: ci
 
-ci: fmt-check vet build test test-bench test-serial test-race test-cluster test-spill smoke convert-smoke bench-smoke fuzz-smoke
+ci: fmt-check vet build test test-bench test-serial test-race test-cluster test-spill smoke convert-smoke bench-smoke bench-allocs fuzz-smoke
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -97,6 +97,18 @@ bench-smoke:
 	$(GO) test -run xxx -benchtime 3x -benchmem \
 		-bench 'BenchmarkSparseListColor/.*/n1e[34]$$|BenchmarkCollectBallsSync/grid20x20|BenchmarkRunSyncDelivery' . \
 		| $(GO) run ./cmd/benchjson -check BENCH_PR.json -tolerance 1.5
+
+# Allocation gate over the Theorem 1.1 path and the block decomposition it
+# leans on: fails when a benchmark's allocs/op exceeds 1.10× its committed
+# BENCH_PR.json value (growth under benchjson's small absolute slack, pool
+# refills after a GC, is forgiven). allocs/op barely moves between machines
+# or minutes, so unlike bench-smoke's ns/op this gate does not need a wide
+# tolerance; -tolerance 0 leaves ns/op to bench-smoke.
+bench-allocs:
+	$(GO) test -run xxx -benchtime 3x -benchmem \
+		-bench 'BenchmarkDegreeListColor|BenchmarkBlocks|BenchmarkGallai|BenchmarkSparseListColor/.*/n1e[34]$$' \
+		. ./internal/graph ./internal/seqcolor \
+		| $(GO) run ./cmd/benchjson -check BENCH_PR.json -tolerance 0 -allocs-tolerance 1.10
 
 # Regenerate the persistent benchmark trajectory BENCH_PR.json (committed;
 # CI re-emits it as an artifact on every run so each PR lands a point on

@@ -6,6 +6,7 @@
 //
 //	go test -run xxx -bench ... -benchmem ./... | benchjson -out BENCH_PR.json
 //	go test -run xxx -bench ... -benchmem ./... | benchjson -check BENCH_PR.json -tolerance 1.5
+//	go test -run xxx -bench ... -benchmem ./... | benchjson -check BENCH_PR.json -tolerance 0 -allocs-tolerance 1.10
 //	go test -run xxx -bench 'X(Obs)?$' ./... | benchjson -overhead Obs -overhead-tolerance 1.05
 //	go test -run xxx -bench GraphLoad ./... | benchjson -faster 'BenchmarkGraphLoad/dcsr-mmap<BenchmarkGraphLoad/text' -speedup 10
 //
@@ -27,8 +28,11 @@
 // sample is the closest to the code's true cost. -check compares only names
 // present in both files, so adding or retiring benchmarks never fails the
 // gate; a present benchmark whose ns/op exceeds baseline × tolerance does.
-// ns/op is the gated quantity; allocs/op is recorded for trend reading but
-// not gated (it is exact, so any change is visible in the committed diff).
+// -tolerance 0 turns the ns/op gate off. -allocs-tolerance (default 0, off)
+// gates allocs/op the same way, forgiving growth below allocsSlack: allocs/op
+// barely moves between machines or minutes, so that gate holds where a
+// committed ns/op cannot. Benchmarks run without -benchmem on either side
+// are not allocs-gated.
 package main
 
 import (
@@ -88,9 +92,17 @@ func parse(r io.Reader) (map[string]Result, error) {
 	return out, nil
 }
 
+// allocsSlack is the allocs/op growth the allocs gate always forgives. A
+// pooled workspace that a GC emptied is rebuilt on the next call, and at
+// -benchtime 3x those refills read as tens of allocs/op on benchmarks that
+// otherwise allocate next to nothing.
+const allocsSlack = 64
+
 // check compares results against a baseline, returning one line per shared
-// benchmark that regressed beyond tolerance (new ns/op > old × tolerance).
-func check(results, baseline map[string]Result, tolerance float64) []string {
+// benchmark that regressed beyond a tolerance: new ns/op > old × tolerance,
+// or new allocs/op > old × allocsTolerance and by at least allocsSlack. A
+// tolerance ≤ 0 skips its gate.
+func check(results, baseline map[string]Result, tolerance, allocsTolerance float64) []string {
 	names := make([]string, 0, len(results))
 	for name := range results {
 		if _, ok := baseline[name]; ok {
@@ -100,10 +112,16 @@ func check(results, baseline map[string]Result, tolerance float64) []string {
 	sort.Strings(names)
 	var bad []string
 	for _, name := range names {
-		oldNs, newNs := baseline[name].NsPerOp, results[name].NsPerOp
-		if newNs > oldNs*tolerance {
+		old, cur := baseline[name], results[name]
+		if tolerance > 0 && cur.NsPerOp > old.NsPerOp*tolerance {
 			bad = append(bad, fmt.Sprintf("%s: %.0f ns/op vs baseline %.0f (%.2fx > %.2fx tolerance)",
-				name, newNs, oldNs, newNs/oldNs, tolerance))
+				name, cur.NsPerOp, old.NsPerOp, cur.NsPerOp/old.NsPerOp, tolerance))
+		}
+		if allocsTolerance > 0 && old.AllocsPerOp >= 0 && cur.AllocsPerOp >= 0 &&
+			float64(cur.AllocsPerOp) > float64(old.AllocsPerOp)*allocsTolerance &&
+			cur.AllocsPerOp-old.AllocsPerOp >= allocsSlack {
+			bad = append(bad, fmt.Sprintf("%s: %d allocs/op vs baseline %d (> %.2fx allocs tolerance)",
+				name, cur.AllocsPerOp, old.AllocsPerOp, allocsTolerance))
 		}
 	}
 	return bad
@@ -189,62 +207,85 @@ func loadBaseline(path string) (map[string]Result, error) {
 	return out, nil
 }
 
-func run(in io.Reader, stderr io.Writer, outPath, checkPath string, tolerance float64, overhead string, overheadTol float64, faster string, speedup float64) error {
+// options are the command-line flags; see main for their meaning.
+type options struct {
+	outPath, checkPath         string
+	tolerance, allocsTolerance float64
+	overhead                   string
+	overheadTol                float64
+	faster                     string
+	speedup                    float64
+}
+
+func run(in io.Reader, stderr io.Writer, o options) error {
 	results, err := parse(in)
 	if err != nil {
 		return err
 	}
-	if faster != "" {
-		if err := checkFaster(results, faster, speedup); err != nil {
+	if o.faster != "" {
+		if err := checkFaster(results, o.faster, o.speedup); err != nil {
 			return err
 		}
-		fmt.Fprintf(stderr, "benchjson: %s holds at ≥ %.2fx\n", faster, speedup)
+		fmt.Fprintf(stderr, "benchjson: %s holds at ≥ %.2fx\n", o.faster, o.speedup)
 	}
-	if overhead != "" {
-		if bad := checkOverhead(results, overhead, overheadTol); len(bad) > 0 {
+	if o.overhead != "" {
+		if bad := checkOverhead(results, o.overhead, o.overheadTol); len(bad) > 0 {
 			return fmt.Errorf("benchjson: %d benchmark(s) exceed their %s-twin by more than %.2fx:\n  %s",
-				len(bad), overhead, overheadTol, strings.Join(bad, "\n  "))
+				len(bad), o.overhead, o.overheadTol, strings.Join(bad, "\n  "))
 		}
-		fmt.Fprintf(stderr, "benchjson: no %s overhead beyond %.2fx\n", overhead, overheadTol)
+		fmt.Fprintf(stderr, "benchjson: no %s overhead beyond %.2fx\n", o.overhead, o.overheadTol)
 	}
-	if outPath != "" {
+	if o.outPath != "" {
 		data, err := json.MarshalIndent(results, "", "  ")
 		if err != nil {
 			return err
 		}
-		if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
+		if err := os.WriteFile(o.outPath, append(data, '\n'), 0o644); err != nil {
 			return err
 		}
-		fmt.Fprintf(stderr, "benchjson: wrote %d benchmarks to %s\n", len(results), outPath)
+		fmt.Fprintf(stderr, "benchjson: wrote %d benchmarks to %s\n", len(results), o.outPath)
 	}
-	if checkPath != "" {
-		baseline, err := loadBaseline(checkPath)
+	if o.checkPath != "" {
+		baseline, err := loadBaseline(o.checkPath)
 		if err != nil {
 			return err
 		}
-		if bad := check(results, baseline, tolerance); len(bad) > 0 {
-			return fmt.Errorf("benchjson: %d benchmark(s) regressed beyond %.2fx:\n  %s",
-				len(bad), tolerance, strings.Join(bad, "\n  "))
+		var limits []string
+		if o.tolerance > 0 {
+			limits = append(limits, fmt.Sprintf("%.2fx ns/op", o.tolerance))
 		}
-		fmt.Fprintf(stderr, "benchjson: no regression beyond %.2fx against %s\n", tolerance, checkPath)
+		if o.allocsTolerance > 0 {
+			limits = append(limits, fmt.Sprintf("%.2fx allocs/op", o.allocsTolerance))
+		}
+		if len(limits) == 0 {
+			return fmt.Errorf("benchjson: -check with -tolerance 0 needs -allocs-tolerance")
+		}
+		gates := strings.Join(limits, " or ")
+		if bad := check(results, baseline, o.tolerance, o.allocsTolerance); len(bad) > 0 {
+			return fmt.Errorf("benchjson: %d regression(s) beyond %s:\n  %s",
+				len(bad), gates, strings.Join(bad, "\n  "))
+		}
+		fmt.Fprintf(stderr, "benchjson: no regression beyond %s against %s\n", gates, o.checkPath)
 	}
 	return nil
 }
 
 func main() {
-	outPath := flag.String("out", "", "write parsed results as JSON to this path")
-	checkPath := flag.String("check", "", "baseline JSON to gate regressions against")
-	tolerance := flag.Float64("tolerance", 1.5, "fail when ns/op exceeds baseline × tolerance")
-	overhead := flag.String("overhead", "", "benchmark-name suffix to gate against its unsuffixed twin in the same run")
-	overheadTol := flag.Float64("overhead-tolerance", 1.05, "fail when a suffixed benchmark exceeds its twin × this")
-	faster := flag.String("faster", "", "speedup claim \"fastName<slowName\" to enforce within this run (missing names fail)")
-	speedup := flag.Float64("speedup", 1, "minimum ratio for -faster: fast ns/op × speedup must not exceed slow ns/op")
+	var o options
+	flag.StringVar(&o.outPath, "out", "", "write parsed results as JSON to this path")
+	flag.StringVar(&o.checkPath, "check", "", "baseline JSON to gate regressions against")
+	flag.Float64Var(&o.tolerance, "tolerance", 1.5, "fail when ns/op exceeds baseline × tolerance (0 = do not gate ns/op)")
+	flag.Float64Var(&o.allocsTolerance, "allocs-tolerance", 0, "fail when allocs/op exceeds baseline × this (0 = do not gate allocs/op)")
+	flag.StringVar(&o.overhead, "overhead", "", "benchmark-name suffix to gate against its unsuffixed twin in the same run")
+	flag.Float64Var(&o.overheadTol, "overhead-tolerance", 1.05, "fail when a suffixed benchmark exceeds its twin × this")
+	flag.StringVar(&o.faster, "faster", "", "speedup claim \"fastName<slowName\" to enforce within this run (missing names fail)")
+	flag.Float64Var(&o.speedup, "speedup", 1, "minimum ratio for -faster: fast ns/op × speedup must not exceed slow ns/op")
 	flag.Parse()
-	if *outPath == "" && *checkPath == "" && *overhead == "" && *faster == "" {
+	if o.outPath == "" && o.checkPath == "" && o.overhead == "" && o.faster == "" {
 		fmt.Fprintln(os.Stderr, "benchjson: need -out, -check, -overhead and/or -faster")
 		os.Exit(2)
 	}
-	if err := run(os.Stdin, os.Stderr, *outPath, *checkPath, *tolerance, *overhead, *overheadTol, *faster, *speedup); err != nil {
+	if err := run(os.Stdin, os.Stderr, o); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}

@@ -59,12 +59,44 @@ func TestCheck(t *testing.T) {
 		"B": {NsPerOp: 151}, // regressed
 		"D": {NsPerOp: 999}, // new: absent from baseline, never gated
 	}
-	bad := check(results, baseline, 1.5)
+	bad := check(results, baseline, 1.5, 0)
 	if len(bad) != 1 || !strings.HasPrefix(bad[0], "B:") {
 		t.Fatalf("check = %v, want exactly one regression on B", bad)
 	}
-	if bad := check(results, baseline, 2.0); len(bad) != 0 {
+	if bad := check(results, baseline, 2.0, 0); len(bad) != 0 {
 		t.Fatalf("check at 2.0x = %v, want none", bad)
+	}
+}
+
+func TestCheckAllocs(t *testing.T) {
+	baseline := map[string]Result{
+		"A": {NsPerOp: 100, AllocsPerOp: 1000},
+		"B": {NsPerOp: 100, AllocsPerOp: 1000},
+		"C": {NsPerOp: 100, AllocsPerOp: 0},
+		"D": {NsPerOp: 100, AllocsPerOp: 0},
+		"E": {NsPerOp: 100, AllocsPerOp: -1}, // recorded without -benchmem
+		"F": {NsPerOp: 100, AllocsPerOp: 10},
+	}
+	results := map[string]Result{
+		"A": {NsPerOp: 900, AllocsPerOp: 1100},            // at 1.10x allocs; ns/op ungated
+		"B": {NsPerOp: 100, AllocsPerOp: 1101},            // over 1.10x
+		"C": {NsPerOp: 100, AllocsPerOp: allocsSlack - 1}, // pool refills: forgiven
+		"D": {NsPerOp: 100, AllocsPerOp: allocsSlack},     // past the slack
+		"E": {NsPerOp: 100, AllocsPerOp: 5000},
+		"F": {NsPerOp: 100, AllocsPerOp: -1}, // this run without -benchmem
+	}
+	bad := check(results, baseline, 0, 1.10)
+	if len(bad) != 2 || !strings.HasPrefix(bad[0], "B:") || !strings.HasPrefix(bad[1], "D:") {
+		t.Fatalf("check = %v, want allocs regressions on B and D only", bad)
+	}
+	// With both gates on, A fails on ns/op and B on allocs/op.
+	bad = check(results, baseline, 1.5, 1.10)
+	if len(bad) != 3 || !strings.Contains(bad[0], "ns/op") || !strings.Contains(bad[1], "allocs/op") {
+		t.Fatalf("check with both gates = %v", bad)
+	}
+	// The default, allocs tolerance 0, gates nothing but ns/op.
+	if bad := check(results, baseline, 10, 0); len(bad) != 0 {
+		t.Fatalf("check without allocs gate = %v, want none", bad)
 	}
 }
 
@@ -72,7 +104,7 @@ func TestRunRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	out := filepath.Join(dir, "BENCH_PR.json")
 	var stderr strings.Builder
-	if err := run(strings.NewReader(sampleOutput), &stderr, out, "", 1.5, "", 1.05, "", 1); err != nil {
+	if err := run(strings.NewReader(sampleOutput), &stderr, options{outPath: out, tolerance: 1.5}); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(out)
@@ -87,8 +119,16 @@ func TestRunRoundTrip(t *testing.T) {
 		t.Fatalf("round-tripped %d benchmarks, want 3", len(decoded))
 	}
 	// The file it wrote passes as its own baseline...
-	if err := run(strings.NewReader(sampleOutput), &stderr, "", out, 1.5, "", 1.05, "", 1); err != nil {
+	if err := run(strings.NewReader(sampleOutput), &stderr, options{checkPath: out, tolerance: 1.5}); err != nil {
 		t.Fatal(err)
+	}
+	// ...with its allocs/op gated too...
+	if err := run(strings.NewReader(sampleOutput), &stderr, options{checkPath: out, allocsTolerance: 1.10}); err != nil {
+		t.Fatal(err)
+	}
+	// ...refuses a check that gates nothing...
+	if err := run(strings.NewReader(sampleOutput), &stderr, options{checkPath: out}); err == nil {
+		t.Fatal("expected an error for -check with neither gate on")
 	}
 	// ...and fails against a baseline it beats by more than the tolerance.
 	tight, _ := json.Marshal(map[string]Result{"BenchmarkNoMem": {NsPerOp: 10}})
@@ -96,7 +136,7 @@ func TestRunRoundTrip(t *testing.T) {
 	if err := os.WriteFile(tightPath, tight, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(strings.NewReader(sampleOutput), &stderr, "", tightPath, 1.5, "", 1.05, "", 1); err == nil {
+	if err := run(strings.NewReader(sampleOutput), &stderr, options{checkPath: tightPath, tolerance: 1.5}); err == nil {
 		t.Fatal("expected regression failure against tight baseline")
 	}
 }
@@ -153,13 +193,13 @@ BenchmarkGraphLoad/dcsr-mmap-8  5    100000 ns/op
 `
 	var stderr strings.Builder
 	claim := "BenchmarkGraphLoad/dcsr-mmap<BenchmarkGraphLoad/text"
-	if err := run(strings.NewReader(paired), &stderr, "", "", 1.5, "", 1.05, claim, 10); err != nil {
+	if err := run(strings.NewReader(paired), &stderr, options{tolerance: 1.5, faster: claim, speedup: 10}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(stderr.String(), "holds at") {
 		t.Fatalf("no confirmation line on stderr: %q", stderr.String())
 	}
-	if err := run(strings.NewReader(paired), &stderr, "", "", 1.5, "", 1.05, claim, 500); err == nil {
+	if err := run(strings.NewReader(paired), &stderr, options{tolerance: 1.5, faster: claim, speedup: 500}); err == nil {
 		t.Fatal("100x actual speedup passed a 500x gate")
 	}
 }
@@ -169,10 +209,10 @@ func TestRunOverheadMode(t *testing.T) {
 BenchmarkRunSyncDeliveryObs-8  5  1200000 ns/op
 `
 	var stderr strings.Builder
-	if err := run(strings.NewReader(paired), &stderr, "", "", 1.5, "Obs", 1.05, "", 1); err == nil {
+	if err := run(strings.NewReader(paired), &stderr, options{tolerance: 1.5, overhead: "Obs", overheadTol: 1.05}); err == nil {
 		t.Fatal("expected 1.2x overhead to fail the 1.05x gate")
 	}
-	if err := run(strings.NewReader(paired), &stderr, "", "", 1.5, "Obs", 1.25, "", 1); err != nil {
+	if err := run(strings.NewReader(paired), &stderr, options{tolerance: 1.5, overhead: "Obs", overheadTol: 1.25}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -123,31 +123,12 @@ func extend(ctx context.Context, nw *local.Network, ledger *local.Ledger, alive 
 	return st, nil
 }
 
-// colorScanCap mirrors seqcolor's bound on the palette-bitset width; lists
-// with colors beyond it (or negative) take the quadratic fallback.
-const colorScanCap = 1 << 20
-
-// listWidth returns max(list)+1 when every color fits the bitset fast path,
-// or -1 to request the fallback scan.
-func listWidth(list []int) int {
-	maxc := -1
-	for _, c := range list {
-		if c < 0 || c >= colorScanCap {
-			return -1
-		}
-		if c > maxc {
-			maxc = c
-		}
-	}
-	return maxc + 1
-}
-
 // pickFreeAlive returns the first color of list not used by v's colored
 // alive neighbors, or Uncolored. b is scratch (any width; reset here). As in
 // seqcolor.pickFree, neighbor colors are marked in one pass and the list is
 // scanned in its own order, keeping the first-fit tie-break exact.
 func pickFreeAlive(g *graph.Graph, alive []bool, colors []int, list []int, v int, b *graph.Bitset) int {
-	width := listWidth(list)
+	width := seqcolor.ListWidth(list)
 	if width < 0 {
 		return pickFreeAliveSlow(g, alive, colors, list, v)
 	}
@@ -197,6 +178,13 @@ func colorBallTheorem11(g *graph.Graph, alive []bool, colors []int, lists [][]in
 	if err != nil {
 		return err
 	}
+	// One flat backing for all filtered lists; each is a capped sub-slice,
+	// so an append to one can never spill into the next.
+	total := 0
+	for _, u := range orig {
+		total += len(lists[u])
+	}
+	flat := make([]int, 0, total)
 	subLists := make([][]int, sub.N())
 	inBall := graph.AcquireBitset(g.N())
 	for _, u := range ball {
@@ -204,8 +192,8 @@ func colorBallTheorem11(g *graph.Graph, alive []bool, colors []int, lists [][]in
 	}
 	used := graph.AcquireBitset(0)
 	for i, u := range orig {
-		list := make([]int, 0, len(lists[u]))
-		if width := listWidth(lists[u]); width >= 0 {
+		start := len(flat)
+		if width := seqcolor.ListWidth(lists[u]); width >= 0 {
 			// Mark the colors of alive outside-ball neighbors once, then
 			// filter the list in its own order (exact first-fit semantics).
 			used.Reset(width)
@@ -220,7 +208,7 @@ func colorBallTheorem11(g *graph.Graph, alive []bool, colors []int, lists [][]in
 			}
 			for _, c := range lists[u] {
 				if !used.Test(c) {
-					list = append(list, c)
+					flat = append(flat, c)
 				}
 			}
 		} else {
@@ -234,11 +222,11 @@ func colorBallTheorem11(g *graph.Graph, alive []bool, colors []int, lists [][]in
 					}
 				}
 				if !blocked {
-					list = append(list, c)
+					flat = append(flat, c)
 				}
 			}
 		}
-		subLists[i] = list
+		subLists[i] = flat[start:len(flat):len(flat)]
 	}
 	graph.ReleaseBitset(used)
 	graph.ReleaseBitset(inBall)

@@ -61,8 +61,11 @@ func happySet(g *graph.Graph, alive []bool, radius int,
 		g.ReleaseTraversal(tr)
 	}
 
-	// (b) non-Gallai balls, per component of G[rich].
+	// (b) non-Gallai balls, per component of G[rich]. ballMask serves the
+	// exact per-vertex fallback of every component; it is cleared after
+	// each ball.
 	scratch := make([]bool, n)
+	ballMask := make([]bool, n)
 	for _, comp := range g.Components(richMask) {
 		allHappy := true
 		for _, v := range comp {
@@ -103,7 +106,6 @@ func happySet(g *graph.Graph, alive []bool, radius int,
 			continue
 		}
 		// Exact per-vertex fallback.
-		ballMask := make([]bool, n)
 		for _, v := range comp {
 			if happyMask[v] {
 				continue

@@ -1,14 +1,17 @@
-package graph
+package graph_test
 
 import (
 	"bytes"
 	"math/rand/v2"
 	"testing"
+
+	"distcolor/internal/gen"
+	"distcolor/internal/graph"
 )
 
-func benchGraph(n int) *Graph {
+func benchGraph(n int) *graph.Graph {
 	rng := rand.New(rand.NewPCG(uint64(n), 99))
-	b := NewBuilder(n)
+	b := graph.NewBuilder(n)
 	// sparse: ~3n edges
 	for v := 1; v < n; v++ {
 		b.AddEdgeOK(v, rng.IntN(v))
@@ -31,6 +34,23 @@ func BenchmarkBFS_n10000(b *testing.B) {
 
 func BenchmarkBlocks_n10000(b *testing.B) {
 	g := benchGraph(10000)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dec := g.Blocks(nil)
+		if len(dec.Blocks) == 0 {
+			b.Fatal("no blocks")
+		}
+	}
+}
+
+// BenchmarkBlocks_Regular3_n100000 decomposes the random 3-regular graph of
+// the color-sparse workload's size: its state arrays outgrow the cache, as
+// on the Theorem 1.1 path, which the n=1e4 benchmark does not show.
+func BenchmarkBlocks_Regular3_n100000(b *testing.B) {
+	g, err := gen.RandomRegular(100000, 3, rand.New(rand.NewPCG(100000, 3)))
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		dec := g.Blocks(nil)
@@ -74,7 +94,7 @@ func FuzzRead(f *testing.F) {
 	f.Add([]byte("x\n"))
 	f.Add([]byte("5\n0 0\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g, err := ReadEdgeList(bytes.NewReader(data))
+		g, err := graph.ReadEdgeList(bytes.NewReader(data))
 		if err != nil {
 			return
 		}

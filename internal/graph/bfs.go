@@ -31,11 +31,11 @@ func (g *Graph) NewTraversal() *Traversal {
 }
 
 // AcquireTraversal takes a traversal workspace from the graph's internal
-// pool (constructing one when the pool is cold, including on zero-value
-// Graphs whose pool has no constructor). Pair with ReleaseTraversal when
-// done; the pooled form is what the package's own wrappers (Ball,
-// Components, Eccentricity, …) use, and external hot loops should use it
-// too rather than allocating per call.
+// pool, constructing one when the pool is cold (the pool has no New
+// function, so a graph that is never traversed costs no closure). Pair
+// with ReleaseTraversal when done; the pooled form is what the package's
+// own wrappers (Ball, Components, Eccentricity, …) use, and external hot
+// loops should use it too rather than allocating per call.
 func (g *Graph) AcquireTraversal() *Traversal {
 	if t, ok := g.scratch.Get().(*Traversal); ok {
 		return t

@@ -23,20 +23,24 @@ type BlockDecomposition struct {
 	BlocksOf [][]int
 }
 
-type blockEdge struct{ u, v int }
+type blockEdge struct{ u, v int32 }
 
-// blocksScratch is the pooled DFS workspace of Blocks. Only num needs
-// clearing per use (0 = unvisited); low/parent/iter are written at each
-// vertex's discovery, and seenIn uses the monotone blockStamp counter so
-// stale entries can never collide.
+// dfsVert is one vertex's Hopcroft–Tarjan state, packed so that a visit
+// touches one record instead of five parallel arrays. num is the discovery
+// number (0 = unvisited); seen stamps the block the vertex was last emitted
+// into (0 until its first block, which always follows its discovery).
+type dfsVert struct {
+	num, low, parent, iter, seen int32
+}
+
+// blocksScratch is the pooled DFS workspace of Blocks. The vertex records
+// are cleared per use, so the block stamps restart at 1 and fit in int32
+// (a walk emits at most m ≤ MaxInt32/2 blocks).
 type blocksScratch struct {
-	num, low, parent, iter []int
-	seenIn                 []int
-	estack                 []blockEdge
-	stack                  []int
-	blkEdges               [][2]int
-	blkVerts               []int
-	blockStamp             int
+	vs       []dfsVert
+	estack   []blockEdge
+	stack    []int32
+	blkVerts []int
 }
 
 var blocksScratchPool sync.Pool
@@ -46,62 +50,64 @@ func acquireBlocksScratch(n int) *blocksScratch {
 	if s == nil {
 		s = &blocksScratch{}
 	}
-	if n > len(s.num) {
-		grow := n - len(s.num)
-		s.num = append(s.num, make([]int, grow)...)
-		s.low = append(s.low, make([]int, grow)...)
-		s.parent = append(s.parent, make([]int, grow)...)
-		s.iter = append(s.iter, make([]int, grow)...)
-		s.seenIn = append(s.seenIn, make([]int, grow)...)
+	if n > len(s.vs) {
+		s.vs = make([]dfsVert, n)
+	} else {
+		clear(s.vs[:n])
 	}
-	clear(s.num[:n])
 	s.estack = s.estack[:0]
 	s.stack = s.stack[:0]
 	return s
 }
 
 // blocksDFS is the Hopcroft–Tarjan core shared by Blocks and
-// IsGallaiForest. For every emitted block it calls sink with transient
-// edge/vertex slices — valid only during the call, reused for the next
-// block — in deterministic first-seen order; sink returns false to abort
-// the walk early. markCut (may be nil) is called for articulation points,
-// possibly more than once per vertex.
-func (g *Graph) blocksDFS(mask []bool, sink func(edges [][2]int, verts []int) bool, markCut func(int)) {
+// IsGallaiForest. For every block it calls sink with the block's edges as
+// the segment of the edge stack they were popped from (so the block's edge
+// order is seg read backwards) and its vertices in first-seen order along
+// that pop. Both slices are transient — valid only during the call, reused
+// for the next block; sink returns false to abort the walk early. markCut
+// (may be nil) is called for articulation points, possibly more than once
+// per vertex.
+func (g *Graph) blocksDFS(mask []bool, sink func(seg []blockEdge, verts []int) bool, markCut func(int)) {
 	n := g.N()
 	ws := acquireBlocksScratch(n)
 	defer blocksScratchPool.Put(ws)
-	num, low, parent, iter := ws.num, ws.low, ws.parent, ws.iter
+	vs := ws.vs[:n]
+	offsets, neighbors := g.offsets, g.neighbors
 	estack := ws.estack
-	counter := 0
+	var counter, stamp int32
 
-	inMask := func(v int) bool { return mask == nil || mask[v] }
+	inMask := func(v int32) bool { return mask == nil || mask[v] }
 
-	// seenIn[w] stamps the block w was last emitted into, so vertex dedup
-	// inside popBlock is a flat-array probe instead of a map.
-	seenIn := ws.seenIn
-	popBlock := func(u, v int) bool {
-		// Pop edges up to and including (u,v) and emit them as one block.
-		ws.blkEdges = ws.blkEdges[:0]
-		ws.blkVerts = ws.blkVerts[:0]
-		ws.blockStamp++
-		stampv := ws.blockStamp
-		addVert := func(w int) {
-			if seenIn[w] != stampv {
-				seenIn[w] = stampv
-				ws.blkVerts = append(ws.blkVerts, w)
+	// popBlock pops the edges down to and including (u,v) off the edge
+	// stack and emits them as one block. The seen stamps dedup the block's
+	// vertices with a flat-array probe instead of a map.
+	popBlock := func(u, v int32) bool {
+		i := len(estack) - 1
+		for i > 0 && estack[i] != (blockEdge{u, v}) {
+			i--
+		}
+		i = max(i, 0)
+		seg := estack[i:]
+		estack = estack[:i]
+		stamp++
+		verts := ws.blkVerts[:0]
+		if most := min(len(seg)+1, n); cap(verts) < most {
+			verts = make([]int, 0, most)
+		}
+		for j := len(seg) - 1; j >= 0; j-- {
+			e := seg[j]
+			if vs[e.u].seen != stamp {
+				vs[e.u].seen = stamp
+				verts = append(verts, int(e.u))
+			}
+			if vs[e.v].seen != stamp {
+				vs[e.v].seen = stamp
+				verts = append(verts, int(e.v))
 			}
 		}
-		for len(estack) > 0 {
-			e := estack[len(estack)-1]
-			estack = estack[:len(estack)-1]
-			ws.blkEdges = append(ws.blkEdges, [2]int{e.u, e.v})
-			addVert(e.u)
-			addVert(e.v)
-			if e.u == u && e.v == v {
-				break
-			}
-		}
-		return sink(ws.blkEdges, ws.blkVerts)
+		ws.blkVerts = verts
+		return sink(seg, verts)
 	}
 
 	stack := ws.stack
@@ -109,34 +115,31 @@ func (g *Graph) blocksDFS(mask []bool, sink func(edges [][2]int, verts []int) bo
 		ws.estack = estack[:0]
 		ws.stack = stack[:0]
 	}()
-	for root := 0; root < n; root++ {
-		if num[root] != 0 || !inMask(root) {
+	for r := 0; r < n; r++ {
+		root := int32(r)
+		if !inMask(root) || vs[root].num != 0 {
 			continue
 		}
 		counter++
-		num[root] = counter
-		low[root] = counter
-		parent[root] = -1
-		iter[root] = 0
+		vs[root] = dfsVert{num: counter, low: counter, parent: -1}
 		stack = append(stack[:0], root)
 		rootChildren := 0
 		for len(stack) > 0 {
 			v := stack[len(stack)-1]
+			pv := &vs[v]
 			advanced := false
-			nbrs := g.Neighbors(v)
-			for iter[v] < len(nbrs) {
-				w := int(nbrs[iter[v]])
-				iter[v]++
+			nbrs := neighbors[offsets[v]:offsets[v+1]]
+			for int(pv.iter) < len(nbrs) {
+				w := nbrs[pv.iter]
+				pv.iter++
 				if !inMask(w) {
 					continue
 				}
-				if num[w] == 0 {
+				pw := &vs[w]
+				if pw.num == 0 {
 					estack = append(estack, blockEdge{v, w})
-					parent[w] = v
 					counter++
-					num[w] = counter
-					low[w] = counter
-					iter[w] = 0
+					*pw = dfsVert{num: counter, low: counter, parent: v}
 					stack = append(stack, w)
 					if v == root {
 						rootChildren++
@@ -144,11 +147,11 @@ func (g *Graph) blocksDFS(mask []bool, sink func(edges [][2]int, verts []int) bo
 					advanced = true
 					break
 				}
-				if w != parent[v] && num[w] < num[v] {
+				if w != pv.parent && pw.num < pv.num {
 					// back edge
 					estack = append(estack, blockEdge{v, w})
-					if num[w] < low[v] {
-						low[v] = num[w]
+					if pw.num < pv.low {
+						pv.low = pw.num
 					}
 				}
 			}
@@ -157,11 +160,12 @@ func (g *Graph) blocksDFS(mask []bool, sink func(edges [][2]int, verts []int) bo
 			}
 			// Retreat from v.
 			stack = stack[:len(stack)-1]
-			if p := parent[v]; p != -1 {
-				if low[v] < low[p] {
-					low[p] = low[v]
+			if p := pv.parent; p != -1 {
+				pp := &vs[p]
+				if pv.low < pp.low {
+					pp.low = pv.low
 				}
-				if low[v] >= num[p] {
+				if pv.low >= pp.num {
 					// p separates v's subtree: one block ends here.
 					if p != root || rootChildren >= 1 {
 						if !popBlock(p, v) {
@@ -169,13 +173,13 @@ func (g *Graph) blocksDFS(mask []bool, sink func(edges [][2]int, verts []int) bo
 						}
 					}
 					if p != root && markCut != nil {
-						markCut(p)
+						markCut(int(p))
 					}
 				}
 			}
 		}
 		if rootChildren >= 2 && markCut != nil {
-			markCut(root)
+			markCut(int(root))
 		}
 	}
 }
@@ -190,17 +194,40 @@ func (g *Graph) Blocks(mask []bool) *BlockDecomposition {
 		IsCut:    make([]bool, n),
 		BlocksOf: make([][]int, n),
 	}
-	g.blocksDFS(mask, func(edges [][2]int, verts []int) bool {
-		idx := len(dec.Blocks)
+	members := 0
+	g.blocksDFS(mask, func(seg []blockEdge, verts []int) bool {
+		edges := make([][2]int, len(seg))
+		for j, e := range seg {
+			edges[len(seg)-1-j] = [2]int{int(e.u), int(e.v)}
+		}
 		dec.Blocks = append(dec.Blocks, Block{
-			Edges:    append([][2]int(nil), edges...),
+			Edges:    edges,
 			Vertices: append([]int(nil), verts...),
 		})
-		for _, w := range verts {
-			dec.BlocksOf[w] = append(dec.BlocksOf[w], idx)
-		}
+		members += len(verts)
 		return true
 	}, func(v int) { dec.IsCut[v] = true })
+	// BlocksOf on one backing array: count each vertex's blocks, hand out
+	// capped sub-slices, then fill them in block order.
+	count := make([]int32, n)
+	for i := range dec.Blocks {
+		for _, w := range dec.Blocks[i].Vertices {
+			count[w]++
+		}
+	}
+	flat := make([]int, members)
+	off := 0
+	for w, c := range count {
+		if c > 0 {
+			dec.BlocksOf[w] = flat[off : off : off+int(c)]
+			off += int(c)
+		}
+	}
+	for i := range dec.Blocks {
+		for _, w := range dec.Blocks[i].Vertices {
+			dec.BlocksOf[w] = append(dec.BlocksOf[w], i)
+		}
+	}
 	return dec
 }
 
@@ -243,14 +270,14 @@ func BlockIsGood(b *Block) bool {
 // classification calls this once per candidate ball.
 func (g *Graph) IsGallaiForest(mask []bool) bool {
 	good := true
-	g.blocksDFS(mask, func(edges [][2]int, verts []int) bool {
-		k := len(verts)
-		if len(edges) == k*(k-1)/2 {
+	g.blocksDFS(mask, func(seg []blockEdge, verts []int) bool {
+		k, m := len(verts), len(seg)
+		if m == k*(k-1)/2 {
 			return true // clique (includes bridges, k=2)
 		}
 		// A block with ≥3 vertices is 2-connected, so minimum degree ≥ 2;
 		// |E| = |V| then forces 2-regularity, i.e. a cycle.
-		if k >= 3 && k%2 == 1 && len(edges) == k {
+		if k >= 3 && k%2 == 1 && m == k {
 			return true // odd cycle
 		}
 		good = false

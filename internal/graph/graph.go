@@ -218,9 +218,7 @@ func (b *Builder) Graph() *Graph {
 }
 
 func newCSR(offsets, neighbors []int32, m, maxDeg int) *Graph {
-	g := &Graph{offsets: offsets, neighbors: neighbors, m: m, maxDeg: maxDeg}
-	g.scratch.New = func() any { return g.NewTraversal() }
-	return g
+	return &Graph{offsets: offsets, neighbors: neighbors, m: m, maxDeg: maxDeg}
 }
 
 func contains(s []int32, x int32) bool {

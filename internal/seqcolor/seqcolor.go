@@ -10,7 +10,7 @@ package seqcolor
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"distcolor/internal/graph"
 )
@@ -135,9 +135,10 @@ func UniformLists(n, k int) [][]int {
 // caller-supplied palettes cannot force a huge allocation.
 const colorScanCap = 1 << 20
 
-// listWidth returns max(list)+1 when every color fits the bitset fast path,
-// or -1 to request the fallback scan.
-func listWidth(list []int) int {
+// ListWidth returns max(list)+1 when every color fits the bitset fast path,
+// or -1 to request the fallback scan. Every palette scan that marks neighbor
+// colors in a bitset sizes it with this, here and in the extension step.
+func ListWidth(list []int) int {
 	maxc := -1
 	for _, c := range list {
 		if c < 0 || c >= colorScanCap {
@@ -167,7 +168,7 @@ func markUsed(g *graph.Graph, colors []int, v, width int, b *graph.Bitset) {
 // marked in one pass and the list is then scanned in its own order, so the
 // result is identical to the naive per-color neighbor scan.
 func pickFree(g *graph.Graph, colors []int, list []int, v int, b *graph.Bitset) int {
-	width := listWidth(list)
+	width := ListWidth(list)
 	if width < 0 {
 		return pickFreeSlow(g, colors, list, v)
 	}
@@ -277,7 +278,7 @@ func DegreeListColor(g *graph.Graph, colors []int, lists [][]int) error {
 // neighbor pass: the Theorem 1.1 hypothesis check for a component vertex.
 // b is scratch.
 func effectiveStats(g *graph.Graph, colors []int, list []int, v int, b *graph.Bitset) (listSize, uncDeg int) {
-	width := listWidth(list)
+	width := ListWidth(list)
 	if width < 0 {
 		return effectiveListSizeSlow(g, colors, list, v), uncoloredDegree(g, colors, v)
 	}
@@ -319,37 +320,39 @@ func effectiveListSizeSlow(g *graph.Graph, colors []int, list []int, v int) int 
 }
 
 func effectiveList(g *graph.Graph, colors []int, list []int, v int) []int {
-	width := listWidth(list)
-	if width < 0 {
-		return effectiveListSlow(g, colors, list, v)
-	}
-	b := graph.AcquireBitset(width)
-	markUsed(g, colors, v, width, b)
-	out := make([]int, 0, len(list))
-	for _, c := range list {
-		if !b.Test(c) {
-			out = append(out, c)
-		}
-	}
+	b := graph.AcquireBitset(0)
+	out := appendEffectiveList(make([]int, 0, len(list)), g, colors, list, v, b)
 	graph.ReleaseBitset(b)
 	return out
 }
 
-func effectiveListSlow(g *graph.Graph, colors []int, list []int, v int) []int {
-	out := make([]int, 0, len(list))
-	for _, c := range list {
-		used := false
-		for _, w := range g.Neighbors(v) {
-			if colors[int(w)] == c {
-				used = true
-				break
+// appendEffectiveList appends to dst the colors of list, in list order,
+// that no colored neighbor of v uses. b is scratch (any width; reset here).
+func appendEffectiveList(dst []int, g *graph.Graph, colors []int, list []int, v int, b *graph.Bitset) []int {
+	width := ListWidth(list)
+	if width < 0 {
+		for _, c := range list {
+			used := false
+			for _, w := range g.Neighbors(v) {
+				if colors[int(w)] == c {
+					used = true
+					break
+				}
+			}
+			if !used {
+				dst = append(dst, c)
 			}
 		}
-		if !used {
-			out = append(out, c)
+		return dst
+	}
+	b.Reset(width)
+	markUsed(g, colors, v, width, b)
+	for _, c := range list {
+		if !b.Test(c) {
+			dst = append(dst, c)
 		}
 	}
-	return out
+	return dst
 }
 
 func uncoloredDegree(g *graph.Graph, colors []int, v int) int {
@@ -499,40 +502,75 @@ func reverseBFSOrderInBlock(blk *graph.Block, src int) []int {
 // odd cycle, all of whose vertices are uncolored with effective lists of
 // size ≥ block-degree (tight in the hard case).
 func colorBadBlock(g *graph.Graph, colors []int, lists [][]int, blk *graph.Block) error {
-	// Materialize the block as its own graph.
-	idx := make(map[int]int, len(blk.Vertices))
-	verts := append([]int(nil), blk.Vertices...)
-	sort.Ints(verts)
-	for i, v := range verts {
-		idx[v] = i
+	d, verts, err := blockGraph(g, blk)
+	if err != nil {
+		return err
 	}
-	bld := graph.NewBuilder(len(verts))
-	for _, e := range blk.Edges {
-		if err := bld.AddEdge(idx[e[0]], idx[e[1]]); err != nil {
-			return fmt.Errorf("seqcolor: block graph: %w", err)
-		}
-	}
-	d := bld.Graph()
-
-	eff := make([][]int, d.N())
-	for i, v := range verts {
-		eff[i] = effectiveList(g, colors, lists[v], v)
+	// A block that is all of g leaves no vertex of g colored, so its
+	// effective lists are the lists themselves (colorTwoConnectedTight
+	// only reads them).
+	eff := lists
+	if verts != nil {
+		eff = effectiveLists(g, colors, lists, verts)
 	}
 	sub := make([]int, d.N())
 	for i := range sub {
 		sub[i] = Uncolored
 	}
-
 	if err := colorTwoConnectedTight(d, sub, eff); err != nil {
 		return err
 	}
-	for i, v := range verts {
-		if sub[i] == Uncolored {
+	for i, c := range sub {
+		v := i
+		if verts != nil {
+			v = verts[i]
+		}
+		if c == Uncolored {
 			return fmt.Errorf("seqcolor: internal: block vertex %d left uncolored", v)
 		}
-		colors[v] = sub[i]
+		colors[v] = c
 	}
 	return nil
+}
+
+// effectiveLists returns the effective list of each of verts, on one flat
+// backing array: each list is a capped sub-slice, so an append to one can
+// never spill into the next.
+func effectiveLists(g *graph.Graph, colors []int, lists [][]int, verts []int) [][]int {
+	total := 0
+	for _, v := range verts {
+		total += len(lists[v])
+	}
+	flat := make([]int, 0, total)
+	eff := make([][]int, len(verts))
+	b := graph.AcquireBitset(0)
+	for i, v := range verts {
+		start := len(flat)
+		flat = appendEffectiveList(flat, g, colors, lists[v], v, b)
+		eff[i] = flat[start:len(flat):len(flat)]
+	}
+	graph.ReleaseBitset(b)
+	return eff
+}
+
+// blockGraph returns the block as its own graph on vertices 0..k-1, with
+// verts[i] the g-vertex of block vertex i in increasing order. A block holds
+// every edge of g between its vertices, so this is the subgraph induced by
+// the sorted vertex set. When the block spans all of g it is g itself, and
+// verts is nil (the identity).
+func blockGraph(g *graph.Graph, blk *graph.Block) (d *graph.Graph, verts []int, err error) {
+	d = g
+	if len(blk.Vertices) != g.N() {
+		verts = slices.Clone(blk.Vertices)
+		slices.Sort(verts)
+		if d, _, err = g.Induced(verts); err != nil {
+			return nil, nil, fmt.Errorf("seqcolor: block graph: %w", err)
+		}
+	}
+	if d.M() != len(blk.Edges) {
+		return nil, nil, fmt.Errorf("seqcolor: internal: block has %d edges but its vertices induce %d", len(blk.Edges), d.M())
+	}
+	return d, verts, nil
 }
 
 // colorTwoConnectedTight colors a connected graph d with lists eff where
@@ -630,6 +668,12 @@ func colorEvenCycle(d *graph.Graph, sub []int, eff [][]int) error {
 // lemma, algorithmic form.)
 func brooksTriple(d *graph.Graph) (x, y, z int, err error) {
 	n := d.N()
+	// One mask for every candidate: all true, with the probed vertices
+	// cleared for the call and restored after it.
+	mask := make([]bool, n)
+	for v := range mask {
+		mask[v] = true
+	}
 	// Fast path: in well-connected graphs (the typical case) almost any
 	// distance-2 pair works; try a bounded number of candidates before the
 	// exhaustive block-structure search.
@@ -643,11 +687,10 @@ func brooksTriple(d *graph.Graph) (x, y, z int, err error) {
 					continue
 				}
 				tried++
-				mask := make([]bool, n)
-				for v := range mask {
-					mask[v] = v != a && v != b
-				}
-				if d.IsConnected(mask) {
+				mask[a], mask[b] = false, false
+				connected := d.IsConnected(mask)
+				mask[a], mask[b] = true, true
+				if connected {
 					return a, b, zc, nil
 				}
 			}
@@ -656,11 +699,9 @@ func brooksTriple(d *graph.Graph) (x, y, z int, err error) {
 	// Case 1: some z leaves a cut vertex in d−z ⇒ pick interior neighbors
 	// of z in two different leaf blocks of d−z.
 	for zc := 0; zc < n; zc++ {
-		mask := make([]bool, n)
-		for i := range mask {
-			mask[i] = i != zc
-		}
+		mask[zc] = false
 		dec := d.Blocks(mask)
+		mask[zc] = true
 		hasCut := false
 		for v := 0; v < n; v++ {
 			if dec.IsCut[v] {
@@ -703,11 +744,10 @@ func brooksTriple(d *graph.Graph) (x, y, z int, err error) {
 				if d.HasEdge(a, b) {
 					continue
 				}
-				mask := make([]bool, n)
-				for v := range mask {
-					mask[v] = v != a && v != b
-				}
-				if d.IsConnected(mask) {
+				mask[a], mask[b] = false, false
+				connected := d.IsConnected(mask)
+				mask[a], mask[b] = true, true
+				if connected {
 					return a, b, zc, nil
 				}
 			}
