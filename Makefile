@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all ci fmt-check vet build test test-bench test-serial test-race test-cluster test-spill smoke convert-smoke bench-smoke bench-allocs bench bench-json bench-obs bench-cluster bench-load fuzz-smoke serve staticcheck trace-demo
+.PHONY: all ci fmt-check vet build test test-bench test-serial test-race test-cluster test-spill smoke convert-smoke bench-smoke bench-allocs bench bench-json bench-obs bench-cluster bench-load fuzz-smoke serve staticcheck trace-demo loc
 
 # Benchmarks recorded in the persistent BENCH_PR.json trajectory (and gated
 # by bench-smoke): the engine acceptance suite plus the graph-layer
@@ -168,3 +168,10 @@ fuzz-smoke:
 # Full engine benchmark sweep (slow; use benchstat across commits).
 bench:
 	$(GO) test -run xxx -bench 'BenchmarkSparseListColor|BenchmarkCollectBallsSync|BenchmarkRunSyncDelivery' -benchtime 3x .
+
+# Non-test Go lines per package directory (bench/, its own module, left
+# out): the measure the "less code" ROADMAP item is counted in.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' -exec wc -l {} + \
+		| awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+			END { for (d in n) printf "%6d %s\n", n[d], d; printf "%6d total\n", t }' | sort -k2

@@ -6,8 +6,11 @@ import (
 	"flag"
 	"fmt"
 	"hash/fnv"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"distcolor"
@@ -32,6 +35,9 @@ type goldenCase struct {
 	Algo string `json:"algo"`
 	Spec string `json:"spec"`
 	Seed uint64 `json:"seed"`
+	// Lists names caller lists (see goldenLists); empty means the
+	// algorithm's default lists.
+	Lists string `json:"lists,omitempty"`
 }
 
 // goldenResult is the pinned fingerprint of one run.
@@ -65,6 +71,14 @@ func goldenCases() []goldenCase {
 		"luby":          {"regular:200,3"},
 		"randomized":    {"grid:8x8"},
 	}
+	// Caller-list cells: "random:P" draws each vertex a random k-subset of
+	// {0..P-1} the way runcfg does; "mixed:P" then lifts some colors past
+	// 2^20, so lists with and without huge colors meet across edges.
+	listsByAlgo := map[string][]goldenCase{
+		"sparse":  {{Spec: "regular:200,3", Lists: "random:8"}, {Spec: "regular:200,3", Lists: "mixed:8"}},
+		"planar6": {{Spec: "apollonian:200", Lists: "random:14"}},
+		"delta":   {{Spec: "grid:8x8", Lists: "random:10"}},
+	}
 	var cases []goldenCase
 	for _, a := range distcolor.Algorithms() {
 		specs, ok := specsByAlgo[a.Name]
@@ -77,8 +91,51 @@ func goldenCases() []goldenCase {
 				cases = append(cases, goldenCase{Algo: a.Name, Spec: spec, Seed: seed})
 			}
 		}
+		for _, lc := range listsByAlgo[a.Name] {
+			for _, seed := range []uint64{3, 17} {
+				cases = append(cases, goldenCase{Algo: a.Name, Spec: lc.Spec, Seed: seed, Lists: lc.Lists})
+			}
+		}
 	}
 	return cases
+}
+
+// goldenLists builds the caller lists a list cell names, deterministically
+// in (g, algo, spec, seed). Each list has the algorithm's palette size k.
+func goldenLists(t *testing.T, g *distcolor.Graph, gc goldenCase) [][]int {
+	t.Helper()
+	kind, p, _ := strings.Cut(gc.Lists, ":")
+	palette, err := strconv.Atoi(p)
+	if err != nil {
+		t.Fatalf("bad lists spec %q: %v", gc.Lists, err)
+	}
+	a, err := distcolor.Lookup(gc.Algo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals, err := a.ResolveParams(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, ok := a.PaletteSize(g, vals)
+	if !ok || k > palette {
+		t.Fatalf("%s: palette size %d (known %v) does not fit palette %d", gc.Algo, k, ok, palette)
+	}
+	rng := rand.New(rand.NewPCG(gc.Seed, 0x9e3779b97f4a7c15))
+	lists := make([][]int, g.N())
+	for v := range lists {
+		lists[v] = rng.Perm(palette)[:k]
+		if kind == "mixed" && v%3 != 0 {
+			for i := 1; i < k; i += 2 {
+				lists[v][i] += 1 << 20
+			}
+		}
+	}
+	return lists
+}
+
+func (gc goldenCase) key() string {
+	return fmt.Sprintf("%s|%s|%d|%s", gc.Algo, gc.Spec, gc.Seed, gc.Lists)
 }
 
 func colorHash(colors []int) uint64 {
@@ -99,9 +156,13 @@ func runGoldenCase(t *testing.T, gc goldenCase) goldenResult {
 	if err != nil {
 		t.Fatalf("generating %q: %v", gc.Spec, err)
 	}
-	col, err := distcolor.Run(context.Background(), g, gc.Algo, distcolor.WithSeed(gc.Seed))
+	opts := []distcolor.Option{distcolor.WithSeed(gc.Seed)}
+	if gc.Lists != "" {
+		opts = append(opts, distcolor.WithLists(goldenLists(t, g, gc)))
+	}
+	col, err := distcolor.Run(context.Background(), g, gc.Algo, opts...)
 	if err != nil {
-		t.Fatalf("%s on %s (seed %d): %v", gc.Algo, gc.Spec, gc.Seed, err)
+		t.Fatalf("%s on %s (seed %d, lists %q): %v", gc.Algo, gc.Spec, gc.Seed, gc.Lists, err)
 	}
 	if col.Colors == nil {
 		t.Fatalf("%s on %s (seed %d): unexpected clique certificate %v", gc.Algo, gc.Spec, gc.Seed, col.Clique)
@@ -146,12 +207,16 @@ func TestGoldenColorings(t *testing.T) {
 	}
 	wantByKey := make(map[string]goldenResult, len(want))
 	for _, w := range want {
-		wantByKey[fmt.Sprintf("%s|%s|%d", w.Algo, w.Spec, w.Seed)] = w
+		wantByKey[w.key()] = w
 	}
 	for _, gc := range goldenCases() {
 		gc := gc
-		t.Run(fmt.Sprintf("%s/%s/seed%d", gc.Algo, gc.Spec, gc.Seed), func(t *testing.T) {
-			key := fmt.Sprintf("%s|%s|%d", gc.Algo, gc.Spec, gc.Seed)
+		name := fmt.Sprintf("%s/%s/seed%d", gc.Algo, gc.Spec, gc.Seed)
+		if gc.Lists != "" {
+			name += "/" + gc.Lists
+		}
+		t.Run(name, func(t *testing.T) {
+			key := gc.key()
 			w, ok := wantByKey[key]
 			if !ok {
 				t.Fatalf("no golden entry for %s — regenerate with -update", key)

@@ -173,6 +173,10 @@ func Run(ctx context.Context, nw *local.Network, cfg Config) (*Result, error) {
 // peelAndExtend runs the peeling loop (Lemma 3.1) followed by the reverse
 // extension loop (Lemma 3.2), filling res.Colors and res.Iterations. The
 // rich/witness predicates are those of Theorem 1.3 or Theorem 6.1.
+//
+// bench/profile.go attributes CPU to its prof.core.* layers by function
+// name: peelAndExtend, happySet, extend and colorBallTheorem11 must keep
+// their names.
 func peelAndExtend(ctx context.Context, nw *local.Network, res *Result, lists [][]int,
 	radius, maxIter int,
 	richTest, witness func(degAlive int, v int) bool) error {
@@ -218,17 +222,11 @@ func peelAndExtend(ctx context.Context, nw *local.Network, res *Result, lists []
 	for v := range colors {
 		colors[v] = Uncolored
 	}
-	for v := range alive {
-		alive[v] = false
-	}
 	for i := len(layers) - 1; i >= 0; i-- {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		for _, v := range layers[i].happy {
-			alive[v] = true
-		}
-		ext, err := extend(ctx, nw, ledger, alive, layers[i].rich, layers[i].happy,
+		ext, err := extend(ctx, nw, ledger, layers[i].rich, layers[i].happy,
 			colors, lists, radius)
 		if err != nil {
 			return fmt.Errorf("core: extension at layer %d: %w", i+1, err)

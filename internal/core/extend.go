@@ -17,15 +17,18 @@ type extendStats struct {
 	maxDepth int
 }
 
-// extend implements Lemma 3.2: given the current graph (the alive mask),
-// its rich set R and happy set A (uncolored; everything else alive is
-// colored), it extends the coloring to A, possibly recoloring parts of R.
+// extend implements Lemma 3.2: given the current graph's rich set R and
+// happy set A (uncolored; everything else alive is colored), it extends the
+// coloring to A, possibly recoloring parts of R. Vertices not yet alive are
+// always Uncolored here: extension runs from the last layer to the first
+// and colors only tree and ball vertices, which lie in R ⊆ alive. So a
+// neighbor's color needs no alive mask to count.
 //
 // Steps: (α, α·log n)-ruling forest of G[R] w.r.t. A with α = 2·radius+2;
 // uncolor the forest T; (d+1)-color G[T] to schedule a leaves-to-root greedy
 // recoloring; finally recolor each root's rich ball with the constructive
 // Theorem 1.1 (valid because roots are happy).
-func extend(ctx context.Context, nw *local.Network, ledger *local.Ledger, alive []bool,
+func extend(ctx context.Context, nw *local.Network, ledger *local.Ledger,
 	rich, happy []int, colors []int, lists [][]int, radius int) (extendStats, error) {
 
 	g := nw.G
@@ -80,28 +83,18 @@ func extend(ctx context.Context, nw *local.Network, ledger *local.Ledger, alive 
 			buckets[slot] = append(buckets[slot], v)
 		}
 	}
-	pb := graph.AcquireBitset(0)
 	for depth := forest.MaxDepth; depth >= 1; depth-- {
 		for class := 0; class <= maxClass; class++ {
-			worked := false
-			for _, v := range buckets[depth*(maxClass+1)+class] {
-				if colors[v] != Uncolored {
-					continue
-				}
-				c := pickFreeAlive(g, alive, colors, lists[v], v, pb)
-				if c == Uncolored {
-					graph.ReleaseBitset(pb)
-					return st, fmt.Errorf("layered pass stuck at vertex %d (depth %d)", v, depth)
-				}
-				colors[v] = c
-				worked = true
+			bucket := buckets[depth*(maxClass+1)+class]
+			if len(bucket) == 0 {
+				continue
 			}
-			if worked && ledger != nil {
-				ledger.Charge("extend/layered", 1)
+			if err := seqcolor.GreedyInOrder(g, colors, lists, bucket); err != nil {
+				return st, fmt.Errorf("layered pass at depth %d: %w", depth, err)
 			}
+			ledger.Charge("extend/layered", 1)
 		}
 	}
-	graph.ReleaseBitset(pb)
 
 	// --- Root balls: uncolor each root's rich ball entirely and recolor it
 	// with the constructive Theorem 1.1. Balls of distinct roots are
@@ -113,7 +106,7 @@ func extend(ctx context.Context, nw *local.Network, ledger *local.Ledger, alive 
 			for _, u := range ball {
 				colors[u] = Uncolored
 			}
-			if err := colorBallTheorem11(g, alive, colors, lists, ball); err != nil {
+			if err := colorBallTheorem11(g, colors, lists, ball); err != nil {
 				return st, fmt.Errorf("root %d ball: %w", r, err)
 			}
 		}
@@ -123,113 +116,18 @@ func extend(ctx context.Context, nw *local.Network, ledger *local.Ledger, alive 
 	return st, nil
 }
 
-// pickFreeAlive returns the first color of list not used by v's colored
-// alive neighbors, or Uncolored. b is scratch (any width; reset here). As in
-// seqcolor.pickFree, neighbor colors are marked in one pass and the list is
-// scanned in its own order, keeping the first-fit tie-break exact.
-func pickFreeAlive(g *graph.Graph, alive []bool, colors []int, list []int, v int, b *graph.Bitset) int {
-	width := seqcolor.ListWidth(list)
-	if width < 0 {
-		return pickFreeAliveSlow(g, alive, colors, list, v)
-	}
-	b.Reset(width)
-	for _, w32 := range g.Neighbors(v) {
-		w := int(w32)
-		if !alive[w] {
-			continue
-		}
-		if c := colors[w]; c >= 0 && c < width {
-			b.Set(c)
-		}
-	}
-	for _, c := range list {
-		if !b.Test(c) {
-			return c
-		}
-	}
-	return Uncolored
-}
-
-func pickFreeAliveSlow(g *graph.Graph, alive []bool, colors []int, list []int, v int) int {
-	for _, c := range list {
-		ok := true
-		for _, w32 := range g.Neighbors(v) {
-			w := int(w32)
-			if alive[w] && colors[w] == c {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return c
-		}
-	}
-	return Uncolored
-}
-
 // colorBallTheorem11 materializes the (fully uncolored) ball as its own
-// graph, filters each vertex's list by the colors of its colored alive
-// neighbors outside the ball, runs seqcolor.DegreeListColor (constructive
+// graph, filters each vertex's list by the colors of its colored neighbors
+// (all outside the ball), runs seqcolor.DegreeListColor (constructive
 // Theorem 1.1) and writes the colors back. The happiness of the root
 // guarantees the hypotheses: the ball has a surplus vertex or is not a
 // Gallai tree.
-func colorBallTheorem11(g *graph.Graph, alive []bool, colors []int, lists [][]int, ball []int) error {
+func colorBallTheorem11(g *graph.Graph, colors []int, lists [][]int, ball []int) error {
 	sub, orig, err := g.Induced(ball)
 	if err != nil {
 		return err
 	}
-	// One flat backing for all filtered lists; each is a capped sub-slice,
-	// so an append to one can never spill into the next.
-	total := 0
-	for _, u := range orig {
-		total += len(lists[u])
-	}
-	flat := make([]int, 0, total)
-	subLists := make([][]int, sub.N())
-	inBall := graph.AcquireBitset(g.N())
-	for _, u := range ball {
-		inBall.Set(u)
-	}
-	used := graph.AcquireBitset(0)
-	for i, u := range orig {
-		start := len(flat)
-		if width := seqcolor.ListWidth(lists[u]); width >= 0 {
-			// Mark the colors of alive outside-ball neighbors once, then
-			// filter the list in its own order (exact first-fit semantics).
-			used.Reset(width)
-			for _, w32 := range g.Neighbors(u) {
-				w := int(w32)
-				if !alive[w] || inBall.Test(w) {
-					continue
-				}
-				if c := colors[w]; c >= 0 && c < width {
-					used.Set(c)
-				}
-			}
-			for _, c := range lists[u] {
-				if !used.Test(c) {
-					flat = append(flat, c)
-				}
-			}
-		} else {
-			for _, c := range lists[u] {
-				blocked := false
-				for _, w32 := range g.Neighbors(u) {
-					w := int(w32)
-					if alive[w] && !inBall.Test(w) && colors[w] == c {
-						blocked = true
-						break
-					}
-				}
-				if !blocked {
-					flat = append(flat, c)
-				}
-			}
-		}
-		subLists[i] = flat[start:len(flat):len(flat)]
-	}
-	graph.ReleaseBitset(used)
-	graph.ReleaseBitset(inBall)
+	subLists := seqcolor.EffectiveLists(g, colors, lists, orig)
 	subColors := make([]int, sub.N())
 	for i := range subColors {
 		subColors[i] = Uncolored

@@ -199,40 +199,22 @@ func DegPlusOneListColor(nw *local.Network, ledger *local.Ledger, phase string,
 			return nil, fmt.Errorf("decomp: vertex %d needs a (deg+1)-list", v)
 		}
 	}
-	for color := 0; color < d.Colors; color++ {
-		for v := 0; v < n; v++ {
-			c := d.Cluster[v]
-			if c == -1 || d.Color[c] != color || colors[v] != seqcolor.Uncolored {
-				continue
-			}
-			// greedy within the cluster (cluster-leader gathers the ball
-			// and decides; sequential inside, parallel across same-color
-			// clusters, which are non-adjacent)
-			free := pickFree(g, colors, lists[v], v)
-			if free == seqcolor.Uncolored {
-				return nil, fmt.Errorf("decomp: greedy stuck at %d", v)
-			}
-			colors[v] = free
+	// Bucket by cluster color, in vertex order: within a class every
+	// cluster leader gathers its ball and colors it greedily (sequential
+	// inside, parallel across same-color clusters, which are non-adjacent).
+	classes := make([][]int, d.Colors)
+	for v := 0; v < n; v++ {
+		if c := d.Cluster[v]; c != -1 {
+			classes[d.Color[c]] = append(classes[d.Color[c]], v)
+		}
+	}
+	for _, class := range classes {
+		if err := seqcolor.GreedyInOrder(g, colors, lists, class); err != nil {
+			return nil, fmt.Errorf("decomp: %w", err)
 		}
 		if ledger != nil {
 			ledger.Charge(phase, 2*d.Radius+2)
 		}
 	}
 	return colors, nil
-}
-
-func pickFree(g *graph.Graph, colors []int, list []int, v int) int {
-	for _, c := range list {
-		ok := true
-		for _, w := range g.Neighbors(v) {
-			if colors[w] == c {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return c
-		}
-	}
-	return seqcolor.Uncolored
 }

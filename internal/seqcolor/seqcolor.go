@@ -130,15 +130,14 @@ func UniformLists(n, k int) [][]int {
 	return lists
 }
 
-// colorScanCap bounds the bitset width the palette scans will use; lists
-// with colors beyond it (or negative) take the quadratic fallback so exotic
+// colorScanCap bounds the bitset width the palette scan will use; lists
+// with colors beyond it (or negative) take the per-color fallback so exotic
 // caller-supplied palettes cannot force a huge allocation.
 const colorScanCap = 1 << 20
 
-// ListWidth returns max(list)+1 when every color fits the bitset fast path,
-// or -1 to request the fallback scan. Every palette scan that marks neighbor
-// colors in a bitset sizes it with this, here and in the extension step.
-func ListWidth(list []int) int {
+// listWidth returns max(list)+1 when every color fits the bitset, or -1 to
+// request the per-color fallback.
+func listWidth(list []int) int {
 	maxc := -1
 	for _, c := range list {
 		if c < 0 || c >= colorScanCap {
@@ -151,56 +150,51 @@ func ListWidth(list []int) int {
 	return maxc + 1
 }
 
-// markUsed records in b (already Reset to width) the colors of v's
-// neighbors that fall in [0, width). Colors outside that range cannot occur
-// in the list being scanned, so dropping them is exact.
-func markUsed(g *graph.Graph, colors []int, v, width int, b *graph.Bitset) {
-	for _, w := range g.Neighbors(v) {
-		if c := colors[int(w)]; c >= 0 && c < width {
+// scanFree is the one palette scan: it calls keep on each color of list, in
+// list order, that no colored neighbor of v uses, until keep returns false,
+// and returns v's uncolored degree. b is scratch (any width; reset here).
+// Neighbor colors are marked in b in one pass and the list is then scanned
+// in its own order, so the result is identical to the naive per-color
+// neighbor scan, which lists listWidth rejects use instead. The list-order
+// tie-break is load-bearing: every first-fit choice in the repo goes
+// through here.
+func scanFree(g *graph.Graph, colors []int, list []int, v int, b *graph.Bitset, keep func(c int) bool) (uncDeg int) {
+	width := listWidth(list)
+	if width >= 0 {
+		b.Reset(width)
+	}
+	nbrs := g.Neighbors(v)
+	for _, w := range nbrs {
+		// Colors outside [0, width) cannot occur in a bitset-scanned list,
+		// so dropping them is exact.
+		if c := colors[int(w)]; c == Uncolored {
+			uncDeg++
+		} else if c >= 0 && c < width {
 			b.Set(c)
 		}
 	}
-}
-
-// pickFree returns the first color of list unused by v's colored neighbors,
-// or Uncolored if none is free. b is scratch (any width; reset here). The
-// list-order tie-break is the load-bearing invariant: neighbor colors are
-// marked in one pass and the list is then scanned in its own order, so the
-// result is identical to the naive per-color neighbor scan.
-func pickFree(g *graph.Graph, colors []int, list []int, v int, b *graph.Bitset) int {
-	width := ListWidth(list)
-	if width < 0 {
-		return pickFreeSlow(g, colors, list, v)
-	}
-	b.Reset(width)
-	markUsed(g, colors, v, width, b)
 	for _, c := range list {
-		if !b.Test(c) {
-			return c
-		}
-	}
-	return Uncolored
-}
-
-func pickFreeSlow(g *graph.Graph, colors []int, list []int, v int) int {
-	for _, c := range list {
-		ok := true
-		for _, w := range g.Neighbors(v) {
-			if colors[int(w)] == c {
-				ok = false
-				break
+		used := false
+		if width >= 0 {
+			used = b.Test(c)
+		} else {
+			for _, w := range nbrs {
+				if colors[int(w)] == c {
+					used = true
+					break
+				}
 			}
 		}
-		if ok {
-			return c
+		if !used && !keep(c) {
+			break
 		}
 	}
-	return Uncolored
+	return uncDeg
 }
 
 // GreedyInOrder colors the given vertices greedily in order from their
-// lists, skipping already-colored vertices; it fails if some vertex has no
-// free color.
+// lists (first free color in list order), skipping already-colored
+// vertices; it fails if some vertex has no free color.
 func GreedyInOrder(g *graph.Graph, colors []int, lists [][]int, order []int) error {
 	b := graph.AcquireBitset(0)
 	defer graph.ReleaseBitset(b)
@@ -208,11 +202,15 @@ func GreedyInOrder(g *graph.Graph, colors []int, lists [][]int, order []int) err
 		if colors[v] != Uncolored {
 			continue
 		}
-		c := pickFree(g, colors, lists[v], v, b)
-		if c == Uncolored {
+		free := Uncolored
+		scanFree(g, colors, lists[v], v, b, func(c int) bool {
+			free = c
+			return false
+		})
+		if free == Uncolored {
 			return fmt.Errorf("seqcolor: greedy stuck at vertex %d", v)
 		}
-		colors[v] = c
+		colors[v] = free
 	}
 	return nil
 }
@@ -274,95 +272,35 @@ func DegreeListColor(g *graph.Graph, colors []int, lists [][]int) error {
 	return nil
 }
 
-// effectiveStats returns (|effective list|, uncolored degree) of v with one
-// neighbor pass: the Theorem 1.1 hypothesis check for a component vertex.
-// b is scratch.
-func effectiveStats(g *graph.Graph, colors []int, list []int, v int, b *graph.Bitset) (listSize, uncDeg int) {
-	width := ListWidth(list)
-	if width < 0 {
-		return effectiveListSizeSlow(g, colors, list, v), uncoloredDegree(g, colors, v)
-	}
-	b.Reset(width)
-	for _, w := range g.Neighbors(v) {
-		c := colors[int(w)]
-		if c == Uncolored {
-			uncDeg++
-		} else if c >= 0 && c < width {
-			b.Set(c)
-		}
-	}
-	// Scan the list rather than subtracting b.Count(): neighbors may use
-	// colors below the width that are not in the list, and the list may
-	// repeat colors.
-	for _, c := range list {
-		if !b.Test(c) {
-			listSize++
-		}
-	}
-	return listSize, uncDeg
-}
-
-func effectiveListSizeSlow(g *graph.Graph, colors []int, list []int, v int) int {
-	k := 0
-	for _, c := range list {
-		used := false
-		for _, w := range g.Neighbors(v) {
-			if colors[int(w)] == c {
-				used = true
-				break
-			}
-		}
-		if !used {
-			k++
-		}
-	}
-	return k
-}
-
-func effectiveList(g *graph.Graph, colors []int, list []int, v int) []int {
-	b := graph.AcquireBitset(0)
-	out := appendEffectiveList(make([]int, 0, len(list)), g, colors, list, v, b)
-	graph.ReleaseBitset(b)
-	return out
-}
-
 // appendEffectiveList appends to dst the colors of list, in list order,
-// that no colored neighbor of v uses. b is scratch (any width; reset here).
+// that no colored neighbor of v uses. b is scratch.
 func appendEffectiveList(dst []int, g *graph.Graph, colors []int, list []int, v int, b *graph.Bitset) []int {
-	width := ListWidth(list)
-	if width < 0 {
-		for _, c := range list {
-			used := false
-			for _, w := range g.Neighbors(v) {
-				if colors[int(w)] == c {
-					used = true
-					break
-				}
-			}
-			if !used {
-				dst = append(dst, c)
-			}
-		}
-		return dst
-	}
-	b.Reset(width)
-	markUsed(g, colors, v, width, b)
-	for _, c := range list {
-		if !b.Test(c) {
-			dst = append(dst, c)
-		}
-	}
+	scanFree(g, colors, list, v, b, func(c int) bool {
+		dst = append(dst, c)
+		return true
+	})
 	return dst
 }
 
-func uncoloredDegree(g *graph.Graph, colors []int, v int) int {
-	d := 0
-	for _, w := range g.Neighbors(v) {
-		if colors[int(w)] == Uncolored {
-			d++
-		}
+// EffectiveLists returns the effective list of each of verts — the colors
+// of its list, in list order, that no colored neighbor uses — on one flat
+// backing array: each list is a capped sub-slice, so an append to one can
+// never spill into the next.
+func EffectiveLists(g *graph.Graph, colors []int, lists [][]int, verts []int) [][]int {
+	total := 0
+	for _, v := range verts {
+		total += len(lists[v])
 	}
-	return d
+	flat := make([]int, 0, total)
+	eff := make([][]int, len(verts))
+	b := graph.AcquireBitset(0)
+	for i, v := range verts {
+		start := len(flat)
+		flat = appendEffectiveList(flat, g, colors, lists[v], v, b)
+		eff[i] = flat[start:len(flat):len(flat)]
+	}
+	graph.ReleaseBitset(b)
+	return eff
 }
 
 // degreeListColorComponent colors one uncolored component. compMask must be
@@ -372,7 +310,11 @@ func degreeListColorComponent(g *graph.Graph, colors []int, lists [][]int, comp 
 	scratch := graph.AcquireBitset(0)
 	surplus := -1
 	for _, v := range comp {
-		es, ud := effectiveStats(g, colors, lists[v], v, scratch)
+		es := 0
+		ud := scanFree(g, colors, lists[v], v, scratch, func(int) bool {
+			es++
+			return true
+		})
 		if es < ud {
 			graph.ReleaseBitset(scratch)
 			return fmt.Errorf("%w (vertex %d: list %d < uncolored degree %d)", ErrListTooSmall, v, es, ud)
@@ -400,24 +342,14 @@ func degreeListColorComponent(g *graph.Graph, colors []int, lists [][]int, comp 
 	// leading toward the root, farthest-from-that-cut-vertex first.
 	bt := graph.NewBlockTree(dec)
 	order, toward := bt.PeelOrder(bad)
-	pb := graph.AcquireBitset(0)
-	defer graph.ReleaseBitset(pb)
 	for i := len(order) - 1; i >= 1; i-- {
-		blk := &dec.Blocks[order[i]]
 		cut := toward[i]
 		if colors[cut] != Uncolored {
 			return fmt.Errorf("seqcolor: internal: cut vertex %d colored early", cut)
 		}
-		vs := reverseBFSOrderInBlock(blk, cut)
-		for _, v := range vs {
-			if v == cut || colors[v] != Uncolored {
-				continue
-			}
-			c := pickFree(g, colors, lists[v], v, pb)
-			if c == Uncolored {
-				return fmt.Errorf("seqcolor: internal: block peel stuck at %d", v)
-			}
-			colors[v] = c
+		vs := reverseBFSOrderInBlock(&dec.Blocks[order[i]], cut)
+		if err := GreedyInOrder(g, colors, lists, vs[:len(vs)-1]); err != nil {
+			return fmt.Errorf("seqcolor: internal: block peel: %w", err)
 		}
 	}
 	// Root (bad) block: all of it is uncolored now; solve it.
@@ -435,14 +367,16 @@ func degreeListColorComponent(g *graph.Graph, colors []int, lists [][]int, comp 
 // extension never reaches this path: happy roots guarantee a surplus vertex
 // or a non-Gallai ball.
 func gallaiTightFallback(g *graph.Graph, colors []int, lists [][]int, comp []int, compMask []bool) error {
+	b := graph.AcquireBitset(0)
+	defer graph.ReleaseBitset(b)
 	for _, u := range comp {
-		eu := effectiveList(g, colors, lists[u], u)
+		eu := appendEffectiveList(nil, g, colors, lists[u], u, b)
 		for _, w32 := range g.Neighbors(u) {
 			w := int(w32)
 			if !compMask[w] || colors[w] != Uncolored {
 				continue
 			}
-			ew := effectiveList(g, colors, lists[w], w)
+			ew := appendEffectiveList(nil, g, colors, lists[w], w, b)
 			a, ok := colorInFirstNotSecond(eu, ew)
 			if !ok {
 				continue
@@ -473,7 +407,7 @@ func gallaiTightFallback(g *graph.Graph, colors []int, lists [][]int, comp []int
 }
 
 // reverseBFSOrderInBlock orders the block's vertices by decreasing distance
-// from src, using only the block's own edges.
+// from src, using only the block's own edges; src comes last.
 func reverseBFSOrderInBlock(blk *graph.Block, src int) []int {
 	adj := map[int][]int{}
 	for _, e := range blk.Edges {
@@ -511,7 +445,7 @@ func colorBadBlock(g *graph.Graph, colors []int, lists [][]int, blk *graph.Block
 	// only reads them).
 	eff := lists
 	if verts != nil {
-		eff = effectiveLists(g, colors, lists, verts)
+		eff = EffectiveLists(g, colors, lists, verts)
 	}
 	sub := make([]int, d.N())
 	for i := range sub {
@@ -531,26 +465,6 @@ func colorBadBlock(g *graph.Graph, colors []int, lists [][]int, blk *graph.Block
 		colors[v] = c
 	}
 	return nil
-}
-
-// effectiveLists returns the effective list of each of verts, on one flat
-// backing array: each list is a capped sub-slice, so an append to one can
-// never spill into the next.
-func effectiveLists(g *graph.Graph, colors []int, lists [][]int, verts []int) [][]int {
-	total := 0
-	for _, v := range verts {
-		total += len(lists[v])
-	}
-	flat := make([]int, 0, total)
-	eff := make([][]int, len(verts))
-	b := graph.AcquireBitset(0)
-	for i, v := range verts {
-		start := len(flat)
-		flat = appendEffectiveList(flat, g, colors, lists[v], v, b)
-		eff[i] = flat[start:len(flat):len(flat)]
-	}
-	graph.ReleaseBitset(b)
-	return eff
 }
 
 // blockGraph returns the block as its own graph on vertices 0..k-1, with

@@ -3,6 +3,7 @@ package seqcolor
 import (
 	"errors"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"distcolor/internal/gen"
@@ -414,6 +415,108 @@ func TestGreedyInOrder(t *testing.T) {
 	oneColor := [][]int{{0}, {0}, {1}, {1}}
 	if err := GreedyInOrder(g, colors, oneColor, []int{1}); err == nil {
 		t.Error("expected stuck greedy")
+	}
+}
+
+// naiveFree is the reference palette scan: the colors of list, in list
+// order, that no colored neighbor of v uses, one neighbor pass per color.
+func naiveFree(g *graph.Graph, colors []int, list []int, v int) (free []int, uncDeg int) {
+	for _, w := range g.Neighbors(v) {
+		if colors[w] == Uncolored {
+			uncDeg++
+		}
+	}
+	for _, c := range list {
+		used := false
+		for _, w := range g.Neighbors(v) {
+			used = used || (colors[w] != Uncolored && colors[w] == c)
+		}
+		if !used {
+			free = append(free, c)
+		}
+	}
+	return free, uncDeg
+}
+
+// TestPaletteScanMatchesNaive checks first-fit, the effective list and
+// (effective size, uncolored degree) against naiveFree, on both sides of
+// colorScanCap: bitset lists, lists with repeated colors, and lists mixing
+// small and huge colors (the per-color fallback), over partial colorings
+// whose colors may also lie past every list's width.
+func TestPaletteScanMatchesNaive(t *testing.T) {
+	rng := rand.New(rand.NewPCG(11, 5))
+	huge := func(c int) int { return colorScanCap + c }
+	drawLists := []struct {
+		name string
+		draw func() []int
+	}{
+		{"bitset", func() []int { return rng.Perm(12)[:5] }},
+		{"repeated", func() []int {
+			a, b := rng.IntN(6), rng.IntN(6)
+			return []int{a, b, a, rng.IntN(6), b, b}
+		}},
+		{"mixed", func() []int {
+			l := rng.Perm(8)[:5]
+			l[rng.IntN(5)] = huge(rng.IntN(3))
+			return l
+		}},
+		{"huge", func() []int { return []int{huge(2), huge(0), huge(2), huge(1)} }},
+	}
+	graphs := []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"gnp", gen.GNP(60, 0.15, rng)},
+		{"apollonian", gen.Apollonian(50, rng)},
+		{"grid", gen.Grid(6, 7)},
+	}
+	palette := []int{0, 1, 2, 3, 4, 5, 7, 11, 20, huge(0), huge(1), huge(2)}
+	for _, gc := range graphs {
+		g, gname := gc.g, gc.name
+		for _, lc := range drawLists {
+			lname, draw := lc.name, lc.draw
+			for _, colored := range []float64{0, 0.4, 0.9} {
+				n := g.N()
+				lists := make([][]int, n)
+				colors := freshColors(n)
+				for v := range lists {
+					lists[v] = draw()
+					if rng.Float64() < colored {
+						colors[v] = palette[rng.IntN(len(palette))]
+					}
+				}
+				verts := make([]int, n)
+				for v := range verts {
+					verts[v] = v
+				}
+				eff := EffectiveLists(g, colors, lists, verts)
+				b := graph.AcquireBitset(0)
+				for v := 0; v < n; v++ {
+					want, wantUnc := naiveFree(g, colors, lists[v], v)
+					if !slices.Equal(eff[v], want) {
+						t.Fatalf("%s/%s/%.1f: vertex %d effective list %v, want %v", gname, lname, colored, v, eff[v], want)
+					}
+					size := 0
+					unc := scanFree(g, colors, lists[v], v, b, func(int) bool { size++; return true })
+					if size != len(want) || unc != wantUnc {
+						t.Fatalf("%s/%s/%.1f: vertex %d stats (%d,%d), want (%d,%d)", gname, lname, colored, v, size, unc, len(want), wantUnc)
+					}
+					if colors[v] != Uncolored {
+						continue
+					}
+					one := slices.Clone(colors)
+					err := GreedyInOrder(g, one, lists, []int{v})
+					if len(want) == 0 {
+						if err == nil {
+							t.Fatalf("%s/%s/%.1f: vertex %d colored %d with no free color", gname, lname, colored, v, one[v])
+						}
+					} else if err != nil || one[v] != want[0] {
+						t.Fatalf("%s/%s/%.1f: vertex %d first-fit %d (%v), want %d", gname, lname, colored, v, one[v], err, want[0])
+					}
+				}
+				graph.ReleaseBitset(b)
+			}
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package seqcolor
 
 import (
 	"fmt"
+	"slices"
 
 	"distcolor/internal/graph"
 )
@@ -91,15 +92,9 @@ func SparseListColor(g *graph.Graph, d int, lists [][]int) ([]int, error) {
 	// Unwind the peel: each popped vertex had ≤ d−1 neighbors at removal,
 	// all of which are the only ones colored after it, so a list of size d
 	// always has a free color.
-	b := graph.AcquireBitset(0)
-	defer graph.ReleaseBitset(b)
-	for i := len(stack) - 1; i >= 0; i-- {
-		v := stack[i]
-		c := pickFree(g, colors, lists[v], v, b)
-		if c == Uncolored {
-			return nil, fmt.Errorf("seqcolor: internal: peel unwind stuck at %d", v)
-		}
-		colors[v] = c
+	slices.Reverse(stack)
+	if err := GreedyInOrder(g, colors, lists, stack); err != nil {
+		return nil, fmt.Errorf("seqcolor: internal: peel unwind: %w", err)
 	}
 	return colors, nil
 }

@@ -15,6 +15,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -254,7 +255,7 @@ func Run(ctx context.Context, g *graph.Graph, cfg Config, extra ...distcolor.Opt
 			return nil, fmt.Errorf("runcfg: algo %s has no known palette size for random lists", cfg.Algo)
 		}
 		rng := rand.New(rand.NewPCG(cfg.Seed, listStream))
-		lists, err := randomLists(g.N(), k, cfg, rng)
+		lists, err := randomLists(ctx, g.N(), k, cfg, rng)
 		if err != nil {
 			return nil, err
 		}
@@ -302,15 +303,20 @@ func RecordEngineSpans(tracer *obs.Tracer, parent obs.SpanContext, rep *distcolo
 // randomLists draws a random list of size k per vertex from cfg's palette.
 // A palette smaller than k is an error, never silently widened: the run
 // must use exactly the palette the config (and its coalescing Key) names.
-func randomLists(n, k int, c Config, rng *rand.Rand) ([][]int, error) {
+// Each list costs O(palette), so ctx is checked once per vertex.
+func randomLists(ctx context.Context, n, k int, c Config, rng *rand.Rand) ([][]int, error) {
 	p := c.Palette
 	if p < k {
 		return nil, fmt.Errorf("runcfg: palette %d too small for the %d-color lists algo %s requires", p, k, c.Algo)
 	}
 	out := make([][]int, n)
 	for v := range out {
-		perm := rng.Perm(p)
-		out[v] = perm[:k]
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		// Copy the prefix: a sub-slice would pin the whole O(palette)
+		// permutation for the life of the run.
+		out[v] = slices.Clone(rng.Perm(p)[:k])
 	}
 	return out, nil
 }

@@ -2,8 +2,10 @@ package runcfg
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"testing"
+	"time"
 )
 
 func TestGenerateDeterministic(t *testing.T) {
@@ -133,5 +135,24 @@ func TestRunSparseCliqueCertificate(t *testing.T) {
 	}
 	if res.Summary() == "" {
 		t.Fatal("empty summary")
+	}
+}
+
+// TestRunRandomListsHonorDeadline: drawing each list costs O(palette), so a
+// huge palette must not hold a run past its deadline before it starts.
+func TestRunRandomListsHonorDeadline(t *testing.T) {
+	g, err := Generate("grid:20x20", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, err = Run(ctx, g, Config{Algo: "planar6", ListSize: 6, Palette: 2_000_000})
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want DeadlineExceeded", err)
+	}
+	if el := time.Since(start); el > 2*time.Second {
+		t.Fatalf("returned after %v, want < 2s", el)
 	}
 }

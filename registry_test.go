@@ -106,6 +106,31 @@ func TestRunOptionValidation(t *testing.T) {
 	}
 }
 
+// TestRunRejectsMalformedLists gives every algorithm that takes caller
+// lists a list slice of the wrong length, and lists holding a negative
+// color (which would collide with the Uncolored sentinel). Run must return
+// a clear error, not panic or blame the algorithm.
+func TestRunRejectsMalformedLists(t *testing.T) {
+	g := gen.Grid(6, 6)
+	negative := make([][]int, g.N())
+	for v := range negative {
+		negative[v] = []int{-1, 0, 1, 2, 3, 4, 5}
+	}
+	for _, a := range Algorithms() {
+		if a.Lists == ListsNone {
+			continue
+		}
+		_, err := Run(context.Background(), g, a.Name, WithLists(UniformLists(33, 7)))
+		if err == nil || !strings.Contains(err.Error(), "33 lists for 36 vertices") {
+			t.Errorf("%s, 33 lists: %v", a.Name, err)
+		}
+		_, err = Run(context.Background(), g, a.Name, WithLists(negative))
+		if err == nil || !strings.Contains(err.Error(), "negative color -1") {
+			t.Errorf("%s, negative color: %v", a.Name, err)
+		}
+	}
+}
+
 func TestRegisterValidation(t *testing.T) {
 	if err := Register(&Algorithm{Name: ""}); err == nil {
 		t.Error("empty name accepted")

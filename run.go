@@ -33,7 +33,9 @@ type Option func(*RunConfig)
 func WithSeed(seed uint64) Option { return func(rc *RunConfig) { rc.Seed = seed } }
 
 // WithLists supplies a per-vertex color-list assignment. Nil is a no-op
-// (algorithm default lists). Algorithms with ListsNone support reject it.
+// (algorithm default lists). Algorithms with ListsNone support reject it,
+// and Run rejects lists that are not one per vertex or hold a negative
+// color.
 func WithLists(lists [][]int) Option {
 	return func(rc *RunConfig) {
 		if lists != nil {
@@ -119,6 +121,22 @@ func WithEps(eps float64) Option { return WithParam("eps", eps) }
 // WithGenus sets the Euler genus (algorithm "genus").
 func WithGenus(genus int) Option { return WithParam("genus", float64(genus)) }
 
+// checkLists rejects caller lists that do not give one list per vertex, or
+// that hold a negative color: those collide with the Uncolored sentinel.
+func checkLists(g *Graph, lists [][]int) error {
+	if len(lists) != g.N() {
+		return fmt.Errorf("distcolor: %d lists for %d vertices", len(lists), g.N())
+	}
+	for v, list := range lists {
+		for _, c := range list {
+			if c < 0 {
+				return fmt.Errorf("distcolor: vertex %d list has negative color %d", v, c)
+			}
+		}
+	}
+	return nil
+}
+
 // Run is the context-aware entry point of the package: it resolves algo in
 // the Algorithm registry, applies the options against the algorithm's
 // parameter schema, executes it on g, verifies the coloring, and returns
@@ -140,8 +158,13 @@ func Run(ctx context.Context, g *Graph, algo string, opts ...Option) (*Coloring,
 	if err != nil {
 		return nil, err
 	}
-	if rc.Lists != nil && a.Lists == ListsNone {
-		return nil, fmt.Errorf("distcolor: algorithm %q does not take caller-supplied lists", a.Name)
+	if rc.Lists != nil {
+		if a.Lists == ListsNone {
+			return nil, fmt.Errorf("distcolor: algorithm %q does not take caller-supplied lists", a.Name)
+		}
+		if err := checkLists(g, rc.Lists); err != nil {
+			return nil, err
+		}
 	}
 	if ctx == nil {
 		ctx = context.Background()
