@@ -43,10 +43,14 @@ test-serial:
 # scheduler, LRU store, coalescing, cancellation), the metrics registry
 # (registration concurrent with scrapes) and the LOCAL engine's sharded
 # message plane, plus the root-package cancellation/registry,
-# trace/progress and cross-GOMAXPROCS determinism tests.
+# trace/progress and cross-GOMAXPROCS determinism tests, and the pooled
+# per-layer scratch: the package-level traversal pool (concurrent acquires
+# on graphs of different sizes), the reduction workspace and the ruling
+# scratch.
 test-race:
 	$(GO) test -race ./internal/serve/... ./internal/obs/... ./internal/local/... ./internal/cluster/...
 	$(GO) test -race -run 'Cancel|Registry|Deadline|Progress|TraceMatches|Luby|Deterministic|ProperColoring|Golden' .
+	$(GO) test -race -run 'Traversal|Pool|Linial|DegPlusOne|Ruling' ./internal/graph ./internal/reduce ./internal/ruling
 
 # Clustering suite under the race detector: the ring/quota/health unit
 # tests plus the in-process 3-replica harness (routing determinism,
@@ -98,16 +102,16 @@ bench-smoke:
 		-bench 'BenchmarkSparseListColor/.*/n1e[34]$$|BenchmarkCollectBallsSync/grid20x20|BenchmarkRunSyncDelivery' . \
 		| $(GO) run ./cmd/benchjson -check BENCH_PR.json -tolerance 1.5
 
-# Allocation gate over the Theorem 1.1 path and the block decomposition it
-# leans on: fails when a benchmark's allocs/op exceeds 1.10× its committed
+# Allocation gate over the Theorem 1.1 path, the block decomposition it
+# leans on, the ruling forest and the happy-set classification: fails when a benchmark's allocs/op exceeds 1.10× its committed
 # BENCH_PR.json value (growth under benchjson's small absolute slack, pool
 # refills after a GC, is forgiven). allocs/op barely moves between machines
 # or minutes, so unlike bench-smoke's ns/op this gate does not need a wide
 # tolerance; -tolerance 0 leaves ns/op to bench-smoke.
 bench-allocs:
 	$(GO) test -run xxx -benchtime 3x -benchmem \
-		-bench 'BenchmarkDegreeListColor|BenchmarkBlocks|BenchmarkGallai|BenchmarkSparseListColor/.*/n1e[34]$$' \
-		. ./internal/graph ./internal/seqcolor \
+		-bench 'BenchmarkDegreeListColor|BenchmarkBlocks|BenchmarkGallai|BenchmarkSparseListColor/.*/n1e[34]$$|BenchmarkRulingCompute|BenchmarkHappySet' \
+		. ./internal/graph ./internal/seqcolor ./internal/ruling \
 		| $(GO) run ./cmd/benchjson -check BENCH_PR.json -tolerance 0 -allocs-tolerance 1.10
 
 # Regenerate the persistent benchmark trajectory BENCH_PR.json (committed;

@@ -175,8 +175,9 @@ func Run(ctx context.Context, nw *local.Network, cfg Config) (*Result, error) {
 // rich/witness predicates are those of Theorem 1.3 or Theorem 6.1.
 //
 // bench/profile.go attributes CPU to its prof.core.* layers by function
-// name: peelAndExtend, happySet, extend and colorBallTheorem11 must keep
-// their names.
+// name prefix: peelAndExtend, happySet, extend and colorBallTheorem11 must
+// keep their names and stay plain functions (a method's symbol carries its
+// receiver and would not match).
 func peelAndExtend(ctx context.Context, nw *local.Network, res *Result, lists [][]int,
 	radius, maxIter int,
 	richTest, witness func(degAlive int, v int) bool) error {
@@ -189,32 +190,25 @@ func peelAndExtend(ctx context.Context, nw *local.Network, res *Result, lists []
 		rich  []int
 		happy []int
 	}
-	alive := make([]bool, n)
-	for v := range alive {
-		alive[v] = true
-	}
-	aliveCount := n
+	s := newPeelState(g)
 	var layers []layer
-	for aliveCount > 0 {
+	for len(s.alive) > 0 {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		if len(layers) >= maxIter {
-			return fmt.Errorf("%w (after %d iterations, %d vertices left)", ErrStalled, len(layers), aliveCount)
+			return fmt.Errorf("%w (after %d iterations, %d vertices left)", ErrStalled, len(layers), len(s.alive))
 		}
-		st, rich, happy := happySet(g, alive, radius, richTest, witness)
+		st, rich, happy := happySet(s, radius, richTest, witness)
 		if len(happy) == 0 {
-			return fmt.Errorf("%w (iteration %d, %d alive)", ErrStalled, len(layers)+1, aliveCount)
+			return fmt.Errorf("%w (iteration %d, %d alive)", ErrStalled, len(layers)+1, len(s.alive))
 		}
 		// LOCAL cost: 1 round to learn alive-degrees, radius+1 to collect
 		// the rich ball, per the standard simulation.
 		ledger.Charge("peel/happy", radius+2)
 		layers = append(layers, layer{rich: rich, happy: happy})
 		res.Iterations = append(res.Iterations, st)
-		for _, v := range happy {
-			alive[v] = false
-		}
-		aliveCount -= len(happy)
+		s.peel(happy)
 	}
 
 	// ---- Extension phase (Lemma 3.2), reverse order.
@@ -226,7 +220,7 @@ func peelAndExtend(ctx context.Context, nw *local.Network, res *Result, lists []
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		ext, err := extend(ctx, nw, ledger, layers[i].rich, layers[i].happy,
+		ext, err := extend(ctx, nw, ledger, s.rich, layers[i].rich, layers[i].happy,
 			colors, lists, radius)
 		if err != nil {
 			return fmt.Errorf("core: extension at layer %d: %w", i+1, err)

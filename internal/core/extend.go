@@ -27,18 +27,23 @@ type extendStats struct {
 // Steps: (α, α·log n)-ruling forest of G[R] w.r.t. A with α = 2·radius+2;
 // uncolor the forest T; (d+1)-color G[T] to schedule a leaves-to-root greedy
 // recoloring; finally recolor each root's rich ball with the constructive
-// Theorem 1.1 (valid because roots are happy).
-func extend(ctx context.Context, nw *local.Network, ledger *local.Ledger,
+// Theorem 1.1 (valid because roots are happy). richMask is the run's
+// n-sized scratch mask: all false on entry, it holds R during the call and
+// is all false again on return.
+func extend(ctx context.Context, nw *local.Network, ledger *local.Ledger, richMask []bool,
 	rich, happy []int, colors []int, lists [][]int, radius int) (extendStats, error) {
 
 	g := nw.G
-	n := g.N()
 	var st extendStats
 
-	richMask := make([]bool, n)
 	for _, v := range rich {
 		richMask[v] = true
 	}
+	defer func() {
+		for _, v := range rich {
+			richMask[v] = false
+		}
+	}()
 
 	// --- Ruling forest: roots pairwise > 2·radius apart so that their rich
 	// balls are disjoint with no edges in between.
@@ -47,26 +52,23 @@ func extend(ctx context.Context, nw *local.Network, ledger *local.Ledger,
 	if err != nil {
 		return st, fmt.Errorf("ruling forest: %w", err)
 	}
-	tree := forest.TreeVertices()
+	tree := forest.Tree
 	st.roots = len(forest.Roots)
 	st.treeSize = len(tree)
 	st.maxDepth = forest.MaxDepth
 
 	// --- Uncolor T (the colored part of T is exactly T ∩ S).
-	treeMask := make([]bool, n)
 	for _, v := range tree {
-		treeMask[v] = true
 		colors[v] = Uncolored
 	}
 
 	// --- Schedule: proper coloring of H = G[T] with ≤ Δ(H)+1 classes
-	// (Δ(H) ≤ d when T ⊆ R, per Theorem 1.3; ≤ Δ(G) for Theorem 6.1).
-	classes := reduce.DegPlusOne(nw, ledger, "extend/schedule", treeMask)
+	// (Δ(H) ≤ d when T ⊆ R, per Theorem 1.3; ≤ Δ(G) for Theorem 6.1),
+	// aligned with the tree list.
+	classes := reduce.DegPlusOne(nw, ledger, "extend/schedule", tree)
 	maxClass := 0
-	for _, v := range tree {
-		if classes[v] > maxClass {
-			maxClass = classes[v]
-		}
+	for _, c := range classes {
+		maxClass = max(maxClass, c)
 	}
 
 	// --- Leaves-to-root greedy: for each depth from deepest to 1, for each
@@ -77,9 +79,9 @@ func extend(ctx context.Context, nw *local.Network, ledger *local.Ledger,
 	// vertices in exactly the order the nested rescan did — instead of
 	// rescanning all of T once per (depth, class) pair.
 	buckets := make([][]int, (forest.MaxDepth+1)*(maxClass+1))
-	for _, v := range tree {
-		if d := forest.Depth[v]; d >= 1 {
-			slot := d*(maxClass+1) + classes[v]
+	for i, v := range tree {
+		if d := forest.Depth[i]; d >= 1 {
+			slot := d*(maxClass+1) + classes[i]
 			buckets[slot] = append(buckets[slot], v)
 		}
 	}

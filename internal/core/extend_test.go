@@ -37,22 +37,17 @@ func TestExtendColorsOnlyAliveVertices(t *testing.T) {
 			radius := max(1, int(math.Ceil(c*math.Log2(float64(n)))))
 			richTest := func(deg, _ int) bool { return deg <= d }
 			witness := func(deg, _ int) bool { return deg <= d-1 }
-			alive := make([]bool, n)
-			for v := range alive {
-				alive[v] = true
-			}
+			s := newPeelState(g)
 			var rich, happy [][]int
-			for left := n; left > 0; {
-				_, r, h := happySet(g, alive, radius, richTest, witness)
+			for len(s.alive) > 0 {
+				_, r, h := happySet(s, radius, richTest, witness)
 				if len(h) == 0 {
-					t.Fatalf("%s c=%.2f: peeling stalled with %d alive", tc.name, c, left)
+					t.Fatalf("%s c=%.2f: peeling stalled with %d alive", tc.name, c, len(s.alive))
 				}
 				rich, happy = append(rich, r), append(happy, h)
-				for _, v := range h {
-					alive[v] = false
-				}
-				left -= len(h)
+				s.peel(h)
 			}
+			alive := make([]bool, n)
 			nw := local.NewNetwork(g)
 			ledger := &local.Ledger{}
 			lists := randomLists(n, d, 2*d+2, rng)
@@ -64,7 +59,7 @@ func TestExtendColorsOnlyAliveVertices(t *testing.T) {
 				for _, v := range happy[i] {
 					alive[v] = true
 				}
-				if _, err := extend(context.Background(), nw, ledger, rich[i], happy[i], colors, lists, radius); err != nil {
+				if _, err := extend(context.Background(), nw, ledger, s.rich, rich[i], happy[i], colors, lists, radius); err != nil {
 					t.Fatalf("%s c=%.2f layer %d: %v", tc.name, c, i+1, err)
 				}
 				for v, col := range colors {

@@ -1,56 +1,102 @@
 package core
 
 import (
+	"slices"
+
 	"distcolor/internal/graph"
 )
 
-// happySet classifies the alive vertices of g into rich/poor and computes
-// the happy set A (Section 3): v is rich when richTest(deg_alive(v)) holds;
-// a rich vertex is happy when its radius-r ball inside the rich subgraph
+// peelState is the per-vertex state of one peeling run, allocated once per
+// run: the alive vertices as an ascending list, their alive-degrees (kept
+// current by peel, which decrements the alive neighbors of every removed
+// vertex), and the masks that happySet and extend fill from a vertex list
+// and clear by the same list before they return. So each layer's work is
+// proportional to the alive graph, not to n.
+type peelState struct {
+	g       *graph.Graph
+	alive   []int // alive vertices, ascending
+	isAlive []bool
+	deg     []int // deg[v] is v's alive-degree while v is alive
+	sources []int // happySet's witness list, reused across iterations
+	// Masks, all false between uses: rich is G[R] for happySet and extend,
+	// happy the happy set, comp one component of G[R] and ball one ball.
+	rich, happy, comp, ball []bool
+}
+
+func newPeelState(g *graph.Graph) *peelState {
+	n := g.N()
+	s := &peelState{
+		g:       g,
+		alive:   make([]int, n),
+		isAlive: make([]bool, n),
+		deg:     make([]int, n),
+		rich:    make([]bool, n),
+		happy:   make([]bool, n),
+		comp:    make([]bool, n),
+		ball:    make([]bool, n),
+	}
+	for v := range n {
+		s.alive[v] = v
+		s.isAlive[v] = true
+		s.deg[v] = g.Degree(v)
+	}
+	return s
+}
+
+// peel removes the happy set from the alive graph.
+func (s *peelState) peel(happy []int) {
+	for _, v := range happy {
+		s.isAlive[v] = false
+	}
+	for _, v := range happy {
+		for _, w := range s.g.Neighbors(v) {
+			if s.isAlive[w] {
+				s.deg[w]--
+			}
+		}
+	}
+	s.alive = slices.DeleteFunc(s.alive, func(v int) bool { return !s.isAlive[v] })
+}
+
+// happySet classifies the alive vertices into rich/poor and computes the
+// happy set A (Section 3): v is rich when richTest(deg_alive(v)) holds; a
+// rich vertex is happy when its radius-r ball inside the rich subgraph
 // contains a witness vertex (witness(deg_alive(w)) — degree ≤ d−1 in the
-// paper's Theorem 1.3 instantiation) or induces a non-Gallai graph.
+// paper's Theorem 1.3 instantiation) or induces a non-Gallai graph. Both
+// returned lists are ascending.
 //
 // The classification is exact. Fast paths: witnesses are found by one
 // multi-source BFS; components whose every ball saturates (r ≥ 2·ecc bound)
 // are classified once; only the remaining vertices of non-Gallai components
 // get individual ball inspections.
-func happySet(g *graph.Graph, alive []bool, radius int,
+func happySet(s *peelState, radius int,
 	richTest func(degAlive int, v int) bool,
 	witness func(degAlive int, v int) bool) (IterationStats, []int, []int) {
 
-	n := g.N()
-	var st IterationStats
-	richMask := make([]bool, n)
-	degAlive := g.DegreesInMask(alive, nil)
-	for v := 0; v < n; v++ {
-		if alive[v] {
-			st.Alive++
-		}
-	}
-	var rich []int
-	for v := 0; v < n; v++ {
-		if !alive[v] {
-			continue
-		}
-		if richTest(degAlive[v], v) {
+	g := s.g
+	st := IterationStats{Alive: len(s.alive)}
+	richMask, happyMask, compMask, ballMask := s.rich, s.happy, s.comp, s.ball
+	rich := make([]int, 0, len(s.alive))
+	for _, v := range s.alive {
+		if richTest(s.deg[v], v) {
 			richMask[v] = true
 			rich = append(rich, v)
-			st.Rich++
-		} else {
-			st.Poor++
 		}
 	}
+	st.Rich = len(rich)
+	st.Poor = st.Alive - st.Rich
 
-	happyMask := make([]bool, n)
+	tr := g.AcquireTraversal()
+	defer g.ReleaseTraversal(tr)
 	// (a) witness path: multi-source BFS inside G[rich] from the witnesses.
-	var sources []int
+	sources := s.sources[:0]
 	for _, v := range rich {
-		if witness(degAlive[v], v) {
+		if witness(s.deg[v], v) {
 			sources = append(sources, v)
 		}
 	}
+	s.sources = sources
 	if len(sources) > 0 {
-		tr := g.AcquireTraversal()
 		tr.Run(sources, richMask, radius)
 		for _, v := range rich {
 			if tr.Reached(v) {
@@ -58,81 +104,91 @@ func happySet(g *graph.Graph, alive []bool, radius int,
 				st.HappyLow++
 			}
 		}
-		g.ReleaseTraversal(tr)
 	}
 
-	// (b) non-Gallai balls, per component of G[rich]. ballMask serves the
-	// exact per-vertex fallback of every component; it is cleared after
-	// each ball.
-	scratch := make([]bool, n)
-	ballMask := make([]bool, n)
-	for _, comp := range g.Components(richMask) {
-		allHappy := true
-		for _, v := range comp {
-			if !happyMask[v] {
-				allHappy = false
-				break
-			}
-		}
-		if allHappy {
+	// (b) non-Gallai balls, per component of G[rich]. The components are
+	// found by walking the rich list: a vertex still in richMask starts a
+	// new component (it is that component's minimum), and each component
+	// leaves richMask once settled. Later components' searches never miss
+	// it, since no rich edge joins two components.
+	for i, v0 := range rich {
+		if !richMask[v0] {
 			continue
 		}
-		// Component-level Gallai test.
+		tr.Run(rich[i:i+1], richMask, -1)
+		comp := tr.Order()
+		classifyComponent(g, comp, radius, happyMask, compMask, ballMask, &st)
 		for _, v := range comp {
-			scratch[v] = true
-		}
-		compGallai := g.IsGallaiForest(scratch)
-		if compGallai {
-			// Every ball is an induced connected subgraph of a Gallai tree,
-			// hence a Gallai tree: nobody gains happiness here.
-			for _, v := range comp {
-				scratch[v] = false
-			}
-			continue
-		}
-		// Saturation fast path: if radius ≥ 2·ecc(v0) then every ball is
-		// the whole (non-Gallai) component.
-		ecc0 := g.Eccentricity(comp[0], scratch)
-		if radius >= 2*ecc0 {
-			for _, v := range comp {
-				if !happyMask[v] {
-					happyMask[v] = true
-					st.HappyGal++
-				}
-			}
-			for _, v := range comp {
-				scratch[v] = false
-			}
-			continue
-		}
-		// Exact per-vertex fallback.
-		for _, v := range comp {
-			if happyMask[v] {
-				continue
-			}
-			ball := g.Ball(v, radius, scratch)
-			for _, u := range ball {
-				ballMask[u] = true
-			}
-			if !g.IsGallaiForest(ballMask) {
-				happyMask[v] = true
-				st.HappyGal++
-			}
-			for _, u := range ball {
-				ballMask[u] = false
-			}
-		}
-		for _, v := range comp {
-			scratch[v] = false
+			richMask[v] = false
 		}
 	}
 
-	var happy []int
+	happy := make([]int, 0, st.HappyLow+st.HappyGal)
 	for _, v := range rich {
 		if happyMask[v] {
 			happy = append(happy, v)
+			happyMask[v] = false
 		}
 	}
 	st.Happy = len(happy)
 	return st, rich, happy
+}
+
+// classifyComponent marks the vertices of one component of G[rich] whose
+// radius-r balls are not Gallai trees, adding them to happyMask. compMask
+// and ballMask are all false on entry and on return.
+func classifyComponent(g *graph.Graph, comp []int32, radius int,
+	happyMask, compMask, ballMask []bool, st *IterationStats) {
+	allHappy := true
+	for _, v := range comp {
+		if !happyMask[v] {
+			allHappy = false
+			break
+		}
+	}
+	if allHappy {
+		return
+	}
+	for _, v := range comp {
+		compMask[v] = true
+	}
+	defer func() {
+		for _, v := range comp {
+			compMask[v] = false
+		}
+	}()
+	// Component-level Gallai test: every ball of a Gallai tree is an
+	// induced connected subgraph of it, hence a Gallai tree, so nobody
+	// gains happiness here.
+	if g.IsGallaiForest(compMask) {
+		return
+	}
+	// Saturation fast path: if radius ≥ 2·ecc(v0) then every ball is the
+	// whole (non-Gallai) component.
+	if radius >= 2*g.Eccentricity(int(comp[0]), compMask) {
+		for _, v := range comp {
+			if !happyMask[v] {
+				happyMask[v] = true
+				st.HappyGal++
+			}
+		}
+		return
+	}
+	// Exact per-vertex fallback.
+	for _, v := range comp {
+		if happyMask[v] {
+			continue
+		}
+		ball := g.Ball(int(v), radius, compMask)
+		for _, u := range ball {
+			ballMask[u] = true
+		}
+		if !g.IsGallaiForest(ballMask) {
+			happyMask[v] = true
+			st.HappyGal++
+		}
+		for _, u := range ball {
+			ballMask[u] = false
+		}
+	}
 }

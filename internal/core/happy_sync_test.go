@@ -33,13 +33,9 @@ func TestHappyClassificationMatchesMessagePassing(t *testing.T) {
 		for _, radius := range []int{1, 2, 3} {
 			nw := local.NewShuffledNetwork(tc.g, rng)
 			// centralized
-			alive := make([]bool, tc.g.N())
-			for v := range alive {
-				alive[v] = true
-			}
 			richTest := func(degAlive int, v int) bool { return degAlive <= tc.d }
 			witness := func(degAlive int, v int) bool { return degAlive <= tc.d-1 }
-			_, rich, happy := happySet(tc.g, alive, radius, richTest, witness)
+			_, rich, happy := happySet(newPeelState(tc.g), radius, richTest, witness)
 			wantRich := toSet(rich)
 			wantHappy := toSet(happy)
 

@@ -42,13 +42,9 @@ type Fig4Stats struct {
 // faithful measurement otherwise).
 func SadAnalysis(g *graph.Graph, d, radius int) Fig4Stats {
 	n := g.N()
-	alive := make([]bool, n)
-	for v := range alive {
-		alive[v] = true
-	}
 	witness := func(degAlive int, v int) bool { return degAlive <= d-1 }
 	richTest := func(degAlive int, v int) bool { return degAlive <= d }
-	st, rich, happy := happySet(g, alive, radius, richTest, witness)
+	st, rich, happy := happySet(newPeelState(g), radius, richTest, witness)
 
 	stats := Fig4Stats{N: n, D: d, Rich: st.Rich, Happy: st.Happy}
 	sadMask := make([]bool, n)

@@ -109,7 +109,6 @@ func PeelColor(ctx context.Context, nw *local.Network, ledger *local.Ledger, pha
 	for v := 0; v < n; v++ {
 		layerVerts[layerOf[v]] = append(layerVerts[layerOf[v]], v)
 	}
-	mask := make([]bool, n)
 	used := graph.AcquireBitset(k + 1)
 	defer graph.ReleaseBitset(used)
 	for l := layers; l >= 1; l-- {
@@ -117,14 +116,11 @@ func PeelColor(ctx context.Context, nw *local.Network, ledger *local.Ledger, pha
 			return nil, err
 		}
 		lv := layerVerts[l]
-		for _, v := range lv {
-			mask[v] = true
-		}
 		// Within-layer schedule: Linial classes on the layer-induced graph.
-		classes, palette := reduce.LinialColor(nw, ledger, phase+"/linial", mask)
+		classes, palette := reduce.LinialColor(nw, ledger, phase+"/linial", lv)
 		buckets := make([][]int, palette)
-		for _, v := range lv {
-			buckets[classes[v]] = append(buckets[classes[v]], v)
+		for i, v := range lv {
+			buckets[classes[i]] = append(buckets[classes[i]], v)
 		}
 		for c := 0; c < palette; c++ {
 			for _, v := range buckets[c] {
@@ -146,9 +142,6 @@ func PeelColor(ctx context.Context, nw *local.Network, ledger *local.Ledger, pha
 			if len(buckets[c]) > 0 && ledger != nil {
 				ledger.Charge(phase+"/recolor", 1)
 			}
-		}
-		for _, v := range lv {
-			mask[v] = false
 		}
 	}
 	return &Result{Colors: colors, Layers: layers}, nil

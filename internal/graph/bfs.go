@@ -1,14 +1,16 @@
 package graph
 
-// Traversal is a reusable breadth-first-search workspace over one graph.
-// All per-vertex state is epoch-stamped, so starting a new search is O(1) —
-// no per-call allocation and no O(n) clearing — which matters in the hot
-// loops (ruling forests, happy-set classification, ball carving) that run
-// thousands of bounded searches over the same graph.
+import "sync"
+
+// Traversal is a reusable breadth-first-search workspace. All per-vertex
+// state is epoch-stamped, so starting a new search is O(1) — no per-call
+// allocation and no O(n) clearing — which matters in the hot loops (ruling
+// forests, happy-set classification, ball carving) that run thousands of
+// bounded searches.
 //
 // A Traversal is owned by one goroutine at a time. Obtain one with
-// Graph.NewTraversal (long-lived loops) or let the Graph's internal pool
-// manage them via the convenience wrappers (Ball, Components, …).
+// AcquireTraversal and hand it back with ReleaseTraversal; the package's
+// own wrappers (Ball, Components, …) do the same.
 type Traversal struct {
 	g      *Graph
 	dist   []int32
@@ -19,33 +21,45 @@ type Traversal struct {
 	queue  []int32
 }
 
-// NewTraversal returns a fresh traversal workspace for g.
-func (g *Graph) NewTraversal() *Traversal {
-	n := g.N()
-	return &Traversal{
-		g:      g,
-		dist:   make([]int32, n),
-		parent: make([]int32, n),
-		mark:   make([]uint32, n),
+// traversalPool holds idle traversals of any graph: one package-level pool
+// serves every graph, so the thousands of small induced graphs the root-ball
+// recoloring builds reuse the workspaces of the graphs before them.
+var traversalPool sync.Pool
+
+// AcquireTraversal takes a traversal workspace from the package pool and
+// binds it to g, growing its arrays when g is larger than any graph the
+// workspace served before. Rebinding needs no clearing: every stamp a
+// previous graph left is older than the epoch of the next Run. Pair with
+// ReleaseTraversal when done; external hot loops should use this rather
+// than allocating per call.
+func (g *Graph) AcquireTraversal() *Traversal {
+	t, _ := traversalPool.Get().(*Traversal)
+	if t == nil {
+		t = &Traversal{}
 	}
+	t.bind(g)
+	return t
 }
 
-// AcquireTraversal takes a traversal workspace from the graph's internal
-// pool, constructing one when the pool is cold (the pool has no New
-// function, so a graph that is never traversed costs no closure). Pair
-// with ReleaseTraversal when done; the pooled form is what the package's
-// own wrappers (Ball, Components, Eccentricity, …) use, and external hot
-// loops should use it too rather than allocating per call.
-func (g *Graph) AcquireTraversal() *Traversal {
-	if t, ok := g.scratch.Get().(*Traversal); ok {
-		return t
+// bind points t at g, growing its per-vertex arrays to g's size. Fresh
+// marks are 0, below every epoch a Run stamps, so growth needs no care.
+func (t *Traversal) bind(g *Graph) {
+	t.g = g
+	if n := g.N(); n > len(t.mark) {
+		t.dist = make([]int32, n)
+		t.parent = make([]int32, n)
+		t.mark = make([]uint32, n)
 	}
-	return g.NewTraversal()
 }
 
 // ReleaseTraversal returns a workspace obtained from AcquireTraversal to the
-// pool. The traversal must not be used afterwards.
-func (g *Graph) ReleaseTraversal(t *Traversal) { g.scratch.Put(t) }
+// pool. The traversal must not be used afterwards. It drops its graph, so a
+// pooled workspace never keeps a graph (or the file mapping behind one)
+// alive.
+func (g *Graph) ReleaseTraversal(t *Traversal) {
+	t.g = nil
+	traversalPool.Put(t)
+}
 
 // Run executes a BFS from sources, restricted to vertices with
 // mask[v] == true (nil mask = all), up to the given radius (negative =

@@ -43,8 +43,6 @@ type Graph struct {
 	// was loaded zero-copy from a .dcsr mapping (see OpenDCSR): as long as
 	// any reference to the Graph lives, the mapping cannot be unmapped.
 	backing any
-
-	scratch sync.Pool // *Traversal, reused by Ball/Components/etc.
 }
 
 // New builds a graph with n vertices and the given edges. It panics on

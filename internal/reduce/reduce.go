@@ -17,6 +17,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand/v2"
+	"sync"
 
 	"distcolor/internal/graph"
 	"distcolor/internal/local"
@@ -91,71 +92,143 @@ func evalPoly(coeffs []int, x, q int) int {
 	return val
 }
 
-// LinialColor computes an O(Δ²·log²Δ)-ish coloring of the masked graph in
-// O(log* n) LOCAL rounds: starting from the IDs (palette n), each iteration
-// maps a palette of size k to q² where q is the Linial prime for (k, Δ).
-// It stops when the palette stops shrinking and returns the coloring along
-// with the final palette size. Colors lie in [0, palette).
-func LinialColor(nw *local.Network, ledger *local.Ledger, phase string, mask []bool) ([]int, int) {
+// workspace is the pooled vertex-indexed state of one reduction over a
+// vertex list: membership stamps (in[v] == epoch iff v is listed), each
+// member's current color, its base-q digits (t per vertex, at v·t), and
+// the class counters of recolorOrder (one per color above Δ). The arrays
+// grow on demand. Only the counters are cleared per call: a stale stamp is
+// always older than the next epoch, and colors and digits are only read for
+// members. So a call over a small list in a huge graph touches only the
+// list's entries and its palette's counters, while its inner loops keep
+// direct indexing by vertex ID.
+type workspace struct {
+	in     []uint32
+	epoch  uint32
+	color  []int
+	digits []int
+	count  []int32
+}
+
+var workspacePool sync.Pool
+
+// acquireWorkspace takes a workspace sized for n vertices from the pool and
+// stamps verts as its members.
+func acquireWorkspace(n int, verts []int) *workspace {
+	ws, _ := workspacePool.Get().(*workspace)
+	if ws == nil {
+		ws = &workspace{}
+	}
+	if ws.epoch == ^uint32(0) { // epoch wrap: clear stamps once every 2³² uses
+		clear(ws.in)
+		ws.epoch = 0
+	}
+	ws.epoch++
+	if n > len(ws.in) {
+		ws.in = make([]uint32, n)
+		ws.color = make([]int, n)
+	}
+	for _, v := range verts {
+		ws.in[v] = ws.epoch
+	}
+	return ws
+}
+
+// digitsFor returns the digit table for t digits per vertex of an n-vertex
+// graph, growing it when needed.
+func (ws *workspace) digitsFor(n, t int) []int {
+	if n*t > len(ws.digits) {
+		ws.digits = make([]int, n*t)
+	}
+	return ws.digits
+}
+
+// maxDegreeIn returns the maximum degree of the graph induced by the
+// workspace's members, for the member list verts.
+func (ws *workspace) maxDegreeIn(g *graph.Graph, verts []int) int {
+	in, epoch := ws.in, ws.epoch
+	d := 0
+	for _, v := range verts {
+		dv := 0
+		for _, w := range g.Neighbors(v) {
+			if in[w] == epoch {
+				dv++
+			}
+		}
+		d = max(d, dv)
+	}
+	return d
+}
+
+// allIfNil returns verts, or every vertex 0..n-1 when verts is nil.
+func allIfNil(verts []int, n int) []int {
+	if verts != nil {
+		return verts
+	}
+	all := make([]int, n)
+	for v := range all {
+		all[v] = v
+	}
+	return all
+}
+
+// LinialColor computes an O(Δ²·log²Δ)-ish coloring of the graph induced by
+// verts (nil = all vertices) in O(log* n) LOCAL rounds: starting from the
+// IDs (palette n), each iteration maps a palette of size k to q² where q is
+// the Linial prime for (k, Δ). It stops when the palette stops shrinking
+// and returns the coloring, aligned with verts (colors[i] is verts[i]'s),
+// along with the final palette size. Colors lie in [0, palette). Once the
+// pooled workspace has grown to the graph, work and allocation are
+// proportional to the list and its edges, not to n.
+func LinialColor(nw *local.Network, ledger *local.Ledger, phase string, verts []int) ([]int, int) {
 	g := nw.G
 	n := g.N()
-	colors := make([]int, n)
-	for v := 0; v < n; v++ {
-		colors[v] = nw.ID[v] - 1 // palette [0, n)
-	}
-	k := n
-	d := 0
-	for v := 0; v < n; v++ {
-		if mask != nil && !mask[v] {
-			continue
-		}
-		if dv := g.DegreeInMask(v, maskOrAll(mask, n)); dv > d {
-			d = dv
-		}
-	}
+	verts = allIfNil(verts, n)
+	ws := acquireWorkspace(n, verts)
+	defer workspacePool.Put(ws)
+	in, epoch, col := ws.in, ws.epoch, ws.color
+	out := make([]int, len(verts))
+	d := ws.maxDegreeIn(g, verts)
 	if d == 0 {
 		// no edges: one color suffices, zero rounds
-		for v := 0; v < n; v++ {
-			colors[v] = 0
-		}
-		return colors, 1
+		return out, 1
 	}
+	for _, v := range verts {
+		col[v] = nw.ID[v] - 1 // palette [0, n)
+	}
+	k := n
 	for {
 		q, t := linialPrime(k, d)
 		if q*q >= k {
-			return colors, k
-		}
-		// Precompute every masked vertex's polynomial coefficients (its
-		// base-q digits) once per iteration into one flat array, so the
-		// O(deg·q) candidate loop below does no per-neighbor allocation.
-		digits := make([]int, n*t)
-		for v := 0; v < n; v++ {
-			if mask != nil && !mask[v] {
-				continue
+			for i, v := range verts {
+				out[i] = col[v]
 			}
-			c := colors[v]
+			return out, k
+		}
+		// Precompute every member's polynomial coefficients (its base-q
+		// digits) once per iteration, so the O(deg·q) candidate loop below
+		// does no per-neighbor allocation.
+		digits := ws.digitsFor(n, t)
+		for _, v := range verts {
+			c := col[v]
 			for i := 0; i < t; i++ {
 				digits[v*t+i] = c % q
 				c /= q
 			}
 		}
-		next := make([]int, n)
-		copy(next, colors)
-		for v := 0; v < n; v++ {
-			if mask != nil && !mask[v] {
-				continue
-			}
+		// New colors go to out (one per list position) and are written back
+		// only after the sweep: every vertex picks from its neighbors' old
+		// colors.
+		for i, v := range verts {
 			pv := digits[v*t : (v+1)*t]
 			x := -1
 			for cand := 0; cand < q; cand++ {
 				ev := evalPoly(pv, cand, q)
 				ok := true
-				for _, w32 := range g.Neighbors(v) {
-					w := int(w32)
-					if mask != nil && !mask[w] {
+				for _, w := range g.Neighbors(v) {
+					if in[w] != epoch {
 						continue
 					}
-					if colors[w] != colors[v] && evalPoly(digits[w*t:(w+1)*t], cand, q) == ev {
+					if col[w] != col[v] && evalPoly(digits[int(w)*t:(int(w)+1)*t], cand, q) == ev {
 						ok = false
 						break
 					}
@@ -168,9 +241,11 @@ func LinialColor(nw *local.Network, ledger *local.Ledger, phase string, mask []b
 			if x < 0 {
 				panic("reduce: Linial selection failed — prime too small (internal bug)")
 			}
-			next[v] = x*q + evalPoly(pv, x, q)
+			out[i] = x*q + evalPoly(pv, x, q)
 		}
-		colors = next
+		for i, v := range verts {
+			col[v] = out[i]
+		}
 		k = q * q
 		if ledger != nil {
 			ledger.Charge(phase, 1)
@@ -178,82 +253,94 @@ func LinialColor(nw *local.Network, ledger *local.Ledger, phase string, mask []b
 	}
 }
 
-func maskOrAll(mask []bool, n int) []bool {
-	if mask != nil {
-		return mask
-	}
-	all := make([]bool, n)
-	for i := range all {
-		all[i] = true
-	}
-	return all
-}
-
 // ReduceToMaxDegPlusOne takes a proper coloring with palette [0, k) of the
-// masked graph and reduces it to the palette [0, Δ+1] by recoloring one
-// color class per round (classes are independent sets, so all members
-// recolor simultaneously). Charges max(0, k-(Δ+1)) rounds. Every vertex ends
-// with a color in [0, deg(v)] ⊆ [0, Δ].
+// graph induced by verts (nil = all vertices), aligned with verts, and
+// reduces it to the palette [0, Δ+1] by recoloring one color class per
+// round (classes are independent sets, so all members recolor
+// simultaneously). Charges max(0, k-(Δ+1)) rounds. Every vertex ends with a
+// color in [0, deg(v)] ⊆ [0, Δ]; the result is aligned with verts.
 func ReduceToMaxDegPlusOne(nw *local.Network, ledger *local.Ledger, phase string,
-	mask []bool, colors []int, k int) []int {
+	verts []int, colors []int, k int) []int {
 	g := nw.G
 	n := g.N()
-	d := 0
-	em := maskOrAll(mask, n)
-	for v := 0; v < n; v++ {
-		if em[v] {
-			if dv := g.DegreeInMask(v, em); dv > d {
-				d = dv
-			}
-		}
-	}
-	out := make([]int, n)
+	verts = allIfNil(verts, n)
+	ws := acquireWorkspace(n, verts)
+	defer workspacePool.Put(ws)
+	in, epoch, col := ws.in, ws.epoch, ws.color
+	d := ws.maxDegreeIn(g, verts)
+	out := make([]int, len(verts))
 	copy(out, colors)
-	// Bucketize the classes that will recolor: a vertex only changes color
-	// when its own class is processed (to a color ≤ d < d+1), so bucketing
-	// by the incoming colors visits exactly the vertices the per-class full
-	// scans did, in the same ascending order.
-	var buckets [][]int
-	if k-1 >= d+1 {
-		buckets = make([][]int, k)
-		for v := 0; v < n; v++ {
-			if em[v] && out[v] >= d+1 && out[v] < k {
-				buckets[out[v]] = append(buckets[out[v]], v)
-			}
-		}
+	for i, v := range verts {
+		col[v] = colors[i]
 	}
+	lo := d + 1
+	if k <= lo {
+		return out
+	}
+	order := ws.recolorOrder(colors, lo, k)
 	used := graph.AcquireBitset(d + 1)
 	defer graph.ReleaseBitset(used)
-	rounds := 0
-	for c := k - 1; c >= d+1; c-- {
-		for _, v := range buckets[c] {
-			used.Reset(d + 1)
-			for _, w32 := range g.Neighbors(v) {
-				w := int(w32)
-				if em[w] && out[w] >= 0 && out[w] <= d {
-					used.Set(out[w])
-				}
+	for _, i := range order {
+		v := verts[i]
+		used.Reset(d + 1)
+		for _, w := range g.Neighbors(v) {
+			if in[w] == epoch && col[w] >= 0 && col[w] <= d {
+				used.Set(col[w])
 			}
-			picked := used.FirstZero()
-			if picked > d {
-				panic("reduce: no free color ≤ Δ (internal bug)")
-			}
-			out[v] = picked
 		}
-		rounds++
+		picked := used.FirstZero()
+		if picked > d {
+			panic("reduce: no free color ≤ Δ (internal bug)")
+		}
+		col[v] = picked
+		out[i] = picked
 	}
-	if ledger != nil && rounds > 0 {
-		ledger.Charge(phase, rounds)
+	if ledger != nil {
+		ledger.Charge(phase, k-lo)
 	}
 	return out
 }
 
-// DegPlusOne produces a proper coloring of the masked graph with colors in
-// [0, Δ_mask] (at most Δ+1 colors) in O(log* n + Δ² log Δ) LOCAL rounds:
-// Linial reduction followed by class-by-class reduction.
-func DegPlusOne(nw *local.Network, ledger *local.Ledger, phase string, mask []bool) []int {
-	colors, k := LinialColor(nw, ledger, phase+"/linial", mask)
-	return ReduceToMaxDegPlusOne(nw, ledger, phase+"/reduce", mask, colors, k)
+// recolorOrder returns the positions i with colors[i] in [lo, k), by
+// descending color and then ascending position: the order in which the
+// class-per-round reduction recolors them. A vertex only changes color when
+// its own class is processed (to a color < lo), and a class is an
+// independent set, so visiting each class in any order recolors it exactly
+// as a simultaneous round would. It is one counting sort whose k-lo+1
+// counters live in the pooled workspace, so a call allocates only the order
+// itself, proportional to the list.
+func (ws *workspace) recolorOrder(colors []int, lo, k int) []int32 {
+	if k-lo+1 > len(ws.count) {
+		ws.count = make([]int32, k-lo+1)
+	}
+	above := ws.count[:k-lo+1] // above[k-1-c]: positions of classes > c
+	clear(above)
+	for _, c := range colors {
+		if c >= lo && c < k {
+			above[k-c]++
+		}
+	}
+	for j := 1; j < len(above); j++ {
+		above[j] += above[j-1]
+	}
+	order := make([]int32, above[k-lo])
+	for i, c := range colors {
+		if c >= lo && c < k {
+			order[above[k-1-c]] = int32(i)
+			above[k-1-c]++
+		}
+	}
+	return order
+}
+
+// DegPlusOne produces a proper coloring of the graph induced by verts (nil
+// = all vertices), aligned with verts, with colors in [0, Δ] (at most Δ+1
+// colors) in O(log* n + Δ² log Δ) LOCAL rounds: Linial reduction followed
+// by class-by-class reduction.
+func DegPlusOne(nw *local.Network, ledger *local.Ledger, phase string, verts []int) []int {
+	verts = allIfNil(verts, nw.G.N())
+	colors, k := LinialColor(nw, ledger, phase+"/linial", verts)
+	return ReduceToMaxDegPlusOne(nw, ledger, phase+"/reduce", verts, colors, k)
 }
 
 // VerifyMaskColoring checks properness over the masked graph.

@@ -74,8 +74,18 @@ func TestDegPlusOneMasked(t *testing.T) {
 	for v := range mask {
 		mask[v] = rng.Float64() < 0.7
 	}
+	var verts []int
+	for v, in := range mask {
+		if in {
+			verts = append(verts, v)
+		}
+	}
 	nw := local.NewShuffledNetwork(g, rng)
-	colors := DegPlusOne(nw, nil, "", mask)
+	classes := DegPlusOne(nw, nil, "", verts)
+	colors := make([]int, g.N())
+	for i, v := range verts {
+		colors[v] = classes[i]
+	}
 	if err := VerifyMaskColoring(g, mask, colors); err != nil {
 		t.Fatal(err)
 	}

@@ -32,25 +32,59 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"sync"
 
 	"distcolor/internal/graph"
 	"distcolor/internal/local"
 )
 
-// Forest is an (α, β)-ruling forest.
+// Forest is an (α, β)-ruling forest, stored as lists the size of the
+// forest: Parent and Depth are aligned with Tree.
 type Forest struct {
 	Alpha int
 	// Roots lists the ruling set (subset of U), ascending vertex order.
 	Roots []int
-	// Parent[v] is v's tree parent (-1 for roots and vertices outside the
-	// forest).
+	// Tree lists every vertex of the forest, ascending.
+	Tree []int
+	// Parent[i] is Tree[i]'s tree parent (-1 for roots).
 	Parent []int
-	// Depth[v] is v's distance to its root inside the tree (-1 outside).
+	// Depth[i] is Tree[i]'s distance to its root inside the tree.
 	Depth []int
-	// InTree[v] reports membership in some tree.
-	InTree []bool
 	// MaxDepth is the deepest tree node.
 	MaxDepth int
+}
+
+// scratch is the pooled per-vertex state of one Compute: component labels
+// and root-path marks, each valid only where its stamp equals the call's
+// epoch. Stale entries are never cleared (a stale stamp is older than every
+// later epoch), so a call writes only the vertices it labels or keeps;
+// emitting the tree reads the keep stamps once, in one ascending scan.
+type scratch struct {
+	epoch   uint32
+	labeled []uint32 // labeled[v] == epoch: comp[v] is v's component index
+	comp    []int32
+	kept    []uint32 // kept[v] == epoch: v lies on a U vertex's root path
+}
+
+var scratchPool sync.Pool
+
+func acquireScratch(n int) *scratch {
+	s, _ := scratchPool.Get().(*scratch)
+	if s == nil {
+		s = &scratch{}
+	}
+	if s.epoch == ^uint32(0) { // epoch wrap: clear stamps once every 2³² calls
+		clear(s.labeled)
+		clear(s.kept)
+		s.epoch = 0
+	}
+	s.epoch++
+	if n > len(s.labeled) {
+		s.labeled = make([]uint32, n)
+		s.comp = make([]int32, n)
+		s.kept = make([]uint32, n)
+	}
+	return s
 }
 
 // Compute builds an (α, O(α log n))-ruling forest of the masked graph with
@@ -58,6 +92,7 @@ type Forest struct {
 // (nil = all vertices); every u ∈ U must satisfy the mask. Rounds are
 // charged to the ledger under the given phase. Cancellation is cooperative:
 // ctx is checked once per bit level (each level costs α LOCAL rounds).
+// Allocation is proportional to the components holding U, not to n.
 func Compute(ctx context.Context, nw *local.Network, ledger *local.Ledger, phase string,
 	mask []bool, u []int, alpha int) (*Forest, error) {
 	if ctx == nil {
@@ -80,26 +115,30 @@ func Compute(ctx context.Context, nw *local.Network, ledger *local.Ledger, phase
 	// --- Phase 1: the ruling set. One pooled traversal serves every BFS.
 	tr := g.AcquireTraversal()
 	defer g.ReleaseTraversal(tr)
+	s := acquireScratch(n)
+	defer scratchPool.Put(s)
+	epoch := s.epoch
 
 	// Label the components that hold U. 2·ecc of the first U vertex seen
 	// bounds the component's diameter; a component is saturated when that
 	// bound is ≤ α−1, i.e. every vertex in it is within distance < α of
 	// every other.
-	comp := make([]int32, n) // 1 + component index; 0 = not labelled
 	var diamUB []int
 	var winner []int // minimum-ID U vertex of each component
 	for i, v := range u {
-		if comp[v] != 0 {
-			if nw.ID[v] < nw.ID[winner[comp[v]-1]] {
-				winner[comp[v]-1] = v
+		if s.labeled[v] == epoch {
+			if c := s.comp[v]; nw.ID[v] < nw.ID[winner[c]] {
+				winner[c] = v
 			}
 			continue
 		}
 		tr.Run(u[i:i+1], mask, -1)
+		c := int32(len(diamUB))
 		diamUB = append(diamUB, 2*tr.MaxDist())
 		winner = append(winner, v)
 		for _, w := range tr.Order() {
-			comp[w] = int32(len(diamUB))
+			s.labeled[w] = epoch
+			s.comp[w] = c
 		}
 	}
 
@@ -112,7 +151,7 @@ func Compute(ctx context.Context, nw *local.Network, ledger *local.Ledger, phase
 	// first.
 	var cand []int
 	for _, v := range u {
-		if diamUB[comp[v]-1] > alpha-1 {
+		if diamUB[s.comp[v]] > alpha-1 {
 			cand = append(cand, v)
 		}
 	}
@@ -166,18 +205,6 @@ func Compute(ctx context.Context, nw *local.Network, ledger *local.Ledger, phase
 	}
 	slices.Sort(roots)
 
-	f := &Forest{
-		Alpha:  alpha,
-		Roots:  roots,
-		Parent: make([]int, n),
-		Depth:  make([]int, n),
-		InTree: make([]bool, n),
-	}
-	for v := 0; v < n; v++ {
-		f.Parent[v] = -1
-		f.Depth[v] = -1
-	}
-
 	// --- Phase 2: BFS forest from the rulers, trimmed to U's root paths.
 	tr.Run(roots, mask, -1)
 	for _, v := range u {
@@ -185,29 +212,34 @@ func Compute(ctx context.Context, nw *local.Network, ledger *local.Ledger, phase
 			return nil, fmt.Errorf("ruling: U vertex %d unreachable from rulers", v)
 		}
 	}
-	keep := make([]bool, n)
+	size := 0
 	for _, v := range u {
-		x := v
-		for x != -1 && !keep[x] {
-			keep[x] = true
-			x = tr.Parent(x)
+		for x := v; x != -1 && s.kept[x] != epoch; x = tr.Parent(x) {
+			s.kept[x] = epoch
+			size++
 		}
 	}
-	maxDepth := 0
-	for v := 0; v < n; v++ {
-		if !keep[v] {
-			continue
-		}
-		f.InTree[v] = true
-		f.Parent[v] = tr.Parent(v)
-		f.Depth[v] = tr.Dist(v)
-		if f.Depth[v] > maxDepth {
-			maxDepth = f.Depth[v]
+	// Emit the tree ascending by reading it off the marks in one scan.
+	tree := make([]int, 0, size) // non-nil even when U is empty
+	for v, k := range s.kept[:n] {
+		if k == epoch {
+			tree = append(tree, v)
 		}
 	}
-	f.MaxDepth = maxDepth
+	f := &Forest{
+		Alpha:  alpha,
+		Roots:  roots,
+		Tree:   tree,
+		Parent: make([]int, len(tree)),
+		Depth:  make([]int, len(tree)),
+	}
+	for i, v := range tree {
+		f.Parent[i] = tr.Parent(v)
+		f.Depth[i] = tr.Dist(v)
+		f.MaxDepth = max(f.MaxDepth, f.Depth[i])
+	}
 	if ledger != nil {
-		ledger.Charge(phase, maxDepth+1)
+		ledger.Charge(phase, f.MaxDepth+1)
 	}
 	return f, nil
 }
@@ -227,21 +259,11 @@ func IndependentRulingSet(ctx context.Context, nw *local.Network, ledger *local.
 	return f.Roots, nil
 }
 
-// TreeVertices returns all vertices in the forest, ascending.
-func (f *Forest) TreeVertices() []int {
-	var out []int
-	for v, ok := range f.InTree {
-		if ok {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
 // VerifyInvariants checks the (α, β) ruling-forest properties against the
 // masked graph: roots ⊆ U... (roots are rulers chosen from U), pairwise root
-// distance ≥ α, U coverage, parent adjacency, acyclicity and the depth
-// bound β. Used by tests and the experiment harness.
+// distance ≥ α, U coverage, an ascending tree list with aligned fields,
+// parent adjacency, acyclicity and the depth bound β. Used by tests and the
+// experiment harness.
 func (f *Forest) VerifyInvariants(g *graph.Graph, mask []bool, u []int, beta int) error {
 	// roots pairwise ≥ alpha apart
 	for _, r := range f.Roots {
@@ -252,41 +274,47 @@ func (f *Forest) VerifyInvariants(g *graph.Graph, mask []bool, u []int, beta int
 			}
 		}
 	}
+	if len(f.Parent) != len(f.Tree) || len(f.Depth) != len(f.Tree) {
+		return fmt.Errorf("ruling: %d tree vertices but %d parents and %d depths",
+			len(f.Tree), len(f.Parent), len(f.Depth))
+	}
+	pos := make(map[int]int, len(f.Tree))
+	for i, v := range f.Tree {
+		if i > 0 && v <= f.Tree[i-1] {
+			return fmt.Errorf("ruling: tree list not strictly ascending at %d", v)
+		}
+		pos[v] = i
+	}
 	// U covered
 	for _, v := range u {
-		if !f.InTree[v] {
+		if _, ok := pos[v]; !ok {
 			return fmt.Errorf("ruling: U vertex %d not in any tree", v)
 		}
 	}
 	// structure
-	for v := range f.InTree {
-		if !f.InTree[v] {
-			if f.Parent[v] != -1 || f.Depth[v] != -1 {
-				return fmt.Errorf("ruling: non-tree vertex %d has tree fields", v)
-			}
-			continue
-		}
+	for i, v := range f.Tree {
 		if mask != nil && !mask[v] {
 			return fmt.Errorf("ruling: tree vertex %d outside mask", v)
 		}
-		p := f.Parent[v]
+		p := f.Parent[i]
 		if p == -1 {
-			if f.Depth[v] != 0 {
-				return fmt.Errorf("ruling: root %d with depth %d", v, f.Depth[v])
+			if f.Depth[i] != 0 {
+				return fmt.Errorf("ruling: root %d with depth %d", v, f.Depth[i])
 			}
 			continue
 		}
 		if !g.HasEdge(v, p) {
 			return fmt.Errorf("ruling: parent %d of %d not adjacent", p, v)
 		}
-		if !f.InTree[p] {
+		j, ok := pos[p]
+		if !ok {
 			return fmt.Errorf("ruling: parent %d of %d outside forest", p, v)
 		}
-		if f.Depth[v] != f.Depth[p]+1 {
+		if f.Depth[i] != f.Depth[j]+1 {
 			return fmt.Errorf("ruling: depth mismatch at %d", v)
 		}
-		if f.Depth[v] > beta {
-			return fmt.Errorf("ruling: depth %d exceeds β=%d", f.Depth[v], beta)
+		if f.Depth[i] > beta {
+			return fmt.Errorf("ruling: depth %d exceeds β=%d", f.Depth[i], beta)
 		}
 	}
 	return nil

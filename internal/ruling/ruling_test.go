@@ -4,6 +4,8 @@ import (
 	"context"
 	"math/bits"
 	"math/rand/v2"
+	"runtime"
+	"runtime/debug"
 	"slices"
 	"testing"
 
@@ -119,10 +121,14 @@ func TestRulingForestRandomProperty(t *testing.T) {
 		}
 		// trees vertex-disjoint is implied by single Parent pointer; check
 		// root-per-tree consistency: walking parents terminates at a root.
-		for _, v := range f.TreeVertices() {
+		parent := make(map[int]int, len(f.Tree))
+		for i, v := range f.Tree {
+			parent[v] = f.Parent[i]
+		}
+		for _, v := range f.Tree {
 			x, steps := v, 0
-			for f.Parent[x] != -1 {
-				x = f.Parent[x]
+			for parent[x] != -1 {
+				x = parent[x]
 				steps++
 				if steps > n {
 					t.Fatalf("trial %d: parent cycle at %d", trial, v)
@@ -151,7 +157,7 @@ func TestRulingForestSingleton(t *testing.T) {
 	if len(f.Roots) != 1 || f.Roots[0] != 3 {
 		t.Errorf("roots=%v, want [3]", f.Roots)
 	}
-	if len(f.TreeVertices()) != 1 {
+	if len(f.Tree) != 1 {
 		t.Errorf("singleton tree should have exactly the root")
 	}
 }
@@ -163,7 +169,7 @@ func TestRulingForestEmptyU(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(f.Roots) != 0 || len(f.TreeVertices()) != 0 {
+	if len(f.Roots) != 0 || len(f.Tree) != 0 {
 		t.Error("empty U should give empty forest")
 	}
 }
@@ -324,15 +330,26 @@ func referenceRulers(nw *local.Network, ledger *local.Ledger, phase string,
 	return roots
 }
 
-// referenceCompute completes referenceRulers with the forest phase: the
-// multi-source BFS forest of the rulers, trimmed to the root paths of U,
+// refForest is the n-wide forest shape Compute used to return: Parent and
+// Depth per vertex (-1 outside the forest) plus a membership array.
+type refForest struct {
+	Roots    []int
+	Parent   []int
+	Depth    []int
+	InTree   []bool
+	MaxDepth int
+}
+
+// referenceCompute completes referenceRulers with the forest phase as it
+// was written before the forest became list-shaped: the multi-source BFS
+// forest of the rulers, trimmed to the root paths of U, in n-wide arrays,
 // charged maxDepth+1 rounds.
 func referenceCompute(nw *local.Network, ledger *local.Ledger, phase string,
-	mask []bool, u []int, alpha int) *Forest {
+	mask []bool, u []int, alpha int) *refForest {
 	g := nw.G
 	n := g.N()
 	roots := referenceRulers(nw, ledger, phase, mask, u, alpha)
-	f := &Forest{Alpha: alpha, Roots: roots, Parent: make([]int, n), Depth: make([]int, n), InTree: make([]bool, n)}
+	f := &refForest{Roots: roots, Parent: make([]int, n), Depth: make([]int, n), InTree: make([]bool, n)}
 	for v := 0; v < n; v++ {
 		f.Parent[v] = -1
 		f.Depth[v] = -1
@@ -356,6 +373,31 @@ func referenceCompute(nw *local.Network, ledger *local.Ledger, phase string,
 		ledger.Charge(phase, f.MaxDepth+1)
 	}
 	return f
+}
+
+// sameForest reports whether the list-shaped forest f equals the n-wide
+// reference: same roots, the reference's tree vertices in ascending order,
+// and the same parent and depth at each of them.
+func sameForest(f *Forest, ref *refForest) bool {
+	if !slices.Equal(f.Roots, ref.Roots) || f.MaxDepth != ref.MaxDepth ||
+		len(f.Parent) != len(f.Tree) || len(f.Depth) != len(f.Tree) {
+		return false
+	}
+	var tree []int
+	for v, in := range ref.InTree {
+		if in {
+			tree = append(tree, v)
+		}
+	}
+	if !slices.Equal(f.Tree, tree) {
+		return false
+	}
+	for i, v := range f.Tree {
+		if f.Parent[i] != ref.Parent[v] || f.Depth[i] != ref.Depth[v] {
+			return false
+		}
+	}
+	return true
 }
 
 // randomPieces returns a disjoint union of 2–6 small paths, cycles, grids
@@ -422,8 +464,7 @@ func TestComputeMatchesReference(t *testing.T) {
 			if !slices.Equal(f.Roots, ref.Roots) {
 				t.Fatalf("trial %d α=%d: roots %v, reference %v", trial, alpha, f.Roots, ref.Roots)
 			}
-			if !slices.Equal(f.Parent, ref.Parent) || !slices.Equal(f.Depth, ref.Depth) ||
-				!slices.Equal(f.InTree, ref.InTree) || f.MaxDepth != ref.MaxDepth {
+			if !sameForest(f, ref) {
 				t.Fatalf("trial %d α=%d: forest differs from reference", trial, alpha)
 			}
 			if got.Rounds() != want.Rounds() {
@@ -431,6 +472,84 @@ func TestComputeMatchesReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// checkComputeAgainstReference runs Compute and referenceCompute at each α
+// and fails unless roots, forest and charged rounds agree.
+func checkComputeAgainstReference(t *testing.T, name string, nw *local.Network, mask []bool, u []int, alphas []int) {
+	t.Helper()
+	for _, alpha := range alphas {
+		var got, want local.Ledger
+		f, err := Compute(context.Background(), nw, &got, "ruling", mask, u, alpha)
+		if err != nil {
+			t.Fatalf("%s α=%d: %v", name, alpha, err)
+		}
+		ref := referenceCompute(nw, &want, "ruling", mask, u, alpha)
+		if !sameForest(f, ref) {
+			t.Fatalf("%s α=%d: forest differs from reference (roots %v, reference %v)", name, alpha, f.Roots, ref.Roots)
+		}
+		if got.Rounds() != want.Rounds() {
+			t.Fatalf("%s α=%d: %d rounds, reference %d", name, alpha, got.Rounds(), want.Rounds())
+		}
+	}
+}
+
+// TestComputeMatchesReferenceFamilies compares Compute with the n-wide
+// reference on GNP, Apollonian, grid and 3-regular graphs under random
+// masks and a nil mask, with random U and shuffled IDs.
+func TestComputeMatchesReferenceFamilies(t *testing.T) {
+	rng := rand.New(rand.NewPCG(18, 4))
+	regular, err := gen.RandomRegular(1200, 3, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphs := []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"gnp", gen.GNP(1000, 3.0/1000, rng)},
+		{"apollonian", gen.Apollonian(1200, rng)},
+		{"grid", gen.Grid(30, 40)},
+		{"regular3", regular},
+	}
+	for _, tc := range graphs {
+		n := tc.g.N()
+		nw := local.NewShuffledNetwork(tc.g, rng)
+		for trial := 0; trial < 4; trial++ {
+			var mask []bool
+			if trial > 0 {
+				mask = make([]bool, n)
+				p := []float64{0.3, 0.6, 0.9}[trial-1]
+				for v := range mask {
+					mask[v] = rng.Float64() < p
+				}
+			}
+			var u []int
+			for v := 0; v < n; v++ {
+				if (mask == nil || mask[v]) && rng.Float64() < 0.4 {
+					u = append(u, v)
+				}
+			}
+			checkComputeAgainstReference(t, tc.name, nw, mask, u, []int{2, 3, 6, 2*n + 2})
+		}
+	}
+}
+
+// TestComputeSmallUInLargeGraph runs Compute on a 100-vertex mask (a
+// connected patch plus scattered vertices) inside an n=1e5 graph, with U
+// the whole mask: the path Compute takes once per late, small peel layer.
+func TestComputeSmallUInLargeGraph(t *testing.T) {
+	rng := rand.New(rand.NewPCG(18, 5))
+	g := gen.Apollonian(100000, rng)
+	nw := local.NewShuffledNetwork(g, rng)
+	mask := smallMask(g, rng)
+	var u []int
+	for v, in := range mask {
+		if in {
+			u = append(u, v)
+		}
+	}
+	checkComputeAgainstReference(t, "apollonian1e5/100", nw, mask, u, []int{2, 4, 1518})
 }
 
 // BenchmarkRulingCompute times one ruling-forest call on the two paths of
@@ -462,5 +581,63 @@ func BenchmarkRulingCompute(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// smallMask marks 100 vertices of g: a connected patch of 60 (a BFS prefix
+// from a random vertex) plus 40 scattered ones.
+func smallMask(g *graph.Graph, rng *rand.Rand) []bool {
+	mask := make([]bool, g.N())
+	for _, v := range g.Ball(rng.IntN(g.N()), 5, nil)[:60] {
+		mask[v] = true
+	}
+	for picked := 0; picked < 40; {
+		if v := rng.IntN(g.N()); !mask[v] {
+			mask[v] = true
+			picked++
+		}
+	}
+	return mask
+}
+
+// allocBytes returns the bytes a warm call of fn allocates, as the
+// TotalAlloc delta of a second call after a first. It runs on one P with
+// the collector off, so the second call finds the pooled scratch the first
+// one filled: a per-P pool cache cannot miss and no GC can drop it.
+func allocBytes(fn func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	fn()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestComputeAllocatesPerU checks that a warm Compute with |U| = 100 (U the
+// whole 100-vertex mask) in an n=1e5 graph allocates for U, not for the
+// graph: under 64 KiB, where n-wide forest arrays would take megabytes.
+func TestComputeAllocatesPerU(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under the race detector")
+	}
+	rng := rand.New(rand.NewPCG(18, 10))
+	g := gen.Apollonian(100000, rng)
+	nw := local.NewShuffledNetwork(g, rng)
+	mask := smallMask(g, rng)
+	var u []int
+	for v, in := range mask {
+		if in {
+			u = append(u, v)
+		}
+	}
+	run := func() {
+		if _, err := Compute(context.Background(), nw, nil, "", mask, u, 4); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := allocBytes(run); got >= 64<<10 {
+		t.Fatalf("Compute with |U|=%d of %d vertices allocated %d bytes, want < 64 KiB", len(u), g.N(), got)
 	}
 }

@@ -114,7 +114,7 @@ func (m *serveMetrics) wire(s *Server) {
 		"Spilled graphs paged back in by a later request.", nil,
 		func() float64 { return float64(s.store.Spill().Readmits) })
 	reg.CounterFunc("distcolor_store_spill_drops_total",
-		"Spilled .dcsr images deleted: disk-budget evictions and images that failed to reopen.", nil,
+		"Spilled .dcsr images deleted: disk-budget evictions and images that failed to reopen or verify.", nil,
 		func() float64 { return float64(s.store.Spill().Drops) })
 	if s.cluster != nil {
 		const forwardsHelp = "Requests forwarded to their owning replica, by outcome."

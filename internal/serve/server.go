@@ -204,6 +204,7 @@ func New(opts Options) *Server {
 			Seed:       opts.TraceSeed,
 		}),
 	}
+	s.store.log = opts.Logger
 	if opts.SpillDir != "" {
 		// Same contract as an invalid cluster config: a replica that cannot
 		// bring up its configured spill tier must not come up without it.

@@ -5,9 +5,13 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -70,6 +74,108 @@ func TestStoreSpillReadmit(t *testing.T) {
 	}
 	if store.Spill().Readmits == 0 {
 		t.Fatal("resolving spilled graphs recorded no re-admissions")
+	}
+}
+
+// TestStoreSpillReadmitOnce resolves one spilled graph from many
+// goroutines at once. The image is opened and verified with the store lock
+// released, so the lookups that arrive meanwhile must wait for that one
+// readmission: every lookup gets the graph, and it is paged in once.
+func TestStoreSpillReadmitOnce(t *testing.T) {
+	const n = 1 << 16
+	store := NewGraphStore(2 * graphWeight(gen.Path(n)))
+	if err := store.EnableSpill(t.TempDir(), 0); err != nil {
+		t.Fatal(err)
+	}
+	want := gen.Path(n)
+	cold, err := store.Add(want, Image{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := store.Add(gen.Path(n), Image{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if sp := store.Spill(); sp.SpilledGraphs != 1 {
+		t.Fatalf("want 1 spilled graph, have %+v", sp)
+	}
+	before := store.Spill().Readmits
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			g, _, ok := store.Resolve(cold)
+			if !ok || !csrEqual(g, want) {
+				t.Errorf("concurrent Resolve(%s): ok=%v", cold, ok)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if got := store.Spill().Readmits - before; got != 1 {
+		t.Fatalf("%d readmissions of one spilled graph, want 1", got)
+	}
+}
+
+// TestStoreSpillDroppedDuringReadmit drops a spilled graph's image through
+// the disk budget while a readmission of it is reading the image with the
+// store lock released. The readmission must then report a miss and leave
+// the store's accounting as the drop left it, instead of admitting an entry
+// the indexes no longer hold.
+func TestStoreSpillDroppedDuringReadmit(t *testing.T) {
+	const n = 1 << 17
+	store := NewGraphStore(graphWeight(gen.Path(n)))
+	if err := store.EnableSpill(t.TempDir(), 0); err != nil {
+		t.Fatal(err)
+	}
+	cold, err := store.Add(gen.Path(n), Image{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.Add(gen.Path(n), Image{}); err != nil {
+		t.Fatal(err)
+	}
+	store.mu.Lock()
+	e := store.items[cold]
+	store.mu.Unlock()
+	if e == nil || e.g != nil {
+		t.Fatal("want the first graph spilled")
+	}
+	resolved := make(chan bool)
+	go func() {
+		_, _, ok := store.Resolve(cold)
+		resolved <- ok
+	}()
+	// Once the entry is marked opening under the lock, the readmission is
+	// between releasing and re-taking it, and cannot finish while we hold it.
+	for {
+		store.mu.Lock()
+		if e.opening != nil {
+			store.spillCap = 1
+			store.enforceSpillCap()
+			store.mu.Unlock()
+			break
+		}
+		if e.g != nil {
+			store.mu.Unlock()
+			t.Fatal("readmission finished before the drop could interleave")
+		}
+		store.mu.Unlock()
+		runtime.Gosched()
+	}
+	if <-resolved {
+		t.Fatal("Resolve succeeded for a graph dropped during its readmission")
+	}
+	sp := store.Spill()
+	if sp.Readmits != 0 || sp.SpilledGraphs != 0 || sp.SpilledBytes != 0 || sp.DiskBytes != 0 {
+		t.Fatalf("spill accounting after the drop: %+v", sp)
+	}
+	if got := store.Len(); got != 1 {
+		t.Fatalf("%d resident graphs, want only the second one", got)
 	}
 }
 
@@ -178,6 +284,71 @@ func TestStoreSpillCapDrops(t *testing.T) {
 	_, plain := newTestServer(t, Options{})
 	if got := spillDrops(plain.URL); got != nil {
 		t.Fatalf("/v1/stats without spilling reports spill_drops = %d", *got)
+	}
+}
+
+// TestStoreSpillCorruptImageDropped corrupts spilled images on disk — one
+// neighbor entry overwritten with an out-of-range vertex, which the O(1)
+// page map cannot see — and checks that readmission verifies them: each
+// lookup misses, the image file is removed, the drop is counted on
+// /metrics and logged, and a job naming the graph fails cleanly instead of
+// running on it.
+func TestStoreSpillCorruptImageDropped(t *testing.T) {
+	small := gen.Path(10)
+	buf := &syncBuffer{}
+	srv, ts := newTestServer(t, Options{
+		GraphCacheWeight: 2 * graphWeight(small),
+		SpillDir:         t.TempDir(),
+		Logger:           slog.New(slog.NewJSONHandler(buf, nil)),
+	})
+	for i := 0; i < 5; i++ {
+		uploadEdgeList(t, ts, gen.Path(10))
+	}
+	srv.store.mu.Lock()
+	cold := map[string]string{}
+	for id, e := range srv.store.items {
+		if e.g == nil {
+			cold[id] = e.Path
+		}
+	}
+	srv.store.mu.Unlock()
+	if len(cold) < 3 {
+		t.Fatalf("want ≥ 3 spilled images, have %d", len(cold))
+	}
+	for _, path := range cold {
+		img, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		neighborsOff := binary.LittleEndian.Uint64(img[40:48])
+		binary.LittleEndian.PutUint32(img[neighborsOff:], 1<<30)
+		if err := os.WriteFile(path, img, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := srv.store.Spill().Drops
+	for id, path := range cold {
+		code, raw := doJSON(t, "POST", ts.URL+"/v1/jobs?wait=true",
+			map[string]any{"graph": id, "algo": "gps7"})
+		if code < 400 {
+			t.Fatalf("job on corrupt image %s: status %d: %s", id, code, raw)
+		}
+		if _, _, ok := srv.store.Resolve(id); ok {
+			t.Fatalf("corrupt image %s still resolves", id)
+		}
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Fatalf("corrupt image %s left on disk (stat: %v)", path, err)
+		}
+	}
+	drops := srv.store.Spill().Drops
+	if drops-before != int64(len(cold)) {
+		t.Fatalf("%d spill drops for %d corrupt images", drops-before, len(cold))
+	}
+	if _, samples := scrapeMetrics(t, ts.URL); samples["distcolor_store_spill_drops_total"] != float64(drops) {
+		t.Fatalf("distcolor_store_spill_drops_total = %v, want %d", samples["distcolor_store_spill_drops_total"], drops)
+	}
+	if got := strings.Count(buf.String(), `"msg":"spill image dropped"`); got != len(cold) {
+		t.Fatalf("%d spill-drop log events for %d corrupt images", got, len(cold))
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"strings"
@@ -57,6 +58,8 @@ type GraphStore struct {
 	spills      int64
 	readmits    int64
 	spillDrops  int64
+
+	log *slog.Logger // spill-tier failure events
 }
 
 // Image is a .dcsr file under the spill directory that holds a graph.
@@ -80,6 +83,7 @@ type entry struct {
 	g       *graph.Graph // nil while cold
 	weight  int64        // heap entries charged while resident (see heapWeight)
 	el      *list.Element
+	opening chan struct{} // non-nil while a readmission reads the image; closed when it ends
 }
 
 // specIDPrefix marks graph IDs derived from a generator spec. Such IDs are
@@ -147,6 +151,7 @@ func NewGraphStore(capacity int64) *GraphStore {
 		bySpec:   make(map[string]*entry),
 		lru:      list.New(),
 		spillLRU: list.New(),
+		log:      slog.New(slog.DiscardHandler),
 	}
 }
 
@@ -414,15 +419,46 @@ func (s *GraphStore) remove(e *entry) {
 	}
 }
 
-// readmit pages a cold entry's image back in under its ID. On an open
-// failure the image is dropped and the lookup proceeds as a miss. Called
-// with mu held.
-func (s *GraphStore) readmit(e *entry) bool {
+// readmit pages a cold entry's image back in under its ID. The image is
+// verified in full first: it sat on disk, where anything may have changed
+// it, and the O(1) page map checks only the header, so an out-of-range
+// neighbor entry would otherwise reach the algorithms. Verifying reads the
+// whole image, so the open and verify run with mu released: the entry stays
+// cold meanwhile, and a concurrent lookup of it waits for this readmission
+// instead of starting its own. On an open or verify failure the image is
+// dropped (counted and logged). Called with mu held; returns with mu held,
+// after which the caller re-checks the entry's state.
+func (s *GraphStore) readmit(e *entry) {
+	if e.opening != nil {
+		done := e.opening
+		s.mu.Unlock()
+		<-done
+		s.mu.Lock()
+		return
+	}
+	done := make(chan struct{})
+	e.opening = done
+	s.mu.Unlock()
 	mg, err := graph.OpenDCSR(e.Path)
+	if err == nil {
+		if err = mg.Verify(); err != nil {
+			mg.Close()
+		}
+	}
+	s.mu.Lock()
+	e.opening = nil
+	close(done)
+	if s.items[e.id] != e { // dropped while unlocked (disk budget, spec replaced)
+		if err == nil {
+			mg.Close()
+		}
+		return
+	}
 	if err != nil {
+		s.log.Warn("spill image dropped", "graph", e.id, "path", e.Path, "err", err)
 		s.remove(e)
 		s.spillDrops++
-		return false
+		return
 	}
 	s.spillLRU.Remove(e.el)
 	s.coldBytes -= e.Bytes
@@ -434,25 +470,26 @@ func (s *GraphStore) readmit(e *entry) bool {
 		s.unindex(e)
 		s.diskUsed -= e.Bytes
 		os.Remove(e.Path)
-		return false
+		return
 	}
 	s.readmits++
-	return true
 }
 
 // materialize makes e resident — a recency bump, or a readmission from its
 // image — and reports how: "ram" for a heap-resident graph, "mmap" for one
-// whose arrays are (or were re-admitted as) a page-mapped .dcsr image.
-// Called with mu held.
+// whose arrays are (or were re-admitted as) a page-mapped .dcsr image. It
+// fails once e is no longer indexed: its image was dropped, or a concurrent
+// removal beat the readmission. Called with mu held, which readmit releases
+// and re-takes.
 func (s *GraphStore) materialize(e *entry) (source string, ok bool) {
-	if e.g != nil {
-		s.touch(e)
-		return residentSource(e), true
+	for e.g == nil {
+		if s.items[e.id] != e {
+			return "", false
+		}
+		s.readmit(e)
 	}
-	if s.readmit(e) {
-		return "mmap", true
-	}
-	return "", false
+	s.touch(e)
+	return residentSource(e), true
 }
 
 // Resolve returns the graph for id, bumping its recency, along with how it
@@ -512,7 +549,7 @@ type SpillStats struct {
 	MappedBytes   int64 `json:"mapped_bytes"`  // bytes backing resident mmap'd graphs
 	Spills        int64 `json:"spills"`        // evictions that kept an image
 	Readmits      int64 `json:"readmissions"`  // spilled graphs paged back in
-	Drops         int64 `json:"spill_drops"`   // images deleted (disk budget or failed reopen)
+	Drops         int64 `json:"spill_drops"`   // images deleted (disk budget, failed reopen or verify)
 }
 
 // Spill returns the current spill snapshot.
