@@ -6,9 +6,10 @@ GO ?= go
 # by bench-smoke): the engine acceptance suite plus the graph-layer
 # primitives its hot path leans on, the ruling-forest layer, and the
 # instrumented (Obs) twins of the delivery and serving benchmarks so the
-# trajectory records observability cost alongside raw cost.
-BENCH_JSON_PAT = BenchmarkSparseListColor|BenchmarkCollectBallsSync|BenchmarkRunSyncDelivery|BenchmarkHappySet|BenchmarkBlocks|BenchmarkGallai|BenchmarkBFS|BenchmarkDegeneracy|BenchmarkGirth|BenchmarkDegreeListColor|BenchmarkServeThroughput$$|BenchmarkServeThroughputObs$$|BenchmarkServeThroughputCluster$$|BenchmarkServeThroughputForward$$|BenchmarkServeThroughputSpill$$|BenchmarkClusterRoute|BenchmarkGraphLoad|BenchmarkRulingCompute
-BENCH_JSON_PKGS = . ./internal/graph ./internal/seqcolor ./internal/ruling ./internal/serve ./internal/cluster
+# trajectory records observability cost alongside raw cost, and the
+# extension's (Δ+1)-class schedule (Linial + class reduction).
+BENCH_JSON_PAT = BenchmarkSparseListColor|BenchmarkCollectBallsSync|BenchmarkRunSyncDelivery|BenchmarkHappySet|BenchmarkBlocks|BenchmarkGallai|BenchmarkBFS|BenchmarkDegeneracy|BenchmarkGirth|BenchmarkDegreeListColor|BenchmarkServeThroughput$$|BenchmarkServeThroughputObs$$|BenchmarkServeThroughputCluster$$|BenchmarkServeThroughputForward$$|BenchmarkServeThroughputSpill$$|BenchmarkClusterRoute|BenchmarkGraphLoad|BenchmarkRulingCompute|BenchmarkDegPlusOne
+BENCH_JSON_PKGS = . ./internal/graph ./internal/seqcolor ./internal/ruling ./internal/reduce ./internal/serve ./internal/cluster
 
 all: ci
 
@@ -103,15 +104,17 @@ bench-smoke:
 		| $(GO) run ./cmd/benchjson -check BENCH_PR.json -tolerance 1.5
 
 # Allocation gate over the Theorem 1.1 path, the block decomposition it
-# leans on, the ruling forest and the happy-set classification: fails when a benchmark's allocs/op exceeds 1.10× its committed
-# BENCH_PR.json value (growth under benchjson's small absolute slack, pool
-# refills after a GC, is forgiven). allocs/op barely moves between machines
-# or minutes, so unlike bench-smoke's ns/op this gate does not need a wide
-# tolerance; -tolerance 0 leaves ns/op to bench-smoke.
+# leans on, the ruling forest, the happy-set classification and the
+# (Δ+1)-class schedule: fails when a benchmark's allocs/op exceeds 1.10×
+# its committed BENCH_PR.json value (growth under benchjson's small
+# absolute slack, pool refills after a GC, is forgiven) or has no committed
+# value. allocs/op barely moves between machines or minutes, so unlike
+# bench-smoke's ns/op this gate does not need a wide tolerance; -tolerance 0
+# leaves ns/op to bench-smoke.
 bench-allocs:
 	$(GO) test -run xxx -benchtime 3x -benchmem \
-		-bench 'BenchmarkDegreeListColor|BenchmarkBlocks|BenchmarkGallai|BenchmarkSparseListColor/.*/n1e[34]$$|BenchmarkRulingCompute|BenchmarkHappySet' \
-		. ./internal/graph ./internal/seqcolor ./internal/ruling \
+		-bench 'BenchmarkDegreeListColor|BenchmarkBlocks|BenchmarkGallai|BenchmarkSparseListColor/.*/n1e[34]$$|BenchmarkRulingCompute|BenchmarkHappySet|BenchmarkDegPlusOne' \
+		. ./internal/graph ./internal/seqcolor ./internal/ruling ./internal/reduce \
 		| $(GO) run ./cmd/benchjson -check BENCH_PR.json -tolerance 0 -allocs-tolerance 1.10
 
 # Regenerate the persistent benchmark trajectory BENCH_PR.json (committed;

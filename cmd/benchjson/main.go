@@ -25,9 +25,11 @@
 // The emitted JSON maps each benchmark name (GOMAXPROCS suffix stripped) to
 // its ns/op and allocs/op. When a benchmark appears more than once in the
 // input (-count > 1), the minimum ns/op line wins — the least-interference
-// sample is the closest to the code's true cost. -check compares only names
-// present in both files, so adding or retiring benchmarks never fails the
-// gate; a present benchmark whose ns/op exceeds baseline × tolerance does.
+// sample is the closest to the code's true cost. -check gates every result
+// against the baseline: a result with no baseline entry fails it (a new
+// benchmark must land with its number), while a baseline entry absent from
+// the results (a retired or unselected benchmark) is ignored; a benchmark
+// whose ns/op exceeds baseline × tolerance fails.
 // -tolerance 0 turns the ns/op gate off. -allocs-tolerance (default 0, off)
 // gates allocs/op the same way, forgiving growth below allocsSlack: allocs/op
 // barely moves between machines or minutes, so that gate holds where a
@@ -98,21 +100,24 @@ func parse(r io.Reader) (map[string]Result, error) {
 // otherwise allocate next to nothing.
 const allocsSlack = 64
 
-// check compares results against a baseline, returning one line per shared
-// benchmark that regressed beyond a tolerance: new ns/op > old × tolerance,
-// or new allocs/op > old × allocsTolerance and by at least allocsSlack. A
-// tolerance ≤ 0 skips its gate.
+// check compares results against a baseline, returning one line per result
+// that has no baseline entry or regressed beyond a tolerance: new ns/op >
+// old × tolerance, or new allocs/op > old × allocsTolerance and by at least
+// allocsSlack. A tolerance ≤ 0 skips its gate.
 func check(results, baseline map[string]Result, tolerance, allocsTolerance float64) []string {
 	names := make([]string, 0, len(results))
 	for name := range results {
-		if _, ok := baseline[name]; ok {
-			names = append(names, name)
-		}
+		names = append(names, name)
 	}
 	sort.Strings(names)
 	var bad []string
 	for _, name := range names {
-		old, cur := baseline[name], results[name]
+		old, ok := baseline[name]
+		if !ok {
+			bad = append(bad, fmt.Sprintf("%s: no baseline entry", name))
+			continue
+		}
+		cur := results[name]
 		if tolerance > 0 && cur.NsPerOp > old.NsPerOp*tolerance {
 			bad = append(bad, fmt.Sprintf("%s: %.0f ns/op vs baseline %.0f (%.2fx > %.2fx tolerance)",
 				name, cur.NsPerOp, old.NsPerOp, cur.NsPerOp/old.NsPerOp, tolerance))
@@ -262,7 +267,7 @@ func run(in io.Reader, stderr io.Writer, o options) error {
 		}
 		gates := strings.Join(limits, " or ")
 		if bad := check(results, baseline, o.tolerance, o.allocsTolerance); len(bad) > 0 {
-			return fmt.Errorf("benchjson: %d regression(s) beyond %s:\n  %s",
+			return fmt.Errorf("benchjson: %d regression(s) beyond %s or missing baselines:\n  %s",
 				len(bad), gates, strings.Join(bad, "\n  "))
 		}
 		fmt.Fprintf(stderr, "benchjson: no regression beyond %s against %s\n", gates, o.checkPath)

@@ -57,7 +57,6 @@ func TestCheck(t *testing.T) {
 	results := map[string]Result{
 		"A": {NsPerOp: 149}, // within 1.5x
 		"B": {NsPerOp: 151}, // regressed
-		"D": {NsPerOp: 999}, // new: absent from baseline, never gated
 	}
 	bad := check(results, baseline, 1.5, 0)
 	if len(bad) != 1 || !strings.HasPrefix(bad[0], "B:") {
@@ -65,6 +64,35 @@ func TestCheck(t *testing.T) {
 	}
 	if bad := check(results, baseline, 2.0, 0); len(bad) != 0 {
 		t.Fatalf("check at 2.0x = %v, want none", bad)
+	}
+}
+
+// TestCheckMissingBaseline checks that a gated result without a baseline
+// entry fails -check by name, at any tolerance, rather than going ungated.
+func TestCheckMissingBaseline(t *testing.T) {
+	baseline := map[string]Result{"A": {NsPerOp: 100, AllocsPerOp: 10}}
+	results := map[string]Result{
+		"A":       {NsPerOp: 100, AllocsPerOp: 10},
+		"New/one": {NsPerOp: 1, AllocsPerOp: 0},
+		"New/two": {NsPerOp: 1, AllocsPerOp: 0},
+	}
+	for _, tol := range [][2]float64{{1.5, 0}, {0, 1.10}, {100, 100}} {
+		bad := check(results, baseline, tol[0], tol[1])
+		if len(bad) != 2 || bad[0] != "New/one: no baseline entry" || bad[1] != "New/two: no baseline entry" {
+			t.Fatalf("check at %v = %v, want both New results named as missing", tol, bad)
+		}
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "base.json")
+	data, _ := json.Marshal(map[string]Result{"BenchmarkRunSyncDelivery": {NsPerOp: 1e9, AllocsPerOp: 1e6}})
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var stderr strings.Builder
+	err := run(strings.NewReader(sampleOutput), &stderr, options{checkPath: path, tolerance: 1.5, allocsTolerance: 1.10})
+	if err == nil || !strings.Contains(err.Error(), "BenchmarkNoMem: no baseline entry") ||
+		!strings.Contains(err.Error(), "BenchmarkSparseListColor/random-sparse/n1e4: no baseline entry") {
+		t.Fatalf("run -check = %v, want the two unrecorded benchmarks named", err)
 	}
 }
 

@@ -46,7 +46,7 @@ func (p *linialProgram) Step(round int, inbox []local.Inbound) ([]local.Outbound
 	// lockstep and halt at the same step.
 	if round > 1 {
 		q, t := linialPrime(p.k, p.d)
-		p.color = linialStep(p.color, p.nbrCols, q, t)
+		p.color = linialStep(p.color, p.nbrCols, newField(q), t)
 		p.k = q * q
 	}
 	// Broadcast only if another iteration will shrink the palette.
@@ -55,27 +55,6 @@ func (p *linialProgram) Step(round int, inbox []local.Inbound) ([]local.Outbound
 		return nil, true
 	}
 	return []local.Outbound{{Port: local.Broadcast, Msg: linialMsg{color: p.color}}}, false
-}
-
-// linialStep picks x ∈ F_q with p_v(x) ≠ p_u(x) for every neighbor color u.
-func linialStep(own int, nbrs []int, q, t int) int {
-	pv := digitsBaseQ(own, q, t)
-	for x := 0; x < q; x++ {
-		ok := true
-		for _, u := range nbrs {
-			if u == own {
-				continue
-			}
-			if evalPoly(digitsBaseQ(u, q, t), x, q) == evalPoly(pv, x, q) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return x*q + evalPoly(pv, x, q)
-		}
-	}
-	panic("reduce: Linial selection failed in sync program")
 }
 
 func (p *linialProgram) Output() any { return p.color }
@@ -121,11 +100,4 @@ func LinialColorSync(ctx context.Context, nw *local.Network, ledger *local.Ledge
 		colors[v] = c
 	}
 	return colors, k, nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -2,7 +2,9 @@
 // subroutines used by the paper and its baselines:
 //
 //   - Linial's O(Δ²)-coloring in O(log* n) rounds (polynomial set systems
-//     over finite fields);
+//     over finite fields; a color's polynomial is evaluated straight from
+//     its base-q digits with multiply-shift arithmetic, no digit table and
+//     no division);
 //   - one-class-per-round reduction down to Δ+1 colors;
 //   - Cole–Vishkin 3-coloring of rooted forests (shift-down + reduce);
 //   - the simple randomized (deg+1)-list-coloring (Question 6.2 remark).
@@ -16,7 +18,10 @@ package reduce
 import (
 	"context"
 	"fmt"
+	"math"
+	"math/bits"
 	"math/rand/v2"
+	"slices"
 	"sync"
 
 	"distcolor/internal/graph"
@@ -73,90 +78,128 @@ func bitsLen(k int) int {
 	return n
 }
 
-// digitsBaseQ returns the t base-q digits of c (little-endian), i.e. the
-// coefficients of vertex c's polynomial.
-func digitsBaseQ(c, q, t int) []int {
-	out := make([]int, t)
-	for i := 0; i < t; i++ {
-		out[i] = c % q
-		c /= q
-	}
-	return out
+// field is arithmetic in GF(q) with division and remainder by q done as
+// multiply-shifts (Lemire, Kaser and Kurz, "Faster remainder by direct
+// computation", 2019): with m = ⌊(2⁶⁴-1)/q⌋+1, c/q is the high word of
+// m·c and c mod q the high word of (m·c mod 2⁶⁴)·q, exact for every
+// c < 2³². Linial iterates only while q² < k ≤ n < 2³¹, so colors (below
+// k) and each partial sum reduced after adding one product of residues
+// (below q²) stay in range.
+type field struct{ q, m uint64 }
+
+func newField(q int) field { return field{uint64(q), ^uint64(0)/uint64(q) + 1} }
+
+// divmod returns c/q and c mod q for c < 2³².
+func (f field) divmod(c uint64) (uint64, uint64) {
+	quo, lo := bits.Mul64(f.m, c)
+	rem, _ := bits.Mul64(lo, f.q)
+	return quo, rem
 }
 
-func evalPoly(coeffs []int, x, q int) int {
-	val := 0
-	for i := len(coeffs) - 1; i >= 0; i-- {
-		val = (val*x + coeffs[i]) % q
+// powers fills xs with x⁰, x¹, … mod q and returns it, cut to xs[:1] at
+// x = 0, where every higher power vanishes.
+func (f field) powers(xs []uint64, x uint64) []uint64 {
+	if x == 0 {
+		xs = xs[:1]
+	}
+	xs[0] = 1
+	for i := 1; i < len(xs); i++ {
+		_, xs[i] = f.divmod(xs[i-1] * x)
+	}
+	return xs
+}
+
+// eval returns p_c(x) for the powers xs of x: the polynomial whose
+// coefficients are c's base-q digits, split off on the fly. At x = 0 it is
+// c mod q. The sum is reduced after every term, never left to grow to t·q².
+func (f field) eval(c uint64, xs []uint64) uint64 {
+	c, val := f.divmod(c)
+	for _, p := range xs[1:] {
+		var dig uint64
+		c, dig = f.divmod(c)
+		_, val = f.divmod(val + dig*p)
 	}
 	return val
 }
 
+// linialStep is one Linial step of a vertex with color own whose neighbors
+// hold the colors nbrs, over the field of the step's prime q, t digits per
+// color: it picks the first x ∈ F_q with p_own(x) ≠ p_u(x) for every
+// neighbor color u ≠ own, trying x upward from 0 (where p(x) is the color
+// mod q), and returns the new color x·q + p_own(x). LinialColor and the
+// message-passing program both call it.
+func linialStep(own int, nbrs []int, f field, t int) int {
+	var buf [32]uint64 // t ≤ 31: q ≥ 2 and q^(t-1) < k < 2³¹
+	for x := uint64(0); x < f.q; x++ {
+		xs := f.powers(buf[:t], x)
+		ev := f.eval(uint64(own), xs)
+		ok := true
+		for _, u := range nbrs {
+			if u != own && f.eval(uint64(u), xs) == ev {
+				ok = false
+				break
+			}
+		}
+		if ok {
+			return int(x*f.q + ev)
+		}
+	}
+	panic("reduce: Linial selection failed — prime too small (internal bug)")
+}
+
+// member is a workspace's per-vertex record: the membership stamp and the
+// current color side by side, so a neighbor costs one 8-byte read.
+type member struct {
+	in    uint32
+	color int32
+}
+
 // workspace is the pooled vertex-indexed state of one reduction over a
-// vertex list: membership stamps (in[v] == epoch iff v is listed), each
-// member's current color, its base-q digits (t per vertex, at v·t), and
-// the class counters of recolorOrder (one per color above Δ). The arrays
-// grow on demand. Only the counters are cleared per call: a stale stamp is
-// always older than the next epoch, and colors and digits are only read for
-// members. So a call over a small list in a huge graph touches only the
-// list's entries and its palette's counters, while its inner loops keep
-// direct indexing by vertex ID.
+// vertex list: one member record per vertex (rec[v].in == epoch iff v is
+// listed, rec[v].color its current color) and the class counters of
+// recolorOrder (one per color above Δ). The arrays grow on demand. Only the
+// counters are cleared per call: a stale stamp is always older than the
+// next epoch, and colors are only read for members. So a call over a small
+// list in a huge graph touches only the list's entries and its palette's
+// counters, while its inner loops keep direct indexing by vertex ID.
 type workspace struct {
-	in     []uint32
-	epoch  uint32
-	color  []int
-	digits []int
-	count  []int32
+	rec   []member
+	epoch uint32
+	count []int32
 }
 
 var workspacePool sync.Pool
 
-// acquireWorkspace takes a workspace sized for n vertices from the pool and
-// stamps verts as its members.
-func acquireWorkspace(n int, verts []int) *workspace {
+// acquireWorkspace takes a workspace sized for g from the pool, stamps
+// verts as its members and returns it with Δ(G[verts]).
+func acquireWorkspace(g *graph.Graph, verts []int) (*workspace, int) {
 	ws, _ := workspacePool.Get().(*workspace)
 	if ws == nil {
 		ws = &workspace{}
 	}
 	if ws.epoch == ^uint32(0) { // epoch wrap: clear stamps once every 2³² uses
-		clear(ws.in)
+		clear(ws.rec)
 		ws.epoch = 0
 	}
 	ws.epoch++
-	if n > len(ws.in) {
-		ws.in = make([]uint32, n)
-		ws.color = make([]int, n)
+	if g.N() > len(ws.rec) {
+		ws.rec = make([]member, g.N())
 	}
+	rec, epoch := ws.rec, ws.epoch
 	for _, v := range verts {
-		ws.in[v] = ws.epoch
+		rec[v].in = epoch
 	}
-	return ws
-}
-
-// digitsFor returns the digit table for t digits per vertex of an n-vertex
-// graph, growing it when needed.
-func (ws *workspace) digitsFor(n, t int) []int {
-	if n*t > len(ws.digits) {
-		ws.digits = make([]int, n*t)
-	}
-	return ws.digits
-}
-
-// maxDegreeIn returns the maximum degree of the graph induced by the
-// workspace's members, for the member list verts.
-func (ws *workspace) maxDegreeIn(g *graph.Graph, verts []int) int {
-	in, epoch := ws.in, ws.epoch
 	d := 0
 	for _, v := range verts {
 		dv := 0
 		for _, w := range g.Neighbors(v) {
-			if in[w] == epoch {
+			if rec[w].in == epoch {
 				dv++
 			}
 		}
 		d = max(d, dv)
 	}
-	return d
+	return ws, d
 }
 
 // allIfNil returns verts, or every vertex 0..n-1 when verts is nil.
@@ -180,71 +223,50 @@ func allIfNil(verts []int, n int) []int {
 // pooled workspace has grown to the graph, work and allocation are
 // proportional to the list and its edges, not to n.
 func LinialColor(nw *local.Network, ledger *local.Ledger, phase string, verts []int) ([]int, int) {
-	g := nw.G
-	n := g.N()
-	verts = allIfNil(verts, n)
-	ws := acquireWorkspace(n, verts)
+	verts = allIfNil(verts, nw.G.N())
+	ws, d := acquireWorkspace(nw.G, verts)
 	defer workspacePool.Put(ws)
-	in, epoch, col := ws.in, ws.epoch, ws.color
+	return ws.linial(nw, ledger, phase, verts, d)
+}
+
+// linial is LinialColor over the workspace's members verts, whose induced
+// maximum degree is d.
+func (ws *workspace) linial(nw *local.Network, ledger *local.Ledger, phase string, verts []int, d int) ([]int, int) {
+	g := nw.G
+	rec, epoch := ws.rec, ws.epoch
 	out := make([]int, len(verts))
-	d := ws.maxDegreeIn(g, verts)
 	if d == 0 {
 		// no edges: one color suffices, zero rounds
 		return out, 1
 	}
 	for _, v := range verts {
-		col[v] = nw.ID[v] - 1 // palette [0, n)
+		rec[v].color = int32(nw.ID[v] - 1) // palette [0, n)
 	}
-	k := n
+	var nbrs []int
+	k := g.N()
 	for {
 		q, t := linialPrime(k, d)
 		if q*q >= k {
 			for i, v := range verts {
-				out[i] = col[v]
+				out[i] = int(rec[v].color)
 			}
 			return out, k
 		}
-		// Precompute every member's polynomial coefficients (its base-q
-		// digits) once per iteration, so the O(deg·q) candidate loop below
-		// does no per-neighbor allocation.
-		digits := ws.digitsFor(n, t)
-		for _, v := range verts {
-			c := col[v]
-			for i := 0; i < t; i++ {
-				digits[v*t+i] = c % q
-				c /= q
-			}
-		}
+		f := newField(q)
 		// New colors go to out (one per list position) and are written back
 		// only after the sweep: every vertex picks from its neighbors' old
-		// colors.
+		// colors, gathered in adjacency order.
 		for i, v := range verts {
-			pv := digits[v*t : (v+1)*t]
-			x := -1
-			for cand := 0; cand < q; cand++ {
-				ev := evalPoly(pv, cand, q)
-				ok := true
-				for _, w := range g.Neighbors(v) {
-					if in[w] != epoch {
-						continue
-					}
-					if col[w] != col[v] && evalPoly(digits[int(w)*t:(int(w)+1)*t], cand, q) == ev {
-						ok = false
-						break
-					}
-				}
-				if ok {
-					x = cand
-					break
+			nbrs = nbrs[:0]
+			for _, w := range g.Neighbors(v) {
+				if r := rec[w]; r.in == epoch {
+					nbrs = append(nbrs, int(r.color))
 				}
 			}
-			if x < 0 {
-				panic("reduce: Linial selection failed — prime too small (internal bug)")
-			}
-			out[i] = x*q + evalPoly(pv, x, q)
+			out[i] = linialStep(int(rec[v].color), nbrs, f, t)
 		}
 		for i, v := range verts {
-			col[v] = out[i]
+			rec[v].color = int32(out[i])
 		}
 		k = q * q
 		if ledger != nil {
@@ -258,24 +280,30 @@ func LinialColor(nw *local.Network, ledger *local.Ledger, phase string, verts []
 // reduces it to the palette [0, Δ+1] by recoloring one color class per
 // round (classes are independent sets, so all members recolor
 // simultaneously). Charges max(0, k-(Δ+1)) rounds. Every vertex ends with a
-// color in [0, deg(v)] ⊆ [0, Δ]; the result is aligned with verts.
+// color in [0, deg(v)] ⊆ [0, Δ]; the result is aligned with verts. The
+// palette must fit an int32 (k ≤ MaxInt32).
 func ReduceToMaxDegPlusOne(nw *local.Network, ledger *local.Ledger, phase string,
 	verts []int, colors []int, k int) []int {
-	g := nw.G
-	n := g.N()
-	verts = allIfNil(verts, n)
-	ws := acquireWorkspace(n, verts)
+	verts = allIfNil(verts, nw.G.N())
+	ws, d := acquireWorkspace(nw.G, verts)
 	defer workspacePool.Put(ws)
-	in, epoch, col := ws.in, ws.epoch, ws.color
-	d := ws.maxDegreeIn(g, verts)
-	out := make([]int, len(verts))
-	copy(out, colors)
-	for i, v := range verts {
-		col[v] = colors[i]
+	return ws.reduce(nw.G, ledger, phase, verts, slices.Clone(colors), k, d)
+}
+
+// reduce is ReduceToMaxDegPlusOne over the workspace's members verts, whose
+// induced maximum degree is d. It recolors colors in place and returns it.
+func (ws *workspace) reduce(g *graph.Graph, ledger *local.Ledger, phase string,
+	verts []int, colors []int, k, d int) []int {
+	if k > math.MaxInt32 {
+		panic(fmt.Sprintf("reduce: palette %d exceeds MaxInt32", k))
 	}
 	lo := d + 1
 	if k <= lo {
-		return out
+		return colors
+	}
+	rec, epoch := ws.rec, ws.epoch
+	for i, v := range verts {
+		rec[v].color = int32(colors[i])
 	}
 	order := ws.recolorOrder(colors, lo, k)
 	used := graph.AcquireBitset(d + 1)
@@ -284,21 +312,21 @@ func ReduceToMaxDegPlusOne(nw *local.Network, ledger *local.Ledger, phase string
 		v := verts[i]
 		used.Reset(d + 1)
 		for _, w := range g.Neighbors(v) {
-			if in[w] == epoch && col[w] >= 0 && col[w] <= d {
-				used.Set(col[w])
+			if r := rec[w]; r.in == epoch && r.color >= 0 && int(r.color) <= d {
+				used.Set(int(r.color))
 			}
 		}
 		picked := used.FirstZero()
 		if picked > d {
 			panic("reduce: no free color ≤ Δ (internal bug)")
 		}
-		col[v] = picked
-		out[i] = picked
+		rec[v].color = int32(picked)
+		colors[i] = picked
 	}
 	if ledger != nil {
 		ledger.Charge(phase, k-lo)
 	}
-	return out
+	return colors
 }
 
 // recolorOrder returns the positions i with colors[i] in [lo, k), by
@@ -339,8 +367,10 @@ func (ws *workspace) recolorOrder(colors []int, lo, k int) []int32 {
 // by class-by-class reduction.
 func DegPlusOne(nw *local.Network, ledger *local.Ledger, phase string, verts []int) []int {
 	verts = allIfNil(verts, nw.G.N())
-	colors, k := LinialColor(nw, ledger, phase+"/linial", verts)
-	return ReduceToMaxDegPlusOne(nw, ledger, phase+"/reduce", verts, colors, k)
+	ws, d := acquireWorkspace(nw.G, verts)
+	defer workspacePool.Put(ws)
+	colors, k := ws.linial(nw, ledger, phase+"/linial", verts, d)
+	return ws.reduce(nw.G, ledger, phase+"/reduce", verts, colors, k, d)
 }
 
 // VerifyMaskColoring checks properness over the masked graph.

@@ -1,6 +1,7 @@
 package reduce
 
 import (
+	"math"
 	"math/rand/v2"
 	"runtime"
 	"runtime/debug"
@@ -11,6 +12,69 @@ import (
 	"distcolor/internal/graph"
 	"distcolor/internal/local"
 )
+
+// digitsBaseQ returns the t base-q digits of c (little-endian), i.e. the
+// coefficients of vertex c's polynomial.
+func digitsBaseQ(c, q, t int) []int {
+	out := make([]int, t)
+	for i := 0; i < t; i++ {
+		out[i] = c % q
+		c /= q
+	}
+	return out
+}
+
+// evalPoly evaluates the polynomial with the given coefficients at x by
+// Horner's rule with a plain % after every step: the reference for
+// field.eval.
+func evalPoly(coeffs []int, x, q int) int {
+	val := 0
+	for i := len(coeffs) - 1; i >= 0; i-- {
+		val = (val*x + coeffs[i]) % q
+	}
+	return val
+}
+
+// TestFieldExact checks the multiply-shift field against plain / and %:
+// quotient and remainder for every prime q with q² < 2³¹ at edge and
+// random operands below 2³¹, and polynomial evaluation against evalPoly at
+// random points for the (q, t) that linialPrime picks for
+// k ∈ {2³¹−1, 10⁶, 10⁵, 4096} and d ≤ 64.
+func TestFieldExact(t *testing.T) {
+	rng := rand.New(rand.NewPCG(19, 1))
+	for _, q := range primesUpTo(46340) { // 46340² < 2³¹ < 46341²
+		f := newField(q)
+		cs := []int{0, 1, q - 1, q, q + 1, q*q - 1, q * q, math.MaxInt32}
+		for range 64 {
+			cs = append(cs, rng.IntN(math.MaxInt32+1))
+		}
+		for _, c := range cs {
+			if quo, rem := f.divmod(uint64(c)); int(quo) != c/q || int(rem) != c%q {
+				t.Fatalf("q=%d c=%d: divmod %d, %d, want %d, %d", q, c, quo, rem, c/q, c%q)
+			}
+		}
+	}
+	var buf [32]uint64
+	for _, k := range []int{math.MaxInt32, 1e6, 1e5, 4096} {
+		for d := 1; d <= 64; d++ {
+			q, tt := linialPrime(k, d)
+			f := newField(q)
+			for trial := range 64 {
+				c, x := rng.IntN(k), rng.IntN(q)
+				switch trial {
+				case 0:
+					c = k - 1
+				case 1:
+					x = 0
+				}
+				got := f.eval(uint64(c), f.powers(buf[:tt], uint64(x)))
+				if want := evalPoly(digitsBaseQ(c, q, tt), x, q); int(got) != want {
+					t.Fatalf("k=%d d=%d (q=%d, t=%d): p_%d(%d) = %d, want %d", k, d, q, tt, c, x, got, want)
+				}
+			}
+		}
+	}
+}
 
 // referenceLinialColor is LinialColor as it was written over masks: every
 // step scans all n vertices and allocates n·t digits and an n-wide next
@@ -274,5 +338,40 @@ func TestDegPlusOneAllocatesPerList(t *testing.T) {
 	verts := listOf(smallMask(g, rng))
 	if got := allocBytes(func() { DegPlusOne(nw, nil, "", verts) }); got >= 64<<10 {
 		t.Fatalf("DegPlusOne over %d of %d vertices allocated %d bytes, want < 64 KiB", len(verts), g.N(), got)
+	}
+}
+
+// BenchmarkDegPlusOne times the (Δ+1)-class schedule in two layer shapes:
+// every vertex of a 3-regular graph (an extension on color-sparse) and the
+// degree-≤6 vertices of an Apollonian graph (gps7's first layer), both at
+// n=1e5 with shuffled IDs.
+func BenchmarkDegPlusOne(b *testing.B) {
+	rng := rand.New(rand.NewPCG(19, 2))
+	regular, err := gen.RandomRegular(100000, 3, rng)
+	if err != nil {
+		b.Fatal(err)
+	}
+	apollonian := gen.Apollonian(100000, rng)
+	var low []int
+	for v := range apollonian.N() {
+		if apollonian.Degree(v) <= 6 {
+			low = append(low, v)
+		}
+	}
+	cases := []struct {
+		name  string
+		nw    *local.Network
+		verts []int
+	}{
+		{"regular3_n1e5", local.NewShuffledNetwork(regular, rng), allIfNil(nil, regular.N())},
+		{"apollonian_deg6_n1e5", local.NewShuffledNetwork(apollonian, rng), low},
+	}
+	for _, tc := range cases {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				DegPlusOne(tc.nw, nil, "", tc.verts)
+			}
+		})
 	}
 }
