@@ -7,9 +7,10 @@ GO ?= go
 # primitives its hot path leans on, the ruling-forest layer, and the
 # instrumented (Obs) twins of the delivery and serving benchmarks so the
 # trajectory records observability cost alongside raw cost, and the
-# extension's (Δ+1)-class schedule (Linial + class reduction).
-BENCH_JSON_PAT = BenchmarkSparseListColor|BenchmarkCollectBallsSync|BenchmarkRunSyncDelivery|BenchmarkHappySet|BenchmarkBlocks|BenchmarkGallai|BenchmarkBFS|BenchmarkDegeneracy|BenchmarkGirth|BenchmarkDegreeListColor|BenchmarkServeThroughput$$|BenchmarkServeThroughputObs$$|BenchmarkServeThroughputCluster$$|BenchmarkServeThroughputForward$$|BenchmarkServeThroughputSpill$$|BenchmarkClusterRoute|BenchmarkGraphLoad|BenchmarkRulingCompute|BenchmarkDegPlusOne
-BENCH_JSON_PKGS = . ./internal/graph ./internal/seqcolor ./internal/ruling ./internal/reduce ./internal/serve ./internal/cluster
+# extension's (Δ+1)-class schedule (Linial + class reduction) and its
+# root-ball recoloring.
+BENCH_JSON_PAT = BenchmarkSparseListColor|BenchmarkCollectBallsSync|BenchmarkRunSyncDelivery|BenchmarkHappySet|BenchmarkBlocks|BenchmarkGallai|BenchmarkBFS|BenchmarkDegeneracy|BenchmarkGirth|BenchmarkDegreeListColor|BenchmarkServeThroughput$$|BenchmarkServeThroughputObs$$|BenchmarkServeThroughputCluster$$|BenchmarkServeThroughputForward$$|BenchmarkServeThroughputSpill$$|BenchmarkClusterRoute|BenchmarkGraphLoad|BenchmarkRulingCompute|BenchmarkDegPlusOne|BenchmarkRootBallRecolor
+BENCH_JSON_PKGS = . ./internal/graph ./internal/seqcolor ./internal/ruling ./internal/reduce ./internal/core ./internal/serve ./internal/cluster
 
 all: ci
 
@@ -46,12 +47,13 @@ test-serial:
 # message plane, plus the root-package cancellation/registry,
 # trace/progress and cross-GOMAXPROCS determinism tests, and the pooled
 # per-layer scratch: the package-level traversal pool (concurrent acquires
-# on graphs of different sizes), the reduction workspace and the ruling
-# scratch.
+# on graphs of different sizes), the reduction workspace, the ruling
+# scratch and the root-ball workspace.
 test-race:
 	$(GO) test -race ./internal/serve/... ./internal/obs/... ./internal/local/... ./internal/cluster/...
 	$(GO) test -race -run 'Cancel|Registry|Deadline|Progress|TraceMatches|Luby|Deterministic|ProperColoring|Golden' .
 	$(GO) test -race -run 'Traversal|Pool|Linial|DegPlusOne|Ruling' ./internal/graph ./internal/reduce ./internal/ruling
+	$(GO) test -race -run 'RootBall|Workspace' ./internal/core ./internal/seqcolor
 
 # Clustering suite under the race detector: the ring/quota/health unit
 # tests plus the in-process 3-replica harness (routing determinism,
@@ -103,9 +105,9 @@ bench-smoke:
 		-bench 'BenchmarkSparseListColor/.*/n1e[34]$$|BenchmarkCollectBallsSync/grid20x20|BenchmarkRunSyncDelivery' . \
 		| $(GO) run ./cmd/benchjson -check BENCH_PR.json -tolerance 1.5
 
-# Allocation gate over the Theorem 1.1 path, the block decomposition it
-# leans on, the ruling forest, the happy-set classification and the
-# (Δ+1)-class schedule: fails when a benchmark's allocs/op exceeds 1.10×
+# Allocation gate over the Theorem 1.1 path and the extension's root-ball
+# recoloring on it, the block decomposition it leans on, the ruling
+# forest, the happy-set classification and the (Δ+1)-class schedule: fails when a benchmark's allocs/op exceeds 1.10×
 # its committed BENCH_PR.json value (growth under benchjson's small
 # absolute slack, pool refills after a GC, is forgiven) or has no committed
 # value. allocs/op barely moves between machines or minutes, so unlike
@@ -113,8 +115,8 @@ bench-smoke:
 # leaves ns/op to bench-smoke.
 bench-allocs:
 	$(GO) test -run xxx -benchtime 3x -benchmem \
-		-bench 'BenchmarkDegreeListColor|BenchmarkBlocks|BenchmarkGallai|BenchmarkSparseListColor/.*/n1e[34]$$|BenchmarkRulingCompute|BenchmarkHappySet|BenchmarkDegPlusOne' \
-		. ./internal/graph ./internal/seqcolor ./internal/ruling ./internal/reduce \
+		-bench 'BenchmarkDegreeListColor|BenchmarkBlocks|BenchmarkGallai|BenchmarkSparseListColor/.*/n1e[34]$$|BenchmarkRulingCompute|BenchmarkHappySet|BenchmarkDegPlusOne|BenchmarkRootBallRecolor' \
+		. ./internal/graph ./internal/seqcolor ./internal/ruling ./internal/reduce ./internal/core \
 		| $(GO) run ./cmd/benchjson -check BENCH_PR.json -tolerance 0 -allocs-tolerance 1.10
 
 # Regenerate the persistent benchmark trajectory BENCH_PR.json (committed;

@@ -177,7 +177,8 @@ func Run(ctx context.Context, nw *local.Network, cfg Config) (*Result, error) {
 // bench/profile.go attributes CPU to its prof.core.* layers by function
 // name prefix: peelAndExtend, happySet, extend and colorBallTheorem11 must
 // keep their names and stay plain functions (a method's symbol carries its
-// receiver and would not match).
+// receiver and would not match). colorBallTheorem11 takes extend's ball
+// workspace as a parameter for that reason, rather than being its method.
 func peelAndExtend(ctx context.Context, nw *local.Network, res *Result, lists [][]int,
 	radius, maxIter int,
 	richTest, witness func(degAlive int, v int) bool) error {

@@ -101,14 +101,16 @@ func extend(ctx context.Context, nw *local.Network, ledger *local.Ledger, richMa
 	// --- Root balls: uncolor each root's rich ball entirely and recolor it
 	// with the constructive Theorem 1.1. Balls of distinct roots are
 	// disjoint and non-adjacent (α = 2·radius+2), so the components of the
-	// uncolored set are exactly the balls.
+	// uncolored set are exactly the balls. One workspace serves every ball.
 	if len(forest.Roots) > 0 {
+		var ws ballWorkspace
+		defer ws.seq.Release()
 		for _, r := range forest.Roots {
-			ball := g.Ball(r, radius, richMask)
-			for _, u := range ball {
+			ws.ball = g.AppendBall(ws.ball[:0], r, radius, richMask)
+			for _, u := range ws.ball {
 				colors[u] = Uncolored
 			}
-			if err := colorBallTheorem11(g, colors, lists, ball); err != nil {
+			if err := colorBallTheorem11(g, colors, lists, ws.ball, &ws); err != nil {
 				return st, fmt.Errorf("root %d ball: %w", r, err)
 			}
 		}
@@ -118,26 +120,40 @@ func extend(ctx context.Context, nw *local.Network, ledger *local.Ledger, richMa
 	return st, nil
 }
 
+// ballWorkspace is the scratch extend reuses across its root balls: the
+// ball, its induced graph's arrays, its colors and the Theorem 1.1
+// workspace. Each array grows to the largest ball, to exactly the size
+// needed.
+type ballWorkspace struct {
+	ball   []int
+	ind    graph.InducedBuf
+	colors []int
+	seq    seqcolor.Workspace
+}
+
 // colorBallTheorem11 materializes the (fully uncolored) ball as its own
 // graph, filters each vertex's list by the colors of its colored neighbors
 // (all outside the ball), runs seqcolor.DegreeListColor (constructive
-// Theorem 1.1) and writes the colors back. The happiness of the root
-// guarantees the hypotheses: the ball has a surplus vertex or is not a
-// Gallai tree.
-func colorBallTheorem11(g *graph.Graph, colors []int, lists [][]int, ball []int) error {
-	sub, orig, err := g.Induced(ball)
+// Theorem 1.1) and writes the colors back, all on ws's scratch. The
+// happiness of the root guarantees the hypotheses: the ball has a surplus
+// vertex or is not a Gallai tree.
+func colorBallTheorem11(g *graph.Graph, colors []int, lists [][]int, ball []int, ws *ballWorkspace) error {
+	sub, err := g.InducedInto(&ws.ind, ball)
 	if err != nil {
 		return err
 	}
-	subLists := seqcolor.EffectiveLists(g, colors, lists, orig)
-	subColors := make([]int, sub.N())
+	subLists := ws.seq.EffectiveLists(g, colors, lists, ball)
+	if cap(ws.colors) < len(ball) {
+		ws.colors = make([]int, len(ball))
+	}
+	subColors := ws.colors[:len(ball)]
 	for i := range subColors {
 		subColors[i] = Uncolored
 	}
-	if err := seqcolor.DegreeListColor(sub, subColors, subLists); err != nil {
+	if err := ws.seq.DegreeListColor(sub, subColors, subLists); err != nil {
 		return fmt.Errorf("Theorem 1.1 on the ball failed (broken happiness invariant?): %w", err)
 	}
-	for i, u := range orig {
+	for i, u := range ball {
 		colors[u] = subColors[i]
 	}
 	return nil

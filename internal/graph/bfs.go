@@ -17,7 +17,6 @@ type Traversal struct {
 	parent []int32
 	mark   []uint32
 	epoch  uint32
-	order  []int32
 	queue  []int32
 }
 
@@ -71,7 +70,6 @@ func (t *Traversal) Run(sources []int, mask []bool, radius int) {
 		t.epoch = 0
 	}
 	t.epoch++
-	t.order = t.order[:0]
 	t.queue = t.queue[:0]
 	for _, s := range sources {
 		if mask != nil && !mask[s] {
@@ -85,7 +83,6 @@ func (t *Traversal) Run(sources []int, mask []bool, radius int) {
 		t.parent[s] = -1
 		t.queue = append(t.queue, int32(s))
 	}
-	t.order = append(t.order, t.queue...)
 	offsets, neighbors := t.g.offsets, t.g.neighbors
 	for head := 0; head < len(t.queue); head++ {
 		v := t.queue[head]
@@ -104,7 +101,6 @@ func (t *Traversal) Run(sources []int, mask []bool, radius int) {
 			t.dist[w] = d + 1
 			t.parent[w] = v
 			t.queue = append(t.queue, w)
-			t.order = append(t.order, w)
 		}
 	}
 }
@@ -131,17 +127,18 @@ func (t *Traversal) Parent(v int) int {
 }
 
 // Order returns the vertices reached by the last Run in nondecreasing
-// distance. The slice is valid until the next Run; callers must not modify
-// it.
-func (t *Traversal) Order() []int32 { return t.order }
+// distance: the search queue itself, which holds every reached vertex
+// once, in visit order. The slice is valid until the next Run; callers
+// must not modify it.
+func (t *Traversal) Order() []int32 { return t.queue }
 
 // MaxDist returns the largest distance reached by the last Run (0 when
 // nothing was reached).
 func (t *Traversal) MaxDist() int {
-	if len(t.order) == 0 {
+	if len(t.queue) == 0 {
 		return 0
 	}
-	return int(t.dist[t.order[len(t.order)-1]])
+	return int(t.dist[t.queue[len(t.queue)-1]])
 }
 
 // BFSResult holds the outcome of a breadth-first search.
@@ -168,13 +165,13 @@ func (g *Graph) BFS(sources []int, mask []bool, radius int) BFSResult {
 	res := BFSResult{
 		Dist:   make([]int, n),
 		Parent: make([]int, n),
-		Order:  make([]int, 0, len(t.order)),
+		Order:  make([]int, 0, len(t.queue)),
 	}
 	for v := range res.Dist {
 		res.Dist[v] = -1
 		res.Parent[v] = -1
 	}
-	for _, v32 := range t.order {
+	for _, v32 := range t.queue {
 		v := int(v32)
 		res.Dist[v] = int(t.dist[v32])
 		res.Parent[v] = int(t.parent[v32])
@@ -188,17 +185,26 @@ func (g *Graph) BFS(sources []int, mask []bool, radius int) BFSResult {
 // mask (nil mask = whole graph), in BFS order. If mask excludes v the ball is
 // empty, matching the paper's convention for B_R(v) with v ∉ R.
 func (g *Graph) Ball(v int, radius int, mask []bool) []int {
+	return g.AppendBall(nil, v, radius, mask)
+}
+
+// AppendBall appends Ball(v, radius, mask) to dst and returns the extended
+// slice, so a caller carving many balls can reuse one buffer. When dst must
+// grow, the new array holds exactly the result.
+func (g *Graph) AppendBall(dst []int, v int, radius int, mask []bool) []int {
 	if mask != nil && !mask[v] {
-		return nil
+		return dst
 	}
 	t := g.AcquireTraversal()
 	t.Run([]int{v}, mask, radius)
-	out := make([]int, len(t.order))
-	for i, u := range t.order {
-		out[i] = int(u)
+	if need := len(dst) + len(t.queue); need > cap(dst) {
+		dst = append(make([]int, 0, need), dst...)
+	}
+	for _, u := range t.queue {
+		dst = append(dst, int(u))
 	}
 	g.ReleaseTraversal(t)
-	return out
+	return dst
 }
 
 // Eccentricity returns the maximum distance from v to any vertex reachable
@@ -223,8 +229,8 @@ func (g *Graph) Components(mask []bool) [][]int {
 			continue
 		}
 		t.Run([]int{v}, mask, -1)
-		comp := make([]int, len(t.order))
-		for i, u := range t.order {
+		comp := make([]int, len(t.queue))
+		for i, u := range t.queue {
 			comp[i] = int(u)
 			seen[u] = true
 		}
@@ -246,7 +252,7 @@ func (g *Graph) IsConnected(mask []bool) bool {
 			continue
 		}
 		t.Run([]int{v}, mask, -1)
-		reached := len(t.order)
+		reached := len(t.queue)
 		total := 0
 		if mask == nil {
 			total = n

@@ -420,24 +420,52 @@ func (m *indexMap) get(v int) (int, bool) {
 // vertex ids (0..len(verts)-1) back to the original ids. Vertices listed more
 // than once are an error.
 func (g *Graph) Induced(verts []int) (*Graph, []int, error) {
+	sub, err := g.InducedInto(new(InducedBuf), verts)
+	if err != nil {
+		return nil, nil, err
+	}
+	return sub, slices.Clone(verts), nil
+}
+
+// InducedBuf holds the CSR arrays InducedInto builds a subgraph in. A
+// caller carving many subgraphs one after another keeps one buffer, and
+// each subgraph reuses the arrays of the one before. The zero value is
+// ready to use.
+type InducedBuf struct {
+	offsets, neighbors []int32
+}
+
+// grow returns s resized to length n. It reuses s's array when that holds
+// n, and otherwise allocates exactly n: growing by append doubling would
+// allocate up to twice the final size. The contents are not preserved.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// InducedInto is Induced building the subgraph's CSR arrays in buf. Vertex i
+// of the subgraph is verts[i], so the mapping back is verts itself. The
+// returned graph is a fresh header (it caches its own degeneracy and
+// mirror) over buf's arrays: it is valid until buf's next use.
+func (g *Graph) InducedInto(buf *InducedBuf, verts []int) (*Graph, error) {
 	im := acquireIndexMap(g.N())
 	defer indexMapPool.Put(im)
-	orig := make([]int, len(verts))
 	for i, v := range verts {
 		if v < 0 || v >= g.N() {
-			return nil, nil, fmt.Errorf("graph: induced vertex %d out of range", v)
+			return nil, fmt.Errorf("graph: induced vertex %d out of range", v)
 		}
 		if _, dup := im.get(v); dup {
-			return nil, nil, fmt.Errorf("graph: induced vertex %d listed twice", v)
+			return nil, fmt.Errorf("graph: induced vertex %d listed twice", v)
 		}
 		im.set(v, i)
-		orig[i] = v
 	}
 	// Build the CSR directly (two passes over the set's adjacency) instead
-	// of going through Builder: no per-vertex adjacency slices, so carving
-	// thousands of small balls costs two allocations each, not O(|ball|).
+	// of going through Builder: no per-vertex adjacency slices.
 	k := len(verts)
-	offsets := make([]int32, k+1)
+	offsets := grow(buf.offsets, k+1)
+	offsets[0] = 0
 	for i, v := range verts {
 		d := int32(0)
 		for _, w := range g.Neighbors(v) {
@@ -447,7 +475,8 @@ func (g *Graph) Induced(verts []int) (*Graph, []int, error) {
 		}
 		offsets[i+1] = offsets[i] + d
 	}
-	neighbors := make([]int32, offsets[k])
+	neighbors := grow(buf.neighbors, int(offsets[k]))
+	buf.offsets, buf.neighbors = offsets, neighbors
 	maxDeg, m := 0, 0
 	for i, v := range verts {
 		row := neighbors[offsets[i]:offsets[i]]
@@ -465,7 +494,7 @@ func (g *Graph) Induced(verts []int) (*Graph, []int, error) {
 		// (HasEdge binary-searches rows).
 		slices.Sort(row)
 	}
-	return newCSR(offsets, neighbors, m/2, maxDeg), orig, nil
+	return newCSR(offsets, neighbors, m/2, maxDeg), nil
 }
 
 // InducedMask is Induced over the vertices v with mask[v] == true.

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
 )
 
@@ -192,6 +193,51 @@ func TestInduced(t *testing.T) {
 		t.Errorf("orig map wrong: %v", orig)
 	}
 	if _, _, err := g.Induced([]int{0, 0}); err == nil {
+		t.Error("duplicate vertex accepted")
+	}
+}
+
+// TestInducedIntoReuseMatchesInduced carves random vertex sets of size
+// large → small → large from two graphs through one InducedBuf, and checks
+// every subgraph against a fresh Induced: same CSR arrays, edge count and
+// maximum degree. It also carves balls into one reused buffer behind a
+// kept prefix and checks them against Ball.
+func TestInducedIntoReuseMatchesInduced(t *testing.T) {
+	rng := rand.New(rand.NewPCG(20, 5))
+	graphs := []*Graph{randomGraph(rng, 600, 6.0/600), randomGraph(rng, 90, 5.0/90)}
+	var buf InducedBuf
+	var balls []int
+	for trial := range 60 {
+		g := graphs[trial/15%2]
+		size := 1 + rng.IntN(g.N())
+		if trial%3 == 1 {
+			size = 1 + rng.IntN(8)
+		}
+		verts := rng.Perm(g.N())[:size]
+		got, err := g.InducedInto(&buf, verts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, orig, err := g.Induced(verts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotOff, gotNbr := got.CSR()
+		wantOff, wantNbr := want.CSR()
+		if !slices.Equal(gotOff, wantOff) || !slices.Equal(gotNbr, wantNbr) || got.M() != want.M() ||
+			got.MaxDegree() != want.MaxDegree() || !slices.Equal(orig, verts) {
+			t.Fatalf("trial %d (n=%d, %d vertices): InducedInto differs from Induced", trial, g.N(), size)
+		}
+
+		v, radius := rng.IntN(g.N()), rng.IntN(4)
+		prefix := min(rng.IntN(3), len(balls))
+		kept := slices.Clone(balls[:prefix])
+		balls = g.AppendBall(balls[:prefix], v, radius, nil)
+		if !slices.Equal(balls[:prefix], kept) || !slices.Equal(balls[prefix:], g.Ball(v, radius, nil)) {
+			t.Fatalf("trial %d: AppendBall differs from Ball", trial)
+		}
+	}
+	if _, err := graphs[0].InducedInto(&buf, []int{3, 3}); err == nil {
 		t.Error("duplicate vertex accepted")
 	}
 }

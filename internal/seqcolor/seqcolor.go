@@ -198,6 +198,11 @@ func scanFree(g *graph.Graph, colors []int, list []int, v int, b *graph.Bitset, 
 func GreedyInOrder(g *graph.Graph, colors []int, lists [][]int, order []int) error {
 	b := graph.AcquireBitset(0)
 	defer graph.ReleaseBitset(b)
+	return greedyInOrder(g, colors, lists, order, b)
+}
+
+// greedyInOrder is GreedyInOrder with the palette scratch b supplied.
+func greedyInOrder(g *graph.Graph, colors []int, lists [][]int, order []int, b *graph.Bitset) error {
 	for _, v := range order {
 		if colors[v] != Uncolored {
 			continue
@@ -215,19 +220,81 @@ func GreedyInOrder(g *graph.Graph, colors []int, lists [][]int, order []int) err
 	return nil
 }
 
+// Workspace is the reusable scratch of DegreeListColor and EffectiveLists:
+// the masks, the component walk, reverse-BFS orders, effective lists, the
+// palette bitset, and the bad block's graph, lists and colors. Each array
+// grows to the largest graph the workspace has served, to exactly the size
+// needed, and is reused by later calls, so a stream of small graphs (the
+// root balls of Lemma 3.2) costs no allocation per graph once warm. The
+// zero value is ready to use; call Release when done with it. A Workspace
+// is owned by one goroutine at a time.
+type Workspace struct {
+	b         *graph.Bitset // pooled; taken on first use, handed back by Release
+	unc       []bool        // uncolored vertices; the component walk consumes it
+	comp      []bool        // the current component; all false between components
+	mask      []bool        // the tight-block steps' masks
+	compVerts []int         // the last walk's components, back to back
+	compEnds  []int         // component i is compVerts[compEnds[i-1]:compEnds[i]]
+	order     []int         // the last reverse-BFS order
+	lists     listBuf       // EffectiveLists' result
+	block     blockScratch  // the bad block's graph, lists and colors
+}
+
+// listBuf holds effective lists on one flat backing array.
+type listBuf struct {
+	flat []int
+	eff  [][]int
+}
+
+// blockScratch holds what colorBadBlock builds for a bad block.
+type blockScratch struct {
+	ind    graph.InducedBuf
+	verts  []int
+	lists  listBuf
+	colors []int
+}
+
+// grow returns s resized to length n. It reuses s's array when that holds
+// n, and otherwise allocates exactly n: growing by append doubling would
+// allocate up to twice the final size. The contents are not preserved.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+func (w *Workspace) bits() *graph.Bitset {
+	if w.b == nil {
+		w.b = graph.AcquireBitset(0)
+	}
+	return w.b
+}
+
+// Release hands the workspace's pooled bitset back. The workspace stays
+// usable; its next call takes another.
+func (w *Workspace) Release() {
+	if w.b != nil {
+		graph.ReleaseBitset(w.b)
+		w.b = nil
+	}
+}
+
 // reverseBFSOrder returns the vertices of the masked component of src in
-// order of decreasing BFS distance from src (src last). Processing in this
-// order guarantees every vertex except src has an uncolored neighbor (its
-// BFS parent) at coloring time.
-func reverseBFSOrder(g *graph.Graph, src int, mask []bool) []int {
+// order of decreasing BFS distance from src (src last), in w.order.
+// Processing in this order guarantees every vertex except src has an
+// uncolored neighbor (its BFS parent) at coloring time. The traversal goes
+// back to the pool before returning, so the steps that follow can take it.
+func (w *Workspace) reverseBFSOrder(g *graph.Graph, src int, mask []bool) []int {
 	tr := g.AcquireTraversal()
 	tr.Run([]int{src}, mask, -1)
 	fwd := tr.Order() // nondecreasing distance; emit it reversed
-	order := make([]int, len(fwd))
+	order := grow(w.order, len(fwd))
 	for i, v := range fwd {
 		order[len(fwd)-1-i] = int(v)
 	}
 	g.ReleaseTraversal(tr)
+	w.order = order
 	return order
 }
 
@@ -242,26 +309,51 @@ func reverseBFSOrder(g *graph.Graph, src int, mask []bool) []int {
 // precoloring: their colors block neighbors, and effective lists/degrees are
 // computed against uncolored vertices only. (The root-ball extension of
 // Lemma 3.2 calls this with a fully uncolored ball and pre-filtered lists.)
+//
+// DegreeListColor runs on a fresh Workspace; callers coloring many graphs
+// should keep one and call its DegreeListColor.
 func DegreeListColor(g *graph.Graph, colors []int, lists [][]int) error {
+	var w Workspace
+	defer w.Release()
+	return w.DegreeListColor(g, colors, lists)
+}
+
+// DegreeListColor is the package-level DegreeListColor on w's scratch. It
+// leaves w's effective lists alone, so lists may be the result of w's
+// EffectiveLists.
+func (w *Workspace) DegreeListColor(g *graph.Graph, colors []int, lists [][]int) error {
 	n := g.N()
 	if len(colors) != n || len(lists) != n {
 		return fmt.Errorf("seqcolor: size mismatch")
 	}
-	uncMask := make([]bool, n)
-	for v := 0; v < n; v++ {
-		if colors[v] == Uncolored {
-			uncMask[v] = true
+	unc := grow(w.unc, n)
+	w.unc = unc
+	count := 0
+	for v := range n {
+		unc[v] = colors[v] == Uncolored
+		if unc[v] {
+			count++
 		}
 	}
-	// One mask for all components, cleared between uses, so a graph with
-	// many small components (forests, peeled balls) does not pay O(n) per
-	// component.
-	compMask := make([]bool, n)
-	for _, comp := range g.Components(uncMask) {
+	return w.colorComponents(g, colors, lists, count)
+}
+
+// colorComponents colors each component of the subgraph of g on w.unc,
+// which holds count vertices, consuming w.unc. One component mask serves
+// all components, cleared between uses, so a graph with many small
+// components (forests, peeled balls) does not pay O(n) per component.
+func (w *Workspace) colorComponents(g *graph.Graph, colors []int, lists [][]int, count int) error {
+	w.walkComponents(g, count)
+	compMask := grow(w.comp, g.N()) // all false: every use clears it by list
+	w.comp = compMask
+	start := 0
+	for _, end := range w.compEnds {
+		comp := w.compVerts[start:end]
+		start = end
 		for _, v := range comp {
 			compMask[v] = true
 		}
-		err := degreeListColorComponent(g, colors, lists, comp, compMask)
+		err := w.colorComponent(g, colors, lists, comp, compMask)
 		for _, v := range comp {
 			compMask[v] = false
 		}
@@ -270,6 +362,29 @@ func DegreeListColor(g *graph.Graph, colors []int, lists [][]int) error {
 		}
 	}
 	return nil
+}
+
+// walkComponents lists the components of the subgraph of g on w.unc
+// (count vertices) into compVerts and compEnds, in the order and BFS vertex
+// order of g.Components, clearing w.unc as it reaches vertices.
+func (w *Workspace) walkComponents(g *graph.Graph, count int) {
+	unc := w.unc
+	verts := grow(w.compVerts, count)[:0]
+	ends := w.compEnds[:0]
+	tr := g.AcquireTraversal()
+	for v := range g.N() {
+		if !unc[v] {
+			continue
+		}
+		tr.Run([]int{v}, unc, -1)
+		for _, u := range tr.Order() {
+			verts = append(verts, int(u))
+			unc[u] = false
+		}
+		ends = append(ends, len(verts))
+	}
+	g.ReleaseTraversal(tr)
+	w.compVerts, w.compEnds = verts, ends
 }
 
 // appendEffectiveList appends to dst the colors of list, in list order,
@@ -287,46 +402,56 @@ func appendEffectiveList(dst []int, g *graph.Graph, colors []int, list []int, v 
 // backing array: each list is a capped sub-slice, so an append to one can
 // never spill into the next.
 func EffectiveLists(g *graph.Graph, colors []int, lists [][]int, verts []int) [][]int {
+	var w Workspace
+	defer w.Release()
+	return w.EffectiveLists(g, colors, lists, verts)
+}
+
+// EffectiveLists is the package-level EffectiveLists on w's scratch. The
+// lists are valid until w's next EffectiveLists call.
+func (w *Workspace) EffectiveLists(g *graph.Graph, colors []int, lists [][]int, verts []int) [][]int {
+	return w.lists.cut(g, colors, lists, verts, w.bits())
+}
+
+// cut fills l with the effective lists of verts and returns them.
+func (l *listBuf) cut(g *graph.Graph, colors []int, lists [][]int, verts []int, b *graph.Bitset) [][]int {
 	total := 0
 	for _, v := range verts {
 		total += len(lists[v])
 	}
-	flat := make([]int, 0, total)
-	eff := make([][]int, len(verts))
-	b := graph.AcquireBitset(0)
+	flat := grow(l.flat, total)[:0]
+	eff := grow(l.eff, len(verts))
 	for i, v := range verts {
 		start := len(flat)
 		flat = appendEffectiveList(flat, g, colors, lists[v], v, b)
 		eff[i] = flat[start:len(flat):len(flat)]
 	}
-	graph.ReleaseBitset(b)
+	l.flat, l.eff = flat, eff
 	return eff
 }
 
-// degreeListColorComponent colors one uncolored component. compMask must be
-// true exactly on comp's vertices; the caller owns (and clears) it.
-func degreeListColorComponent(g *graph.Graph, colors []int, lists [][]int, comp []int, compMask []bool) error {
+// colorComponent colors one uncolored component. compMask must be true
+// exactly on comp's vertices; the caller owns (and clears) it.
+func (w *Workspace) colorComponent(g *graph.Graph, colors []int, lists [][]int, comp []int, compMask []bool) error {
 	// Pass 1: validate the hypothesis, and find a surplus vertex if any.
-	scratch := graph.AcquireBitset(0)
+	b := w.bits()
 	surplus := -1
 	for _, v := range comp {
 		es := 0
-		ud := scanFree(g, colors, lists[v], v, scratch, func(int) bool {
+		ud := scanFree(g, colors, lists[v], v, b, func(int) bool {
 			es++
 			return true
 		})
 		if es < ud {
-			graph.ReleaseBitset(scratch)
 			return fmt.Errorf("%w (vertex %d: list %d < uncolored degree %d)", ErrListTooSmall, v, es, ud)
 		}
 		if es > ud && surplus == -1 {
 			surplus = v
 		}
 	}
-	graph.ReleaseBitset(scratch)
 	if surplus != -1 {
-		order := reverseBFSOrder(g, surplus, compMask)
-		if err := GreedyInOrder(g, colors, lists, order); err != nil {
+		order := w.reverseBFSOrder(g, surplus, compMask)
+		if err := greedyInOrder(g, colors, lists, order, b); err != nil {
 			return fmt.Errorf("surplus path: %w", err)
 		}
 		return nil
@@ -335,7 +460,7 @@ func degreeListColorComponent(g *graph.Graph, colors []int, lists [][]int, comp 
 	dec := g.Blocks(compMask)
 	bad := graph.FirstBadBlock(dec)
 	if bad == -1 {
-		return gallaiTightFallback(g, colors, lists, comp, compMask)
+		return w.gallaiTightFallback(g, colors, lists, comp, compMask)
 	}
 	// Peel every other block toward the bad block: reverse BFS-of-blocks
 	// order; inside each block color everything except the cut vertex
@@ -348,12 +473,12 @@ func degreeListColorComponent(g *graph.Graph, colors []int, lists [][]int, comp 
 			return fmt.Errorf("seqcolor: internal: cut vertex %d colored early", cut)
 		}
 		vs := reverseBFSOrderInBlock(&dec.Blocks[order[i]], cut)
-		if err := GreedyInOrder(g, colors, lists, vs[:len(vs)-1]); err != nil {
+		if err := greedyInOrder(g, colors, lists, vs[:len(vs)-1], b); err != nil {
 			return fmt.Errorf("seqcolor: internal: block peel: %w", err)
 		}
 	}
 	// Root (bad) block: all of it is uncolored now; solve it.
-	return colorBadBlock(g, colors, lists, &dec.Blocks[bad])
+	return w.colorBadBlock(g, colors, lists, &dec.Blocks[bad])
 }
 
 // gallaiTightFallback handles a tight Gallai-tree component. With identical
@@ -366,9 +491,11 @@ func degreeListColorComponent(g *graph.Graph, colors []int, lists [][]int, comp 
 // failures surface as ErrGallaiTight ("possibly infeasible"). Theorem 1.3's
 // extension never reaches this path: happy roots guarantee a surplus vertex
 // or a non-Gallai ball.
-func gallaiTightFallback(g *graph.Graph, colors []int, lists [][]int, comp []int, compMask []bool) error {
-	b := graph.AcquireBitset(0)
-	defer graph.ReleaseBitset(b)
+//
+// The recursion runs on a workspace of its own: w's component walk is still
+// in use by the caller's loop.
+func (w *Workspace) gallaiTightFallback(g *graph.Graph, colors []int, lists [][]int, comp []int, compMask []bool) error {
+	b := w.bits()
 	for _, u := range comp {
 		eu := appendEffectiveList(nil, g, colors, lists[u], u, b)
 		for _, w32 := range g.Neighbors(u) {
@@ -383,22 +510,18 @@ func gallaiTightFallback(g *graph.Graph, colors []int, lists [][]int, comp []int
 			}
 			colors[u] = a
 			// Recurse on each remaining uncolored sub-component.
-			sub := make([]bool, g.N())
+			var sub Workspace
+			defer sub.Release()
+			sub.unc = make([]bool, g.N())
+			count := 0
 			for _, v := range comp {
-				sub[v] = colors[v] == Uncolored
+				if colors[v] == Uncolored {
+					sub.unc[v] = true
+					count++
+				}
 			}
-			subMask := make([]bool, g.N())
-			for _, c2 := range g.Components(sub) {
-				for _, v := range c2 {
-					subMask[v] = true
-				}
-				err := degreeListColorComponent(g, colors, lists, c2, subMask)
-				for _, v := range c2 {
-					subMask[v] = false
-				}
-				if err != nil {
-					return &GallaiTightError{Component: append([]int(nil), comp...)}
-				}
+			if err := sub.colorComponents(g, colors, lists, count); err != nil {
+				return &GallaiTightError{Component: append([]int(nil), comp...)}
 			}
 			return nil
 		}
@@ -435,8 +558,9 @@ func reverseBFSOrderInBlock(blk *graph.Block, src int) []int {
 // colorBadBlock colors a 2-connected block that is neither a clique nor an
 // odd cycle, all of whose vertices are uncolored with effective lists of
 // size ≥ block-degree (tight in the hard case).
-func colorBadBlock(g *graph.Graph, colors []int, lists [][]int, blk *graph.Block) error {
-	d, verts, err := blockGraph(g, blk)
+func (w *Workspace) colorBadBlock(g *graph.Graph, colors []int, lists [][]int, blk *graph.Block) error {
+	s := &w.block
+	d, verts, err := blockGraph(g, blk, s)
 	if err != nil {
 		return err
 	}
@@ -445,13 +569,14 @@ func colorBadBlock(g *graph.Graph, colors []int, lists [][]int, blk *graph.Block
 	// only reads them).
 	eff := lists
 	if verts != nil {
-		eff = EffectiveLists(g, colors, lists, verts)
+		eff = s.lists.cut(g, colors, lists, verts, w.bits())
 	}
-	sub := make([]int, d.N())
+	sub := grow(s.colors, d.N())
+	s.colors = sub
 	for i := range sub {
 		sub[i] = Uncolored
 	}
-	if err := colorTwoConnectedTight(d, sub, eff); err != nil {
+	if err := w.colorTwoConnectedTight(d, sub, eff); err != nil {
 		return err
 	}
 	for i, c := range sub {
@@ -470,14 +595,16 @@ func colorBadBlock(g *graph.Graph, colors []int, lists [][]int, blk *graph.Block
 // blockGraph returns the block as its own graph on vertices 0..k-1, with
 // verts[i] the g-vertex of block vertex i in increasing order. A block holds
 // every edge of g between its vertices, so this is the subgraph induced by
-// the sorted vertex set. When the block spans all of g it is g itself, and
-// verts is nil (the identity).
-func blockGraph(g *graph.Graph, blk *graph.Block) (d *graph.Graph, verts []int, err error) {
+// the sorted vertex set, built in s. When the block spans all of g it is g
+// itself, and verts is nil (the identity).
+func blockGraph(g *graph.Graph, blk *graph.Block, s *blockScratch) (d *graph.Graph, verts []int, err error) {
 	d = g
 	if len(blk.Vertices) != g.N() {
-		verts = slices.Clone(blk.Vertices)
+		verts = grow(s.verts, len(blk.Vertices))
+		s.verts = verts
+		copy(verts, blk.Vertices)
 		slices.Sort(verts)
-		if d, _, err = g.Induced(verts); err != nil {
+		if d, err = g.InducedInto(&s.ind, verts); err != nil {
 			return nil, nil, fmt.Errorf("seqcolor: block graph: %w", err)
 		}
 	}
@@ -490,28 +617,25 @@ func blockGraph(g *graph.Graph, blk *graph.Block) (d *graph.Graph, verts []int, 
 // colorTwoConnectedTight colors a connected graph d with lists eff where
 // |eff[v]| ≥ deg(v); it requires d to be 2-connected and not a clique nor an
 // odd cycle when all lists are tight and identical (the Brooks case).
-func colorTwoConnectedTight(d *graph.Graph, sub []int, eff [][]int) error {
+func (w *Workspace) colorTwoConnectedTight(d *graph.Graph, sub []int, eff [][]int) error {
 	n := d.N()
 	// (a) surplus inside the block (can appear after peeling).
 	for v := 0; v < n; v++ {
 		if len(eff[v]) > d.Degree(v) {
-			order := reverseBFSOrder(d, v, nil)
-			return GreedyInOrder(d, sub, eff, order)
+			order := w.reverseBFSOrder(d, v, nil)
+			return greedyInOrder(d, sub, eff, order, w.bits())
 		}
 	}
-	// (b) an edge with different lists: color u with a ∈ L(u)\L(w); w gains
-	// surplus; finish by reverse BFS from w in d−u (connected: d 2-connected).
+	// (b) an edge with different lists: color u with a ∈ L(u)\L(x); x gains
+	// surplus; finish by reverse BFS from x in d−u (connected: d 2-connected).
 	for u := 0; u < n; u++ {
-		for _, w32 := range d.Neighbors(u) {
-			w := int(w32)
-			if a, ok := colorInFirstNotSecond(eff[u], eff[w]); ok {
+		for _, x32 := range d.Neighbors(u) {
+			x := int(x32)
+			if a, ok := colorInFirstNotSecond(eff[u], eff[x]); ok {
 				sub[u] = a
-				mask := make([]bool, n)
-				for i := range mask {
-					mask[i] = i != u
-				}
-				order := reverseBFSOrder(d, w, mask)
-				return GreedyInOrder(d, sub, eff, order)
+				mask := w.maskAllBut(n, u, u)
+				order := w.reverseBFSOrder(d, x, mask)
+				return greedyInOrder(d, sub, eff, order, w.bits())
 			}
 		}
 	}
@@ -527,19 +651,25 @@ func colorTwoConnectedTight(d *graph.Graph, sub []int, eff [][]int) error {
 		// even cycle (odd cycles are good blocks, never routed here)
 		return colorEvenCycle(d, sub, eff)
 	}
-	x, y, z, err := brooksTriple(d)
+	x, y, z, err := brooksTriple(d, w.maskAllBut(n, -1, -1))
 	if err != nil {
 		return err
 	}
 	a := eff[x][0]
 	sub[x] = a
 	sub[y] = a
-	mask := make([]bool, n)
+	order := w.reverseBFSOrder(d, z, w.maskAllBut(n, x, y))
+	return greedyInOrder(d, sub, eff, order, w.bits())
+}
+
+// maskAllBut returns w.mask sized n, true everywhere except at x and y.
+func (w *Workspace) maskAllBut(n, x, y int) []bool {
+	mask := grow(w.mask, n)
+	w.mask = mask
 	for i := range mask {
 		mask[i] = i != x && i != y
 	}
-	order := reverseBFSOrder(d, z, mask)
-	return GreedyInOrder(d, sub, eff, order)
+	return mask
 }
 
 func colorInFirstNotSecond(a, b []int) (int, bool) {
@@ -579,15 +709,11 @@ func colorEvenCycle(d *graph.Graph, sub []int, eff [][]int) error {
 
 // brooksTriple finds x, y, z with x,y ∈ N(z), x,y non-adjacent and
 // d−{x,y} connected, in a 2-connected non-complete graph d. (Lovász's
-// lemma, algorithmic form.)
-func brooksTriple(d *graph.Graph) (x, y, z int, err error) {
+// lemma, algorithmic form.) mask is scratch, all true on entry: one mask
+// serves every candidate, with the probed vertices cleared for the call
+// and restored after it.
+func brooksTriple(d *graph.Graph, mask []bool) (x, y, z int, err error) {
 	n := d.N()
-	// One mask for every candidate: all true, with the probed vertices
-	// cleared for the call and restored after it.
-	mask := make([]bool, n)
-	for v := range mask {
-		mask[v] = true
-	}
 	// Fast path: in well-connected graphs (the typical case) almost any
 	// distance-2 pair works; try a bounded number of candidates before the
 	// exhaustive block-structure search.

@@ -74,6 +74,8 @@ func SparseListColor(g *graph.Graph, d int, lists [][]int) ([]int, error) {
 	// Remaining components are d-regular (mad ≤ d forces it). A component
 	// equal to K_{d+1} is the excluded clique; otherwise Theorem 1.1 applies.
 	compMask := make([]bool, n)
+	var w Workspace
+	defer w.Release()
 	for _, comp := range g.Components(alive) {
 		if len(comp) == d+1 && g.IsClique(comp) {
 			return nil, &CliqueError{Clique: comp}
@@ -81,7 +83,7 @@ func SparseListColor(g *graph.Graph, d int, lists [][]int) ([]int, error) {
 		for _, v := range comp {
 			compMask[v] = true
 		}
-		err := degreeListColorComponent(g, colors, lists, comp, compMask)
+		err := w.colorComponent(g, colors, lists, comp, compMask)
 		for _, v := range comp {
 			compMask[v] = false
 		}
