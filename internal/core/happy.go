@@ -89,7 +89,7 @@ func happySet(s *peelState, radius int,
 	tr := g.AcquireTraversal()
 	defer g.ReleaseTraversal(tr)
 	// (a) witness path: multi-source BFS inside G[rich] from the witnesses.
-	sources := s.sources[:0]
+	sources := slices.Grow(s.sources[:0], len(rich))
 	for _, v := range rich {
 		if witness(s.deg[v], v) {
 			sources = append(sources, v)
@@ -110,14 +110,15 @@ func happySet(s *peelState, radius int,
 	// found by walking the rich list: a vertex still in richMask starts a
 	// new component (it is that component's minimum), and each component
 	// leaves richMask once settled. Later components' searches never miss
-	// it, since no rich edge joins two components.
+	// it, since no rich edge joins two components. The walk from comp[0]
+	// covers exactly the component, so its depth is comp[0]'s eccentricity.
 	for i, v0 := range rich {
 		if !richMask[v0] {
 			continue
 		}
 		tr.Run(rich[i:i+1], richMask, -1)
 		comp := tr.Order()
-		classifyComponent(g, comp, radius, happyMask, compMask, ballMask, &st)
+		classifyComponent(g, comp, tr.MaxDist(), radius, happyMask, compMask, ballMask, &st)
 		for _, v := range comp {
 			richMask[v] = false
 		}
@@ -135,9 +136,10 @@ func happySet(s *peelState, radius int,
 }
 
 // classifyComponent marks the vertices of one component of G[rich] whose
-// radius-r balls are not Gallai trees, adding them to happyMask. compMask
-// and ballMask are all false on entry and on return.
-func classifyComponent(g *graph.Graph, comp []int32, radius int,
+// radius-r balls are not Gallai trees, adding them to happyMask. ecc is
+// comp[0]'s eccentricity in the component. compMask and ballMask are all
+// false on entry and on return.
+func classifyComponent(g *graph.Graph, comp []int32, ecc, radius int,
 	happyMask, compMask, ballMask []bool, st *IterationStats) {
 	allHappy := true
 	for _, v := range comp {
@@ -165,7 +167,7 @@ func classifyComponent(g *graph.Graph, comp []int32, radius int,
 	}
 	// Saturation fast path: if radius ≥ 2·ecc(v0) then every ball is the
 	// whole (non-Gallai) component.
-	if radius >= 2*g.Eccentricity(int(comp[0]), compMask) {
+	if radius >= 2*ecc {
 		for _, v := range comp {
 			if !happyMask[v] {
 				happyMask[v] = true

@@ -45,9 +45,6 @@ func (f *Network) AddArc(u, v int, capacity int64) int {
 	return id
 }
 
-// Residual returns the residual capacity of arc id.
-func (f *Network) Residual(id int) int64 { return f.cap[id] }
-
 // Flow returns the flow pushed through arc id (reverse residual).
 func (f *Network) Flow(id int) int64 { return f.cap[id^1] }
 

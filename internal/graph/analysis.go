@@ -62,96 +62,124 @@ type DegeneracyResult struct {
 }
 
 // Degeneracy computes the degeneracy and a smallest-last order of the masked
-// graph using the standard bucket algorithm in O(n + m).
+// graph (nil mask = all vertices) with the bucket queue of smallestLast, in
+// O(n + m).
 func (g *Graph) Degeneracy(mask []bool) DegeneracyResult {
-	n := g.N()
-	deg := make([]int, n)
-	alive := make([]bool, n)
-	total := 0
-	maxDeg := 0
-	effMask := aliveOrMask(mask, n)
-	for v := 0; v < n; v++ {
-		if !effMask[v] {
-			continue
-		}
-		alive[v] = true
-		total++
-		deg[v] = g.DegreeInMask(v, effMask)
-		if deg[v] > maxDeg {
-			maxDeg = deg[v]
-		}
-	}
-	buckets := make([][]int, maxDeg+1)
-	for v := 0; v < n; v++ {
-		if alive[v] {
-			buckets[deg[v]] = append(buckets[deg[v]], v)
-		}
-	}
+	var s smallestLast
+	total := s.init(g, mask)
 	res := DegeneracyResult{
 		Order: make([]int, 0, total),
-		Pos:   make([]int, n),
+		Pos:   make([]int, g.N()),
 	}
 	for i := range res.Pos {
 		res.Pos[i] = -1
 	}
-	removed := make([]bool, n)
-	for len(res.Order) < total {
-		// find the lowest nonempty bucket with a still-valid entry
-		found := -1
-		for d := 0; d <= maxDeg; d++ {
-			for len(buckets[d]) > 0 {
-				v := buckets[d][len(buckets[d])-1]
-				buckets[d] = buckets[d][:len(buckets[d])-1]
-				if removed[v] || deg[v] != d {
-					continue
-				}
-				found = v
-				break
-			}
-			if found != -1 {
-				break
-			}
-		}
-		if found == -1 {
-			break // should not happen
-		}
-		v := found
-		removed[v] = true
-		if deg[v] > res.Degeneracy {
-			res.Degeneracy = deg[v]
-		}
+	for v, deg := s.pop(); v >= 0; v, deg = s.pop() {
+		res.Degeneracy = max(res.Degeneracy, deg)
 		res.Pos[v] = len(res.Order)
 		res.Order = append(res.Order, v)
-		for _, w32 := range g.Neighbors(v) {
-			w := int(w32)
-			if !alive[w] || removed[w] {
-				continue
-			}
-			deg[w]--
-			buckets[deg[w]] = append(buckets[deg[w]], w)
-		}
 	}
 	return res
 }
 
 // DegeneracyOrder returns the degeneracy result for the whole graph
 // (mask == nil), computed once and cached — Graph is immutable, so repeated
-// callers (clique search, low-degree peeling, baselines) share one
-// computation.
+// callers (low-degree peeling, baselines) share one computation.
 func (g *Graph) DegeneracyOrder() DegeneracyResult {
 	g.degenOnce.Do(func() { g.degen = g.Degeneracy(nil) })
 	return g.degen
 }
 
-func aliveOrMask(mask []bool, n int) []bool {
-	if mask != nil {
-		return mask
+// peelRec is one vertex's state in a smallest-last elimination: its degree
+// among the vertices not yet removed (-1 once removed, and for vertices
+// outside the mask) and its links in the list of its degree's bucket.
+type peelRec struct{ deg, next, prev int32 }
+
+// smallestLast is the elimination behind Degeneracy and FindCliqueDPlus1.
+// Bucket d is a doubly linked list of the remaining vertices of degree d,
+// newest first: the initial fill pushes in vertex order and a decrement
+// moves the vertex to the front of its new bucket, so pop takes the vertex
+// that entered the lowest nonempty bucket last (LIFO). min is lowered on
+// every decrement and rises only past empty buckets, and a removal lowers
+// it by at most one, so a whole elimination costs O(n + m + Δ).
+type smallestLast struct {
+	g    *Graph
+	rec  []peelRec
+	head []int32 // head[d] is bucket d's newest vertex, -1 when empty
+	min  int
+}
+
+// init fills the buckets with the masked vertices and returns their count.
+func (s *smallestLast) init(g *Graph, mask []bool) int {
+	s.g = g
+	s.rec = make([]peelRec, g.N())
+	s.head = make([]int32, g.MaxDegree()+1)
+	for d := range s.head {
+		s.head[d] = -1
 	}
-	all := make([]bool, n)
-	for i := range all {
-		all[i] = true
+	total := 0
+	for v := range s.rec {
+		switch {
+		case mask == nil:
+			s.rec[v].deg = int32(g.Degree(v))
+		case mask[v]:
+			s.rec[v].deg = int32(g.DegreeInMask(v, mask))
+		default:
+			s.rec[v].deg = -1
+			continue
+		}
+		s.push(int32(v))
+		total++
 	}
-	return all
+	return total
+}
+
+// push puts v at the front of the bucket of its degree.
+func (s *smallestLast) push(v int32) {
+	r := &s.rec[v]
+	r.prev, r.next = -1, s.head[r.deg]
+	if r.next >= 0 {
+		s.rec[r.next].prev = v
+	}
+	s.head[r.deg] = v
+}
+
+// unlink takes v out of the bucket of its degree.
+func (s *smallestLast) unlink(v int32) {
+	r := s.rec[v]
+	if r.prev >= 0 {
+		s.rec[r.prev].next = r.next
+	} else {
+		s.head[r.deg] = r.next
+	}
+	if r.next >= 0 {
+		s.rec[r.next].prev = r.prev
+	}
+}
+
+// pop removes the next vertex of the order and returns it with its degree
+// at removal, or -1 once every vertex is gone. Afterwards v's later
+// neighbors are exactly its neighbors w with rec[w].deg ≥ 0.
+func (s *smallestLast) pop() (v, deg int) {
+	for s.min < len(s.head) && s.head[s.min] < 0 {
+		s.min++
+	}
+	if s.min == len(s.head) {
+		return -1, 0
+	}
+	v32, deg := s.head[s.min], s.min
+	s.unlink(v32)
+	s.rec[v32].deg = -1
+	for _, w := range s.g.Neighbors(int(v32)) {
+		if s.rec[w].deg < 0 {
+			continue // removed, or outside the mask
+		}
+		s.unlink(w)
+		s.rec[w].deg--
+		s.push(w)
+		s.min = min(s.min, int(s.rec[w].deg))
+	}
+	return int(v32), deg
 }
 
 // FindCliqueDPlus1 searches for a clique on d+1 vertices. In a graph of
@@ -162,42 +190,37 @@ func aliveOrMask(mask []bool, n int) []bool {
 // polynomial we only test the case |later(v)| == d exactly when degeneracy
 // ≤ d (the paper's setting: mad(G) ≤ d ⇒ degeneracy ≤ d, and then a K_{d+1}
 // member's later neighborhood has size exactly d). Returns nil if none found.
+//
+// The test runs inside the elimination, as each vertex is removed: its
+// later neighbors are then its remaining neighbors, as many as its degree
+// at removal. The search stops at the first clique and keeps no order.
 func (g *Graph) FindCliqueDPlus1(d int) []int {
 	if d < 1 {
 		return nil
 	}
-	res := g.DegeneracyOrder()
-	if res.Degeneracy > d {
-		// Outside the promised regime; fall back to a bounded search over
-		// later-neighborhood subsets only when the later neighborhood is
-		// exactly d (still sound: report nil rather than guess).
-	}
+	var s smallestLast
+	s.init(g, nil)
 	// One buffer for every vertex's later neighborhood; a found clique is
 	// returned as a copy.
 	later := make([]int, 0, d+1)
-	for _, v := range res.Order {
-		later = later[:0]
-		for _, w32 := range g.Neighbors(v) {
-			w := int(w32)
-			if res.Pos[w] > res.Pos[v] {
-				later = append(later, w)
-			}
-		}
-		if len(later) < d {
+	for v, deg := s.pop(); v >= 0; v, deg = s.pop() {
+		// A later neighborhood bigger than d (degeneracy > d) is rare: it
+		// gets a bounded exact search for a d-clique when small enough.
+		if deg < d || deg > d+6 {
 			continue
 		}
-		if len(later) == d {
+		later = later[:0]
+		for _, w := range g.Neighbors(v) {
+			if s.rec[w].deg >= 0 {
+				later = append(later, int(w))
+			}
+		}
+		if deg == d {
 			if g.IsClique(later) {
 				return append([]int{v}, later...)
 			}
-			continue
-		}
-		// Rare: later neighborhood bigger than d (degeneracy > d). Bounded
-		// exact search for a d-clique inside it when small enough.
-		if len(later) <= d+6 {
-			if sub := findCliqueOfSize(g, later, d); sub != nil {
-				return append([]int{v}, sub...)
-			}
+		} else if sub := findCliqueOfSize(g, later, d); sub != nil {
+			return append([]int{v}, sub...)
 		}
 	}
 	return nil

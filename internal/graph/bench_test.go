@@ -79,6 +79,40 @@ func BenchmarkDegeneracy_n10000(b *testing.B) {
 	}
 }
 
+// BenchmarkFindCliqueDPlus1 times the clique check that opens Theorem 1.3
+// on the two library workloads' graph families at n=1e5: an Apollonian
+// graph at d=6 and a random 3-regular graph at d=3, neither holding a
+// K_{d+1}. Each op searches a fresh Clone, as a newly opened graph is
+// searched, so no per-graph cache carries over between ops.
+func BenchmarkFindCliqueDPlus1(b *testing.B) {
+	rng := rand.New(rand.NewPCG(21, 5))
+	regular, err := gen.RandomRegular(100000, 3, rng)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		g    *graph.Graph
+		d    int
+	}{
+		{"apollonian_n1e5", gen.Apollonian(100000, rng), 6},
+		{"regular3_n1e5", regular, 3},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for range b.N {
+				b.StopTimer()
+				g := c.g.Clone()
+				b.StartTimer()
+				if clique := g.FindCliqueDPlus1(c.d); clique != nil {
+					b.Fatalf("unexpected clique %v", clique)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkGirth_n2000(b *testing.B) {
 	g := benchGraph(2000)
 	b.ResetTimer()

@@ -231,36 +231,12 @@ func (g *Graph) Blocks(mask []bool) *BlockDecomposition {
 	return dec
 }
 
-// blockIsClique reports whether the block is a complete graph.
-func blockIsClique(b *Block) bool {
-	k := len(b.Vertices)
-	return len(b.Edges) == k*(k-1)/2
-}
-
-// blockIsOddCycle reports whether the block is a cycle of odd length ≥ 3.
-// (K3 counts as both a clique and an odd cycle.)
-func blockIsOddCycle(b *Block) bool {
-	k := len(b.Vertices)
-	if k < 3 || k%2 == 0 || len(b.Edges) != k {
-		return false
-	}
-	deg := make(map[int]int, k)
-	for _, e := range b.Edges {
-		deg[e[0]]++
-		deg[e[1]]++
-	}
-	for _, d := range deg {
-		if d != 2 {
-			return false
-		}
-	}
-	return true
-}
-
-// BlockIsGood reports whether the block is a clique or an odd cycle, i.e.
-// an allowed block of a Gallai tree.
-func BlockIsGood(b *Block) bool {
-	return blockIsClique(b) || blockIsOddCycle(b)
+// gallaiBlock reports whether a block with k vertices and m edges is a
+// clique (a bridge is a K2) or an odd cycle: an allowed Gallai-tree block.
+// A block with ≥3 vertices is 2-connected, so its minimum degree is ≥ 2,
+// and m = k forces 2-regularity, i.e. a cycle. K3 is both.
+func gallaiBlock(k, m int) bool {
+	return m == k*(k-1)/2 || (k >= 3 && k%2 == 1 && m == k)
 }
 
 // IsGallaiForest reports whether every connected component of the masked
@@ -271,17 +247,8 @@ func BlockIsGood(b *Block) bool {
 func (g *Graph) IsGallaiForest(mask []bool) bool {
 	good := true
 	g.blocksDFS(mask, func(seg []blockEdge, verts []int) bool {
-		k, m := len(verts), len(seg)
-		if m == k*(k-1)/2 {
-			return true // clique (includes bridges, k=2)
-		}
-		// A block with ≥3 vertices is 2-connected, so minimum degree ≥ 2;
-		// |E| = |V| then forces 2-regularity, i.e. a cycle.
-		if k >= 3 && k%2 == 1 && m == k {
-			return true // odd cycle
-		}
-		good = false
-		return false
+		good = gallaiBlock(len(verts), len(seg))
+		return good
 	}, nil)
 	return good
 }
@@ -290,7 +257,7 @@ func (g *Graph) IsGallaiForest(mask []bool) bool {
 // an odd cycle, or -1 if the masked graph is a Gallai forest.
 func FirstBadBlock(dec *BlockDecomposition) int {
 	for i := range dec.Blocks {
-		if !BlockIsGood(&dec.Blocks[i]) {
+		if b := &dec.Blocks[i]; !gallaiBlock(len(b.Vertices), len(b.Edges)) {
 			return i
 		}
 	}

@@ -310,6 +310,64 @@ func TestFirstBadBlock(t *testing.T) {
 	}
 }
 
+// refBlockIsGood is the block test gallaiBlock replaced, kept as its
+// oracle: a clique by its edge count, an odd cycle by its length and by
+// every vertex having degree 2 within the block.
+func refBlockIsGood(b *Block) bool {
+	k := len(b.Vertices)
+	if len(b.Edges) == k*(k-1)/2 {
+		return true
+	}
+	if k < 3 || k%2 == 0 || len(b.Edges) != k {
+		return false
+	}
+	deg := make(map[int]int, k)
+	for _, e := range b.Edges {
+		deg[e[0]]++
+		deg[e[1]]++
+	}
+	for _, d := range deg {
+		if d != 2 {
+			return false
+		}
+	}
+	return true
+}
+
+// TestGallaiBlockMatchesReference checks the (k, m) block test against the
+// degree-checking one on every block of random graphs, dense and sparse.
+func TestGallaiBlockMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewPCG(21, 4))
+	good, bad := 0, 0
+	for trial := range 200 {
+		n := 3 + rng.IntN(40)
+		g := randomGraph(rng, n, (1+rng.Float64()*4)/float64(n))
+		if trial%4 == 0 {
+			g = cycle(n)
+		}
+		dec := g.Blocks(nil)
+		for i := range dec.Blocks {
+			b := &dec.Blocks[i]
+			want := refBlockIsGood(b)
+			if got := gallaiBlock(len(b.Vertices), len(b.Edges)); got != want {
+				t.Fatalf("trial %d block %d (%d vertices, %d edges): gallaiBlock %v, reference %v",
+					trial, i, len(b.Vertices), len(b.Edges), got, want)
+			}
+			if want {
+				good++
+			} else {
+				bad++
+			}
+		}
+		if (FirstBadBlock(dec) == -1) != g.IsGallaiForest(nil) {
+			t.Fatalf("trial %d: FirstBadBlock and IsGallaiForest disagree", trial)
+		}
+	}
+	if good == 0 || bad == 0 {
+		t.Fatalf("%d good and %d bad blocks; want both > 0", good, bad)
+	}
+}
+
 func TestBlocksOfSorted(t *testing.T) {
 	// sanity: BlocksOf lists consistent with Blocks membership
 	g := MustNew(5, [][2]int{{0, 1}, {1, 2}, {0, 2}, {2, 3}, {3, 4}})

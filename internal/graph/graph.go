@@ -427,12 +427,13 @@ func (g *Graph) Induced(verts []int) (*Graph, []int, error) {
 	return sub, slices.Clone(verts), nil
 }
 
-// InducedBuf holds the CSR arrays InducedInto builds a subgraph in. A
-// caller carving many subgraphs one after another keeps one buffer, and
-// each subgraph reuses the arrays of the one before. The zero value is
-// ready to use.
+// InducedBuf holds the CSR arrays and the graph header InducedInto builds
+// a subgraph in. A caller carving many subgraphs one after another keeps
+// one buffer, and each subgraph reuses the arrays and the header of the one
+// before. The zero value is ready to use.
 type InducedBuf struct {
 	offsets, neighbors []int32
+	g                  *Graph
 }
 
 // grow returns s resized to length n. It reuses s's array when that holds
@@ -445,10 +446,11 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// InducedInto is Induced building the subgraph's CSR arrays in buf. Vertex i
-// of the subgraph is verts[i], so the mapping back is verts itself. The
-// returned graph is a fresh header (it caches its own degeneracy and
-// mirror) over buf's arrays: it is valid until buf's next use.
+// InducedInto is Induced building the subgraph in buf. Vertex i of the
+// subgraph is verts[i], so the mapping back is verts itself. The returned
+// graph is buf's one header, reset over buf's arrays (its cached
+// degeneracy and mirror start empty): it is valid until buf's next use,
+// which overwrites it in place.
 func (g *Graph) InducedInto(buf *InducedBuf, verts []int) (*Graph, error) {
 	im := acquireIndexMap(g.N())
 	defer indexMapPool.Put(im)
@@ -494,7 +496,11 @@ func (g *Graph) InducedInto(buf *InducedBuf, verts []int) (*Graph, error) {
 		// (HasEdge binary-searches rows).
 		slices.Sort(row)
 	}
-	return newCSR(offsets, neighbors, m/2, maxDeg), nil
+	if buf.g == nil {
+		buf.g = new(Graph)
+	}
+	*buf.g = Graph{offsets: offsets, neighbors: neighbors, m: m / 2, maxDeg: maxDeg}
+	return buf.g, nil
 }
 
 // InducedMask is Induced over the vertices v with mask[v] == true.

@@ -54,16 +54,19 @@ type Forest struct {
 	MaxDepth int
 }
 
-// scratch is the pooled per-vertex state of one Compute: component labels
+// scratch is the pooled state of one Compute: per-vertex component labels
 // and root-path marks, each valid only where its stamp equals the call's
-// epoch. Stale entries are never cleared (a stale stamp is older than every
-// later epoch), so a call writes only the vertices it labels or keeps;
-// emitting the tree reads the keep stamps once, in one ascending scan.
+// epoch, and per-component diameter bounds and winners. Stale entries are
+// never cleared (a stale stamp is older than every later epoch), so a call
+// writes only the vertices it labels or keeps; emitting the tree reads the
+// keep stamps once, in one ascending scan.
 type scratch struct {
 	epoch   uint32
 	labeled []uint32 // labeled[v] == epoch: comp[v] is v's component index
 	comp    []int32
 	kept    []uint32 // kept[v] == epoch: v lies on a U vertex's root path
+	diamUB  []int    // diamUB[c] bounds component c's diameter
+	winner  []int    // winner[c] is component c's minimum-ID U vertex
 }
 
 var scratchPool sync.Pool
@@ -123,8 +126,7 @@ func Compute(ctx context.Context, nw *local.Network, ledger *local.Ledger, phase
 	// bounds the component's diameter; a component is saturated when that
 	// bound is ≤ α−1, i.e. every vertex in it is within distance < α of
 	// every other.
-	var diamUB []int
-	var winner []int // minimum-ID U vertex of each component
+	diamUB, winner := s.diamUB[:0], s.winner[:0]
 	for i, v := range u {
 		if s.labeled[v] == epoch {
 			if c := s.comp[v]; nw.ID[v] < nw.ID[winner[c]] {
@@ -141,6 +143,7 @@ func Compute(ctx context.Context, nw *local.Network, ledger *local.Ledger, phase
 			s.comp[w] = c
 		}
 	}
+	s.diamUB, s.winner = diamUB, winner
 
 	// A saturated component's tournament leaves exactly its minimum-ID U
 	// vertex: after level b each (component, ID>>(b+1)) class keeps only
@@ -148,8 +151,9 @@ func Compute(ctx context.Context, nw *local.Network, ledger *local.Ledger, phase
 	// the bit-1 member it competes with. Only the other components' U
 	// vertices run the merge, sorted by ID once so that every level's
 	// groups are contiguous runs of equal ID prefix with the bit-0 members
-	// first.
-	var cand []int
+	// first. Every component yields at least one ruler, so cand, which
+	// becomes the ruler list, starts with room for one per component.
+	cand := make([]int, 0, len(winner))
 	for _, v := range u {
 		if diamUB[s.comp[v]] > alpha-1 {
 			cand = append(cand, v)
