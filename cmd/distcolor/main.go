@@ -364,7 +364,8 @@ func runSmoke(ctx context.Context) error {
 func printStats(g *graph.Graph) error {
 	fmt.Printf("degeneracy: %d\n", g.DegeneracyOrder().Degeneracy)
 	fmt.Printf("girth: %d\n", g.Girth(nil))
-	fmt.Printf("gallai forest: %v\n", g.IsGallaiForest(nil))
+	gallai, _ := g.IsGallaiForest(nil, nil)
+	fmt.Printf("gallai forest: %v\n", gallai)
 	bip, _ := g.IsBipartite(nil)
 	fmt.Printf("bipartite: %v\n", bip)
 	if g.N() <= 5000 {

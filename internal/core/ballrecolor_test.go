@@ -25,7 +25,9 @@ func colorBallFresh(g *graph.Graph, colors []int, lists [][]int, ball []int) err
 	if err != nil {
 		return err
 	}
-	subLists := seqcolor.EffectiveLists(g, colors, lists, orig)
+	var w seqcolor.Workspace
+	defer w.Release()
+	subLists := w.EffectiveLists(g, colors, lists, orig)
 	subColors := make([]int, sub.N())
 	for i := range subColors {
 		subColors[i] = Uncolored
@@ -215,7 +217,7 @@ func TestRootBallReuseMatchesFresh(t *testing.T) {
 		want := slices.Clone(colors)
 		wantErr := colorBallFresh(st.host.g, want, st.host.lists, st.ball)
 		got := slices.Clone(colors)
-		gotErr := colorBallTheorem11(st.host.g, got, st.host.lists, st.ball, &ws)
+		gotErr := colorBallTheorem11(st.host.g, got, st.host.lists, st.ball, false, &ws)
 		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
 			t.Fatalf("step %d (%s): error %v, fresh path %v", i, st.name, gotErr, wantErr)
 		}
@@ -298,7 +300,7 @@ func TestRootBallAllocatesPerBall(t *testing.T) {
 		for _, u := range ws.ball {
 			colors[u] = Uncolored
 		}
-		err = colorBallTheorem11(g, colors, lists, ws.ball, &ws)
+		err = colorBallTheorem11(g, colors, lists, ws.ball, false, &ws)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -319,6 +321,7 @@ type rootBallCase struct {
 	lists    [][]int
 	colors   []int
 	richMask []bool
+	blocks   []int
 	roots    []int
 	radius   int
 }
@@ -335,16 +338,16 @@ func layerOneRootBalls(b *testing.B, name string, g *graph.Graph, d int) rootBal
 	}
 	radius := res.Radius
 	s := newPeelState(g)
-	_, rich, happy := happySet(s, radius, func(deg, _ int) bool { return deg <= d }, func(deg, _ int) bool { return deg <= d-1 })
+	_, lay := happySet(s, radius, func(deg, _ int) bool { return deg <= d }, func(deg, _ int) bool { return deg <= d-1 })
 	richMask := make([]bool, g.N())
-	for _, v := range rich {
+	for _, v := range lay.rich {
 		richMask[v] = true
 	}
-	forest, err := ruling.Compute(context.Background(), nw, &local.Ledger{}, "", richMask, happy, 2*radius+2)
+	forest, err := ruling.Compute(context.Background(), nw, &local.Ledger{}, "", richMask, lay.happy, 2*radius+2)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return rootBallCase{name, g, res.Lists, res.Colors, richMask, forest.Roots, radius}
+	return rootBallCase{name, g, res.Lists, res.Colors, richMask, lay.blocks, forest.Roots, radius}
 }
 
 // BenchmarkRootBallRecolor times extend's root-ball step on one workspace
@@ -374,7 +377,8 @@ func BenchmarkRootBallRecolor(b *testing.B) {
 					for _, u := range ws.ball {
 						colors[u] = Uncolored
 					}
-					if err := colorBallTheorem11(c.g, colors, c.lists, ws.ball, &ws); err != nil {
+					_, oneBlock := slices.BinarySearch(c.blocks, slices.Min(ws.ball))
+					if err := colorBallTheorem11(c.g, colors, c.lists, ws.ball, oneBlock, &ws); err != nil {
 						b.Fatal(err)
 					}
 				}

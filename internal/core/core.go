@@ -147,15 +147,7 @@ func Run(ctx context.Context, nw *local.Network, cfg Config) (*Result, error) {
 		return res, nil
 	}
 
-	// Ball radius ⌈c·log₂ n⌉ (≥ 1).
-	c := cfg.BallC
-	if c == 0 {
-		c = DefaultBallC
-	}
-	radius := int(math.Ceil(c * math.Log2(float64(n))))
-	if radius < 1 {
-		radius = 1
-	}
+	radius := ballRadius(cfg.BallC, n)
 	res.Radius = radius
 
 	maxIter := cfg.MaxIterations
@@ -168,6 +160,15 @@ func Run(ctx context.Context, nw *local.Network, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	return res, nil
+}
+
+// ballRadius returns the happy-ball radius ⌈c·log₂ n⌉ (≥ 1), where c = 0
+// means DefaultBallC.
+func ballRadius(c float64, n int) int {
+	if c == 0 {
+		c = DefaultBallC
+	}
+	return max(1, int(math.Ceil(c*math.Log2(float64(n)))))
 }
 
 // peelAndExtend runs the peeling loop (Lemma 3.1) followed by the reverse
@@ -187,10 +188,6 @@ func peelAndExtend(ctx context.Context, nw *local.Network, res *Result, lists []
 	n := g.N()
 	ledger := res.Ledger
 
-	type layer struct {
-		rich  []int
-		happy []int
-	}
 	s := newPeelState(g)
 	var layers []layer
 	for len(s.alive) > 0 {
@@ -200,16 +197,16 @@ func peelAndExtend(ctx context.Context, nw *local.Network, res *Result, lists []
 		if len(layers) >= maxIter {
 			return fmt.Errorf("%w (after %d iterations, %d vertices left)", ErrStalled, len(layers), len(s.alive))
 		}
-		st, rich, happy := happySet(s, radius, richTest, witness)
-		if len(happy) == 0 {
+		st, lay := happySet(s, radius, richTest, witness)
+		if len(lay.happy) == 0 {
 			return fmt.Errorf("%w (iteration %d, %d alive)", ErrStalled, len(layers)+1, len(s.alive))
 		}
 		// LOCAL cost: 1 round to learn alive-degrees, radius+1 to collect
 		// the rich ball, per the standard simulation.
 		ledger.Charge("peel/happy", radius+2)
-		layers = append(layers, layer{rich: rich, happy: happy})
+		layers = append(layers, lay)
 		res.Iterations = append(res.Iterations, st)
-		s.peel(happy)
+		s.peel(lay.happy)
 	}
 
 	// ---- Extension phase (Lemma 3.2), reverse order.
@@ -221,8 +218,7 @@ func peelAndExtend(ctx context.Context, nw *local.Network, res *Result, lists []
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		ext, err := extend(ctx, nw, ledger, s.rich, layers[i].rich, layers[i].happy,
-			colors, lists, radius)
+		ext, err := extend(ctx, nw, ledger, s.rich, layers[i], colors, lists, radius)
 		if err != nil {
 			return fmt.Errorf("core: extension at layer %d: %w", i+1, err)
 		}

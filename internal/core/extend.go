@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"distcolor/internal/graph"
 	"distcolor/internal/local"
@@ -17,8 +18,8 @@ type extendStats struct {
 	maxDepth int
 }
 
-// extend implements Lemma 3.2: given the current graph's rich set R and
-// happy set A (uncolored; everything else alive is colored), it extends the
+// extend implements Lemma 3.2: given the layer's rich set R and happy set
+// A (uncolored; everything else alive is colored), it extends the
 // coloring to A, possibly recoloring parts of R. Vertices not yet alive are
 // always Uncolored here: extension runs from the last layer to the first
 // and colors only tree and ball vertices, which lie in R ⊆ alive. So a
@@ -31,16 +32,16 @@ type extendStats struct {
 // n-sized scratch mask: all false on entry, it holds R during the call and
 // is all false again on return.
 func extend(ctx context.Context, nw *local.Network, ledger *local.Ledger, richMask []bool,
-	rich, happy []int, colors []int, lists [][]int, radius int) (extendStats, error) {
+	lay layer, colors []int, lists [][]int, radius int) (extendStats, error) {
 
 	g := nw.G
 	var st extendStats
 
-	for _, v := range rich {
+	for _, v := range lay.rich {
 		richMask[v] = true
 	}
 	defer func() {
-		for _, v := range rich {
+		for _, v := range lay.rich {
 			richMask[v] = false
 		}
 	}()
@@ -48,7 +49,7 @@ func extend(ctx context.Context, nw *local.Network, ledger *local.Ledger, richMa
 	// --- Ruling forest: roots pairwise > 2·radius apart so that their rich
 	// balls are disjoint with no edges in between.
 	alpha := 2*radius + 2
-	forest, err := ruling.Compute(ctx, nw, ledger, "extend/ruling", richMask, happy, alpha)
+	forest, err := ruling.Compute(ctx, nw, ledger, "extend/ruling", richMask, lay.happy, alpha)
 	if err != nil {
 		return st, fmt.Errorf("ruling forest: %w", err)
 	}
@@ -72,17 +73,25 @@ func extend(ctx context.Context, nw *local.Network, ledger *local.Ledger, richMa
 	}
 
 	// --- Leaves-to-root greedy: for each depth from deepest to 1, for each
-	// class, color that independent set greedily from the lists. Every
-	// non-root keeps its parent uncolored, so a free color exists
-	// (Observation 5.1). The tree is bucketized by (depth, class) up front —
-	// preserving its vertex order inside each bucket, so the greedy visits
-	// vertices in exactly the order the nested rescan did — instead of
-	// rescanning all of T once per (depth, class) pair.
+	// class, color that independent set greedily from the lists, one round
+	// per non-empty bucket. Every non-root keeps its parent uncolored, so a
+	// free color exists (Observation 5.1). Buckets keep the tree's order.
+	//
+	// Only buckets deeper than radius are colored; a shallower one keeps its
+	// first vertex, enough to charge it. Depth is the distance to the nearest
+	// ruler in G[R], so a vertex at depth ≤ radius lies in that root's ball,
+	// whose recoloring below overwrites its layered color unread. A vertex at
+	// depth d > radius has tree neighbors at depth ≥ d−1 only: the deeper
+	// ones colored as in the full pass, those at d−1 still uncolored in both.
+	// Every shallow vertex lies in a ball, and balls are non-adjacent, so no
+	// ball's effective lists read a skipped color either.
 	buckets := make([][]int, (forest.MaxDepth+1)*(maxClass+1))
 	for i, v := range tree {
 		if d := forest.Depth[i]; d >= 1 {
 			slot := d*(maxClass+1) + classes[i]
-			buckets[slot] = append(buckets[slot], v)
+			if d > radius || len(buckets[slot]) == 0 {
+				buckets[slot] = append(buckets[slot], v)
+			}
 		}
 	}
 	for depth := forest.MaxDepth; depth >= 1; depth-- {
@@ -91,8 +100,10 @@ func extend(ctx context.Context, nw *local.Network, ledger *local.Ledger, richMa
 			if len(bucket) == 0 {
 				continue
 			}
-			if err := seqcolor.GreedyInOrder(g, colors, lists, bucket); err != nil {
-				return st, fmt.Errorf("layered pass at depth %d: %w", depth, err)
+			if depth > radius {
+				if err := seqcolor.GreedyInOrder(g, colors, lists, bucket); err != nil {
+					return st, fmt.Errorf("layered pass at depth %d: %w", depth, err)
+				}
 			}
 			ledger.Charge("extend/layered", 1)
 		}
@@ -102,6 +113,8 @@ func extend(ctx context.Context, nw *local.Network, ledger *local.Ledger, richMa
 	// with the constructive Theorem 1.1. Balls of distinct roots are
 	// disjoint and non-adjacent (α = 2·radius+2), so the components of the
 	// uncolored set are exactly the balls. One workspace serves every ball.
+	// A ball holding the minimum of a one-block component of the layer is
+	// that whole component, so it is one bad block.
 	if len(forest.Roots) > 0 {
 		var ws ballWorkspace
 		defer ws.seq.Release()
@@ -110,7 +123,8 @@ func extend(ctx context.Context, nw *local.Network, ledger *local.Ledger, richMa
 			for _, u := range ws.ball {
 				colors[u] = Uncolored
 			}
-			if err := colorBallTheorem11(g, colors, lists, ws.ball, &ws); err != nil {
+			_, oneBlock := slices.BinarySearch(lay.blocks, slices.Min(ws.ball))
+			if err := colorBallTheorem11(g, colors, lists, ws.ball, oneBlock, &ws); err != nil {
 				return st, fmt.Errorf("root %d ball: %w", r, err)
 			}
 		}
@@ -121,12 +135,13 @@ func extend(ctx context.Context, nw *local.Network, ledger *local.Ledger, richMa
 }
 
 // ballWorkspace is the scratch extend reuses across its root balls: the
-// ball, its induced graph's arrays, its colors and the Theorem 1.1
-// workspace. Each array grows to the largest ball, to exactly the size
+// ball, its induced graph's arrays, its lists and colors and the Theorem
+// 1.1 workspace. Each array grows to the largest ball, to exactly the size
 // needed.
 type ballWorkspace struct {
 	ball   []int
 	ind    graph.InducedBuf
+	lists  [][]int
 	colors []int
 	seq    seqcolor.Workspace
 }
@@ -136,13 +151,27 @@ type ballWorkspace struct {
 // (all outside the ball), runs seqcolor.DegreeListColor (constructive
 // Theorem 1.1) and writes the colors back, all on ws's scratch. The
 // happiness of the root guarantees the hypotheses: the ball has a surplus
-// vertex or is not a Gallai tree.
-func colorBallTheorem11(g *graph.Graph, colors []int, lists [][]int, ball []int, ws *ballWorkspace) error {
+// vertex or is not a Gallai tree. oneBlock tells that the ball is one bad
+// block.
+func colorBallTheorem11(g *graph.Graph, colors []int, lists [][]int, ball []int, oneBlock bool, ws *ballWorkspace) error {
 	sub, err := g.InducedInto(&ws.ind, ball)
 	if err != nil {
 		return err
 	}
-	subLists := ws.seq.EffectiveLists(g, colors, lists, ball)
+	// A ball that is all of g leaves no vertex of g colored, so its
+	// effective lists are the lists themselves.
+	var subLists [][]int
+	if len(ball) == g.N() {
+		if cap(ws.lists) < len(ball) {
+			ws.lists = make([][]int, len(ball))
+		}
+		subLists = ws.lists[:len(ball)]
+		for i, u := range ball {
+			subLists[i] = lists[u]
+		}
+	} else {
+		subLists = ws.seq.EffectiveLists(g, colors, lists, ball)
+	}
 	if cap(ws.colors) < len(ball) {
 		ws.colors = make([]int, len(ball))
 	}
@@ -150,7 +179,11 @@ func colorBallTheorem11(g *graph.Graph, colors []int, lists [][]int, ball []int,
 	for i := range subColors {
 		subColors[i] = Uncolored
 	}
-	if err := ws.seq.DegreeListColor(sub, subColors, subLists); err != nil {
+	color := ws.seq.DegreeListColor
+	if oneBlock {
+		color = ws.seq.DegreeListColorBadBlock
+	}
+	if err := color(sub, subColors, subLists); err != nil {
 		return fmt.Errorf("Theorem 1.1 on the ball failed (broken happiness invariant?): %w", err)
 	}
 	for i, u := range ball {

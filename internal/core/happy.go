@@ -58,12 +58,18 @@ func (s *peelState) peel(happy []int) {
 	s.alive = slices.DeleteFunc(s.alive, func(v int) bool { return !s.isAlive[v] })
 }
 
+// layer is one peel iteration's output, all lists ascending: the rich set
+// R, the happy set A ⊆ R, and the minima of the components of G[R] whose
+// every ball is the whole component and that are one bad block.
+type layer struct {
+	rich, happy, blocks []int
+}
+
 // happySet classifies the alive vertices into rich/poor and computes the
 // happy set A (Section 3): v is rich when richTest(deg_alive(v)) holds; a
 // rich vertex is happy when its radius-r ball inside the rich subgraph
 // contains a witness vertex (witness(deg_alive(w)) — degree ≤ d−1 in the
-// paper's Theorem 1.3 instantiation) or induces a non-Gallai graph. Both
-// returned lists are ascending.
+// paper's Theorem 1.3 instantiation) or induces a non-Gallai graph.
 //
 // The classification is exact. Fast paths: witnesses are found by one
 // multi-source BFS; components whose every ball saturates (r ≥ 2·ecc bound)
@@ -71,20 +77,25 @@ func (s *peelState) peel(happy []int) {
 // get individual ball inspections.
 func happySet(s *peelState, radius int,
 	richTest func(degAlive int, v int) bool,
-	witness func(degAlive int, v int) bool) (IterationStats, []int, []int) {
+	witness func(degAlive int, v int) bool) (IterationStats, layer) {
 
 	g := s.g
 	st := IterationStats{Alive: len(s.alive)}
 	richMask, happyMask, compMask, ballMask := s.rich, s.happy, s.comp, s.ball
-	rich := make([]int, 0, len(s.alive))
 	for _, v := range s.alive {
 		if richTest(s.deg[v], v) {
 			richMask[v] = true
+			st.Rich++
+		}
+	}
+	st.Poor = st.Alive - st.Rich
+	// R is kept for the extension, so it is sized to its count.
+	rich := make([]int, 0, st.Rich)
+	for _, v := range s.alive {
+		if richMask[v] {
 			rich = append(rich, v)
 		}
 	}
-	st.Rich = len(rich)
-	st.Poor = st.Alive - st.Rich
 
 	tr := g.AcquireTraversal()
 	defer g.ReleaseTraversal(tr)
@@ -112,13 +123,16 @@ func happySet(s *peelState, radius int,
 	// leaves richMask once settled. Later components' searches never miss
 	// it, since no rich edge joins two components. The walk from comp[0]
 	// covers exactly the component, so its depth is comp[0]'s eccentricity.
+	var blocks []int // ascending, as the components' minima are met
 	for i, v0 := range rich {
 		if !richMask[v0] {
 			continue
 		}
 		tr.Run(rich[i:i+1], richMask, -1)
 		comp := tr.Order()
-		classifyComponent(g, comp, tr.MaxDist(), radius, happyMask, compMask, ballMask, &st)
+		if classifyComponent(g, comp, tr.MaxDist(), radius, happyMask, compMask, ballMask, &st) {
+			blocks = append(blocks, v0)
+		}
 		for _, v := range comp {
 			richMask[v] = false
 		}
@@ -132,24 +146,18 @@ func happySet(s *peelState, radius int,
 		}
 	}
 	st.Happy = len(happy)
-	return st, rich, happy
+	return st, layer{rich, happy, blocks}
 }
 
 // classifyComponent marks the vertices of one component of G[rich] whose
 // radius-r balls are not Gallai trees, adding them to happyMask. ecc is
 // comp[0]'s eccentricity in the component. compMask and ballMask are all
-// false on entry and on return.
+// false on entry and on return. It reports whether every ball of the
+// component is the whole component and that is one bad block.
 func classifyComponent(g *graph.Graph, comp []int32, ecc, radius int,
-	happyMask, compMask, ballMask []bool, st *IterationStats) {
-	allHappy := true
-	for _, v := range comp {
-		if !happyMask[v] {
-			allHappy = false
-			break
-		}
-	}
-	if allHappy {
-		return
+	happyMask, compMask, ballMask []bool, st *IterationStats) bool {
+	if !slices.ContainsFunc(comp, func(v int32) bool { return !happyMask[v] }) {
+		return false // all happy already
 	}
 	for _, v := range comp {
 		compMask[v] = true
@@ -162,8 +170,9 @@ func classifyComponent(g *graph.Graph, comp []int32, ecc, radius int,
 	// Component-level Gallai test: every ball of a Gallai tree is an
 	// induced connected subgraph of it, hence a Gallai tree, so nobody
 	// gains happiness here.
-	if g.IsGallaiForest(compMask) {
-		return
+	gallai, bad := g.IsGallaiForest(comp, compMask)
+	if gallai {
+		return false
 	}
 	// Saturation fast path: if radius ≥ 2·ecc(v0) then every ball is the
 	// whole (non-Gallai) component.
@@ -174,18 +183,21 @@ func classifyComponent(g *graph.Graph, comp []int32, ecc, radius int,
 				st.HappyGal++
 			}
 		}
-		return
+		return bad == len(comp)
 	}
 	// Exact per-vertex fallback.
+	tr := g.AcquireTraversal()
+	defer g.ReleaseTraversal(tr)
 	for _, v := range comp {
 		if happyMask[v] {
 			continue
 		}
-		ball := g.Ball(int(v), radius, compMask)
+		tr.Run([]int{int(v)}, compMask, radius)
+		ball := tr.Order()
 		for _, u := range ball {
 			ballMask[u] = true
 		}
-		if !g.IsGallaiForest(ballMask) {
+		if ok, _ := g.IsGallaiForest(ball, ballMask); !ok {
 			happyMask[v] = true
 			st.HappyGal++
 		}
@@ -193,4 +205,5 @@ func classifyComponent(g *graph.Graph, comp []int32, ecc, radius int,
 			ballMask[u] = false
 		}
 	}
+	return false
 }

@@ -35,9 +35,9 @@ func TestHappyClassificationMatchesMessagePassing(t *testing.T) {
 			// centralized
 			richTest := func(degAlive int, v int) bool { return degAlive <= tc.d }
 			witness := func(degAlive int, v int) bool { return degAlive <= tc.d-1 }
-			_, rich, happy := happySet(newPeelState(tc.g), radius, richTest, witness)
-			wantRich := toSet(rich)
-			wantHappy := toSet(happy)
+			_, lay := happySet(newPeelState(tc.g), radius, richTest, witness)
+			wantRich := toSet(lay.rich)
+			wantHappy := toSet(lay.happy)
 
 			// distributed: flood radius+1 balls, decide locally
 			balls, err := local.CollectBallsSync(context.Background(), nw, nil, "flood", radius+1)
@@ -86,13 +86,15 @@ func TestHappyClassificationMatchesMessagePassing(t *testing.T) {
 				// witness: some member with degree ≤ d−1
 				gotHappy := false
 				ballMask := make([]bool, bg.N())
+				var ball []int32
 				for _, u := range members {
 					ballMask[u] = true
+					ball = append(ball, int32(u))
 					if bg.Degree(u) <= tc.d-1 {
 						gotHappy = true
 					}
 				}
-				if !gotHappy && !bg.IsGallaiForest(ballMask) {
+				if gallai, _ := bg.IsGallaiForest(ball, ballMask); !gotHappy && !gallai {
 					gotHappy = true
 				}
 				if gotHappy != wantHappy[v] {

@@ -44,7 +44,8 @@ func SadAnalysis(g *graph.Graph, d, radius int) Fig4Stats {
 	n := g.N()
 	witness := func(degAlive int, v int) bool { return degAlive <= d-1 }
 	richTest := func(degAlive int, v int) bool { return degAlive <= d }
-	st, rich, happy := happySet(newPeelState(g), radius, richTest, witness)
+	st, lay := happySet(newPeelState(g), radius, richTest, witness)
+	rich, happy := lay.rich, lay.happy
 
 	stats := Fig4Stats{N: n, D: d, Rich: st.Rich, Happy: st.Happy}
 	sadMask := make([]bool, n)

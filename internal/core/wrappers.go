@@ -62,14 +62,7 @@ func RunNice(ctx context.Context, nw *local.Network, cfg Config) (*Result, error
 	if n == 0 {
 		return res, nil
 	}
-	c := cfg.BallC
-	if c == 0 {
-		c = DefaultBallC
-	}
-	radius := int(math.Ceil(c * math.Log2(float64(n))))
-	if radius < 1 {
-		radius = 1
-	}
+	radius := ballRadius(cfg.BallC, n)
 	res.Radius = radius
 	delta := g.MaxDegree()
 	maxIter := cfg.MaxIterations

@@ -222,7 +222,7 @@ func gallaiDichotomy(scale Scale) *Section {
 			colors[i] = seqcolor.Uncolored
 		}
 		err := seqcolor.DegreeListColor(g, colors, lists)
-		if !g.IsGallaiForest(nil) {
+		if gallai, _ := g.IsGallaiForest(nil, nil); !gallai {
 			nonGallai++
 			if err == nil {
 				colored++

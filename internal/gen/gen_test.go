@@ -164,7 +164,7 @@ func TestGallaiTreeGenerator(t *testing.T) {
 	rng := rand.New(rand.NewPCG(5, 5))
 	for trial := 0; trial < 20; trial++ {
 		g := GallaiTree(1+rng.IntN(8), rng)
-		if !g.IsGallaiForest(nil) {
+		if ok, _ := g.IsGallaiForest(nil, nil); !ok {
 			t.Fatalf("trial %d: generator output not a Gallai tree", trial)
 		}
 		if !g.IsConnected(nil) {
@@ -181,7 +181,7 @@ func TestWithPendantCliques(t *testing.T) {
 	if g.M() != 4+5*3 {
 		t.Errorf("m=%d", g.M())
 	}
-	if !g.IsGallaiForest(nil) {
+	if ok, _ := g.IsGallaiForest(nil, nil); !ok {
 		t.Error("path with pendant triangles is a Gallai tree")
 	}
 }

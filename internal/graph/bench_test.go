@@ -64,7 +64,7 @@ func BenchmarkGallaiRecognition_n10000(b *testing.B) {
 	g := benchGraph(10000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = g.IsGallaiForest(nil)
+		_, _ = g.IsGallaiForest(nil, nil)
 	}
 }
 

@@ -33,9 +33,10 @@ type dfsVert struct {
 	num, low, parent, iter, seen int32
 }
 
-// blocksScratch is the pooled DFS workspace of Blocks. The vertex records
-// are cleared per use, so the block stamps restart at 1 and fit in int32
-// (a walk emits at most m ≤ MaxInt32/2 blocks).
+// blocksScratch is the pooled DFS workspace of Blocks. acquireBlocksScratch
+// clears the records of the listed vertices (nil: all n), the only ones a
+// walk touches, so the block stamps restart at 1 and fit in int32 (a walk
+// emits at most m ≤ MaxInt32/2 blocks).
 type blocksScratch struct {
 	vs       []dfsVert
 	estack   []blockEdge
@@ -45,15 +46,18 @@ type blocksScratch struct {
 
 var blocksScratchPool sync.Pool
 
-func acquireBlocksScratch(n int) *blocksScratch {
+func acquireBlocksScratch(n int, verts []int32) *blocksScratch {
 	s, _ := blocksScratchPool.Get().(*blocksScratch)
 	if s == nil {
 		s = &blocksScratch{}
 	}
 	if n > len(s.vs) {
 		s.vs = make([]dfsVert, n)
-	} else {
+	} else if verts == nil {
 		clear(s.vs[:n])
+	}
+	for _, v := range verts {
+		s.vs[v] = dfsVert{}
 	}
 	s.estack = s.estack[:0]
 	s.stack = s.stack[:0]
@@ -61,16 +65,19 @@ func acquireBlocksScratch(n int) *blocksScratch {
 }
 
 // blocksDFS is the Hopcroft–Tarjan core shared by Blocks and
-// IsGallaiForest. For every block it calls sink with the block's edges as
+// IsGallaiForest. It walks the masked graph from roots in verts order
+// (nil: ascending), and a non-nil verts listing every masked vertex keeps
+// the walk to their records. For every block it calls sink with the
+// block's edges as
 // the segment of the edge stack they were popped from (so the block's edge
 // order is seg read backwards) and its vertices in first-seen order along
 // that pop. Both slices are transient — valid only during the call, reused
 // for the next block; sink returns false to abort the walk early. markCut
 // (may be nil) is called for articulation points, possibly more than once
 // per vertex.
-func (g *Graph) blocksDFS(mask []bool, sink func(seg []blockEdge, verts []int) bool, markCut func(int)) {
+func (g *Graph) blocksDFS(verts []int32, mask []bool, sink func(seg []blockEdge, verts []int) bool, markCut func(int)) {
 	n := g.N()
-	ws := acquireBlocksScratch(n)
+	ws := acquireBlocksScratch(n, verts)
 	defer blocksScratchPool.Put(ws)
 	vs := ws.vs[:n]
 	offsets, neighbors := g.offsets, g.neighbors
@@ -115,8 +122,15 @@ func (g *Graph) blocksDFS(mask []bool, sink func(seg []blockEdge, verts []int) b
 		ws.estack = estack[:0]
 		ws.stack = stack[:0]
 	}()
-	for r := 0; r < n; r++ {
+	roots := len(verts)
+	if verts == nil {
+		roots = n
+	}
+	for r := range roots {
 		root := int32(r)
+		if verts != nil {
+			root = verts[r]
+		}
 		if !inMask(root) || vs[root].num != 0 {
 			continue
 		}
@@ -195,7 +209,7 @@ func (g *Graph) Blocks(mask []bool) *BlockDecomposition {
 		BlocksOf: make([][]int, n),
 	}
 	members := 0
-	g.blocksDFS(mask, func(seg []blockEdge, verts []int) bool {
+	g.blocksDFS(nil, mask, func(seg []blockEdge, verts []int) bool {
 		edges := make([][2]int, len(seg))
 		for j, e := range seg {
 			edges[len(seg)-1-j] = [2]int{int(e.u), int(e.v)}
@@ -239,18 +253,22 @@ func gallaiBlock(k, m int) bool {
 	return m == k*(k-1)/2 || (k >= 3 && k%2 == 1 && m == k)
 }
 
-// IsGallaiForest reports whether every connected component of the masked
-// graph is a Gallai tree: every block is a clique or an odd cycle. The empty
-// graph and edgeless graphs are Gallai forests. It streams blocks out of the
-// DFS and aborts at the first bad one, allocating nothing — the happy-set
-// classification calls this once per candidate ball.
-func (g *Graph) IsGallaiForest(mask []bool) bool {
-	good := true
-	g.blocksDFS(mask, func(seg []blockEdge, verts []int) bool {
-		good = gallaiBlock(len(verts), len(seg))
-		return good
+// IsGallaiForest reports whether every component of G[verts] is a Gallai
+// tree (every block a clique or an odd cycle; edgeless graphs qualify),
+// with mask true exactly on verts, or nil for both to test all of g. It
+// walks only verts, streams blocks out of the DFS and stops at the first
+// bad one, allocating nothing: the happy-set classification calls it per
+// component and per ball. bad is that block's vertex count (0 for a Gallai
+// forest), so a connected G[verts] is one bad block exactly when
+// bad == len(verts), in any walk order.
+func (g *Graph) IsGallaiForest(verts []int32, mask []bool) (ok bool, bad int) {
+	g.blocksDFS(verts, mask, func(seg []blockEdge, blk []int) bool {
+		if !gallaiBlock(len(blk), len(seg)) {
+			bad = len(blk)
+		}
+		return bad == 0
 	}, nil)
-	return good
+	return bad == 0, bad
 }
 
 // FirstBadBlock returns the index of some block that is neither a clique nor

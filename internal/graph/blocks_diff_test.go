@@ -131,17 +131,32 @@ func refBlocks(g *graph.Graph, mask []bool) *graph.BlockDecomposition {
 	return dec
 }
 
-func refIsGallaiForest(g *graph.Graph, mask []bool) bool {
-	good := true
+// refIsGallaiForest reports whether the masked graph is a Gallai forest
+// and the vertex count of the first bad block in the reference walk.
+func refIsGallaiForest(g *graph.Graph, mask []bool) (ok bool, bad int) {
 	refBlocksDFS(g, mask, func(edges [][2]int, verts []int) bool {
 		k := len(verts)
 		if len(edges) == k*(k-1)/2 || (k >= 3 && k%2 == 1 && len(edges) == k) {
 			return true
 		}
-		good = false
+		bad = k
 		return false
 	}, nil)
-	return good
+	return bad == 0, bad
+}
+
+// maskList lists the masked vertices ascending (nil for a nil mask).
+func maskList(mask []bool) []int32 {
+	if mask == nil {
+		return nil
+	}
+	verts := []int32{}
+	for v, in := range mask {
+		if in {
+			verts = append(verts, int32(v))
+		}
+	}
+	return verts
 }
 
 // checkBlocksMatchRef asserts that Blocks and IsGallaiForest agree with the
@@ -171,8 +186,9 @@ func checkBlocksMatchRef(t *testing.T, name string, g *graph.Graph, mask []bool)
 	if gotFB, wantFB := graph.FirstBadBlock(got), graph.FirstBadBlock(want); gotFB != wantFB {
 		t.Fatalf("%s: FirstBadBlock %d, reference %d", name, gotFB, wantFB)
 	}
-	if gotG, wantG := g.IsGallaiForest(mask), refIsGallaiForest(g, mask); gotG != wantG {
-		t.Fatalf("%s: IsGallaiForest %v, reference %v", name, gotG, wantG)
+	gotG, gotBad := g.IsGallaiForest(maskList(mask), mask)
+	if wantG, wantBad := refIsGallaiForest(g, mask); gotG != wantG || gotBad != wantBad {
+		t.Fatalf("%s: IsGallaiForest %v (bad block of %d), reference %v (%d)", name, gotG, gotBad, wantG, wantBad)
 	}
 }
 
@@ -220,4 +236,62 @@ func TestBlocksMatchReferenceDFSRegular100k(t *testing.T) {
 	}
 	checkBlocksMatchRef(t, "regular:100000,3", g, nil)
 	checkBlocksMatchRef(t, "regular:100000,3 masked", g, randomMask(g.N(), 0.9, rng))
+}
+
+// TestGallaiListMatchesMaskForm runs the list-scoped Gallai test on many
+// random vertex lists of one graph in a row, so each walk reuses the
+// pooled records the walks before it left behind, and compares it with the
+// mask-only form, which clears all n records. Ascending lists walk in the
+// mask form's order, so the bad block found must match too; shuffled lists
+// must agree on the verdict and on whether the first bad block spans a
+// connected list. A stale record left by a list-scoped clear that misses a
+// listed vertex makes the walk skip or misjudge it.
+func TestGallaiListMatchesMaskForm(t *testing.T) {
+	rng := rand.New(rand.NewPCG(22, 1))
+	regular, err := gen.RandomRegular(300, 3, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hosts := []*graph.Graph{
+		gen.Apollonian(300, rng),
+		regular,
+		gen.GNP(200, 4.0/200, rng),
+		gen.WithPendantCliques(gen.CyclePower(40, 2), 3),
+		gen.GallaiTree(30, rng),
+		gen.Grid(15, 15),
+	}
+	for hi, g := range hosts {
+		tr := g.AcquireTraversal()
+		for trial := range 200 {
+			var mask []bool
+			var verts []int32
+			if trial%2 == 0 {
+				// A connected ball, the happy-set classification's input.
+				tr.Run([]int{rng.IntN(g.N())}, nil, 1+rng.IntN(6))
+				mask = make([]bool, g.N())
+				for _, v := range tr.Order() {
+					mask[v] = true
+				}
+				verts = maskList(mask)
+			} else {
+				mask = randomMask(g.N(), 0.3+0.7*rng.Float64(), rng)
+				verts = maskList(mask)
+			}
+			name := fmt.Sprintf("host %d trial %d (%d vertices)", hi, trial, len(verts))
+			wantOK, wantBad := g.IsGallaiForestMask(mask)
+			gotOK, gotBad := g.IsGallaiForest(verts, mask)
+			if gotOK != wantOK || gotBad != wantBad {
+				t.Fatalf("%s ascending: (%v, %d), mask form (%v, %d)", name, gotOK, gotBad, wantOK, wantBad)
+			}
+			rng.Shuffle(len(verts), func(i, j int) { verts[i], verts[j] = verts[j], verts[i] })
+			gotOK, gotBad = g.IsGallaiForest(verts, mask)
+			if gotOK != wantOK {
+				t.Fatalf("%s shuffled: Gallai %v, mask form %v", name, gotOK, wantOK)
+			}
+			if trial%2 == 0 && (gotBad == len(verts)) != (wantBad == len(verts)) {
+				t.Fatalf("%s shuffled: bad block of %d, mask form %d", name, gotBad, wantBad)
+			}
+		}
+		g.ReleaseTraversal(tr)
+	}
 }

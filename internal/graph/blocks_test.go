@@ -203,7 +203,7 @@ func TestGallaiRecognition(t *testing.T) {
 		{"empty", MustNew(3, nil), true},
 	}
 	for _, c := range cases {
-		if got := c.g.IsGallaiForest(nil); got != c.want {
+		if got := gallai(c.g); got != c.want {
 			t.Errorf("%s: IsGallaiForest=%v, want %v", c.name, got, c.want)
 		}
 	}
@@ -232,7 +232,7 @@ func TestGallaiComplexExample(t *testing.T) {
 	b.AddEdgeOK(0, 10)
 	b.AddEdgeOK(10, 11)
 	g := b.Graph()
-	if !g.IsGallaiForest(nil) {
+	if !gallai(g) {
 		t.Error("figure-1 style Gallai tree not recognized")
 	}
 	// Adding a chord to the C5 breaks it.
@@ -241,7 +241,7 @@ func TestGallaiComplexExample(t *testing.T) {
 		b2.AddEdgeOK(e[0], e[1])
 	}
 	b2.AddEdgeOK(4, 6)
-	if b2.Graph().IsGallaiForest(nil) {
+	if gallai(b2.Graph()) {
 		t.Error("C5+chord should not be a Gallai tree")
 	}
 }
@@ -263,7 +263,7 @@ func TestGallaiBruteForceProperty(t *testing.T) {
 				want = false
 			}
 		}
-		if got := g.IsGallaiForest(nil); got != want {
+		if got := gallai(g); got != want {
 			t.Fatalf("trial %d: IsGallaiForest=%v, want %v", trial, got, want)
 		}
 	}
@@ -359,7 +359,7 @@ func TestGallaiBlockMatchesReference(t *testing.T) {
 				bad++
 			}
 		}
-		if (FirstBadBlock(dec) == -1) != g.IsGallaiForest(nil) {
+		if (FirstBadBlock(dec) == -1) != gallai(g) {
 			t.Fatalf("trial %d: FirstBadBlock and IsGallaiForest disagree", trial)
 		}
 	}

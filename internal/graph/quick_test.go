@@ -83,14 +83,14 @@ func TestQuickGallaiInducedClosure(t *testing.T) {
 	// (the closure property Section 4 relies on).
 	f := func(gv randomGraphValue, mask16 uint16) bool {
 		g := gv.G
-		if !g.IsGallaiForest(nil) {
+		if !gallai(g) {
 			return true // property only about Gallai graphs
 		}
 		mask := make([]bool, g.N())
 		for v := 0; v < g.N(); v++ {
 			mask[v] = mask16&(1<<(v%16)) != 0
 		}
-		return g.IsGallaiForest(mask)
+		return gallaiIn(g, mask)
 	}
 	if err := quick.Check(f, quickCfg()); err != nil {
 		t.Error(err)

@@ -1,0 +1,198 @@
+package seqcolor
+
+import (
+	"fmt"
+	"math"
+	"math/rand/v2"
+	"slices"
+	"testing"
+
+	"distcolor/internal/gen"
+	"distcolor/internal/graph"
+)
+
+// wheel returns the wheel on a rim of k ≥ 4 vertices (vertex k is the hub):
+// 2-connected and neither complete nor a cycle.
+func wheel(k int) *graph.Graph {
+	var edges [][2]int
+	for i := range k {
+		edges = append(edges, [2]int{i, (i + 1) % k}, [2]int{i, k})
+	}
+	return graph.MustNew(k+1, edges)
+}
+
+// badBlocks returns random 2-connected graphs that are neither complete
+// nor odd cycles: random 3- and 4-regular graphs (those that are
+// 2-connected), cycle powers, wheels and even cycles.
+func badBlocks(t *testing.T, rng *rand.Rand) []*graph.Graph {
+	var out []*graph.Graph
+	for len(out) < 12 {
+		g, err := gen.RandomRegular(8+2*rng.IntN(40), 3+rng.IntN(2), rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dec := g.Blocks(nil); len(dec.Blocks) == 1 && graph.FirstBadBlock(dec) == 0 {
+			out = append(out, g)
+		}
+	}
+	for range 6 {
+		k := 2 + rng.IntN(3)
+		out = append(out, gen.CyclePower(2*k+2+rng.IntN(30), k))
+		out = append(out, wheel(4+rng.IntN(30)))
+		out = append(out, gen.Cycle(4+2*rng.IntN(20)))
+	}
+	for _, g := range out {
+		if dec := g.Blocks(nil); len(dec.Blocks) != 1 || graph.FirstBadBlock(dec) != 0 {
+			t.Fatalf("test input %v is not one bad block", g)
+		}
+	}
+	return out
+}
+
+// blockLists returns lists of g in one of five shapes: tight ones (0: one
+// common palette, in one order on regular graphs; 1: a common palette in a
+// random order per vertex; 2: random lists), random lists with a surplus
+// at about a third of the vertices (3), and random lists with one list
+// shorter than its degree (4). Non-regular graphs get random lists for
+// shapes 0 and 1.
+func blockLists(g *graph.Graph, shape int, rng *rand.Rand) [][]int {
+	if g.MinDegree() != g.MaxDegree() && shape < 2 {
+		shape = 2
+	}
+	k := g.MaxDegree()
+	switch shape {
+	case 0:
+		return UniformLists(g.N(), k)
+	case 1:
+		lists := make([][]int, g.N())
+		for v := range lists {
+			lists[v] = rng.Perm(k)
+		}
+		return lists
+	default:
+		lists := degreeLists(g, 0, k+2, rng)
+		for v := range lists {
+			if shape == 3 && rng.IntN(3) == 0 {
+				lists[v] = rng.Perm(k + 3)[:g.Degree(v)+1]
+			}
+		}
+		if shape == 4 {
+			v := rng.IntN(g.N())
+			lists[v] = lists[v][1:]
+		}
+		return lists
+	}
+}
+
+// TestDegreeListColorBadBlockMatchesDegreeListColor colors random
+// 2-connected bad graphs under tight lists (one common palette, a common
+// palette in differing orders, random lists), surplus lists and one short
+// list, with DegreeListColor and with the one-block entry on one reused
+// workspace, and requires the same colors and the same errors.
+func TestDegreeListColorBadBlockMatchesDegreeListColor(t *testing.T) {
+	rng := rand.New(rand.NewPCG(22, 2))
+	var w Workspace
+	defer w.Release()
+	for i, g := range badBlocks(t, rng) {
+		for shape := range 5 {
+			lists := blockLists(g, shape, rng)
+			want, got := freshColors(g.N()), freshColors(g.N())
+			wantErr := DegreeListColor(g, want, lists)
+			gotErr := w.DegreeListColorBadBlock(g, got, lists)
+			name := fmt.Sprintf("graph %d (n=%d m=%d) shape %d", i, g.N(), g.M(), shape)
+			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+				t.Fatalf("%s: error %v, DegreeListColor %v", name, gotErr, wantErr)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s: colors differ from DegreeListColor", name)
+			}
+			if wantErr == nil {
+				if err := Verify(g, got, lists); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+			}
+		}
+	}
+}
+
+// edgeWithOwnColor is step (b)'s edge scan with no shortcut: the first
+// edge (u, x) with a color in eff[u] \ eff[x], or u = -1.
+func edgeWithOwnColor(d *graph.Graph, eff [][]int) (u, x int) {
+	for u := range d.N() {
+		for _, x := range d.Neighbors(u) {
+			if _, ok := colorInFirstNotSecond(eff[u], eff[x]); ok {
+				return u, int(x)
+			}
+		}
+	}
+	return -1, -1
+}
+
+// TestSameListsSkipsOnlyEmptyScans checks the shortcut of step (b) against
+// its full edge scan on bad blocks: whenever sameLists holds, the scan
+// finds no edge. The inputs are identical lists, one palette in differing
+// orders, one list changed at the first, the last or a random vertex, and
+// random lists; identical lists must take the shortcut.
+func TestSameListsSkipsOnlyEmptyScans(t *testing.T) {
+	rng := rand.New(rand.NewPCG(22, 3))
+	for i, g := range badBlocks(t, rng) {
+		k := g.MaxDegree()
+		for shape := range 6 {
+			var eff [][]int
+			switch shape {
+			case 0, 1:
+				eff = blockLists(g, shape, rng)
+			case 2, 3, 4:
+				eff = UniformLists(g.N(), k)
+				v := []int{0, g.N() - 1, rng.IntN(g.N())}[shape-2]
+				eff[v] = append(slices.Clone(eff[v][:k-1]), k)
+			default:
+				eff = blockLists(g, 2, rng)
+			}
+			same := sameLists(eff)
+			if u, x := edgeWithOwnColor(g, eff); same && u >= 0 {
+				t.Fatalf("graph %d shape %d: lists taken as equal, but edge (%d, %d) has a color of its own", i, shape, u, x)
+			}
+			if identical := shape == 0 && g.MinDegree() == k; identical && !same {
+				t.Fatalf("graph %d: identical lists not taken as equal", i)
+			}
+		}
+	}
+}
+
+// numColorsMap is the map count NumColors replaced: the oracle.
+func numColorsMap(colors []int) int {
+	set := map[int]bool{}
+	for _, c := range colors {
+		if c != Uncolored {
+			set[c] = true
+		}
+	}
+	return len(set)
+}
+
+// TestNumColorsMatchesMap compares NumColors with the map count on dense
+// colorings, sparse ones, uncolored entries and outliers beyond the dense
+// range (huge, negative, the extremes of int).
+func TestNumColorsMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewPCG(22, 5))
+	for trial := range 400 {
+		n := rng.IntN(200)
+		colors := make([]int, n)
+		for i := range colors {
+			switch r := rng.IntN(20); {
+			case r == 0:
+				colors[i] = Uncolored
+			case r == 1:
+				colors[i] = []int{math.MaxInt, math.MinInt, -2, 2*n + 64, 2*n + 63, 1 << 40}[rng.IntN(6)]
+			case r < 10:
+				colors[i] = rng.IntN(8)
+			default:
+				colors[i] = rng.IntN(3*n + 100)
+			}
+		}
+		if got, want := NumColors(colors), numColorsMap(colors); got != want {
+			t.Fatalf("trial %d: NumColors %d, map count %d (%v)", trial, got, want, colors)
+		}
+	}
+}

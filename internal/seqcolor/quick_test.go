@@ -65,10 +65,12 @@ func TestQuickTheorem11Dichotomy(t *testing.T) {
 		// (e.g. a K2 with identical singleton lists) — check exactly that
 		// component, which the error now carries.
 		mask := make([]bool, in.G.N())
+		var verts []int32
 		for _, v := range gte.Component {
 			mask[v] = true
+			verts = append(verts, int32(v))
 		}
-		if !in.G.IsGallaiForest(mask) {
+		if ok, _ := in.G.IsGallaiForest(verts, mask); !ok {
 			return false
 		}
 		// And when the identical-lists certificate is claimed, brute force

@@ -106,15 +106,28 @@ func containsColor(list []int, c int) bool {
 	return false
 }
 
-// NumColors returns the number of distinct colors used.
+// NumColors returns the number of distinct colors used. Colors below
+// 2·len(colors)+64 are counted on a seen-slice as wide as the largest of
+// them, any others (huge or negative) on a map.
 func NumColors(colors []int) int {
-	set := map[int]bool{}
+	width := 0
 	for _, c := range colors {
-		if c != Uncolored {
-			set[c] = true
+		if c >= width && c < 2*len(colors)+64 {
+			width = c + 1
 		}
 	}
-	return len(set)
+	seen, far, count := make([]bool, width), map[int]bool{}, 0
+	for _, c := range colors {
+		if c >= 0 && c < width {
+			if !seen[c] {
+				seen[c] = true
+				count++
+			}
+		} else if c != Uncolored {
+			far[c] = true
+		}
+	}
+	return count + len(far)
 }
 
 // UniformLists returns n identical lists {0, 1, ..., k-1}.
@@ -322,6 +335,18 @@ func DegreeListColor(g *graph.Graph, colors []int, lists [][]int) error {
 // leaves w's effective lists alone, so lists may be the result of w's
 // EffectiveLists.
 func (w *Workspace) DegreeListColor(g *graph.Graph, colors []int, lists [][]int) error {
+	return w.degreeListColor(g, colors, lists, false)
+}
+
+// DegreeListColorBadBlock is w's DegreeListColor for a g that is one bad
+// block. Precondition: g is 2-connected and neither complete nor an odd
+// cycle. It colors as DegreeListColor does, but with every vertex
+// uncolored and tight lists it skips the block decomposition.
+func (w *Workspace) DegreeListColorBadBlock(g *graph.Graph, colors []int, lists [][]int) error {
+	return w.degreeListColor(g, colors, lists, true)
+}
+
+func (w *Workspace) degreeListColor(g *graph.Graph, colors []int, lists [][]int, oneBlock bool) error {
 	n := g.N()
 	if len(colors) != n || len(lists) != n {
 		return fmt.Errorf("seqcolor: size mismatch")
@@ -335,14 +360,15 @@ func (w *Workspace) DegreeListColor(g *graph.Graph, colors []int, lists [][]int)
 			count++
 		}
 	}
-	return w.colorComponents(g, colors, lists, count)
+	return w.colorComponents(g, colors, lists, count, oneBlock && count == n)
 }
 
 // colorComponents colors each component of the subgraph of g on w.unc,
 // which holds count vertices, consuming w.unc. One component mask serves
 // all components, cleared between uses, so a graph with many small
 // components (forests, peeled balls) does not pay O(n) per component.
-func (w *Workspace) colorComponents(g *graph.Graph, colors []int, lists [][]int, count int) error {
+// oneBlock: the subgraph is g, and g is one bad block.
+func (w *Workspace) colorComponents(g *graph.Graph, colors []int, lists [][]int, count int, oneBlock bool) error {
 	w.walkComponents(g, count)
 	compMask := grow(w.comp, g.N()) // all false: every use clears it by list
 	w.comp = compMask
@@ -353,7 +379,7 @@ func (w *Workspace) colorComponents(g *graph.Graph, colors []int, lists [][]int,
 		for _, v := range comp {
 			compMask[v] = true
 		}
-		err := w.colorComponent(g, colors, lists, comp, compMask)
+		err := w.colorComponent(g, colors, lists, comp, compMask, oneBlock)
 		for _, v := range comp {
 			compMask[v] = false
 		}
@@ -399,16 +425,9 @@ func appendEffectiveList(dst []int, g *graph.Graph, colors []int, list []int, v 
 
 // EffectiveLists returns the effective list of each of verts — the colors
 // of its list, in list order, that no colored neighbor uses — on one flat
-// backing array: each list is a capped sub-slice, so an append to one can
-// never spill into the next.
-func EffectiveLists(g *graph.Graph, colors []int, lists [][]int, verts []int) [][]int {
-	var w Workspace
-	defer w.Release()
-	return w.EffectiveLists(g, colors, lists, verts)
-}
-
-// EffectiveLists is the package-level EffectiveLists on w's scratch. The
-// lists are valid until w's next EffectiveLists call.
+// backing array of w's: each list is a capped sub-slice, so an append to
+// one can never spill into the next. The lists are valid until w's next
+// EffectiveLists call.
 func (w *Workspace) EffectiveLists(g *graph.Graph, colors []int, lists [][]int, verts []int) [][]int {
 	return w.lists.cut(g, colors, lists, verts, w.bits())
 }
@@ -432,7 +451,7 @@ func (l *listBuf) cut(g *graph.Graph, colors []int, lists [][]int, verts []int, 
 
 // colorComponent colors one uncolored component. compMask must be true
 // exactly on comp's vertices; the caller owns (and clears) it.
-func (w *Workspace) colorComponent(g *graph.Graph, colors []int, lists [][]int, comp []int, compMask []bool) error {
+func (w *Workspace) colorComponent(g *graph.Graph, colors []int, lists [][]int, comp []int, compMask []bool, oneBlock bool) error {
 	// Pass 1: validate the hypothesis, and find a surplus vertex if any.
 	b := w.bits()
 	surplus := -1
@@ -456,7 +475,10 @@ func (w *Workspace) colorComponent(g *graph.Graph, colors []int, lists [][]int, 
 		}
 		return nil
 	}
-	// Tight everywhere. Find a bad block of the component.
+	// Tight everywhere. Find a bad block of the component, unless it is g.
+	if oneBlock {
+		return w.colorTwoConnectedTight(g, colors, lists)
+	}
 	dec := g.Blocks(compMask)
 	bad := graph.FirstBadBlock(dec)
 	if bad == -1 {
@@ -520,7 +542,7 @@ func (w *Workspace) gallaiTightFallback(g *graph.Graph, colors []int, lists [][]
 					count++
 				}
 			}
-			if err := sub.colorComponents(g, colors, lists, count); err != nil {
+			if err := sub.colorComponents(g, colors, lists, count, false); err != nil {
 				return &GallaiTightError{Component: append([]int(nil), comp...)}
 			}
 			return nil
@@ -628,7 +650,9 @@ func (w *Workspace) colorTwoConnectedTight(d *graph.Graph, sub []int, eff [][]in
 	}
 	// (b) an edge with different lists: color u with a ∈ L(u)\L(x); x gains
 	// surplus; finish by reverse BFS from x in d−u (connected: d 2-connected).
-	for u := 0; u < n; u++ {
+	// When every list equals the first, no edge has one.
+	same := sameLists(eff)
+	for u := 0; u < n && !same; u++ {
 		for _, x32 := range d.Neighbors(u) {
 			x := int(x32)
 			if a, ok := colorInFirstNotSecond(eff[u], eff[x]); ok {
@@ -660,6 +684,11 @@ func (w *Workspace) colorTwoConnectedTight(d *graph.Graph, sub []int, eff [][]in
 	sub[y] = a
 	order := w.reverseBFSOrder(d, z, w.maskAllBut(n, x, y))
 	return greedyInOrder(d, sub, eff, order, w.bits())
+}
+
+// sameLists reports whether every list equals the first.
+func sameLists(eff [][]int) bool {
+	return !slices.ContainsFunc(eff, func(l []int) bool { return !slices.Equal(l, eff[0]) })
 }
 
 // maskAllBut returns w.mask sized n, true everywhere except at x and y.
@@ -797,14 +826,11 @@ func brooksTriple(d *graph.Graph, mask []bool) (x, y, z int, err error) {
 }
 
 // leafBlocks returns block indices with at most one block-tree neighbor.
+// Two blocks share at most one vertex, so Adj lists each neighbor once.
 func leafBlocks(bt *graph.BlockTree) []int {
 	var out []int
-	for i := range bt.Adj {
-		distinct := map[int]bool{}
-		for _, nb := range bt.Adj[i] {
-			distinct[nb] = true
-		}
-		if len(distinct) <= 1 {
+	for i, adj := range bt.Adj {
+		if len(adj) <= 1 {
 			out = append(out, i)
 		}
 	}

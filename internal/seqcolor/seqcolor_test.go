@@ -223,7 +223,7 @@ func TestDegreeListColorNonGallaiTightProperty(t *testing.T) {
 	for trial := 0; tested < 150 && trial < 3000; trial++ {
 		n := 5 + rng.IntN(10)
 		g := gen.GNP(n, 0.25+rng.Float64()*0.2, rng)
-		if !g.IsConnected(nil) || g.IsGallaiForest(nil) {
+		if gallai, _ := g.IsGallaiForest(nil, nil); !g.IsConnected(nil) || gallai {
 			continue
 		}
 		tested++
@@ -270,7 +270,7 @@ func TestDegreeListColorAgainstBrute(t *testing.T) {
 			if !errors.Is(err, ErrGallaiTight) {
 				t.Fatalf("trial %d: unexpected error: %v", trial, err)
 			}
-			if !g.IsGallaiForest(nil) {
+			if gallai, _ := g.IsGallaiForest(nil, nil); !gallai {
 				t.Fatalf("trial %d: ErrGallaiTight on non-Gallai graph", trial)
 			}
 		}
@@ -489,7 +489,7 @@ func TestPaletteScanMatchesNaive(t *testing.T) {
 				for v := range verts {
 					verts[v] = v
 				}
-				eff := EffectiveLists(g, colors, lists, verts)
+				eff := new(Workspace).EffectiveLists(g, colors, lists, verts)
 				b := graph.AcquireBitset(0)
 				for v := 0; v < n; v++ {
 					want, wantUnc := naiveFree(g, colors, lists[v], v)
