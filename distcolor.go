@@ -59,7 +59,7 @@ type Graph = graph.Graph
 
 // NewGraph builds a graph from an edge list. Duplicate edges, self-loops
 // and out-of-range endpoints are errors.
-func NewGraph(n int, edges [][2]int) (*Graph, error) { return graph.New(n, edges) }
+func NewGraph(n int, edges [][2]int) (*Graph, error) { return graph.NewFromPairs(n, edges) }
 
 // Builder incrementally constructs a Graph.
 type Builder = graph.Builder

@@ -113,6 +113,33 @@ func BenchmarkFindCliqueDPlus1(b *testing.B) {
 	}
 }
 
+// BenchmarkReadEdgeList parses the edge-list text the serve-cold workload
+// uploads first: the Apollonian graph of spec apollonian:100000 at seed 1
+// (gen stream 0x2545f4914f6cdd1d, as runcfg.Generate draws it), about
+// 3.3 MB. make bench-allocs gates its allocs/op, which stay a few dozen
+// (chunks of the edge log, the CSR, the scanner) rather than one per
+// vertex row.
+func BenchmarkReadEdgeList(b *testing.B) {
+	g := gen.Apollonian(100000, rand.New(rand.NewPCG(1, 0x2545f4914f6cdd1d)))
+	var text bytes.Buffer
+	if _, err := g.WriteTo(&text); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("apollonian_n1e5", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(text.Len()))
+		for range b.N {
+			h, err := graph.ReadEdgeList(bytes.NewReader(text.Bytes()))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if h.M() != g.M() {
+				b.Fatalf("read m=%d, want %d", h.M(), g.M())
+			}
+		}
+	})
+}
+
 func BenchmarkGirth_n2000(b *testing.B) {
 	g := benchGraph(2000)
 	b.ResetTimer()

@@ -5,7 +5,6 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"slices"
 )
 
 // ConvertStats reports what ConvertEdgeList produced and how hard it had
@@ -25,7 +24,7 @@ const convertMinBudget = 4096
 
 // ConvertEdgeList converts a text edge list to the .dcsr binary format in
 // bounded memory — the external-memory path for graphs whose adjacency
-// does not fit in RAM as builder state. open must return a fresh reader
+// does not fit in RAM as a CSR. open must return a fresh reader
 // over the same input each call (the input is scanned multiple times);
 // out receives the .dcsr image and must support seeking (the header is
 // written last, once the data checksum is known).
@@ -50,10 +49,10 @@ func ConvertEdgeList(open func() (io.ReadCloser, error), out io.WriteSeeker, mem
 
 	// Pass 1: count degrees, validate every edge's endpoints, find m.
 	var (
-		n     int
-		deg   []int32
-		m     int64
-		stats ConvertStats
+		n       int
+		offsets []int32 // degree of v in offsets[v+1] until the prefix sum
+		m       int64
+		stats   ConvertStats
 	)
 	in, err := open()
 	if err != nil {
@@ -65,22 +64,16 @@ func ConvertEdgeList(open func() (io.ReadCloser, error), out io.WriteSeeker, mem
 			if n > math.MaxInt32-1 {
 				return fmt.Errorf("graph: vertex count %d exceeds int32 range", n)
 			}
-			deg = make([]int32, n)
+			offsets = make([]int32, n+1)
 			return nil
 		},
 		func(u, v int) error {
-			if u < 0 || u >= n || v < 0 || v >= n {
-				return fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", u, v, n)
-			}
-			if u == v {
-				return fmt.Errorf("graph: self-loop at %d", u)
+			if err := checkEdge(n, u, v, m+1); err != nil {
+				return err
 			}
 			m++
-			if 2*m > math.MaxInt32 {
-				return fmt.Errorf("graph: %d adjacency entries exceed the int32 CSR limit", 2*m)
-			}
-			deg[u]++
-			deg[v]++
+			offsets[u+1]++
+			offsets[v+1]++
 			return nil
 		})
 	in.Close()
@@ -89,14 +82,10 @@ func ConvertEdgeList(open func() (io.ReadCloser, error), out io.WriteSeeker, mem
 	}
 
 	maxDeg := 0
-	offsets := make([]int32, n+1)
 	for v := 0; v < n; v++ {
-		if d := int(deg[v]); d > maxDeg {
-			maxDeg = d
-		}
-		offsets[v+1] = offsets[v] + deg[v]
+		maxDeg = max(maxDeg, int(offsets[v+1]))
+		offsets[v+1] += offsets[v]
 	}
-	deg = nil
 	stats.N, stats.M, stats.MaxDeg = n, int(m), maxDeg
 
 	// The data region streams through the CRC on its way out, so the
@@ -183,13 +172,9 @@ func ConvertEdgeList(open func() (io.ReadCloser, error), out io.WriteSeeker, mem
 			if cursor[v-lo] != offsets[v+1]-base {
 				return stats, fmt.Errorf("graph: input changed between passes (vertex %d degree shrank)", v)
 			}
-			row := slab[offsets[v]-base : offsets[v+1]-base]
-			slices.Sort(row)
-			for i := 1; i < len(row); i++ {
-				if row[i] == row[i-1] {
-					return stats, fmt.Errorf("graph: duplicate edge (%d,%d)", v, row[i])
-				}
-			}
+		}
+		if _, err := sortRows(offsets[lo:hi+1], slab, lo); err != nil {
+			return stats, err
 		}
 		if err := writeInt32sLE(w, slab); err != nil {
 			return stats, err

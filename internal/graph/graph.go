@@ -45,77 +45,110 @@ type Graph struct {
 	backing any
 }
 
-// New builds a graph with n vertices and the given edges. It panics on
-// out-of-range endpoints; duplicate edges and self-loops are rejected with an
-// error. Most callers should prefer Builder.
-func New(n int, edges [][2]int) (*Graph, error) {
-	b := NewBuilder(n)
-	for _, e := range edges {
-		if err := b.AddEdge(e[0], e[1]); err != nil {
-			return nil, err
-		}
-	}
-	return b.Graph(), nil
-}
-
-// NewFromPairs builds a graph directly in CSR form from an edge list,
-// skipping the Builder's per-vertex append slices: two counting passes over
-// pairs, then one sort per vertex. Self-loops, duplicate edges and
-// out-of-range endpoints are rejected. This is the O(n+m·log d) bulk path
-// for generators that already hold a full edge list.
+// NewFromPairs builds a graph from an edge list by ReadEdgeList's counting
+// sort, rejecting self-loops, duplicate edges and out-of-range endpoints.
 func NewFromPairs(n int, pairs [][2]int) (*Graph, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("graph: negative vertex count")
 	}
-	if 2*len(pairs) > math.MaxInt32 {
-		return nil, fmt.Errorf("graph: %d adjacency entries exceed the int32 CSR limit", 2*len(pairs))
-	}
-	deg := make([]int32, n+1)
+	s := &csrSink{n: n, limit: math.MaxInt64, offsets: make([]int32, n+1)}
 	for _, p := range pairs {
-		u, v := p[0], p[1]
-		if u < 0 || u >= n || v < 0 || v >= n {
-			return nil, fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", u, v, n)
+		if err := s.add(p[0], p[1]); err != nil {
+			return nil, err
 		}
-		if u == v {
-			return nil, fmt.Errorf("graph: self-loop at %d", u)
+	}
+	return s.graph()
+}
+
+// csrSink builds a CSR by counting sort: add counts an edge in offsets[u]
+// and offsets[v] and logs it in fixed-size chunks, so growth copies
+// nothing; graph prefix-sums the counts into row ends, then walks the log
+// backwards, placing each endpoint at its pre-decremented row end, so
+// offsets end as the row starts.
+type csrSink struct {
+	n       int
+	limit   int64 // most n + 2m allowed, see ReadEdgeListWithin
+	offsets []int32
+	chunks  [][]int32 // the edge log, u and v interleaved
+	m       int
+}
+
+func (s *csrSink) add(u, v int) error {
+	if err := checkEdge(s.n, u, v, int64(s.m)+1); err != nil {
+		return err
+	}
+	if w := int64(s.n) + 2*int64(s.m+1); w > s.limit {
+		return &WeightError{Weight: w, Limit: s.limit}
+	}
+	s.m++
+	s.offsets[u]++
+	s.offsets[v]++
+	c := len(s.chunks) - 1
+	if c < 0 || len(s.chunks[c]) == cap(s.chunks[c]) {
+		s.chunks, c = append(s.chunks, make([]int32, 0, 128<<10)), c+1 // 64Ki pairs
+	}
+	s.chunks[c] = append(s.chunks[c], int32(u), int32(v))
+	return nil
+}
+
+func (s *csrSink) graph() (*Graph, error) {
+	off := s.offsets
+	for v := 1; v < len(off); v++ {
+		off[v] += off[v-1]
+	}
+	nbrs := make([]int32, 2*s.m)
+	for c := len(s.chunks) - 1; c >= 0; c-- {
+		for pairs, i := s.chunks[c], len(s.chunks[c])-2; i >= 0; i -= 2 {
+			u, v := pairs[i], pairs[i+1]
+			off[u]--
+			nbrs[off[u]] = v
+			off[v]--
+			nbrs[off[v]] = u
 		}
-		deg[u+1]++
-		deg[v+1]++
 	}
-	offsets := deg // prefix sums turn counts into offsets in place
-	for v := 1; v <= n; v++ {
-		offsets[v] += offsets[v-1]
+	maxDeg, err := sortRows(off, nbrs, 0)
+	if err != nil {
+		return nil, err
 	}
-	neighbors := make([]int32, 2*len(pairs))
-	cursor := make([]int32, n)
-	copy(cursor, offsets[:n])
-	for _, p := range pairs {
-		u, v := int32(p[0]), int32(p[1])
-		neighbors[cursor[u]] = v
-		cursor[u]++
-		neighbors[cursor[v]] = u
-		cursor[v]++
+	return newCSR(off, nbrs, s.m, maxDeg), nil
+}
+
+// checkEdge validates the m-th edge {u, v} of an n-vertex edge list:
+// endpoints in range, no self-loop, 2m within the int32 CSR offsets.
+func checkEdge(n, u, v int, m int64) error {
+	if u < 0 || u >= n || v < 0 || v >= n {
+		return fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", u, v, n)
 	}
-	maxDeg := 0
-	for v := 0; v < n; v++ {
-		adj := neighbors[offsets[v]:offsets[v+1]]
-		if len(adj) > maxDeg {
-			maxDeg = len(adj)
-		}
-		slices.Sort(adj)
-		for i := 1; i < len(adj); i++ {
-			if adj[i] == adj[i-1] {
-				return nil, fmt.Errorf("graph: duplicate edge (%d,%d)", v, adj[i])
+	if u == v {
+		return fmt.Errorf("graph: self-loop at %d", u)
+	}
+	if 2*m > math.MaxInt32 {
+		return fmt.Errorf("graph: %d adjacency entries exceed the int32 CSR limit", 2*m)
+	}
+	return nil
+}
+
+// sortRows sorts the CSR rows of vertices first, first+1, … of nbrs (which
+// starts at offsets[0]), fails on a duplicate and returns the longest row.
+func sortRows(offsets, nbrs []int32, first int) (maxDeg int, err error) {
+	base := offsets[0]
+	for i := 0; i+1 < len(offsets); i++ {
+		row := nbrs[offsets[i]-base : offsets[i+1]-base]
+		maxDeg = max(maxDeg, len(row))
+		slices.Sort(row)
+		for j := 1; j < len(row); j++ {
+			if row[j] == row[j-1] {
+				return 0, fmt.Errorf("graph: duplicate edge (%d,%d)", first+i, row[j])
 			}
 		}
 	}
-	return newCSR(offsets, neighbors, len(pairs), maxDeg), nil
+	return maxDeg, nil
 }
 
-// MustNew is New, panicking on error. Intended for tests and generators with
-// statically known-valid input.
+// MustNew is NewFromPairs, panicking on error. Intended for tests and
+// generators with statically known-valid input.
 func MustNew(n int, edges [][2]int) *Graph {
-	g, err := New(n, edges)
+	g, err := NewFromPairs(n, edges)
 	if err != nil {
 		panic(err)
 	}
@@ -140,23 +173,18 @@ func NewBuilder(n int) *Builder {
 }
 
 // AddEdge inserts the undirected edge {u, v}. It returns an error on
-// self-loops, duplicate edges, or out-of-range endpoints.
+// self-loops, duplicate edges, out-of-range endpoints, or an edge past the
+// int32 CSR limit.
 func (b *Builder) AddEdge(u, v int) error {
 	if b.done {
 		return fmt.Errorf("graph: builder already finalized")
 	}
-	if u < 0 || u >= b.n || v < 0 || v >= b.n {
-		return fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", u, v, b.n)
+	if err := checkEdge(b.n, u, v, int64(b.m)+1); err != nil {
+		return err
 	}
-	if u == v {
-		return fmt.Errorf("graph: self-loop at %d", u)
-	}
-	if contains(b.adj[u], int32(v)) {
+	if !b.AddEdgeOK(u, v) {
 		return fmt.Errorf("graph: duplicate edge (%d,%d)", u, v)
 	}
-	b.adj[u] = append(b.adj[u], int32(v))
-	b.adj[v] = append(b.adj[v], int32(u))
-	b.m++
 	return nil
 }
 
@@ -190,28 +218,19 @@ func (b *Builder) N() int { return b.n }
 // afterwards.
 func (b *Builder) Graph() *Graph {
 	b.done = true
-	offsets := make([]int32, b.n+1)
-	total := 0
-	maxDeg := 0
-	for v, nbrs := range b.adj {
-		offsets[v] = int32(total)
-		total += len(nbrs)
-		if len(nbrs) > maxDeg {
-			maxDeg = len(nbrs)
-		}
-	}
-	if total > math.MaxInt32 {
+	if 2*b.m > math.MaxInt32 {
 		// 2·M() must fit the int32 CSR offsets; fail loudly rather than
 		// wrap into inverted slice bounds.
-		panic(fmt.Sprintf("graph: %d adjacency entries exceed the int32 CSR limit", total))
+		panic(fmt.Sprintf("graph: %d adjacency entries exceed the int32 CSR limit", 2*b.m))
 	}
-	offsets[b.n] = int32(total)
-	neighbors := make([]int32, total)
+	offsets := make([]int32, b.n+1)
+	neighbors := make([]int32, 0, 2*b.m)
 	for v, nbrs := range b.adj {
-		slices.Sort(nbrs)
-		copy(neighbors[offsets[v]:offsets[v+1]], nbrs)
+		neighbors = append(neighbors, nbrs...)
+		offsets[v+1] = int32(len(neighbors))
 		b.adj[v] = nil // release the per-vertex slice eagerly
 	}
+	maxDeg, _ := sortRows(offsets, neighbors, 0) // AddEdge kept rows duplicate-free
 	return newCSR(offsets, neighbors, b.m, maxDeg)
 }
 
@@ -479,7 +498,6 @@ func (g *Graph) InducedInto(buf *InducedBuf, verts []int) (*Graph, error) {
 	}
 	neighbors := grow(buf.neighbors, int(offsets[k]))
 	buf.offsets, buf.neighbors = offsets, neighbors
-	maxDeg, m := 0, 0
 	for i, v := range verts {
 		row := neighbors[offsets[i]:offsets[i]]
 		for _, w := range g.Neighbors(v) {
@@ -487,19 +505,15 @@ func (g *Graph) InducedInto(buf *InducedBuf, verts []int) (*Graph, error) {
 				row = append(row, int32(j))
 			}
 		}
-		if len(row) > maxDeg {
-			maxDeg = len(row)
-		}
-		m += len(row)
-		// g's rows are ascending in original ids, but the dense relabeling
-		// need not be monotone; restore the sorted-adjacency invariant
-		// (HasEdge binary-searches rows).
-		slices.Sort(row)
 	}
+	// g's rows are ascending in original ids, but the dense relabeling need
+	// not be monotone; restore the sorted-adjacency invariant (HasEdge
+	// binary-searches rows). g has no duplicate edge for it to find.
+	maxDeg, _ := sortRows(offsets, neighbors, 0)
 	if buf.g == nil {
 		buf.g = new(Graph)
 	}
-	*buf.g = Graph{offsets: offsets, neighbors: neighbors, m: m / 2, maxDeg: maxDeg}
+	*buf.g = Graph{offsets: offsets, neighbors: neighbors, m: int(offsets[k]) / 2, maxDeg: maxDeg}
 	return buf.g, nil
 }
 

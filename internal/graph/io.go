@@ -31,32 +31,57 @@ func (g *Graph) WriteTo(w io.Writer) (int64, error) {
 // ReadEdgeList streams the plain edge-list format into a Graph: the first
 // non-comment line is the vertex count n, then one "u v" edge per line
 // (0-based, whitespace-separated). Blank lines and lines starting with '#'
-// are ignored. The input is consumed line by line through a bufio.Scanner
-// feeding a Builder directly — no intermediate edge slice is materialized,
-// so memory is bounded by the adjacency structure itself. Lines are parsed
-// byte-wise without per-line string allocation.
+// are ignored. The CSR is built by counting sort (csrSink): memory is the
+// CSR plus an 8-byte-per-edge log. Duplicate edges are found after the
+// scan, so a duplicate before a malformed line reports the malformed line.
 func ReadEdgeList(r io.Reader) (*Graph, error) {
-	var b *Builder
+	return ReadEdgeListWithin(r, math.MaxInt64)
+}
+
+// ReadEdgeListWithin is ReadEdgeList failing with a *WeightError as soon
+// as n, then n + 2·(edges so far), passes maxWeight.
+func ReadEdgeListWithin(r io.Reader, maxWeight int64) (*Graph, error) {
+	var s *csrSink
 	err := scanEdgeList(r,
-		func(n int) error { b = NewBuilder(n); return nil },
-		func(u, v int) error { return b.AddEdge(u, v) })
+		func(n int) error {
+			if int64(n) > maxWeight {
+				return &WeightError{Weight: int64(n), Limit: maxWeight}
+			}
+			s = &csrSink{n: n, limit: maxWeight, offsets: make([]int32, n+1)}
+			return nil
+		},
+		func(u, v int) error { return s.add(u, v) })
 	if err != nil {
 		return nil, err
 	}
-	return b.Graph(), nil
+	return s.graph()
+}
+
+// WeightError is ReadEdgeListWithin's rejection, at the n + 2m read so far.
+type WeightError struct{ Weight, Limit int64 }
+
+func (e *WeightError) Error() string {
+	return fmt.Sprintf("graph: weight %d exceeds the limit %d", e.Weight, e.Limit)
 }
 
 // scanEdgeList is the streaming tokenizer behind ReadEdgeList, shared with
 // the external-memory converter (ConvertEdgeList) so both parse the exact
 // same dialect: header(n) is called once for the declared vertex count,
 // then edge(u, v) per edge line. Callback errors are wrapped with the line
-// number. An input with no header line at all is an error.
+// number. An input with no header line at all is an error. A line that
+// pairLine rejects takes the TrimSpace/parseInt path, which sets the dialect.
 func scanEdgeList(r io.Reader, header func(n int) error, edge func(u, v int) error) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64<<10), 1<<20)
 	line, sawHeader := 0, false
 	for sc.Scan() {
 		line++
+		if u, v, ok := pairLine(sc.Bytes()); ok && sawHeader {
+			if err := edge(u, v); err != nil {
+				return fmt.Errorf("graph: line %d: %w", line, err)
+			}
+			continue
+		}
 		text := bytes.TrimSpace(sc.Bytes())
 		if len(text) == 0 || text[0] == '#' {
 			continue
@@ -68,7 +93,7 @@ func scanEdgeList(r io.Reader, header func(n int) error, edge func(u, v int) err
 			}
 			if n > math.MaxInt32 {
 				// Adjacency ids are int32; a larger declared count can never
-				// be a valid graph and would allocate the builder spine for a
+				// be a valid graph and would allocate the offsets array for a
 				// count no edge line could reference.
 				return fmt.Errorf("graph: line %d: vertex count %d exceeds int32 range", line, n)
 			}
@@ -94,6 +119,35 @@ func scanEdgeList(r io.Reader, header func(n int) error, edge func(u, v int) err
 		return fmt.Errorf("graph: empty input")
 	}
 	return nil
+}
+
+// pairLine reads a "u v" line in one pass: ASCII whitespace as TrimSpace
+// defines it, integers of at most 18 digits (no overflow). Other lines,
+// non-ASCII ones included, are left to the TrimSpace/parseInt path.
+func pairLine(s []byte) (u, v int, ok bool) {
+	i := skipSpace(s, 0)
+	u, j := leadingInt(s, i)
+	k := skipSpace(s, j)
+	v, e := leadingInt(s, k)
+	return u, v, j > i && k > j && e > k && skipSpace(s, e) == len(s)
+}
+
+func skipSpace(s []byte, i int) int {
+	for i < len(s) && (s[i] == ' ' || s[i]-'\t' <= '\r'-'\t') {
+		i++
+	}
+	return i
+}
+
+// leadingInt reads the digits at s[i:]; more than 18 read as none.
+func leadingInt(s []byte, i int) (n, end int) {
+	for end = i; end < len(s) && s[end]-'0' <= 9; end++ {
+		n = n*10 + int(s[end]-'0')
+	}
+	if end-i > 18 {
+		return 0, i
+	}
+	return n, end
 }
 
 // parseInt reads a leading non-negative decimal integer from s and returns

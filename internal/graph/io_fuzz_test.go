@@ -2,13 +2,15 @@ package graph
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 )
 
 // declaredCount extracts the vertex count the input's first non-comment line
 // declares, mirroring ReadEdgeList's header scan. The fuzz target uses it to
-// skip inputs that would legitimately allocate a huge builder spine: the
-// format preallocates adjacency for the declared count, so a tiny input
+// skip inputs that would legitimately allocate for a huge declared count:
+// the reader allocates its 4(n+1)-byte offsets at the header, and the
+// Builder-based oracle a 24n-byte spine of row slices, so a tiny input
 // claiming 10^9 vertices is a memory bomb by design, not a parser bug worth
 // exploring.
 func declaredCount(data []byte) (int, bool) {
@@ -27,10 +29,14 @@ func declaredCount(data []byte) (int, bool) {
 }
 
 // FuzzReadEdgeList throws arbitrary bytes at the edge-list parser and holds
-// every accepted input to the format's invariants: the parse must never
-// panic, and a successfully parsed graph must survive a WriteTo/ReadEdgeList
-// round trip bit-identically (WriteTo emits the canonical form, so parsing
-// it back must reproduce N, M, and the sorted edge set exactly).
+// every input to the format's invariants: the parse must never panic; it
+// must accept exactly what the Builder-based oracle refReadEdgeList
+// accepts, with byte-identical offsets and neighbors, and reject with the
+// oracle's error text (duplicate edges, which the oracle reports at their
+// line and the counting sort only after the scan, excepted); and an
+// accepted graph must survive a WriteTo/ReadEdgeList round trip
+// bit-identically (WriteTo emits the canonical form, so parsing it back
+// must reproduce N, M, and the sorted edge set exactly).
 func FuzzReadEdgeList(f *testing.F) {
 	seeds := []string{
 		"3\n0 1\n1 2\n",          // plain valid list
@@ -47,6 +53,15 @@ func FuzzReadEdgeList(f *testing.F) {
 		"",                       // empty input
 		"0\n",                    // zero vertices, no edges
 		"6\n0 1\n# mid comment\n\n2 3\n",
+		"3\n1\n",                           // second endpoint missing
+		"3\n2 \t\n",                        // second endpoint missing, trailing space
+		"4\n2 3\n0 3\n3 1\n1 0\n",          // rows fill out of order
+		"5\n0 4\n1 2\n4 3\n2 0\n4 0\n",     // duplicate not adjacent in input order
+		"3\n0 1\n0 1\n0 x\n",               // duplicate before a malformed line
+		"3\n\v0\f1\r\n\u00a01 2\u00a0\n",   // ASCII and Unicode whitespace
+		"3\n0 1\u2028\n",                   // non-ASCII trailing byte
+		"3\n0 0000000000000000000000001\n", // long zero-padded endpoint
+		"3\n0 99999999999999999999\n",      // endpoint overflows int
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
@@ -59,9 +74,18 @@ func FuzzReadEdgeList(f *testing.F) {
 			t.Skip("declared vertex count too large to allocate")
 		}
 		g, err := ReadEdgeList(bytes.NewReader(data))
-		if err != nil {
-			return // rejected inputs just need to not panic
+		want, werr := refReadEdgeList(bytes.NewReader(data))
+		if (err == nil) != (werr == nil) {
+			t.Fatalf("accept/reject differs from the oracle on %q: got %v, oracle %v", data, err, werr)
 		}
+		if err != nil {
+			dup := func(e error) bool { return strings.Contains(e.Error(), "duplicate edge") }
+			if dup(err) && !dup(werr) || !dup(werr) && err.Error() != werr.Error() {
+				t.Fatalf("error differs from the oracle on %q:\ngot    %v\noracle %v", data, err, werr)
+			}
+			return
+		}
+		sameCSR(t, g, want)
 		var buf bytes.Buffer
 		if _, err := g.WriteTo(&buf); err != nil {
 			t.Fatalf("WriteTo failed on parsed graph: %v", err)

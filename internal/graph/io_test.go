@@ -2,8 +2,11 @@ package graph
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
+	"math"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -62,11 +65,91 @@ func TestReadEdgeListErrors(t *testing.T) {
 		"negative vertex": "3\n0 -1\n",
 		"duplicate edge":  "3\n0 1\n1 0\n",
 		"missing field":   "3\n0\n",
+		"bare endpoint":   "3\n1\n",
 	}
 	for name, in := range cases {
 		if _, err := ReadEdgeList(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: accepted %q", name, in)
 		}
+	}
+}
+
+// TestEdgeRejectionsMatchConverter holds the in-memory reader and the
+// external-memory converter to one wording for the edge errors they share.
+func TestEdgeRejectionsMatchConverter(t *testing.T) {
+	cases := map[string]struct{ text, want string }{
+		"self-loop":          {"3\n0 1\n2 2\n", "graph: line 3: graph: self-loop at 2"},
+		"out of range":       {"3\n0 1\n1 3\n", "graph: line 3: graph: edge (1,3) out of range [0,3)"},
+		"duplicate":          {"4\n0 1\n2 3\n1 0\n", "graph: duplicate edge (0,1)"},
+		"duplicate, reorder": {"4\n3 2\n0 1\n1 3\n2 3\n", "graph: duplicate edge (2,3)"},
+	}
+	for name, tc := range cases {
+		t.Run(name, func(t *testing.T) {
+			_, rerr := ReadEdgeList(strings.NewReader(tc.text))
+			_, _, cerr := convertToBytes(t, tc.text, 0)
+			if rerr == nil || cerr == nil {
+				t.Fatalf("accepted: ReadEdgeList %v, ConvertEdgeList %v", rerr, cerr)
+			}
+			if rerr.Error() != tc.want || cerr.Error() != tc.want {
+				t.Fatalf("ReadEdgeList %q, ConvertEdgeList %q, want %q", rerr, cerr, tc.want)
+			}
+		})
+	}
+}
+
+// TestCheckEdgeInt32Limit pins checkEdge, the edge check of both readers,
+// at the int32 CSR limit: 2m = MaxInt32-1 entries fit, one more edge does
+// not.
+func TestCheckEdgeInt32Limit(t *testing.T) {
+	const last = math.MaxInt32 / 2
+	if err := checkEdge(3, 0, 1, last); err != nil {
+		t.Fatalf("m=%d: %v", last, err)
+	}
+	err := checkEdge(3, 0, 1, last+1)
+	if want := "graph: 2147483648 adjacency entries exceed the int32 CSR limit"; err == nil || err.Error() != want {
+		t.Fatalf("m=%d: %v, want %q", last+1, err, want)
+	}
+	if err := checkEdge(3, 1, 1, 1); err == nil {
+		t.Fatal("self-loop accepted")
+	}
+	if err := checkEdge(3, 0, 3, 1); err == nil {
+		t.Fatal("out-of-range endpoint accepted")
+	}
+}
+
+// TestReadEdgeListWithinStopsAtLimit checks the weight budget fails at the
+// header, before the offsets are allocated, and at the first edge that
+// carries n+2m past it.
+func TestReadEdgeListWithinStopsAtLimit(t *testing.T) {
+	cases := []struct {
+		text   string
+		limit  int64
+		weight int64 // 0: no WeightError
+	}{
+		{"4000000\n", 1000, 4000000},
+		{"4\n0 1\n1 2\n2 3\n", 10, 0},
+		{"4\n0 1\n1 2\n2 3\n", 9, 10},
+		{"4\n0 1\n1 2\n2 3\n0 0\n", 10, 0},
+	}
+	for _, tc := range cases {
+		_, err := ReadEdgeListWithin(strings.NewReader(tc.text), tc.limit)
+		var we *WeightError
+		switch {
+		case tc.weight == 0 && errors.As(err, &we):
+			t.Errorf("%q within %d: %v", tc.text, tc.limit, err)
+		case tc.weight != 0 && (!errors.As(err, &we) || we.Weight != tc.weight || we.Limit != tc.limit):
+			t.Errorf("%q within %d: %v, want weight %d", tc.text, tc.limit, err, tc.weight)
+		}
+	}
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	if _, err := ReadEdgeListWithin(strings.NewReader("2000000000\n"), 1000); err == nil {
+		t.Fatal("accepted a header past the limit")
+	}
+	runtime.ReadMemStats(&ms)
+	if got := ms.TotalAlloc - before; got > 1<<20 {
+		t.Fatalf("rejecting the header allocated %d bytes", got)
 	}
 }
 

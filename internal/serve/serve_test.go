@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -493,6 +494,48 @@ func TestGraphStoreLRU(t *testing.T) {
 	// A graph heavier than the whole store is rejected outright.
 	if _, err := store.Add(gen.Path(1000), Image{}); err == nil {
 		t.Fatal("over-capacity graph accepted")
+	}
+}
+
+// TestUploadOverCapacityFailsEarly checks a text upload heavier than the
+// whole store fails while it is parsed, with the store's own message: at
+// the header, before anything is allocated for the declared count, and at
+// the edge that carries n+2m past the capacity.
+func TestUploadOverCapacityFailsEarly(t *testing.T) {
+	_, ts := newTestServer(t, Options{GraphCacheWeight: 1000})
+	post := func(body string) (int, string) {
+		resp, err := http.Post(ts.URL+"/v1/graphs", "text/plain", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, decode[errorJSON](t, raw).Error
+	}
+
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	code, msg := post("4000000\n0 1\n")
+	runtime.ReadMemStats(&ms)
+	if want := "serve: graph weight 4000000 exceeds store capacity 1000"; code != http.StatusBadRequest || msg != want {
+		t.Fatalf("header past capacity: %d %q, want 400 %q", code, msg, want)
+	}
+	if got := ms.TotalAlloc - before; got >= 1<<20 {
+		t.Fatalf("rejecting a 4e6-vertex header allocated %d bytes", got)
+	}
+
+	var buf bytes.Buffer
+	if _, err := gen.Path(600).WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	// n=600: the 201st edge takes n+2m to 1002.
+	code, msg = post(buf.String())
+	if want := "serve: graph weight 1002 exceeds store capacity 1000"; code != http.StatusBadRequest || msg != want {
+		t.Fatalf("edges past capacity: %d %q, want 400 %q", code, msg, want)
 	}
 }
 

@@ -549,10 +549,10 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 //     (or found) by the deduplicating store;
 //   - application/x-dcsr (spill mode only): a binary .dcsr image, spooled
 //     to the spill dir;
-//   - anything else: an edge list in the graph.ReadEdgeList format, parsed
-//     straight into the CSR builder — unless it is longer than
-//     ConvertUploadBytes (spill mode, known length), in which case it is
-//     spooled and converted to .dcsr in bounded memory instead.
+//   - anything else: an edge list in the graph.ReadEdgeList format, counted
+//     into CSR as it streams in, within the store's capacity — unless it is
+//     longer than ConvertUploadBytes (spill mode, known length), in which
+//     case it is spooled and converted to .dcsr in bounded memory instead.
 //
 // Every .dcsr image, uploaded or converted, then takes the same open →
 // verify → admit path (admitImage) and is served page-mapped.
@@ -587,12 +587,18 @@ func (s *Server) handleUploadGraph(w http.ResponseWriter, r *http.Request) {
 	case strings.HasPrefix(ct, "application/x-dcsr"):
 		id, g, mapped, err = s.admitImage(body, false)
 	case s.opts.SpillDir != "" && s.opts.ConvertUploadBytes > 0 && r.ContentLength > s.opts.ConvertUploadBytes:
-		// An edge list this large would cost more as transient builder state
-		// than as a graph. Chunked uploads (ContentLength < 0) are parsed.
+		// An edge list this large would cost more parsed on the heap (its
+		// CSR plus an 8-byte-per-edge log) than mapped from a converted
+		// image. Chunked uploads (ContentLength < 0) are parsed.
 		id, g, mapped, err = s.admitImage(body, true)
 	default:
-		if g, err = graph.ReadEdgeList(body); err == nil {
+		// The store's capacity bounds the parse, so a short body declaring a
+		// huge graph fails before the reader allocates for it.
+		var we *graph.WeightError
+		if g, err = graph.ReadEdgeListWithin(body, s.store.cap); err == nil {
 			id, err = s.store.Add(g, Image{})
+		} else if errors.As(err, &we) {
+			err = overCapacity(we.Weight, we.Limit)
 		}
 	}
 	if err != nil {

@@ -275,7 +275,7 @@ func (s *GraphStore) insert(e *entry) error {
 func (s *GraphStore) admit(e *entry) error {
 	e.weight = heapWeight(e)
 	if !e.Mapped && e.weight > s.cap {
-		return fmt.Errorf("serve: graph weight %d exceeds store capacity %d", e.weight, s.cap)
+		return overCapacity(e.weight, s.cap)
 	}
 	for s.used+e.weight > s.cap {
 		oldest := s.lru.Back()
@@ -290,6 +290,12 @@ func (s *GraphStore) admit(e *entry) error {
 		s.mappedBytes += e.Bytes
 	}
 	return nil
+}
+
+// overCapacity is the rejection of a heap graph heavier than the whole
+// store, whether the store or the upload's parse finds it.
+func overCapacity(weight, capacity int64) error {
+	return fmt.Errorf("serve: graph weight %d exceeds store capacity %d", weight, capacity)
 }
 
 // release takes a resident entry off the RAM LRU and uncharges it.
