@@ -49,11 +49,12 @@ test-serial:
 # trace/progress and cross-GOMAXPROCS determinism tests, and the pooled
 # per-layer scratch: the package-level traversal pool (concurrent acquires
 # on graphs of different sizes), the reduction workspace, the ruling
-# scratch and the root-ball workspace.
+# scratch and the root-ball workspace, and the block-parallel text ingest
+# (ReadEdgeList's tests and fuzz seeds run on 1, 2 and 4 Ps).
 test-race:
 	$(GO) test -race ./internal/serve/... ./internal/obs/... ./internal/local/... ./internal/cluster/...
 	$(GO) test -race -run 'Cancel|Registry|Deadline|Progress|TraceMatches|Luby|Deterministic|ProperColoring|Golden' .
-	$(GO) test -race -run 'Traversal|Pool|Linial|DegPlusOne|Ruling' ./internal/graph ./internal/reduce ./internal/ruling
+	$(GO) test -race -run 'Traversal|Pool|Linial|DegPlusOne|Ruling|ReadEdgeList' ./internal/graph ./internal/reduce ./internal/ruling
 	$(GO) test -race -run 'RootBall|Workspace' ./internal/core ./internal/seqcolor
 
 # Clustering suite under the race detector: the ring/quota/health unit

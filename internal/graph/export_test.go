@@ -32,3 +32,6 @@ func gallaiIn(g *Graph, mask []bool) bool {
 	ok, _ := g.IsGallaiForest(verts, mask)
 	return ok
 }
+
+// RefWriteTo is refWriteTo, for the external tests on generated graphs.
+var RefWriteTo = refWriteTo

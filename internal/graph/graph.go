@@ -12,6 +12,7 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -51,20 +52,20 @@ func NewFromPairs(n int, pairs [][2]int) (*Graph, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("graph: negative vertex count")
 	}
-	s := &csrSink{n: n, limit: math.MaxInt64, offsets: make([]int32, n+1)}
+	s := newCSRSink(n, math.MaxInt64)
 	for _, p := range pairs {
 		if err := s.add(p[0], p[1]); err != nil {
 			return nil, err
 		}
 	}
-	return s.graph()
+	return s.graph(1, func(f func(int)) { f(0) })
 }
 
-// csrSink builds a CSR by counting sort: add counts an edge in offsets[u]
-// and offsets[v] and logs it in fixed-size chunks, so growth copies
-// nothing; graph prefix-sums the counts into row ends, then walks the log
-// backwards, placing each endpoint at its pre-decremented row end, so
-// offsets end as the row starts.
+// csrSink builds a CSR by counting sort: log counts each edge in
+// offsets[u] and offsets[v] and appends it to fixed-size chunks, so growth
+// copies nothing; graph prefix-sums the counts into row ends, then walks
+// the log backwards, placing each endpoint at its pre-decremented row end,
+// so offsets end as the row starts.
 type csrSink struct {
 	n       int
 	limit   int64 // most n + 2m allowed, see ReadEdgeListWithin
@@ -73,44 +74,85 @@ type csrSink struct {
 	m       int
 }
 
+// logChunk is the length of one edge-log chunk: 64Ki pairs.
+const logChunk = 128 << 10
+
+func newCSRSink(n int, limit int64) *csrSink {
+	return &csrSink{n: n, limit: limit, offsets: make([]int32, n+1)}
+}
+
+// add checks the edge {u, v} against the edges before it and logs it.
 func (s *csrSink) add(u, v int) error {
 	if err := checkEdge(s.n, u, v, int64(s.m)+1); err != nil {
 		return err
 	}
-	if w := int64(s.n) + 2*int64(s.m+1); w > s.limit {
-		return &WeightError{Weight: w, Limit: s.limit}
+	if !s.room(1) {
+		return &WeightError{Weight: int64(s.n) + 2*int64(s.m+1), Limit: s.limit}
 	}
-	s.m++
-	s.offsets[u]++
-	s.offsets[v]++
-	c := len(s.chunks) - 1
-	if c < 0 || len(s.chunks[c]) == cap(s.chunks[c]) {
-		s.chunks, c = append(s.chunks, make([]int32, 0, 128<<10)), c+1 // 64Ki pairs
-	}
-	s.chunks[c] = append(s.chunks[c], int32(u), int32(v))
+	s.log([]int32{int32(u), int32(v)})
 	return nil
 }
 
-func (s *csrSink) graph() (*Graph, error) {
+// room reports whether e more edges keep 2m within the int32 CSR offsets
+// and n + 2m within the limit.
+func (s *csrSink) room(e int) bool {
+	m := int64(s.m) + int64(e)
+	return 2*m <= math.MaxInt32 && int64(s.n)+2*m <= s.limit
+}
+
+// log counts and appends checked pairs.
+func (s *csrSink) log(pairs []int32) {
+	for _, v := range pairs {
+		s.offsets[v]++
+	}
+	s.m += len(pairs) / 2
+	for len(pairs) > 0 {
+		c := len(s.chunks) - 1
+		if c < 0 || len(s.chunks[c]) == cap(s.chunks[c]) {
+			s.chunks, c = append(s.chunks, make([]int32, 0, logChunk)), c+1
+		}
+		k := min(len(pairs), cap(s.chunks[c])-len(s.chunks[c]))
+		s.chunks[c] = append(s.chunks[c], pairs[:k]...)
+		pairs = pairs[k:]
+	}
+}
+
+// graph places and sorts the rows in w vertex ranges: run(f) must call
+// f(i) for every range i in [0, w) and return when all have returned.
+// Range i writes only its own vertices' offsets and rows. The first
+// duplicate in vertex order fails the build.
+func (s *csrSink) graph(w int, run func(f func(i int))) (*Graph, error) {
 	off := s.offsets
 	for v := 1; v < len(off); v++ {
 		off[v] += off[v-1]
 	}
 	nbrs := make([]int32, 2*s.m)
-	for c := len(s.chunks) - 1; c >= 0; c-- {
-		for pairs, i := s.chunks[c], len(s.chunks[c])-2; i >= 0; i -= 2 {
-			u, v := pairs[i], pairs[i+1]
-			off[u]--
-			nbrs[off[u]] = v
-			off[v]--
-			nbrs[off[v]] = u
+	bound := func(i int) (lo, hi int32) { return int32(i * s.n / w), int32((i + 1) * s.n / w) }
+	run(func(i int) {
+		lo, hi := bound(i)
+		for c := len(s.chunks) - 1; c >= 0; c-- {
+			for pairs, j := s.chunks[c], len(s.chunks[c])-2; j >= 0; j -= 2 {
+				u, v := pairs[j], pairs[j+1]
+				if uint32(u-lo) < uint32(hi-lo) {
+					off[u]--
+					nbrs[off[u]] = v
+				}
+				if uint32(v-lo) < uint32(hi-lo) {
+					off[v]--
+					nbrs[off[v]] = u
+				}
+			}
 		}
-	}
-	maxDeg, err := sortRows(off, nbrs, 0)
-	if err != nil {
+	})
+	maxDeg, errs := make([]int, w), make([]error, w)
+	run(func(i int) {
+		lo, hi := bound(i)
+		maxDeg[i], errs[i] = sortRows(off[lo:hi+1], nbrs[off[lo]:], int(lo))
+	})
+	if err := cmp.Or(errs...); err != nil {
 		return nil, err
 	}
-	return newCSR(off, nbrs, s.m, maxDeg), nil
+	return newCSR(off, nbrs, s.m, slices.Max(maxDeg)), nil
 }
 
 // checkEdge validates the m-th edge {u, v} of an n-vertex edge list:
@@ -130,16 +172,23 @@ func checkEdge(n, u, v int, m int64) error {
 
 // sortRows sorts the CSR rows of vertices first, first+1, … of nbrs (which
 // starts at offsets[0]), fails on a duplicate and returns the longest row.
+// A row that arrives strictly increasing is left as it is.
 func sortRows(offsets, nbrs []int32, first int) (maxDeg int, err error) {
 	base := offsets[0]
 	for i := 0; i+1 < len(offsets); i++ {
 		row := nbrs[offsets[i]-base : offsets[i+1]-base]
 		maxDeg = max(maxDeg, len(row))
-		slices.Sort(row)
 		for j := 1; j < len(row); j++ {
-			if row[j] == row[j-1] {
-				return 0, fmt.Errorf("graph: duplicate edge (%d,%d)", first+i, row[j])
+			if row[j] > row[j-1] {
+				continue
 			}
+			slices.Sort(row)
+			for j := 1; j < len(row); j++ {
+				if row[j] == row[j-1] {
+					return 0, fmt.Errorf("graph: duplicate edge (%d,%d)", first+i, row[j])
+				}
+			}
+			break
 		}
 	}
 	return maxDeg, nil

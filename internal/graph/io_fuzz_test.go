@@ -2,6 +2,9 @@ package graph
 
 import (
 	"bytes"
+	"io"
+	"math"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -28,15 +31,34 @@ func declaredCount(data []byte) (int, bool) {
 	return 0, false
 }
 
+// readerRuns are the ways the fuzz target runs ReadEdgeListWithin: the
+// default block size at the test's GOMAXPROCS, then blocks of a few bytes,
+// so nearly every line boundary is a block boundary, on 1, 2 and 4 Ps.
+var readerRuns = []struct{ block, procs int }{{0, 0}, {5, 1}, {3, 2}, {7, 4}}
+
+// readEdgeListRun is ReadEdgeListWithin at block size block (0: the
+// default) on procs Ps (0: as set).
+func readEdgeListRun(r io.Reader, limit int64, block, procs int) (*Graph, error) {
+	if block > 0 {
+		defer func(b int) { blockSize = b }(blockSize)
+		blockSize = block
+	}
+	if procs > 0 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	}
+	return ReadEdgeListWithin(r, limit)
+}
+
 // FuzzReadEdgeList throws arbitrary bytes at the edge-list parser and holds
-// every input to the format's invariants: the parse must never panic; it
-// must accept exactly what the Builder-based oracle refReadEdgeList
-// accepts, with byte-identical offsets and neighbors, and reject with the
-// oracle's error text (duplicate edges, which the oracle reports at their
-// line and the counting sort only after the scan, excepted); and an
-// accepted graph must survive a WriteTo/ReadEdgeList round trip
-// bit-identically (WriteTo emits the canonical form, so parsing it back
-// must reproduce N, M, and the sorted edge set exactly).
+// every input to the format's invariants: the parse must never panic; at
+// every run of readerRuns it must accept exactly what the Builder-based
+// oracle refReadEdgeListWithin accepts at the same weight limit, with
+// byte-identical offsets and neighbors, and reject with the oracle's error
+// text, line numbers and WeightError included (duplicate edges, which the
+// oracle reports at their line and the counting sort only after the scan,
+// excepted); and an accepted graph must survive a WriteTo/ReadEdgeList
+// round trip bit-identically (WriteTo emits the canonical form, so parsing
+// it back must reproduce N, M, and the sorted edge set exactly).
 func FuzzReadEdgeList(f *testing.F) {
 	seeds := []string{
 		"3\n0 1\n1 2\n",          // plain valid list
@@ -62,30 +84,33 @@ func FuzzReadEdgeList(f *testing.F) {
 		"3\n0 1\u2028\n",                   // non-ASCII trailing byte
 		"3\n0 0000000000000000000000001\n", // long zero-padded endpoint
 		"3\n0 99999999999999999999\n",      // endpoint overflows int
+		"12\n0 11\n10 11\n2 3\n4 5\n",      // lines cut across block boundaries
+		"4\r\n0 1\r\n1 2\r\n2 3\r\n",       // CRLFs cut across block boundaries
+		"# a comment longer than a block\n# another\n4\n0 1\n", // header in a later block
+		"5\n0 1\n1 2\n2 3\n3 4\n1 0\n",                         // duplicate across blocks
+		"3\n0 x\n0 1\n1 y\n",                                   // two errors in different blocks
 	}
 	for _, s := range seeds {
-		f.Add([]byte(s))
+		f.Add([]byte(s), int64(math.MaxInt64))
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
+	// The weight limit n + 2m: passed at the header, at an edge in a
+	// later block than the header, and before an error in a later block.
+	f.Add([]byte("5\n0 1\n"), int64(4))
+	f.Add([]byte("5\n0 1\n1 2\n2 3\n3 4\n"), int64(10))
+	f.Add([]byte("5\n0 1\n1 2\n2 3\n3 4\n0 x\n"), int64(9))
+	f.Add([]byte("5\n0 1\n1 2\n2 3\n3 4\n0 1\n"), int64(12))
+	f.Add([]byte("5\n0 1\n1 2\n2 3\n3 4\n"), int64(13))
+	f.Fuzz(func(t *testing.T, data []byte, limit int64) {
 		if len(data) > 1<<16 {
 			t.Skip("oversized input")
 		}
 		if n, ok := declaredCount(data); ok && n > 1<<16 {
 			t.Skip("declared vertex count too large to allocate")
 		}
-		g, err := ReadEdgeList(bytes.NewReader(data))
-		want, werr := refReadEdgeList(bytes.NewReader(data))
-		if (err == nil) != (werr == nil) {
-			t.Fatalf("accept/reject differs from the oracle on %q: got %v, oracle %v", data, err, werr)
-		}
-		if err != nil {
-			dup := func(e error) bool { return strings.Contains(e.Error(), "duplicate edge") }
-			if dup(err) && !dup(werr) || !dup(werr) && err.Error() != werr.Error() {
-				t.Fatalf("error differs from the oracle on %q:\ngot    %v\noracle %v", data, err, werr)
-			}
+		g := matchOracle(t, data, limit)
+		if g == nil {
 			return
 		}
-		sameCSR(t, g, want)
 		var buf bytes.Buffer
 		if _, err := g.WriteTo(&buf); err != nil {
 			t.Fatalf("WriteTo failed on parsed graph: %v", err)
@@ -94,17 +119,34 @@ func FuzzReadEdgeList(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-parsing canonical form failed: %v\ninput: %q\ncanonical: %q", err, data, buf.Bytes())
 		}
-		if g2.N() != g.N() || g2.M() != g.M() {
-			t.Fatalf("round trip changed size: (%d,%d) -> (%d,%d)", g.N(), g.M(), g2.N(), g2.M())
-		}
-		e1, e2 := g.Edges(), g2.Edges()
-		if len(e1) != len(e2) {
-			t.Fatalf("round trip changed edge count: %d -> %d", len(e1), len(e2))
-		}
-		for i := range e1 {
-			if e1[i] != e2[i] {
-				t.Fatalf("round trip changed edge %d: %v -> %v", i, e1[i], e2[i])
-			}
-		}
+		sameCSR(t, g2, g)
 	})
+}
+
+// matchOracle runs ReadEdgeListWithin on data at every run of readerRuns
+// and fails t unless each run accepts exactly what refReadEdgeListWithin
+// accepts, with the same CSR, or rejects with its error text (duplicate
+// edges excepted). It returns the graph read, nil on a rejection.
+func matchOracle(t *testing.T, data []byte, limit int64) *Graph {
+	t.Helper()
+	want, werr := refReadEdgeListWithin(bytes.NewReader(data), limit)
+	var g *Graph
+	for _, run := range readerRuns {
+		got, err := readEdgeListRun(bytes.NewReader(data), limit, run.block, run.procs)
+		if (err == nil) != (werr == nil) {
+			t.Fatalf("blocks of %d on %d Ps: accept/reject differs from the oracle on %.200q: got %v, oracle %v",
+				run.block, run.procs, data, err, werr)
+		}
+		if err != nil {
+			dup := func(e error) bool { return strings.Contains(e.Error(), "duplicate edge") }
+			if dup(err) && !dup(werr) || !dup(werr) && err.Error() != werr.Error() {
+				t.Fatalf("blocks of %d on %d Ps: error differs from the oracle on %.200q:\ngot    %v\noracle %v",
+					run.block, run.procs, data, err, werr)
+			}
+			continue
+		}
+		sameCSR(t, got, want)
+		g = got
+	}
+	return g
 }

@@ -11,20 +11,66 @@ import (
 // refReadEdgeList is the Builder-based reader the counting-sort
 // ReadEdgeList replaced, kept as its oracle: one growing slice per vertex,
 // a linear duplicate scan per edge (so duplicates fail at their line), and
-// the TrimSpace/parseInt tokenizer refScanEdgeList.
+// the TrimSpace/parseInt tokenizer refScanEdgeList over a bufio.Scanner.
 func refReadEdgeList(r io.Reader) (*Graph, error) {
+	return refReadEdgeListWithin(r, math.MaxInt64)
+}
+
+// refReadEdgeListWithin is refReadEdgeList with ReadEdgeListWithin's weight
+// limit, checked per line in input order: at the header, then per edge
+// after the range, self-loop and int32 checks and before the duplicate
+// check.
+func refReadEdgeListWithin(r io.Reader, limit int64) (*Graph, error) {
 	var b *Builder
+	m := int64(0)
 	err := refScanEdgeList(r,
-		func(n int) error { b = NewBuilder(n); return nil },
-		func(u, v int) error { return b.AddEdge(u, v) })
+		func(n int) error {
+			if int64(n) > limit {
+				return &WeightError{Weight: int64(n), Limit: limit}
+			}
+			b = NewBuilder(n)
+			return nil
+		},
+		func(u, v int) error {
+			if err := checkEdge(b.N(), u, v, m+1); err != nil {
+				return err
+			}
+			if w := int64(b.N()) + 2*(m+1); w > limit {
+				return &WeightError{Weight: w, Limit: limit}
+			}
+			m++
+			return b.AddEdge(u, v)
+		})
 	if err != nil {
 		return nil, err
 	}
 	return b.Graph(), nil
 }
 
-// refScanEdgeList is scanEdgeList before its one-pass edge-line reader:
-// every line is trimmed and parsed by TrimSpace and parseInt.
+// refWriteTo is the Graph.WriteTo that materialized Edges() and formatted
+// each edge with fmt, kept as the oracle of the CSR-walking writer.
+func refWriteTo(g *Graph, w io.Writer) (int64, error) {
+	bw := bufio.NewWriter(w)
+	var n int64
+	k, err := fmt.Fprintf(bw, "%d\n", g.N())
+	n += int64(k)
+	if err != nil {
+		return n, err
+	}
+	for _, e := range g.Edges() {
+		k, err = fmt.Fprintf(bw, "%d %d\n", e[0], e[1])
+		n += int64(k)
+		if err != nil {
+			return n, err
+		}
+	}
+	return n, bw.Flush()
+}
+
+// refScanEdgeList is the one-goroutine bufio.Scanner tokenizer before the
+// block reader and its one-pass edge-line reader: every line is trimmed and
+// parsed by TrimSpace and parseInt, and a line of 1 MiB or more fails with
+// bufio.ErrTooLong.
 func refScanEdgeList(r io.Reader, header func(n int) error, edge func(u, v int) error) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64<<10), 1<<20)

@@ -8,7 +8,10 @@ import (
 	"math"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
+	"testing/iotest"
+	"time"
 )
 
 // chunkReader yields at most k bytes per Read, exercising the scanner's
@@ -189,4 +192,111 @@ func TestNewFromPairs(t *testing.T) {
 	if err != nil || empty.N() != 2 || empty.M() != 0 {
 		t.Fatalf("empty pairs: %v %v", empty, err)
 	}
+}
+
+// TestReadEdgeListLongLines holds the block reader to the oracle's
+// bufio.Scanner at its 1 MiB line limit, at every run of readerRuns: a
+// line of maxLine bytes or more fails with bufio.ErrTooLong once the lines
+// before it are read, one byte shorter it is read.
+func TestReadEdgeListLongLines(t *testing.T) {
+	cases := map[string]string{
+		"over the limit":         "3\n0 1\n" + strings.Repeat(" ", maxLine) + "\n0 x\n",
+		"just under the limit":   "3\n0 1\n" + strings.Repeat(" ", maxLine-4) + "1 2\n0 2",
+		"error before it":        "3\n0 x\n" + strings.Repeat("#", maxLine) + "\n",
+		"unterminated last line": "3\n0 1\n" + strings.Repeat("1", maxLine) + strings.Repeat(" ", 9),
+		"long header comment":    "#" + strings.Repeat(" ", maxLine-2) + "\n3\n0 1\n",
+	}
+	for name, text := range cases {
+		t.Run(name, func(t *testing.T) { matchOracle(t, []byte(text), math.MaxInt64) })
+	}
+}
+
+// TestReadEdgeListReadError checks that a reader's error ends the read as
+// with the oracle: the lines before it, an unterminated last one included,
+// are read first and their failure wins.
+func TestReadEdgeListReadError(t *testing.T) {
+	boom := errors.New("boom")
+	for _, text := range []string{"", "# c\n", "5\n", "5\n0 1\n1 2", "5\n0 1\n0 x\n1 2\n", "5\n0 1\n2 3\n3 4\n"} {
+		reader := func() io.Reader { return io.MultiReader(strings.NewReader(text), iotest.ErrReader(boom)) }
+		_, werr := refReadEdgeList(reader())
+		for _, run := range readerRuns {
+			if _, err := readEdgeListRun(reader(), math.MaxInt64, run.block, run.procs); err == nil || err.Error() != werr.Error() {
+				t.Errorf("%q, blocks of %d on %d Ps: %v, oracle %v", text, run.block, run.procs, err, werr)
+			}
+		}
+	}
+}
+
+// TestReadEdgeListFailureLeavesNoGoroutine fails ReadEdgeListWithin in
+// every way, on 4 Ps with blocks of a few bytes, and checks that the
+// workers are gone once the calls return.
+func TestReadEdgeListFailureLeavesNoGoroutine(t *testing.T) {
+	defer func(b int) { blockSize = b }(blockSize)
+	blockSize = 4
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	before := runtime.NumGoroutine()
+	lines := strings.Repeat("0 1\n", 20)
+	cases := []struct {
+		r     io.Reader
+		limit int64
+	}{
+		{strings.NewReader("5\n" + lines + "0 x\n" + lines), math.MaxInt64},
+		{strings.NewReader("5\n1 2\n" + lines), math.MaxInt64},
+		{strings.NewReader("5\n" + strings.Repeat("1 2\n", 20)), 9},
+		{strings.NewReader("5\n0 2\n9 1\n" + lines), math.MaxInt64},
+		{strings.NewReader("5\n0 1\n1 2\n2 3\n1 0\n"), math.MaxInt64},
+		{strings.NewReader("5\n0 1\n" + strings.Repeat(" ", maxLine)), math.MaxInt64},
+		{io.MultiReader(strings.NewReader("5\n0 1\n1 2\n"), iotest.ErrReader(errors.New("boom"))), math.MaxInt64},
+	}
+	for i, tc := range cases {
+		if _, err := ReadEdgeListWithin(tc.r, tc.limit); err == nil {
+			t.Fatalf("case %d accepted", i)
+		}
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the failed calls, %d before", runtime.NumGoroutine(), before)
+		}
+	}
+}
+
+// TestReadEdgeListConcurrentCalls runs reads of different texts at once,
+// at blocks of a few bytes, so calls trade spare blocks all the time; each
+// must still read its own graph.
+func TestReadEdgeListConcurrentCalls(t *testing.T) {
+	defer func(b int) { blockSize = b }(blockSize)
+	blockSize = 16
+	texts := make([][]byte, 4)
+	for i := range texts {
+		b := NewBuilder(60 + 10*i)
+		for u := range b.N() {
+			for v := u + 1; v < b.N(); v += 1 + (u*7+v*i)%5 {
+				b.AddEdgeOK(u, v)
+			}
+		}
+		var buf bytes.Buffer
+		if _, err := b.Graph().WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		texts[i] = buf.Bytes()
+	}
+	var wg sync.WaitGroup
+	for i, text := range texts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 20 {
+				var out bytes.Buffer
+				g, err := ReadEdgeList(bytes.NewReader(text))
+				if err == nil {
+					_, err = g.WriteTo(&out)
+				}
+				if err != nil || !bytes.Equal(out.Bytes(), text) {
+					t.Errorf("text %d read back differently (%v)", i, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -675,14 +675,16 @@ func (w *Workspace) colorTwoConnectedTight(d *graph.Graph, sub []int, eff [][]in
 		// even cycle (odd cycles are good blocks, never routed here)
 		return colorEvenCycle(d, sub, eff)
 	}
-	x, y, z, err := brooksTriple(d, w.maskAllBut(n, -1, -1))
+	x, y, z, order, err := w.brooksTriple(d, w.maskAllBut(n, -1, -1))
 	if err != nil {
 		return err
+	}
+	if order == nil {
+		order = w.reverseBFSOrder(d, z, w.maskAllBut(n, x, y))
 	}
 	a := eff[x][0]
 	sub[x] = a
 	sub[y] = a
-	order := w.reverseBFSOrder(d, z, w.maskAllBut(n, x, y))
 	return greedyInOrder(d, sub, eff, order, w.bits())
 }
 
@@ -738,11 +740,24 @@ func colorEvenCycle(d *graph.Graph, sub []int, eff [][]int) error {
 
 // brooksTriple finds x, y, z with x,y ∈ N(z), x,y non-adjacent and
 // d−{x,y} connected, in a 2-connected non-complete graph d. (Lovász's
-// lemma, algorithmic form.) mask is scratch, all true on entry: one mask
-// serves every candidate, with the probed vertices cleared for the call
-// and restored after it.
-func brooksTriple(d *graph.Graph, mask []bool) (x, y, z int, err error) {
+// lemma, algorithmic form.) A candidate is tried by one BFS from z over
+// d−{x,y}, which reaches all its n−2 vertices exactly when that graph is
+// connected; the triple comes with that BFS's order reversed (in w.order),
+// the order the greedy colors in. The block-structure case returns a nil
+// order. mask is scratch, all true on entry: one mask serves every
+// candidate, with the probed vertices cleared for the BFS and restored
+// after it.
+func (w *Workspace) brooksTriple(d *graph.Graph, mask []bool) (x, y, z int, order []int, err error) {
 	n := d.N()
+	try := func(a, b, zc int) []int {
+		mask[a], mask[b] = false, false
+		order := w.reverseBFSOrder(d, zc, mask)
+		mask[a], mask[b] = true, true
+		if len(order) == n-2 {
+			return order
+		}
+		return nil
+	}
 	// Fast path: in well-connected graphs (the typical case) almost any
 	// distance-2 pair works; try a bounded number of candidates before the
 	// exhaustive block-structure search.
@@ -756,11 +771,8 @@ func brooksTriple(d *graph.Graph, mask []bool) (x, y, z int, err error) {
 					continue
 				}
 				tried++
-				mask[a], mask[b] = false, false
-				connected := d.IsConnected(mask)
-				mask[a], mask[b] = true, true
-				if connected {
-					return a, b, zc, nil
+				if order := try(a, b, zc); order != nil {
+					return a, b, zc, order, nil
 				}
 			}
 		}
@@ -801,7 +813,7 @@ func brooksTriple(d *graph.Graph, mask []bool) (x, y, z int, err error) {
 			}
 		}
 		if len(picks) == 2 && !d.HasEdge(picks[0], picks[1]) {
-			return picks[0], picks[1], zc, nil
+			return picks[0], picks[1], zc, nil, nil
 		}
 	}
 	// Case 2: d is 3-connected — any non-adjacent pair at distance 2 works.
@@ -813,16 +825,13 @@ func brooksTriple(d *graph.Graph, mask []bool) (x, y, z int, err error) {
 				if d.HasEdge(a, b) {
 					continue
 				}
-				mask[a], mask[b] = false, false
-				connected := d.IsConnected(mask)
-				mask[a], mask[b] = true, true
-				if connected {
-					return a, b, zc, nil
+				if order := try(a, b, zc); order != nil {
+					return a, b, zc, order, nil
 				}
 			}
 		}
 	}
-	return 0, 0, 0, fmt.Errorf("seqcolor: internal: no Brooks triple found (is the block complete or a cycle?)")
+	return 0, 0, 0, nil, fmt.Errorf("seqcolor: internal: no Brooks triple found (is the block complete or a cycle?)")
 }
 
 // leafBlocks returns block indices with at most one block-tree neighbor.
