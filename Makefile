@@ -53,7 +53,7 @@ test-serial:
 # (ReadEdgeList's tests and fuzz seeds run on 1, 2 and 4 Ps).
 test-race:
 	$(GO) test -race ./internal/serve/... ./internal/obs/... ./internal/local/... ./internal/cluster/...
-	$(GO) test -race -run 'Cancel|Registry|Deadline|Progress|TraceMatches|Luby|Deterministic|ProperColoring|Golden' .
+	$(GO) test -race -run 'Cancel|Registry|Deadline|Progress|Trace|Luby|Deterministic|ProperColoring|Golden' .
 	$(GO) test -race -run 'Traversal|Pool|Linial|DegPlusOne|Ruling|ReadEdgeList' ./internal/graph ./internal/reduce ./internal/ruling
 	$(GO) test -race -run 'RootBall|Workspace' ./internal/core ./internal/seqcolor
 

@@ -213,12 +213,14 @@ func BenchmarkRunSyncDelivery(b *testing.B) {
 	benchRunSyncDelivery(b, func() *local.Ledger { return nil })
 }
 
-// BenchmarkRunSyncDeliveryObs is the same workload with a fresh round-trace
-// recorder attached, i.e. full per-round observability including per-shard
-// delivery timing. `make bench-obs` gates it within 5% of the no-op twin.
+// BenchmarkRunSyncDeliveryObs is the same workload on a fresh traced
+// ledger, i.e. full per-round observability including per-shard delivery
+// timing. `make bench-obs` gates it within 5% of the no-op twin.
 func BenchmarkRunSyncDeliveryObs(b *testing.B) {
 	benchRunSyncDelivery(b, func() *local.Ledger {
-		return &local.Ledger{Trace: &local.RoundTrace{}}
+		l := &local.Ledger{}
+		l.Begin()
+		return l
 	})
 }
 

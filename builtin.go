@@ -113,7 +113,7 @@ func init() {
 		RoundBound:  polylog3Bound,
 		Run: func(ctx context.Context, g *Graph, rc *RunConfig) (*Coloring, error) {
 			res, err := core.Arboricity2a(ctx, rc.network(g), rc.Params.Int("a"), core.Config{
-				Lists: rc.Lists, BallC: rc.BallC, Trace: rc.trace,
+				Lists: rc.Lists, BallC: rc.BallC, Ledger: rc.ledger(),
 			})
 			if err != nil {
 				return nil, err
@@ -137,7 +137,7 @@ func init() {
 		RoundBound: polylog3Bound,
 		Run: func(ctx context.Context, g *Graph, rc *RunConfig) (*Coloring, error) {
 			res, err := core.GenusHg(ctx, rc.network(g), rc.Params.Int("genus"), core.Config{
-				Lists: rc.Lists, BallC: rc.BallC, Trace: rc.trace,
+				Lists: rc.Lists, BallC: rc.BallC, Ledger: rc.ledger(),
 			})
 			if err != nil {
 				return nil, err
@@ -164,7 +164,7 @@ func init() {
 				lists = UniformLists(g.N(), g.MaxDegree())
 			}
 			res, err := core.DeltaListColor(ctx, rc.network(g), core.Config{
-				Lists: lists, BallC: rc.BallC, Trace: rc.trace,
+				Lists: lists, BallC: rc.BallC, Ledger: rc.ledger(),
 			})
 			if err != nil {
 				return nil, err
@@ -185,7 +185,7 @@ func init() {
 				lists = niceLists(g, rc.RNG())
 			}
 			res, err := core.RunNice(ctx, rc.network(g), core.Config{
-				Lists: lists, BallC: rc.BallC, Trace: rc.trace,
+				Lists: lists, BallC: rc.BallC, Ledger: rc.ledger(),
 			})
 			if err != nil {
 				return nil, err
@@ -251,7 +251,7 @@ func coreRun(ctx context.Context, g *Graph, rc *RunConfig,
 	cfg core.Config) (*Coloring, error) {
 	cfg.Lists = rc.Lists
 	cfg.BallC = rc.BallC
-	cfg.Trace = rc.trace
+	cfg.Ledger = rc.ledger()
 	res, err := run(ctx, rc.network(g), cfg)
 	if err != nil {
 		return nil, err

@@ -98,16 +98,8 @@ type Phase struct {
 }
 
 func fromResult(res *core.Result) *Coloring {
-	c := &Coloring{
-		Colors:   res.Colors,
-		Clique:   res.Clique,
-		Lists:    res.Lists,
-		Rounds:   res.Ledger.Rounds(),
-		Messages: res.Ledger.Messages(),
-	}
-	for _, p := range res.Ledger.ByPhase() {
-		c.Phases = append(c.Phases, Phase{Name: p.Phase, Rounds: p.Rounds})
-	}
+	c := coloringFromLedger(res.Colors, res.Ledger)
+	c.Clique, c.Lists = res.Clique, res.Lists
 	return c
 }
 

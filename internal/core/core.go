@@ -24,6 +24,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -63,11 +64,9 @@ type Config struct {
 	// MaxIterations bounds the peeling loop (0 = 8·d³·log n + 64, safely
 	// above the paper's O(d³ log n); the Δ ≤ d case needs only O(d log n)).
 	MaxIterations int
-	// Trace, when non-nil, observes the run: it records the execution
-	// profile (per-phase rounds, engine messages, shard timings) and feeds
-	// live progress; sub-runs record into the same trace live. See
-	// local.RoundTrace.
-	Trace *local.RoundTrace
+	// Ledger is the ledger the run charges (nil = a fresh one), traced or
+	// not; a sub-run charges the ledger of the run that started it.
+	Ledger *local.Ledger
 }
 
 // IterationStats records one peeling iteration for the Lemma 3.1 experiment.
@@ -133,17 +132,16 @@ func Run(ctx context.Context, nw *local.Network, cfg Config) (*Result, error) {
 			return nil, fmt.Errorf("core: vertex %d has list of size %d < d=%d", v, len(lists[v]), d)
 		}
 	}
-	ledger := &local.Ledger{Trace: cfg.Trace}
+	ledger := cmp.Or(cfg.Ledger, &local.Ledger{})
 	res := &Result{Ledger: ledger, Lists: lists}
 	if n == 0 {
-		res.Colors = nil
 		return res, nil
 	}
 
 	// Step 0 (two rounds): look for a K_{d+1}.
+	res.Clique = g.FindCliqueDPlus1(d)
 	ledger.Charge("clique-check", 2)
-	if clique := g.FindCliqueDPlus1(d); clique != nil {
-		res.Clique = clique
+	if res.Clique != nil {
 		return res, nil
 	}
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -57,7 +58,7 @@ func RunNice(ctx context.Context, nw *local.Network, cfg Config) (*Result, error
 	if err := ValidateNice(nw, lists); err != nil {
 		return nil, err
 	}
-	ledger := &local.Ledger{Trace: cfg.Trace}
+	ledger := cmp.Or(cfg.Ledger, &local.Ledger{})
 	res := &Result{Ledger: ledger, Lists: lists}
 	if n == 0 {
 		return res, nil
@@ -99,26 +100,28 @@ func DeltaListColor(ctx context.Context, nw *local.Network, cfg Config) (*Result
 			return nil, fmt.Errorf("core: vertex %d has list of size %d < Δ=%d", v, len(lists[v]), delta)
 		}
 	}
-	ledger := &local.Ledger{Trace: cfg.Trace}
+	ledger := cmp.Or(cfg.Ledger, &local.Ledger{})
 	colors := make([]int, n)
 	for v := range colors {
 		colors[v] = Uncolored
 	}
 	// Split off K_{Δ+1} components (the only K_{Δ+1} in a max-degree-Δ
 	// graph is a full component): detectable in 2 rounds.
-	ledger.Charge("clique-components", 2)
 	restMask := make([]bool, n)
-	for i := range restMask {
-		restMask[i] = true
-	}
+	var cliques [][]int
 	for _, comp := range g.Components(nil) {
 		if len(comp) == delta+1 && g.IsClique(comp) {
-			if err := seqcolor.CliqueListColor(g, comp, colors, lists); err != nil {
-				return nil, fmt.Errorf("core: K_%d component: %w", delta+1, err)
-			}
-			for _, v := range comp {
-				restMask[v] = false
-			}
+			cliques = append(cliques, comp)
+			continue
+		}
+		for _, v := range comp {
+			restMask[v] = true
+		}
+	}
+	ledger.Charge("clique-components", 2)
+	for _, comp := range cliques {
+		if err := seqcolor.CliqueListColor(g, comp, colors, lists); err != nil {
+			return nil, fmt.Errorf("core: K_%d component: %w", delta+1, err)
 		}
 	}
 	// Theorem 1.3 on the remainder (no K_{Δ+1} left; mad ≤ Δ trivially).
@@ -133,7 +136,7 @@ func DeltaListColor(ctx context.Context, nw *local.Network, cfg Config) (*Result
 			subLists[i] = lists[v]
 		}
 		nw2 := local.NewNetwork(sub)
-		sres, err := Run(ctx, nw2, Config{D: delta, Lists: subLists, BallC: cfg.BallC, Trace: cfg.Trace})
+		sres, err := Run(ctx, nw2, Config{D: delta, Lists: subLists, BallC: cfg.BallC, Ledger: ledger})
 		if err != nil {
 			return nil, err
 		}
@@ -144,9 +147,6 @@ func DeltaListColor(ctx context.Context, nw *local.Network, cfg Config) (*Result
 		for i, v := range orig {
 			colors[v] = sres.Colors[i]
 		}
-		// The sub-run recorded into the shared trace live; Merge only
-		// folds its phases into this ledger.
-		ledger.Merge("", sres.Ledger)
 		res.Radius = sres.Radius
 		res.Iterations = sres.Iterations
 	}

@@ -97,7 +97,7 @@ func TestApollonian(t *testing.T) {
 		if g.M() != 3*n-6 && n >= 3 {
 			t.Errorf("n=%d: m=%d, want %d", n, g.M(), 3*n-6)
 		}
-		if d := g.Degeneracy(nil).Degeneracy; d > 3 && n > 3 {
+		if d := g.Degeneracy().Degeneracy; d > 3 && n > 3 {
 			t.Errorf("n=%d: degeneracy %d > 3", n, d)
 		}
 	}

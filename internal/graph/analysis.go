@@ -57,22 +57,19 @@ type DegeneracyResult struct {
 	// Order is the elimination order (a vertex's "later" neighbors are the
 	// ones appearing after it).
 	Order []int
-	// Pos[v] is v's index in Order (-1 for masked-out vertices).
+	// Pos[v] is v's index in Order.
 	Pos []int
 }
 
-// Degeneracy computes the degeneracy and a smallest-last order of the masked
-// graph (nil mask = all vertices) with the bucket queue of smallestLast, in
-// O(n + m).
-func (g *Graph) Degeneracy(mask []bool) DegeneracyResult {
+// Degeneracy computes the degeneracy and a smallest-last order of the graph
+// with the bucket queue of smallestLast, in O(n + m). DegeneracyOrder
+// caches it.
+func (g *Graph) Degeneracy() DegeneracyResult {
 	var s smallestLast
-	total := s.init(g, mask)
+	s.init(g)
 	res := DegeneracyResult{
-		Order: make([]int, 0, total),
+		Order: make([]int, 0, g.N()),
 		Pos:   make([]int, g.N()),
-	}
-	for i := range res.Pos {
-		res.Pos[i] = -1
 	}
 	for v, deg := s.pop(); v >= 0; v, deg = s.pop() {
 		res.Degeneracy = max(res.Degeneracy, deg)
@@ -82,17 +79,17 @@ func (g *Graph) Degeneracy(mask []bool) DegeneracyResult {
 	return res
 }
 
-// DegeneracyOrder returns the degeneracy result for the whole graph
-// (mask == nil), computed once and cached — Graph is immutable, so repeated
-// callers (low-degree peeling, baselines) share one computation.
+// DegeneracyOrder returns the degeneracy result, computed once and cached —
+// Graph is immutable, so repeated callers (low-degree peeling, baselines)
+// share one computation.
 func (g *Graph) DegeneracyOrder() DegeneracyResult {
-	g.degenOnce.Do(func() { g.degen = g.Degeneracy(nil) })
+	g.degenOnce.Do(func() { g.degen = g.Degeneracy() })
 	return g.degen
 }
 
 // peelRec is one vertex's state in a smallest-last elimination: its degree
-// among the vertices not yet removed (-1 once removed, and for vertices
-// outside the mask) and its links in the list of its degree's bucket.
+// among the vertices not yet removed (-1 once removed) and its links in the
+// list of its degree's bucket.
 type peelRec struct{ deg, next, prev int32 }
 
 // smallestLast is the elimination behind Degeneracy and FindCliqueDPlus1.
@@ -109,29 +106,18 @@ type smallestLast struct {
 	min  int
 }
 
-// init fills the buckets with the masked vertices and returns their count.
-func (s *smallestLast) init(g *Graph, mask []bool) int {
+// init fills the buckets with every vertex of g.
+func (s *smallestLast) init(g *Graph) {
 	s.g = g
 	s.rec = make([]peelRec, g.N())
 	s.head = make([]int32, g.MaxDegree()+1)
 	for d := range s.head {
 		s.head[d] = -1
 	}
-	total := 0
 	for v := range s.rec {
-		switch {
-		case mask == nil:
-			s.rec[v].deg = int32(g.Degree(v))
-		case mask[v]:
-			s.rec[v].deg = int32(g.DegreeInMask(v, mask))
-		default:
-			s.rec[v].deg = -1
-			continue
-		}
+		s.rec[v].deg = int32(g.Degree(v))
 		s.push(int32(v))
-		total++
 	}
-	return total
 }
 
 // push puts v at the front of the bucket of its degree.
@@ -199,7 +185,7 @@ func (g *Graph) FindCliqueDPlus1(d int) []int {
 		return nil
 	}
 	var s smallestLast
-	s.init(g, nil)
+	s.init(g)
 	// One buffer for every vertex's later neighborhood; a found clique is
 	// returned as a copy.
 	later := make([]int, 0, d+1)

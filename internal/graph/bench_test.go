@@ -72,7 +72,7 @@ func BenchmarkDegeneracy_n10000(b *testing.B) {
 	g := benchGraph(10000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := g.Degeneracy(nil)
+		res := g.Degeneracy()
 		if res.Degeneracy == 0 {
 			b.Fatal("degeneracy 0")
 		}

@@ -11,45 +11,26 @@ import (
 // refDegeneracy is the list-of-stacks elimination Degeneracy replaced, kept
 // as its oracle: one growing stack per degree, stale entries skipped on
 // pop, and a rescan from bucket 0 on every removal.
-func refDegeneracy(g *Graph, mask []bool) DegeneracyResult {
+func refDegeneracy(g *Graph) DegeneracyResult {
 	n := g.N()
 	deg := make([]int, n)
-	alive := make([]bool, n)
-	total := 0
 	maxDeg := 0
-	effMask := mask
-	if effMask == nil {
-		effMask = make([]bool, n)
-		for i := range effMask {
-			effMask[i] = true
-		}
-	}
 	for v := 0; v < n; v++ {
-		if !effMask[v] {
-			continue
-		}
-		alive[v] = true
-		total++
-		deg[v] = g.DegreeInMask(v, effMask)
+		deg[v] = g.Degree(v)
 		if deg[v] > maxDeg {
 			maxDeg = deg[v]
 		}
 	}
 	buckets := make([][]int, maxDeg+1)
 	for v := 0; v < n; v++ {
-		if alive[v] {
-			buckets[deg[v]] = append(buckets[deg[v]], v)
-		}
+		buckets[deg[v]] = append(buckets[deg[v]], v)
 	}
 	res := DegeneracyResult{
-		Order: make([]int, 0, total),
+		Order: make([]int, 0, n),
 		Pos:   make([]int, n),
 	}
-	for i := range res.Pos {
-		res.Pos[i] = -1
-	}
 	removed := make([]bool, n)
-	for len(res.Order) < total {
+	for len(res.Order) < n {
 		// find the lowest nonempty bucket with a still-valid entry
 		found := -1
 		for d := 0; d <= maxDeg; d++ {
@@ -78,7 +59,7 @@ func refDegeneracy(g *Graph, mask []bool) DegeneracyResult {
 		res.Order = append(res.Order, v)
 		for _, w32 := range g.Neighbors(v) {
 			w := int(w32)
-			if !alive[w] || removed[w] {
+			if removed[w] {
 				continue
 			}
 			deg[w]--
@@ -96,7 +77,7 @@ func refFindCliqueDPlus1(g *Graph, d int) (clique []int, bigLater bool) {
 	if d < 1 {
 		return nil, false
 	}
-	res := refDegeneracy(g, nil)
+	res := refDegeneracy(g)
 	later := make([]int, 0, d+1)
 	for _, v := range res.Order {
 		later = later[:0]
@@ -154,28 +135,16 @@ func plantClique(rng *rand.Rand, g *Graph, k int) *Graph {
 	return b.Graph()
 }
 
-func randomMask(rng *rand.Rand, n int) []bool {
-	mask := make([]bool, n)
-	keep := rng.Float64()
-	for v := range mask {
-		mask[v] = rng.Float64() < keep
-	}
-	return mask
-}
-
 // TestDegeneracyMatchesReference checks Degeneracy against the old
-// elimination on random graphs, with nil and random masks: the same
-// degeneracy, the same order (so the same LIFO tie-breaking) and the same
-// positions.
+// elimination on random graphs: the same degeneracy, the same order (so the
+// same LIFO tie-breaking) and the same positions.
 func TestDegeneracyMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewPCG(21, 1))
 	for i, g := range degeneracyCases(rng) {
-		for _, mask := range [][]bool{nil, randomMask(rng, g.N()), randomMask(rng, g.N())} {
-			got, want := g.Degeneracy(mask), refDegeneracy(g, mask)
-			if got.Degeneracy != want.Degeneracy || !slices.Equal(got.Order, want.Order) || !slices.Equal(got.Pos, want.Pos) {
-				t.Fatalf("case %d (n=%d, m=%d, masked=%v): got degeneracy %d order %v, reference %d order %v",
-					i, g.N(), g.M(), mask != nil, got.Degeneracy, got.Order, want.Degeneracy, want.Order)
-			}
+		got, want := g.Degeneracy(), refDegeneracy(g)
+		if got.Degeneracy != want.Degeneracy || !slices.Equal(got.Order, want.Order) || !slices.Equal(got.Pos, want.Pos) {
+			t.Fatalf("case %d (n=%d, m=%d): got degeneracy %d order %v, reference %d order %v",
+				i, g.N(), g.M(), got.Degeneracy, got.Order, want.Degeneracy, want.Order)
 		}
 	}
 }

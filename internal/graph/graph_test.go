@@ -277,16 +277,16 @@ func petersen() *Graph {
 }
 
 func TestDegeneracy(t *testing.T) {
-	if d := path(10).Degeneracy(nil).Degeneracy; d != 1 {
+	if d := path(10).Degeneracy().Degeneracy; d != 1 {
 		t.Errorf("path degeneracy=%d, want 1", d)
 	}
-	if d := cycle(10).Degeneracy(nil).Degeneracy; d != 2 {
+	if d := cycle(10).Degeneracy().Degeneracy; d != 2 {
 		t.Errorf("cycle degeneracy=%d, want 2", d)
 	}
-	if d := complete(6).Degeneracy(nil).Degeneracy; d != 5 {
+	if d := complete(6).Degeneracy().Degeneracy; d != 5 {
 		t.Errorf("K6 degeneracy=%d, want 5", d)
 	}
-	res := complete(6).Degeneracy(nil)
+	res := complete(6).Degeneracy()
 	if len(res.Order) != 6 {
 		t.Errorf("order length=%d", len(res.Order))
 	}
@@ -303,7 +303,7 @@ func TestDegeneracyOrderProperty(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 2))
 	for trial := 0; trial < 20; trial++ {
 		g := randomGraph(rng, 30, 0.15)
-		res := g.Degeneracy(nil)
+		res := g.Degeneracy()
 		for _, v := range res.Order {
 			later := 0
 			for _, w := range g.Neighbors(v) {

@@ -56,7 +56,7 @@ func TestQuickDegeneracyVsMaxDegree(t *testing.T) {
 	// degeneracy (checked via the order property).
 	f := func(gv randomGraphValue) bool {
 		g := gv.G
-		res := g.Degeneracy(nil)
+		res := g.Degeneracy()
 		if res.Degeneracy > g.MaxDegree() {
 			return false
 		}

@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"runtime"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -83,7 +82,13 @@ type PhaseCost struct {
 // per-phase breakdown, plus message statistics for the message-passing
 // engine (the LOCAL model does not bound message size; the ledger records
 // what a CONGEST implementation would have to pay). The zero value is ready
-// to use. Ledger is not goroutine-safe; engines own one ledger each.
+// to use. Ledger is not goroutine-safe; engines own one ledger each, and a
+// run's sub-runs charge the run's ledger.
+//
+// A ledger is also the run's trace: once Begin marks it traced, it records
+// each phase's engine rounds, samples, shard timings and wall clock beside
+// the charges, feeds its OnCharge observer, and Report turns it into the
+// wire form. Untraced, a charge is one append or merge and one flag check.
 type Ledger struct {
 	phases []PhaseCost
 	total  int
@@ -91,12 +96,11 @@ type Ledger struct {
 	messages     int // messages delivered by RunSync
 	maxRoundMsgs int // largest per-round total message count
 
-	// Trace, when non-nil, observes the ledger: every Charge lands in it
-	// (and reaches its live progress observer, see OnCharge), and RunSync
-	// additionally feeds it per-round message counts, active-list sizes and
-	// per-shard delivery timings. Several ledgers may share one trace: an
-	// outer run and its sub-runs record live into the same object.
-	Trace *RoundTrace
+	traced   bool
+	extras   []*tracePhase // per-phase trace records, in first-seen order
+	byName   map[string]*tracePhase
+	lastT    time.Time
+	onCharge func(phase string, delta, total int)
 }
 
 // Messages returns the number of point-to-point messages delivered by the
@@ -107,32 +111,34 @@ func (l *Ledger) Messages() int { return l.messages }
 // single round.
 func (l *Ledger) MaxRoundMessages() int { return l.maxRoundMsgs }
 
-func (l *Ledger) recordRoundMessages(count int) {
+// recordRound books one executed engine round: its messages, and on a
+// traced ledger the phase's round record.
+func (l *Ledger) recordRound(phase string, active, count int) {
 	l.messages += count
 	if count > l.maxRoundMsgs {
 		l.maxRoundMsgs = count
 	}
+	if l.traced {
+		l.engineRound(phase, active, count)
+	}
 }
 
 // Charge adds rounds to the named phase (merged with the previous entry when
-// the phase name repeats consecutively).
+// the phase name repeats consecutively). Charge when the phase's work is
+// done: a traced ledger bills the wall clock since the previous charge to
+// the charged phase.
 func (l *Ledger) Charge(phase string, rounds int) {
 	if rounds < 0 {
 		panic("local: negative round charge")
 	}
-	l.record(phase, rounds)
-	if l.Trace != nil {
-		l.Trace.charge(phase, rounds)
-	}
-}
-
-// record books a charge on the ledger alone, without notifying the trace.
-func (l *Ledger) record(phase string, rounds int) {
 	l.total += rounds
 	if k := len(l.phases); k > 0 && l.phases[k-1].Phase == phase {
 		l.phases[k-1].Rounds += rounds
 	} else {
 		l.phases = append(l.phases, PhaseCost{Phase: phase, Rounds: rounds})
+	}
+	if l.traced {
+		l.traceCharge(phase, rounds)
 	}
 }
 
@@ -144,34 +150,9 @@ func (l *Ledger) Phases() []PhaseCost {
 	return append([]PhaseCost(nil), l.phases...)
 }
 
-// Merge appends another ledger's charges to l under the given prefix. It
-// does not notify l.Trace: a sub-run whose ledger shares the trace has
-// already recorded those charges there live.
-func (l *Ledger) Merge(prefix string, other *Ledger) {
-	for _, p := range other.phases {
-		l.record(prefix+p.Phase, p.Rounds)
-	}
-}
-
 // ByPhase aggregates total rounds per phase name (non-consecutive repeats
-// are summed), sorted by descending rounds.
-func (l *Ledger) ByPhase() []PhaseCost {
-	agg := map[string]int{}
-	for _, p := range l.phases {
-		agg[p.Phase] += p.Rounds
-	}
-	out := make([]PhaseCost, 0, len(agg))
-	for ph, r := range agg {
-		out = append(out, PhaseCost{Phase: ph, Rounds: r})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Rounds != out[j].Rounds {
-			return out[i].Rounds > out[j].Rounds
-		}
-		return out[i].Phase < out[j].Phase
-	})
-	return out
-}
+// are summed), sorted by descending rounds, then name.
+func (l *Ledger) ByPhase() []PhaseCost { return l.byPhase(nil) }
 
 // Message is an arbitrary value exchanged between neighbors in one round.
 type Message any
@@ -318,7 +299,7 @@ type engine struct {
 	shardLo   []int32 // worker s owns vertices [shardLo[s], shardLo[s+1])
 	shardMsgs []int   // per-shard delivered-message counters
 	// shardNs, when non-nil, accumulates per-shard delivery wall time for
-	// the run's RoundTrace (set by RunSync iff tracing is on; pooled path
+	// a traced ledger (set by RunSync iff tracing is on; pooled path
 	// only — a serial engine has one implicit shard and nothing to
 	// balance). nil keeps the delivery hot path at a single pointer check.
 	shardNs   []int64
@@ -790,7 +771,8 @@ func (e *engine) outputs() []any {
 // Cancellation is cooperative and per-round: ctx is checked at the top of
 // every round, so a cancelled execution stops within one round, returns
 // ctx.Err(), and leaves no worker goroutines behind (the pool is torn down
-// on every return path). Partial executions charge nothing to the ledger.
+// on every return path). Partial executions charge nothing to the ledger; a
+// traced ledger keeps the engine rounds they ran.
 func RunSync(ctx context.Context, nw *Network, ledger *Ledger, phase string, maxRounds int,
 	factory func(v int) Program) ([]any, error) {
 	if ctx == nil {
@@ -799,11 +781,7 @@ func RunSync(ctx context.Context, nw *Network, ledger *Ledger, phase string, max
 	n := nw.G.N()
 	e := newEngine(nw)
 	defer e.close()
-	var trace *RoundTrace
-	if ledger != nil {
-		trace = ledger.Trace
-	}
-	if trace != nil && !e.serial {
+	if ledger != nil && ledger.traced && !e.serial {
 		e.shardNs = make([]int64, e.workers)
 	}
 	for v := 0; v < n; v++ {
@@ -822,15 +800,11 @@ func RunSync(ctx context.Context, nw *Network, ledger *Ledger, phase string, max
 		rounds++
 		e.runRound()
 		if ledger != nil {
-			msgs := e.roundMessages()
-			ledger.recordRoundMessages(msgs)
-			if trace != nil {
-				trace.engineRound(phase, active, msgs)
-			}
+			ledger.recordRound(phase, active, e.roundMessages())
 		}
 	}
-	if trace != nil && e.shardNs != nil {
-		trace.shardDelivery(phase, e.shardNs)
+	if e.shardNs != nil {
+		ledger.shardDelivery(phase, e.shardNs)
 	}
 	if ledger != nil {
 		charge := rounds - 1

@@ -114,11 +114,6 @@ func TestLedger(t *testing.T) {
 	if agg[0].Phase != "a" || agg[0].Rounds != 9 {
 		t.Errorf("ByPhase wrong: %+v", agg)
 	}
-	var m Ledger
-	m.Merge("x/", &l)
-	if m.Rounds() != 10 {
-		t.Errorf("merged total=%d", m.Rounds())
-	}
 }
 
 func TestNetworkValidate(t *testing.T) {

@@ -23,13 +23,12 @@ type RoundSample struct {
 	Messages int `json:"messages"`
 }
 
-// tracePhase accumulates one phase name's trace: rounds come exclusively
-// from ledger charges (so totals match Ledger.ByPhase exactly); engine
-// rounds, messages, samples and shard timings come from the message-passing
-// engine and are informational.
+// tracePhase is what a traced ledger records about one phase name beyond
+// its charged rounds (those stay in Ledger.phases alone): engine rounds,
+// messages, samples and shard timings from the message-passing engine, and
+// the phase's wall clock. All of it is informational.
 type tracePhase struct {
 	name         string
-	rounds       int
 	engineRounds int
 	messages     int
 	maxActive    int
@@ -37,97 +36,73 @@ type tracePhase struct {
 	samples      []RoundSample
 	shardNs      []int64
 
-	// Wall-clock attribution (informational, nondeterministic like
-	// shardNs): firstNs/lastNs bound the phase's activity, busyNs sums the
-	// charge-to-charge intervals attributed to it (see RoundTrace.charge).
+	// Wall-clock attribution (nondeterministic like shardNs): firstNs and
+	// lastNs bound the phase's activity, busyNs sums the charge-to-charge
+	// intervals attributed to it (see Ledger.traceCharge).
 	firstNs int64
 	lastNs  int64
 	busyNs  int64
 }
 
-// RoundTrace records the execution profile of one run: per-phase round
-// totals fed by every Ledger.Charge, plus — for phases driven by the
-// message-passing engine — per-round message counts and active-list sizes
-// and per-shard delivery timings. Attach one to a Ledger (Ledger.Trace)
-// before the run; the zero value is ready to use.
-//
-// A RoundTrace is owned by the goroutine executing the run (the same one
-// that charges the ledger): it needs no locking, and readers must wait for
-// the run to finish — or, like the progress observer, read synchronously
-// from within a charge.
-type RoundTrace struct {
-	phases   []*tracePhase
-	byName   map[string]*tracePhase
-	rounds   int
-	msgs     int
-	lastT    time.Time
-	onCharge func(phase string, delta, total int)
-}
-
-// OnCharge sets fn as t's live progress observer and returns the previous
-// one (nil when unset). fn sees every non-zero charge as it lands: phase is
-// the charged phase, delta the rounds just charged, total the trace's
-// running total over every ledger feeding it. It runs synchronously on the
-// charging goroutine and must be fast and non-blocking. OnCharge is a
+// OnCharge sets fn as l's live progress observer and returns the previous
+// one (nil when unset). Once Begin has marked l traced, fn sees every
+// non-zero charge as it lands: phase is the charged phase, delta the rounds
+// just charged, total the ledger's running total. It runs synchronously on
+// the charging goroutine and must be fast and non-blocking. OnCharge is a
 // function rather than a method so the public RoundTrace alias does not
 // grow a second way to observe progress.
-func OnCharge(t *RoundTrace, fn func(phase string, delta, total int)) func(phase string, delta, total int) {
-	prev := t.onCharge
-	t.onCharge = fn
+func OnCharge(l *Ledger, fn func(phase string, delta, total int)) func(phase string, delta, total int) {
+	prev := l.onCharge
+	l.onCharge = fn
 	return prev
 }
 
-// Begin stamps the trace's wall clock so the first charge's interval is
-// measured from run start rather than from trace construction. Optional:
-// without it the first charged interval is simply unattributed.
-func (t *RoundTrace) Begin() { t.lastT = time.Now() }
+// Begin clears l and marks it traced: from here on it also records each
+// phase's engine rounds, samples, shard timings and wall clock (measured
+// from this call), and reports charges to its OnCharge observer, which
+// Begin keeps.
+func (l *Ledger) Begin() {
+	*l = Ledger{traced: true, lastT: time.Now(), onCharge: l.onCharge}
+}
 
-func (t *RoundTrace) phase(name string) *tracePhase {
-	if t.byName == nil {
-		t.byName = map[string]*tracePhase{}
+func (l *Ledger) tracePhase(name string) *tracePhase {
+	if l.byName == nil {
+		l.byName = map[string]*tracePhase{}
 	}
-	p := t.byName[name]
+	p := l.byName[name]
 	if p == nil {
 		p = &tracePhase{name: name, stride: 1}
-		t.byName[name] = p
-		t.phases = append(t.phases, p)
+		l.byName[name] = p
+		l.extras = append(l.extras, p)
 	}
 	return p
 }
 
-// charge records a ledger charge. Called by Ledger.Charge for every charge
-// — including zero-round ones, which still create a phase entry, mirroring
-// Ledger.ByPhase.
-func (t *RoundTrace) charge(phase string, rounds int) {
-	p := t.phase(phase)
-	p.rounds += rounds
-	t.rounds += rounds
+// traceCharge is the traced half of Charge.
+func (l *Ledger) traceCharge(phase string, rounds int) {
+	p := l.tracePhase(phase)
 	// Attribute the wall-clock interval since the previous charge (or
-	// Begin) to the charged phase: charges happen at phase boundaries, so
-	// the elapsed time since the last one is the work just charged.
+	// Begin) to the charged phase: charges land when a phase's work is
+	// done, so the elapsed time since the last one is the work just charged.
 	now := time.Now()
-	if !t.lastT.IsZero() {
-		ns := now.UnixNano()
-		if p.firstNs == 0 {
-			p.firstNs = t.lastT.UnixNano()
-		}
-		p.lastNs = ns
-		p.busyNs += now.Sub(t.lastT).Nanoseconds()
+	if p.firstNs == 0 {
+		p.firstNs = l.lastT.UnixNano()
 	}
-	t.lastT = now
-	if t.onCharge != nil && rounds > 0 {
-		t.onCharge(phase, rounds, t.rounds)
+	p.lastNs = now.UnixNano()
+	p.busyNs += now.Sub(l.lastT).Nanoseconds()
+	l.lastT = now
+	if l.onCharge != nil && rounds > 0 {
+		l.onCharge(phase, rounds, l.total)
 	}
 }
 
-// engineRound records one executed engine round: active nodes going in,
-// messages delivered coming out. Sampling is strided once the phase
-// outgrows traceSampleCap (see the constant).
-func (t *RoundTrace) engineRound(phase string, active, messages int) {
-	p := t.phase(phase)
+// engineRound records one executed engine round of a traced ledger:
+// active nodes going in, messages delivered coming out. Sampling is
+// strided once the phase outgrows traceSampleCap (see the constant).
+func (l *Ledger) engineRound(phase string, active, messages int) {
+	p := l.tracePhase(phase)
 	p.engineRounds++
 	p.messages += messages
-	t.msgs += messages
 	if active > p.maxActive {
 		p.maxActive = active
 	}
@@ -151,8 +126,8 @@ func (t *RoundTrace) engineRound(phase string, active, messages int) {
 // shardDelivery folds one engine execution's per-shard delivery-time totals
 // (nanoseconds, index = shard) into the phase. Phases executed by engines
 // of different worker counts accumulate into the longest shard vector.
-func (t *RoundTrace) shardDelivery(phase string, ns []int64) {
-	p := t.phase(phase)
+func (l *Ledger) shardDelivery(phase string, ns []int64) {
+	p := l.tracePhase(phase)
 	if len(ns) > len(p.shardNs) {
 		grown := make([]int64, len(ns))
 		copy(grown, p.shardNs)
@@ -162,14 +137,6 @@ func (t *RoundTrace) shardDelivery(phase string, ns []int64) {
 		p.shardNs[i] += v
 	}
 }
-
-// Rounds returns the total rounds charged so far (live; equals
-// Ledger.Rounds for the ledgers feeding this trace).
-func (t *RoundTrace) Rounds() int { return t.rounds }
-
-// Messages returns the total engine messages recorded so far (live; equals
-// Ledger.Messages when a single ledger feeds the trace).
-func (t *RoundTrace) Messages() int { return t.msgs }
 
 // ShardTrace is one delivery shard's accumulated timing within a phase.
 type ShardTrace struct {
@@ -209,7 +176,7 @@ type PhaseTrace struct {
 	// WallNs sums the charge intervals attributed to it. Like shard
 	// timings these are measured, not simulated: informational riders that
 	// vary run-to-run while everything else stays deterministic. Present
-	// only when the trace's clock was started (RoundTrace.Begin).
+	// only on a traced ledger (Ledger.Begin).
 	StartUnixNs int64 `json:"start_unix_ns,omitempty"`
 	EndUnixNs   int64 `json:"end_unix_ns,omitempty"`
 	WallNs      int64 `json:"wall_ns,omitempty"`
@@ -238,47 +205,39 @@ type TraceReport struct {
 	TraceID string `json:"trace_id,omitempty"`
 }
 
-// Report builds the wire report. Phase order and round totals match
-// Ledger.ByPhase exactly; samples and timings ride along.
-func (t *RoundTrace) Report(algorithm string) *TraceReport {
+// Report builds the wire report: the charged phases of ByPhase, in its
+// order and with its round totals, plus any phase the engine ran without a
+// charge (a cancelled execution's) at 0 rounds; samples and timings ride
+// along.
+func (l *Ledger) Report(algorithm string) *TraceReport {
+	by := l.byPhase(l.extras)
 	rep := &TraceReport{
 		Algorithm: algorithm,
-		Rounds:    t.rounds,
-		Messages:  t.msgs,
-		Phases:    make([]PhaseTrace, 0, len(t.phases)),
+		Rounds:    l.total,
+		Messages:  l.messages,
+		Phases:    make([]PhaseTrace, 0, len(by)),
 	}
-	var totalNs, maxNs int64
-	var nShards int
-	for _, p := range t.phases {
-		pt := PhaseTrace{
-			Phase:        p.name,
-			Rounds:       p.rounds,
-			EngineRounds: p.engineRounds,
-			Messages:     p.messages,
-			MaxActive:    p.maxActive,
-			StartUnixNs:  p.firstNs,
-			EndUnixNs:    p.lastNs,
-			WallNs:       p.busyNs,
-		}
-		if len(p.samples) > 0 {
-			pt.SampleStride = p.stride
-			pt.Samples = append([]RoundSample(nil), p.samples...)
-		}
-		for s, ns := range p.shardNs {
-			pt.Shards = append(pt.Shards, ShardTrace{Shard: s, DeliverNs: ns})
+	for _, pc := range by {
+		pt := PhaseTrace{Phase: pc.Phase, Rounds: pc.Rounds}
+		if p := l.byName[pc.Phase]; p != nil {
+			pt.EngineRounds = p.engineRounds
+			pt.Messages = p.messages
+			pt.MaxActive = p.maxActive
+			pt.StartUnixNs, pt.EndUnixNs, pt.WallNs = p.firstNs, p.lastNs, p.busyNs
+			if len(p.samples) > 0 {
+				pt.SampleStride = p.stride
+				pt.Samples = append([]RoundSample(nil), p.samples...)
+			}
+			for s, ns := range p.shardNs {
+				pt.Shards = append(pt.Shards, ShardTrace{Shard: s, DeliverNs: ns})
+			}
 		}
 		rep.Phases = append(rep.Phases, pt)
 	}
-	sort.SliceStable(rep.Phases, func(i, j int) bool {
-		if rep.Phases[i].Rounds != rep.Phases[j].Rounds {
-			return rep.Phases[i].Rounds > rep.Phases[j].Rounds
-		}
-		return rep.Phases[i].Phase < rep.Phases[j].Phase
-	})
 	// Shard imbalance across the whole run: fold every phase's per-shard
 	// totals into one vector keyed by shard index.
 	var byShard []int64
-	for _, p := range t.phases {
+	for _, p := range l.extras {
 		for s, ns := range p.shardNs {
 			for s >= len(byShard) {
 				byShard = append(byShard, 0)
@@ -286,15 +245,37 @@ func (t *RoundTrace) Report(algorithm string) *TraceReport {
 			byShard[s] += ns
 		}
 	}
+	var totalNs, maxNs int64
 	for _, ns := range byShard {
 		totalNs += ns
-		if ns > maxNs {
-			maxNs = ns
-		}
-		nShards++
+		maxNs = max(maxNs, ns)
 	}
-	if nShards > 0 && totalNs > 0 {
-		rep.ShardImbalance = float64(maxNs) * float64(nShards) / float64(totalNs)
+	if totalNs > 0 {
+		rep.ShardImbalance = float64(maxNs) * float64(len(byShard)) / float64(totalNs)
 	}
 	return rep
+}
+
+// byPhase aggregates the charged rounds per phase name, adds each of
+// extra's phases that was never charged at 0 rounds, and sorts by
+// descending rounds, then name.
+func (l *Ledger) byPhase(extra []*tracePhase) []PhaseCost {
+	agg := map[string]int{}
+	for _, p := range l.phases {
+		agg[p.Phase] += p.Rounds
+	}
+	for _, p := range extra {
+		agg[p.name] += 0 // enters an uncharged phase at 0 rounds
+	}
+	out := make([]PhaseCost, 0, len(agg))
+	for ph, r := range agg {
+		out = append(out, PhaseCost{Phase: ph, Rounds: r})
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Rounds != out[j].Rounds {
+			return out[i].Rounds > out[j].Rounds
+		}
+		return out[i].Phase < out[j].Phase
+	})
+	return out
 }

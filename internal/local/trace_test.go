@@ -20,17 +20,23 @@ func (p *chatterProgram) Step(round int, _ []Inbound) ([]Outbound, bool) {
 
 func (p *chatterProgram) Output() any { return nil }
 
-// TestTraceChargeAggregation checks that phase totals mirror
+// tracedLedger returns a ledger that Begin has marked traced.
+func tracedLedger() *Ledger {
+	l := &Ledger{}
+	l.Begin()
+	return l
+}
+
+// TestTraceChargeAggregation checks that report phases mirror
 // Ledger.ByPhase: non-consecutive repeats sum, zero-round charges still
 // create entries, and the report orders by descending rounds then name.
 func TestTraceChargeAggregation(t *testing.T) {
-	tr := &RoundTrace{}
-	l := &Ledger{Trace: tr}
+	l := tracedLedger()
 	l.Charge("a", 3)
 	l.Charge("b", 5)
 	l.Charge("a", 2)
 	l.Charge("zero", 0)
-	rep := tr.Report("x")
+	rep := l.Report("x")
 	if rep.Rounds != l.Rounds() {
 		t.Fatalf("trace rounds = %d, ledger = %d", rep.Rounds, l.Rounds())
 	}
@@ -51,19 +57,19 @@ func TestTraceChargeAggregation(t *testing.T) {
 // stride, retained rounds exactly the strided subsequence, and exact
 // message/max-active totals regardless of what was dropped.
 func TestTraceSampleStride(t *testing.T) {
-	tr := &RoundTrace{}
+	l := tracedLedger()
 	const rounds = 10 * traceSampleCap
 	totalMsgs := 0
 	for r := 1; r <= rounds; r++ {
-		tr.engineRound("p", rounds-r+1, r)
+		l.recordRound("p", rounds-r+1, r)
 		totalMsgs += r
 	}
-	rep := tr.Report("x")
+	rep := l.Report("x")
 	if len(rep.Phases) != 1 {
 		t.Fatalf("got %d phases, want 1", len(rep.Phases))
 	}
 	p := rep.Phases[0]
-	if p.EngineRounds != rounds || p.Messages != totalMsgs || p.MaxActive != rounds {
+	if p.EngineRounds != rounds || p.Messages != totalMsgs || p.MaxActive != rounds || rep.Messages != totalMsgs {
 		t.Fatalf("totals: %+v, want engineRounds=%d messages=%d maxActive=%d", p, rounds, totalMsgs, rounds)
 	}
 	if len(p.Samples) > traceSampleCap {
@@ -86,10 +92,10 @@ func TestTraceSampleStride(t *testing.T) {
 // TestTraceShardDelivery checks shard timing accumulation across
 // executions with different worker counts and the report's imbalance.
 func TestTraceShardDelivery(t *testing.T) {
-	tr := &RoundTrace{}
-	tr.shardDelivery("p", []int64{100, 100})
-	tr.shardDelivery("p", []int64{100, 100, 200}) // wider engine later in the phase
-	rep := tr.Report("x")
+	l := tracedLedger()
+	l.shardDelivery("p", []int64{100, 100})
+	l.shardDelivery("p", []int64{100, 100, 200}) // wider engine later in the phase
+	rep := l.Report("x")
 	p := rep.Phases[0]
 	want := []int64{200, 200, 200}
 	if len(p.Shards) != len(want) {
@@ -104,34 +110,34 @@ func TestTraceShardDelivery(t *testing.T) {
 	if rep.ShardImbalance != 1 {
 		t.Fatalf("imbalance = %g, want 1", rep.ShardImbalance)
 	}
-	tr2 := &RoundTrace{}
-	tr2.shardDelivery("p", []int64{300, 100})
-	if got := tr2.Report("x").ShardImbalance; got != 1.5 {
+	l2 := tracedLedger()
+	l2.shardDelivery("p", []int64{300, 100})
+	if got := l2.Report("x").ShardImbalance; got != 1.5 {
 		t.Fatalf("imbalance = %g, want 1.5", got)
 	}
 }
 
-// TestRunSyncRecordsTrace runs the engine with a trace attached and checks
-// the recorded totals match the ledger's own accounting exactly.
+// TestRunSyncRecordsTrace runs the engine on a traced ledger and checks
+// the report against the ledger's own accounting exactly.
 func TestRunSyncRecordsTrace(t *testing.T) {
 	nw := NewNetwork(gen.Cycle(64))
-	tr := &RoundTrace{}
-	ledger := &Ledger{Trace: tr}
+	ledger := tracedLedger()
 	_, err := RunSync(nil, nw, ledger, "flood", 1000, func(v int) Program {
 		return &chatterProgram{limit: 5}
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Rounds() != ledger.Rounds() {
-		t.Fatalf("trace rounds %d, ledger %d", tr.Rounds(), ledger.Rounds())
+	rep := ledger.Report("flood")
+	if rep.Rounds != ledger.Rounds() || rep.Messages != ledger.Messages() || ledger.Messages() == 0 {
+		t.Fatalf("report %d rounds, %d messages; ledger %d, %d",
+			rep.Rounds, rep.Messages, ledger.Rounds(), ledger.Messages())
 	}
-	if tr.Messages() != ledger.Messages() {
-		t.Fatalf("trace messages %d, ledger %d", tr.Messages(), ledger.Messages())
-	}
-	rep := tr.Report("flood")
 	if len(rep.Phases) != 1 || rep.Phases[0].Phase != "flood" {
 		t.Fatalf("unexpected phases: %+v", rep.Phases)
+	}
+	if rep.Phases[0].Messages != ledger.Messages() {
+		t.Fatalf("phase messages %d, ledger %d", rep.Phases[0].Messages, ledger.Messages())
 	}
 	if rep.Phases[0].EngineRounds != rep.Phases[0].Rounds+1 {
 		t.Fatalf("engine rounds %d, want charged rounds %d + 1 (final output step)",

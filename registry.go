@@ -152,7 +152,7 @@ type RunConfig struct {
 
 	algo     *Algorithm
 	explicit map[string]float64
-	trace    *local.RoundTrace
+	led      *local.Ledger // the run's one ledger; see ledger
 	rng      *rand.Rand
 }
 
@@ -166,10 +166,14 @@ func (rc *RunConfig) RNG() *rand.Rand {
 	return rc.rng
 }
 
-// ledger returns a fresh round ledger observed by the run's trace (nil
-// when the caller asked for neither a trace nor progress — the engines then
-// pay a single nil check and record nothing).
-func (rc *RunConfig) ledger() *local.Ledger { return &local.Ledger{Trace: rc.trace} }
+// ledger returns the run's ledger, which every phase of the run charges:
+// the WithTrace recorder, or a fresh one.
+func (rc *RunConfig) ledger() *local.Ledger {
+	if rc.led == nil {
+		rc.led = &local.Ledger{}
+	}
+	return rc.led
+}
 
 // network binds the graph to the run's ID assignment (shuffled when Seed is
 // non-zero — the LOCAL model assigns IDs adversarially).

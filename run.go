@@ -49,51 +49,47 @@ func WithLists(lists [][]int) Option {
 func WithBallC(c float64) Option { return func(rc *RunConfig) { rc.BallC = c } }
 
 // WithProgress registers a live phase-progress observer. Progress is a
-// view of the run's RoundTrace: fn sees every non-zero charge as the trace
-// records it. Without WithTrace the run records into a private trace. fn
-// is called synchronously from the run; keep it fast and non-blocking. Nil
-// is a no-op.
+// view of the run's ledger: fn sees every non-zero charge as the ledger
+// books it. fn is called synchronously from the run; keep it fast and
+// non-blocking. Nil is a no-op.
 func WithProgress(fn func(PhaseEvent)) Option {
 	return func(rc *RunConfig) {
 		if fn == nil {
 			return
 		}
-		if rc.trace == nil {
-			rc.trace = &RoundTrace{}
-		}
-		local.OnCharge(rc.trace, func(phase string, delta, total int) {
+		local.OnCharge(rc.ledger(), func(phase string, delta, total int) {
 			fn(PhaseEvent{Algorithm: rc.algo.Name, Phase: phase, Delta: delta, Rounds: total})
 		})
 	}
 }
 
-// RoundTrace records a run's execution profile: per-phase LOCAL round
-// totals (always in exact agreement with Coloring.Phases), and — for
-// phases driven by the message-passing engine — per-round message counts,
-// active-list sizes and per-shard delivery timings. Attach one with
-// WithTrace; after the run, Report produces the wire-form TraceReport.
-type RoundTrace = local.RoundTrace
+// RoundTrace is a run's ledger, one per run: per-phase LOCAL round totals
+// (the ones Coloring.Phases is built from), and — for phases driven by the
+// message-passing engine — per-round message counts, active-list sizes
+// and per-shard delivery timings. Attach one with WithTrace; after the
+// run, Report produces the wire-form TraceReport.
+type RoundTrace = local.Ledger
 
 // TraceReport is the JSON wire form of a completed run's RoundTrace — the
 // same schema served by the serving tier's GET /v1/jobs/{id}/trace and
 // written by `distcolor -trace`.
 type TraceReport = local.TraceReport
 
-// WithTrace attaches a round-trace recorder to the run. The recorder is
+// WithTrace makes t the run's ledger, which Run clears at the start. It is
 // owned by the run until Run returns: read it from the calling goroutine
 // afterwards (or synchronously from a WithProgress observer), then build
-// the wire report with trace.Report(algo). Nil is a no-op; runs without a
-// trace pay one nil check per engine round.
+// the wire report with t.Report(algo). Nil is a no-op; untraced runs pay
+// one flag check per charge and engine round.
 func WithTrace(t *RoundTrace) Option {
 	return func(rc *RunConfig) {
 		if t == nil {
 			return
 		}
-		if rc.trace != nil {
+		if rc.led != nil {
 			// Carry over the observer of an earlier WithProgress.
-			local.OnCharge(t, local.OnCharge(rc.trace, nil))
+			local.OnCharge(t, local.OnCharge(rc.led, nil))
 		}
-		rc.trace = t
+		rc.led = t
 	}
 }
 
@@ -172,11 +168,11 @@ func Run(ctx context.Context, g *Graph, algo string, opts ...Option) (*Coloring,
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if rc.trace != nil {
-		rc.trace.Begin()
+	if rc.led != nil {
+		rc.led.Begin()
 		// The progress observer lives for this run only; a caller's trace
 		// leaves Run without it.
-		defer local.OnCharge(rc.trace, nil)
+		defer local.OnCharge(rc.led, nil)
 	}
 	col, err := a.Run(ctx, g, rc)
 	if err != nil {
