@@ -8,10 +8,11 @@ GO ?= go
 # instrumented (Obs) twins of the delivery and serving benchmarks so the
 # trajectory records observability cost alongside raw cost, and the
 # extension's (Δ+1)-class schedule (Linial + class reduction), its
-# root-ball recoloring, the clique check that opens Theorem 1.3 and the
-# text edge-list parse of a serve-cold upload.
-BENCH_JSON_PAT = BenchmarkSparseListColor|BenchmarkCollectBallsSync|BenchmarkRunSyncDelivery|BenchmarkHappySet|BenchmarkBlocks|BenchmarkGallai|BenchmarkBFS|BenchmarkDegeneracy|BenchmarkGirth|BenchmarkDegreeListColor|BenchmarkServeThroughput$$|BenchmarkServeThroughputObs$$|BenchmarkServeThroughputCluster$$|BenchmarkServeThroughputForward$$|BenchmarkServeThroughputSpill$$|BenchmarkClusterRoute|BenchmarkGraphLoad|BenchmarkRulingCompute|BenchmarkDegPlusOne|BenchmarkRootBallRecolor|BenchmarkFindCliqueDPlus1|BenchmarkReadEdgeList
-BENCH_JSON_PKGS = . ./internal/graph ./internal/seqcolor ./internal/ruling ./internal/reduce ./internal/core ./internal/serve ./internal/cluster
+# root-ball recoloring, the clique check that opens Theorem 1.3, the
+# text edge-list parse of a serve-cold upload and the gps7 peel coloring
+# serve-cold runs.
+BENCH_JSON_PAT = BenchmarkSparseListColor|BenchmarkCollectBallsSync|BenchmarkRunSyncDelivery|BenchmarkHappySet|BenchmarkBlocks|BenchmarkGallai|BenchmarkBFS|BenchmarkDegeneracy|BenchmarkGirth|BenchmarkDegreeListColor|BenchmarkServeThroughput$$|BenchmarkServeThroughputObs$$|BenchmarkServeThroughputCluster$$|BenchmarkServeThroughputForward$$|BenchmarkServeThroughputSpill$$|BenchmarkClusterRoute|BenchmarkGraphLoad|BenchmarkRulingCompute|BenchmarkDegPlusOne|BenchmarkRootBallRecolor|BenchmarkFindCliqueDPlus1|BenchmarkReadEdgeList|BenchmarkPeelColor
+BENCH_JSON_PKGS = . ./internal/graph ./internal/seqcolor ./internal/ruling ./internal/reduce ./internal/core ./internal/gps ./internal/serve ./internal/cluster
 
 all: ci
 
@@ -46,13 +47,15 @@ test-serial:
 # scheduler, LRU store, coalescing, cancellation), the metrics registry
 # (registration concurrent with scrapes) and the LOCAL engine's sharded
 # message plane, plus the root-package cancellation/registry,
-# trace/progress and cross-GOMAXPROCS determinism tests, and the pooled
-# per-layer scratch: the package-level traversal pool (concurrent acquires
-# on graphs of different sizes), the reduction workspace, the ruling
-# scratch and the root-ball workspace, and the block-parallel text ingest
-# (ReadEdgeList's tests and fuzz seeds run on 1, 2 and 4 Ps).
+# trace/progress and cross-GOMAXPROCS determinism tests, the pooled
+# per-layer scratch (the package-level traversal pool, with concurrent
+# acquires on graphs of different sizes, and the ruling scratch), the
+# caller-held reduction and root-ball workspaces, the gps7 peel coloring
+# (concurrent PeelColor calls on one shared graph, as on a resident
+# graph) and the block-parallel text ingest (ReadEdgeList's tests and fuzz
+# seeds run on 1, 2 and 4 Ps).
 test-race:
-	$(GO) test -race ./internal/serve/... ./internal/obs/... ./internal/local/... ./internal/cluster/...
+	$(GO) test -race ./internal/serve/... ./internal/obs/... ./internal/local/... ./internal/cluster/... ./internal/gps
 	$(GO) test -race -run 'Cancel|Registry|Deadline|Progress|Trace|Luby|Deterministic|ProperColoring|Golden' .
 	$(GO) test -race -run 'Traversal|Pool|Linial|DegPlusOne|Ruling|ReadEdgeList' ./internal/graph ./internal/reduce ./internal/ruling
 	$(GO) test -race -run 'RootBall|Workspace' ./internal/core ./internal/seqcolor
@@ -110,8 +113,9 @@ bench-smoke:
 # Allocation gate over the Theorem 1.1 path and the extension's root-ball
 # recoloring on it, the block decomposition it leans on, the ruling
 # forest, the happy-set classification, the (Δ+1)-class schedule, the
-# clique check and the text edge-list parse (a return to one slice per
-# vertex row costs ~10^5 allocs/op there): fails when a benchmark's allocs/op exceeds 1.10×
+# clique check, the text edge-list parse (a return to one slice per
+# vertex row costs ~10^5 allocs/op there) and the gps7 peel coloring (a
+# return to per-layer append buckets costs ~10^3): fails when a benchmark's allocs/op exceeds 1.10×
 # its committed BENCH_PR.json value (growth under benchjson's small
 # absolute slack, pool refills after a GC, is forgiven) or has no committed
 # value. allocs/op barely moves between machines or minutes, so unlike
@@ -119,8 +123,8 @@ bench-smoke:
 # leaves ns/op to bench-smoke.
 bench-allocs:
 	$(GO) test -run xxx -benchtime 3x -benchmem \
-		-bench 'BenchmarkDegreeListColor|BenchmarkBlocks|BenchmarkGallai|BenchmarkSparseListColor/.*/n1e[34]$$|BenchmarkRulingCompute|BenchmarkHappySet|BenchmarkDegPlusOne|BenchmarkRootBallRecolor|BenchmarkFindCliqueDPlus1|BenchmarkReadEdgeList' \
-		. ./internal/graph ./internal/seqcolor ./internal/ruling ./internal/reduce ./internal/core \
+		-bench 'BenchmarkDegreeListColor|BenchmarkBlocks|BenchmarkGallai|BenchmarkSparseListColor/.*/n1e[34]$$|BenchmarkRulingCompute|BenchmarkHappySet|BenchmarkDegPlusOne|BenchmarkRootBallRecolor|BenchmarkFindCliqueDPlus1|BenchmarkReadEdgeList|BenchmarkPeelColor' \
+		. ./internal/graph ./internal/seqcolor ./internal/ruling ./internal/reduce ./internal/core ./internal/gps \
 		| $(GO) run ./cmd/benchjson -check BENCH_PR.json -tolerance 0 -allocs-tolerance 1.10
 
 # Regenerate the persistent benchmark trajectory BENCH_PR.json (committed;

@@ -216,7 +216,7 @@ func peelAndExtend(ctx context.Context, nw *local.Network, res *Result, lists []
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		ext, err := extend(ctx, nw, ledger, s.rich, layers[i], colors, lists, radius)
+		ext, err := extend(ctx, nw, ledger, s, layers[i], colors, lists, radius)
 		if err != nil {
 			return fmt.Errorf("core: extension at layer %d: %w", i+1, err)
 		}

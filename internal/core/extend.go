@@ -7,7 +7,6 @@ import (
 
 	"distcolor/internal/graph"
 	"distcolor/internal/local"
-	"distcolor/internal/reduce"
 	"distcolor/internal/ruling"
 	"distcolor/internal/seqcolor"
 )
@@ -28,13 +27,14 @@ type extendStats struct {
 // Steps: (α, α·log n)-ruling forest of G[R] w.r.t. A with α = 2·radius+2;
 // uncolor the forest T; (d+1)-color G[T] to schedule a leaves-to-root greedy
 // recoloring; finally recolor each root's rich ball with the constructive
-// Theorem 1.1 (valid because roots are happy). richMask is the run's
-// n-sized scratch mask: all false on entry, it holds R during the call and
-// is all false again on return.
-func extend(ctx context.Context, nw *local.Network, ledger *local.Ledger, richMask []bool,
+// Theorem 1.1 (valid because roots are happy). The run's peel state s
+// lends its n-sized rich mask, all false on entry, which holds R during the
+// call and is all false again on return, and its schedule workspace.
+func extend(ctx context.Context, nw *local.Network, ledger *local.Ledger, s *peelState,
 	lay layer, colors []int, lists [][]int, radius int) (extendStats, error) {
 
 	g := nw.G
+	richMask := s.rich
 	var st extendStats
 
 	for _, v := range lay.rich {
@@ -66,7 +66,7 @@ func extend(ctx context.Context, nw *local.Network, ledger *local.Ledger, richMa
 	// --- Schedule: proper coloring of H = G[T] with ≤ Δ(H)+1 classes
 	// (Δ(H) ≤ d when T ⊆ R, per Theorem 1.3; ≤ Δ(G) for Theorem 6.1),
 	// aligned with the tree list.
-	classes := reduce.DegPlusOne(nw, ledger, "extend/schedule", tree)
+	classes := s.sched.DegPlusOne(nw, ledger, "extend/schedule", tree)
 	maxClass := 0
 	for _, c := range classes {
 		maxClass = max(maxClass, c)

@@ -63,7 +63,7 @@ func TestExtendColorsOnlyAliveVertices(t *testing.T) {
 				for _, v := range layers[i].happy {
 					alive[v] = true
 				}
-				if _, err := extend(context.Background(), nw, ledger, s.rich, layers[i], colors, lists, radius); err != nil {
+				if _, err := extend(context.Background(), nw, ledger, s, layers[i], colors, lists, radius); err != nil {
 					t.Fatalf("%s c=%.2f layer %d: %v", tc.name, c, i+1, err)
 				}
 				for v, col := range colors {
@@ -104,7 +104,7 @@ func extendFull(ctx context.Context, nw *local.Network, ledger *local.Ledger, ri
 	for _, v := range forest.Tree {
 		colors[v] = Uncolored
 	}
-	classes := reduce.DegPlusOne(nw, ledger, "extend/schedule", forest.Tree)
+	classes := new(reduce.Workspace).DegPlusOne(nw, ledger, "extend/schedule", forest.Tree)
 	maxClass := slices.Max(append([]int{0}, classes...))
 	buckets := make([][]int, (forest.MaxDepth+1)*(maxClass+1))
 	for i, v := range forest.Tree {
@@ -241,7 +241,7 @@ func TestExtendMatchesFullLayeredPass(t *testing.T) {
 			}
 			gotLedger, wantLedger := &local.Ledger{}, &local.Ledger{}
 			for i := len(layers) - 1; i >= 0; i-- {
-				gotSt, err := extend(context.Background(), nw, gotLedger, s.rich, layers[i], got, lists, radius)
+				gotSt, err := extend(context.Background(), nw, gotLedger, s, layers[i], got, lists, radius)
 				if err != nil {
 					t.Fatalf("%s layer %d: %v", name, i+1, err)
 				}

@@ -4,14 +4,16 @@ import (
 	"slices"
 
 	"distcolor/internal/graph"
+	"distcolor/internal/reduce"
 )
 
 // peelState is the per-vertex state of one peeling run, allocated once per
 // run: the alive vertices as an ascending list, their alive-degrees (kept
 // current by peel, which decrements the alive neighbors of every removed
-// vertex), and the masks that happySet and extend fill from a vertex list
-// and clear by the same list before they return. So each layer's work is
-// proportional to the alive graph, not to n.
+// vertex), the masks that happySet and extend fill from a vertex list and
+// clear by the same list before they return, and extend's schedule
+// workspace. So each layer's work is proportional to the alive graph, not
+// to n.
 type peelState struct {
 	g       *graph.Graph
 	alive   []int // alive vertices, ascending
@@ -21,6 +23,7 @@ type peelState struct {
 	// Masks, all false between uses: rich is G[R] for happySet and extend,
 	// happy the happy set, comp one component of G[R] and ball one ball.
 	rich, happy, comp, ball []bool
+	sched                   reduce.Workspace // extend's (Δ+1)-class schedule
 }
 
 func newPeelState(g *graph.Graph) *peelState {

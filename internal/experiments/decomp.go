@@ -43,7 +43,8 @@ func E19(scale Scale) *Section {
 			panic(err)
 		}
 		var l2 local.Ledger
-		lin := reduce.DegPlusOne(nw, &l2, "linial", nil)
+		var ws reduce.Workspace
+		lin := ws.DegPlusOne(nw, &l2, "linial", nil)
 		if err := reduce.VerifyMaskColoring(g, nil, lin); err != nil {
 			panic(err)
 		}

@@ -8,6 +8,11 @@
 // rounds per layer.
 //
 // Planar7 is the paper's 7-color baseline for planar graphs (Section 1.1).
+//
+// The layers are runs of one flat peel order, each ascending, and each
+// layer's Linial classes are counting-sorted into one buffer sized to the
+// largest layer, so a call allocates its vertex-sized buffers once, at
+// their final size, and one reduce.Workspace schedules every layer.
 package gps
 
 import (
@@ -29,7 +34,9 @@ type Result struct {
 // degree-≤k vertices exhausts the graph (true iff degeneracy(G) ≤ k). It
 // errors out otherwise. Rounds charged: one per peeling layer, plus the
 // within-layer scheduling cost. Cancellation is cooperative, checked once
-// per peeling layer and once per layer-coloring pass.
+// per peeling layer and once per layer-coloring pass. The vertex-sized
+// buffers are allocated once per call at their final size, and one Linial
+// workspace serves every layer.
 func PeelColor(ctx context.Context, nw *local.Network, ledger *local.Ledger, phase string, k int) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -39,98 +46,109 @@ func PeelColor(ctx context.Context, nw *local.Network, ledger *local.Ledger, pha
 	if k < 0 {
 		return nil, fmt.Errorf("gps: negative k")
 	}
-	layerOf := make([]int, n)
-	for v := range layerOf {
-		layerOf[v] = -1
+	peelPhase, linialPhase, recolorPhase := phase+"/peel", phase+"/linial", phase+"/recolor"
+	// layerOf[v] is v's 1-based peeling layer, 0 while v is alive; deg[v] is
+	// v's alive-degree while v is alive.
+	layerOf := make([]int32, n)
+	deg := make([]int32, n)
+	// alive holds the surviving vertices in ascending order; each layer
+	// partitions it stably, in place, into the peeled vertices (appended to
+	// order) and the survivors, so a layer only scans the vertices still
+	// alive and each layer's run of order is ascending. Layer l is
+	// order[start[l-1]:start[l]].
+	alive := make([]int32, n)
+	for v := range n {
+		deg[v] = int32(g.Degree(v))
+		alive[v] = int32(v)
 	}
-	alive := make([]bool, n)
-	aliveCount := n
-	for v := range alive {
-		alive[v] = true
-	}
-	deg := make([]int, n)
-	for v := 0; v < n; v++ {
-		deg[v] = g.Degree(v)
-	}
-	// aliveList holds the surviving vertices in ascending order; each layer
-	// partitions it stably into peeled and survivors, so a layer only scans
-	// the vertices still alive (not all n) and the peel order matches the
-	// full ascending scan exactly.
-	aliveList := make([]int, n)
-	for v := range aliveList {
-		aliveList[v] = v
-	}
-	var peel []int
-	layers := 0
-	for len(aliveList) > 0 {
+	order := make([]int, 0, n)
+	start := []int{0}
+	for len(alive) > 0 {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		layers++
-		peel = peel[:0]
-		survivors := aliveList[:0]
-		for _, v := range aliveList {
-			if deg[v] <= k {
-				peel = append(peel, v)
+		first := len(order)
+		survivors := alive[:0]
+		for _, v := range alive {
+			if int(deg[v]) <= k {
+				order = append(order, int(v))
 			} else {
 				survivors = append(survivors, v)
 			}
 		}
+		peel := order[first:]
 		if len(peel) == 0 {
-			return nil, fmt.Errorf("gps: peeling stalled with %d vertices alive (degeneracy > %d)", aliveCount, k)
+			return nil, fmt.Errorf("gps: peeling stalled with %d vertices alive (degeneracy > %d)", len(alive), k)
 		}
-		aliveList = survivors
+		alive = survivors
+		layer := int32(len(start))
 		for _, v := range peel {
-			layerOf[v] = layers
-			alive[v] = false
-			aliveCount--
+			layerOf[v] = layer
 		}
 		for _, v := range peel {
-			for _, w32 := range g.Neighbors(v) {
-				if alive[w32] {
-					deg[w32]--
+			for _, w := range g.Neighbors(v) {
+				if layerOf[w] == 0 {
+					deg[w]--
 				}
 			}
 		}
+		start = append(start, len(order))
 		if ledger != nil {
-			ledger.Charge(phase+"/peel", 1)
+			ledger.Charge(peelPhase, 1)
 		}
 	}
+	layers := len(start) - 1
 
-	// Color layers from last to first. Layer membership is bucketized once
-	// (ascending vertex order, as the per-layer full scans produced), and
-	// the per-vertex forbidden set {0..k} is a pooled bitset whose FirstZero
-	// is exactly the old "first unused index" scan.
+	// Color layers from last to first. Each layer's Linial classes are
+	// counting-sorted into byClass (sized to the largest layer), ascending
+	// vertex order within a class, and the per-vertex forbidden set {0..k}
+	// is a pooled bitset whose FirstZero is the first unused color.
 	colors := make([]int, n)
 	for v := range colors {
 		colors[v] = reduce.Uncolored
 	}
-	layerVerts := make([][]int, layers+1)
-	for v := 0; v < n; v++ {
-		layerVerts[layerOf[v]] = append(layerVerts[layerOf[v]], v)
+	largest := 0
+	for l := 1; l <= layers; l++ {
+		largest = max(largest, start[l]-start[l-1])
 	}
+	byClass := make([]int32, largest)
+	var next []int32 // next[c]: where class c's next vertex goes in byClass
+	var ws reduce.Workspace
 	used := graph.AcquireBitset(k + 1)
 	defer graph.ReleaseBitset(used)
 	for l := layers; l >= 1; l-- {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		lv := layerVerts[l]
+		lv := order[start[l-1]:start[l]]
 		// Within-layer schedule: Linial classes on the layer-induced graph.
-		classes, palette := reduce.LinialColor(nw, ledger, phase+"/linial", lv)
-		buckets := make([][]int, palette)
-		for i, v := range lv {
-			buckets[classes[i]] = append(buckets[classes[i]], v)
+		classes, palette := ws.LinialColor(nw, ledger, linialPhase, lv)
+		if palette+1 > len(next) {
+			next = make([]int32, palette+1)
 		}
-		for c := 0; c < palette; c++ {
-			for _, v := range buckets[c] {
+		clear(next[:palette+1])
+		for _, c := range classes {
+			next[c+1]++
+		}
+		for c := range palette {
+			next[c+1] += next[c]
+		}
+		for i, c := range classes {
+			byClass[next[c]] = int32(lv[i])
+			next[c]++
+		}
+		// next[c] is now where class c ends, and so where class c+1 starts.
+		lo := int32(0)
+		for c := range palette {
+			class := byClass[lo:next[c]]
+			lo = next[c]
+			for _, v := range class {
 				// v has ≤ k neighbors in its own or later layers, all the
 				// already-colored ones; pick a free color among {0..k}.
 				used.Reset(k + 1)
-				for _, w32 := range g.Neighbors(v) {
-					w := int(w32)
-					if colors[w] >= 0 && colors[w] <= k {
-						used.Set(colors[w])
+				for _, w := range g.Neighbors(int(v)) {
+					if cw := colors[w]; cw >= 0 && cw <= k {
+						used.Set(cw)
 					}
 				}
 				picked := used.FirstZero()
@@ -139,8 +157,8 @@ func PeelColor(ctx context.Context, nw *local.Network, ledger *local.Ledger, pha
 				}
 				colors[v] = picked
 			}
-			if len(buckets[c]) > 0 && ledger != nil {
-				ledger.Charge(phase+"/recolor", 1)
+			if len(class) > 0 && ledger != nil {
+				ledger.Charge(recolorPhase, 1)
 			}
 		}
 	}

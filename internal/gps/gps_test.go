@@ -93,3 +93,37 @@ func TestPeelColorTree(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestPeelColorAllocates checks that a warm Planar7 call on an Apollonian
+// graph of n=1e4 makes at most 64 allocations: its buffers are allocated
+// once at their final size, so the count does not grow with the layers,
+// the classes or n.
+func TestPeelColorAllocates(t *testing.T) {
+	rng := rand.New(rand.NewPCG(26, 3))
+	nw := local.NewShuffledNetwork(gen.Apollonian(10000, rng), rng)
+	allocs := testing.AllocsPerRun(5, func() {
+		var ledger local.Ledger
+		if _, err := Planar7(context.Background(), nw, &ledger); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 64 {
+		t.Fatalf("Planar7 on apollonian n=1e4 made %.0f allocations, want ≤ 64", allocs)
+	}
+}
+
+// BenchmarkPeelColor times Planar7 on the graph shape serve-cold colors: an
+// Apollonian graph of n=1e5 with shuffled IDs, a fresh ledger per op.
+func BenchmarkPeelColor(b *testing.B) {
+	rng := rand.New(rand.NewPCG(26, 4))
+	nw := local.NewShuffledNetwork(gen.Apollonian(100000, rng), rng)
+	b.Run("apollonian_n1e5", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			var ledger local.Ledger
+			if _, err := Planar7(context.Background(), nw, &ledger); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

@@ -21,8 +21,6 @@ import (
 	"math"
 	"math/bits"
 	"math/rand/v2"
-	"slices"
-	"sync"
 
 	"distcolor/internal/graph"
 	"distcolor/internal/local"
@@ -31,51 +29,32 @@ import (
 // Uncolored marks an uncolored vertex.
 const Uncolored = -1
 
-// smallPrimes returns the first primes ≥ 2 up to limit via a sieve.
-func primesUpTo(limit int) []int {
-	if limit < 2 {
-		return nil
-	}
-	sieve := make([]bool, limit+1)
-	var out []int
-	for p := 2; p <= limit; p++ {
-		if !sieve[p] {
-			out = append(out, p)
-			for q := p * p; q <= limit; q += p {
-				sieve[q] = true
-			}
-		}
-	}
-	return out
-}
-
 // linialPrime finds the smallest prime q such that q > d·t where
-// t = ⌈log_q k⌉ (the polynomial degree bound +1). Returns q and t.
+// t = ⌈log_q k⌉ (the polynomial degree bound +1). Returns q and t. It scans
+// q upward with trial division, so it allocates nothing.
 func linialPrime(k, d int) (int, int) {
-	limit := 4 * (d + 2) * (bitsLen(k) + 2)
-	for {
-		for _, q := range primesUpTo(limit) {
-			t := 1
-			pow := q
-			for pow < k {
-				pow *= q
-				t++
-			}
-			if q > d*t {
-				return q, t
-			}
+	for q := 2; ; q++ {
+		if !isPrime(q) {
+			continue
 		}
-		limit *= 2
+		t := 1
+		for pow := q; pow < k; pow *= q {
+			t++
+		}
+		if q > d*t {
+			return q, t
+		}
 	}
 }
 
-func bitsLen(k int) int {
-	n := 0
-	for k > 0 {
-		k >>= 1
-		n++
+// isPrime reports whether q ≥ 2 is prime, by trial division.
+func isPrime(q int) bool {
+	for p := 2; p*p <= q; p++ {
+		if q%p == 0 {
+			return false
+		}
 	}
-	return n
+	return true
 }
 
 // field is arithmetic in GF(q) with division and remainder by q done as
@@ -154,29 +133,29 @@ type member struct {
 	color int32
 }
 
-// workspace is the pooled vertex-indexed state of one reduction over a
-// vertex list: one member record per vertex (rec[v].in == epoch iff v is
-// listed, rec[v].color its current color) and the class counters of
-// recolorOrder (one per color above Δ). The arrays grow on demand. Only the
-// counters are cleared per call: a stale stamp is always older than the
-// next epoch, and colors are only read for members. So a call over a small
-// list in a huge graph touches only the list's entries and its palette's
-// counters, while its inner loops keep direct indexing by vertex ID.
-type workspace struct {
+// Workspace is the caller-held, vertex-indexed state of the reductions over
+// a vertex list: one member record per vertex (rec[v].in == epoch iff v is
+// listed, rec[v].color its current color), the class counters and order of
+// recolorOrder, the neighbor-color buffer of a Linial sweep and the output
+// classes. The zero value is ready to use; the arrays grow on demand, the
+// records to the largest graph seen. Only the counters are cleared per call:
+// a stale stamp is always older than the next epoch, and colors are only
+// read for members. So a call over a small list in a huge graph touches only
+// the list's entries and its palette's counters, while its inner loops keep
+// direct indexing by vertex ID. A Workspace serves one call at a time, and
+// the classes a method returns are valid until the workspace's next call.
+type Workspace struct {
 	rec   []member
 	epoch uint32
 	count []int32
+	order []int32
+	nbrs  []int
+	out   []int
 }
 
-var workspacePool sync.Pool
-
-// acquireWorkspace takes a workspace sized for g from the pool, stamps
-// verts as its members and returns it with Δ(G[verts]).
-func acquireWorkspace(g *graph.Graph, verts []int) (*workspace, int) {
-	ws, _ := workspacePool.Get().(*workspace)
-	if ws == nil {
-		ws = &workspace{}
-	}
+// begin stamps verts as the workspace's members for g and returns
+// Δ(G[verts]).
+func (ws *Workspace) begin(g *graph.Graph, verts []int) int {
 	if ws.epoch == ^uint32(0) { // epoch wrap: clear stamps once every 2³² uses
 		clear(ws.rec)
 		ws.epoch = 0
@@ -199,7 +178,15 @@ func acquireWorkspace(g *graph.Graph, verts []int) (*workspace, int) {
 		}
 		d = max(d, dv)
 	}
-	return ws, d
+	return d
+}
+
+// classes returns the workspace's output buffer cut to n entries.
+func (ws *Workspace) classes(n int) []int {
+	if n > cap(ws.out) {
+		ws.out = make([]int, n)
+	}
+	return ws.out[:n]
 }
 
 // allIfNil returns verts, or every vertex 0..n-1 when verts is nil.
@@ -220,29 +207,28 @@ func allIfNil(verts []int, n int) []int {
 // the Linial prime for (k, Δ). It stops when the palette stops shrinking
 // and returns the coloring, aligned with verts (colors[i] is verts[i]'s),
 // along with the final palette size. Colors lie in [0, palette). Once the
-// pooled workspace has grown to the graph, work and allocation are
-// proportional to the list and its edges, not to n.
-func LinialColor(nw *local.Network, ledger *local.Ledger, phase string, verts []int) ([]int, int) {
+// workspace has grown to the graph, work and allocation are proportional
+// to the list and its edges, not to n.
+func (ws *Workspace) LinialColor(nw *local.Network, ledger *local.Ledger, phase string, verts []int) ([]int, int) {
 	verts = allIfNil(verts, nw.G.N())
-	ws, d := acquireWorkspace(nw.G, verts)
-	defer workspacePool.Put(ws)
-	return ws.linial(nw, ledger, phase, verts, d)
+	return ws.linial(nw, ledger, phase, verts, ws.begin(nw.G, verts))
 }
 
 // linial is LinialColor over the workspace's members verts, whose induced
 // maximum degree is d.
-func (ws *workspace) linial(nw *local.Network, ledger *local.Ledger, phase string, verts []int, d int) ([]int, int) {
+func (ws *Workspace) linial(nw *local.Network, ledger *local.Ledger, phase string, verts []int, d int) ([]int, int) {
 	g := nw.G
 	rec, epoch := ws.rec, ws.epoch
-	out := make([]int, len(verts))
+	out := ws.classes(len(verts))
 	if d == 0 {
 		// no edges: one color suffices, zero rounds
+		clear(out)
 		return out, 1
 	}
 	for _, v := range verts {
 		rec[v].color = int32(nw.ID[v] - 1) // palette [0, n)
 	}
-	var nbrs []int
+	nbrs := ws.nbrs
 	k := g.N()
 	for {
 		q, t := linialPrime(k, d)
@@ -250,6 +236,7 @@ func (ws *workspace) linial(nw *local.Network, ledger *local.Ledger, phase strin
 			for i, v := range verts {
 				out[i] = int(rec[v].color)
 			}
+			ws.nbrs = nbrs
 			return out, k
 		}
 		f := newField(q)
@@ -280,19 +267,21 @@ func (ws *workspace) linial(nw *local.Network, ledger *local.Ledger, phase strin
 // reduces it to the palette [0, Δ+1] by recoloring one color class per
 // round (classes are independent sets, so all members recolor
 // simultaneously). Charges max(0, k-(Δ+1)) rounds. Every vertex ends with a
-// color in [0, deg(v)] ⊆ [0, Δ]; the result is aligned with verts. The
-// palette must fit an int32 (k ≤ MaxInt32).
-func ReduceToMaxDegPlusOne(nw *local.Network, ledger *local.Ledger, phase string,
+// color in [0, deg(v)] ⊆ [0, Δ]; the result is aligned with verts. colors is
+// not modified, and may be classes this workspace returned. The palette
+// must fit an int32 (k ≤ MaxInt32).
+func (ws *Workspace) ReduceToMaxDegPlusOne(nw *local.Network, ledger *local.Ledger, phase string,
 	verts []int, colors []int, k int) []int {
 	verts = allIfNil(verts, nw.G.N())
-	ws, d := acquireWorkspace(nw.G, verts)
-	defer workspacePool.Put(ws)
-	return ws.reduce(nw.G, ledger, phase, verts, slices.Clone(colors), k, d)
+	d := ws.begin(nw.G, verts)
+	out := ws.classes(len(colors))
+	copy(out, colors)
+	return ws.reduce(nw.G, ledger, phase, verts, out, k, d)
 }
 
 // reduce is ReduceToMaxDegPlusOne over the workspace's members verts, whose
 // induced maximum degree is d. It recolors colors in place and returns it.
-func (ws *workspace) reduce(g *graph.Graph, ledger *local.Ledger, phase string,
+func (ws *Workspace) reduce(g *graph.Graph, ledger *local.Ledger, phase string,
 	verts []int, colors []int, k, d int) []int {
 	if k > math.MaxInt32 {
 		panic(fmt.Sprintf("reduce: palette %d exceeds MaxInt32", k))
@@ -335,9 +324,8 @@ func (ws *workspace) reduce(g *graph.Graph, ledger *local.Ledger, phase string,
 // its own class is processed (to a color < lo), and a class is an
 // independent set, so visiting each class in any order recolors it exactly
 // as a simultaneous round would. It is one counting sort whose k-lo+1
-// counters live in the pooled workspace, so a call allocates only the order
-// itself, proportional to the list.
-func (ws *workspace) recolorOrder(colors []int, lo, k int) []int32 {
+// counters and whose output live in the workspace.
+func (ws *Workspace) recolorOrder(colors []int, lo, k int) []int32 {
 	if k-lo+1 > len(ws.count) {
 		ws.count = make([]int32, k-lo+1)
 	}
@@ -351,7 +339,10 @@ func (ws *workspace) recolorOrder(colors []int, lo, k int) []int32 {
 	for j := 1; j < len(above); j++ {
 		above[j] += above[j-1]
 	}
-	order := make([]int32, above[k-lo])
+	if int(above[k-lo]) > cap(ws.order) {
+		ws.order = make([]int32, above[k-lo])
+	}
+	order := ws.order[:above[k-lo]]
 	for i, c := range colors {
 		if c >= lo && c < k {
 			order[above[k-1-c]] = int32(i)
@@ -365,10 +356,9 @@ func (ws *workspace) recolorOrder(colors []int, lo, k int) []int32 {
 // = all vertices), aligned with verts, with colors in [0, Δ] (at most Δ+1
 // colors) in O(log* n + Δ² log Δ) LOCAL rounds: Linial reduction followed
 // by class-by-class reduction.
-func DegPlusOne(nw *local.Network, ledger *local.Ledger, phase string, verts []int) []int {
+func (ws *Workspace) DegPlusOne(nw *local.Network, ledger *local.Ledger, phase string, verts []int) []int {
 	verts = allIfNil(verts, nw.G.N())
-	ws, d := acquireWorkspace(nw.G, verts)
-	defer workspacePool.Put(ws)
+	d := ws.begin(nw.G, verts)
 	colors, k := ws.linial(nw, ledger, phase+"/linial", verts, d)
 	return ws.reduce(nw.G, ledger, phase+"/reduce", verts, colors, k, d)
 }

@@ -2,9 +2,9 @@ package reduce
 
 import (
 	"math"
+	"math/bits"
 	"math/rand/v2"
 	"runtime"
-	"runtime/debug"
 	"slices"
 	"testing"
 
@@ -12,6 +12,68 @@ import (
 	"distcolor/internal/graph"
 	"distcolor/internal/local"
 )
+
+// primesUpTo returns the primes up to limit via a sieve.
+func primesUpTo(limit int) []int {
+	if limit < 2 {
+		return nil
+	}
+	sieve := make([]bool, limit+1)
+	var out []int
+	for p := 2; p <= limit; p++ {
+		if !sieve[p] {
+			out = append(out, p)
+			for q := p * p; q <= limit; q += p {
+				sieve[q] = true
+			}
+		}
+	}
+	return out
+}
+
+// refLinialPrime is linialPrime as it was written over a sieve: the first
+// prime q > d·t among the primes up to a limit, with the limit doubled
+// (and the sieve rebuilt) until one qualifies.
+func refLinialPrime(k, d int) (int, int) {
+	limit := 4 * (d + 2) * (bits.Len(uint(k)) + 2)
+	for {
+		for _, q := range primesUpTo(limit) {
+			t := 1
+			pow := q
+			for pow < k {
+				pow *= q
+				t++
+			}
+			if q > d*t {
+				return q, t
+			}
+		}
+		limit *= 2
+	}
+}
+
+// TestLinialPrimeMatchesSieve checks the trial-division scan against the
+// sieve version for every d ≤ 64 at palettes k ≤ 2³¹: small k, powers of
+// two and their neighbours, and random k.
+func TestLinialPrimeMatchesSieve(t *testing.T) {
+	rng := rand.New(rand.NewPCG(19, 3))
+	ks := []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 49, 100, 1000, 4096, 1e5, 1e6, math.MaxInt32, 1 << 31}
+	for e := 2; e < 31; e++ {
+		ks = append(ks, 1<<e-1, 1<<e+1)
+	}
+	for range 64 {
+		ks = append(ks, 1+rng.IntN(1<<31))
+	}
+	for _, k := range ks {
+		for d := 0; d <= 64; d++ {
+			q, tt := linialPrime(k, d)
+			wq, wt := refLinialPrime(k, d)
+			if q != wq || tt != wt {
+				t.Fatalf("k=%d d=%d: linialPrime (%d, %d), sieve (%d, %d)", k, d, q, tt, wq, wt)
+			}
+		}
+	}
+}
 
 // digitsBaseQ returns the t base-q digits of c (little-endian), i.e. the
 // coefficients of vertex c's polynomial.
@@ -212,10 +274,11 @@ func listOf(mask []bool) []int {
 	return verts
 }
 
-// checkAgainstReference runs LinialColor and DegPlusOne on the list form of
-// mask and the reference copies on the mask, and fails unless classes,
-// palettes and charged rounds (per phase) agree at every listed vertex.
-func checkAgainstReference(t *testing.T, name string, nw *local.Network, mask []bool) {
+// checkAgainstReference runs LinialColor and DegPlusOne on ws over the list
+// form of mask and the reference copies on the mask, and fails unless
+// classes, palettes and charged rounds (per phase) agree at every listed
+// vertex.
+func checkAgainstReference(t *testing.T, name string, ws *Workspace, nw *local.Network, mask []bool) {
 	t.Helper()
 	verts := listOf(mask)
 	all := verts
@@ -226,7 +289,7 @@ func checkAgainstReference(t *testing.T, name string, nw *local.Network, mask []
 		}
 	}
 	var got, want local.Ledger
-	colors, k := LinialColor(nw, &got, "linial", verts)
+	colors, k := ws.LinialColor(nw, &got, "linial", verts)
 	refColors, refK := referenceLinialColor(nw, &want, "linial", mask)
 	if k != refK || len(colors) != len(all) {
 		t.Fatalf("%s: Linial palette %d over %d classes, reference %d over %d vertices", name, k, len(colors), refK, len(all))
@@ -236,7 +299,7 @@ func checkAgainstReference(t *testing.T, name string, nw *local.Network, mask []
 			t.Fatalf("%s: Linial class of %d is %d, reference %d", name, v, colors[i], refColors[v])
 		}
 	}
-	classes := DegPlusOne(nw, &got, "dp1", verts)
+	classes := ws.DegPlusOne(nw, &got, "dp1", verts)
 	refLin, refLinK := referenceLinialColor(nw, &want, "dp1/linial", mask)
 	refClasses := referenceReduce(nw, &want, "dp1/reduce", mask, refLin, refLinK)
 	for i, v := range all {
@@ -252,7 +315,7 @@ func checkAgainstReference(t *testing.T, name string, nw *local.Network, mask []
 // TestLinialMatchesReference checks the list-shaped LinialColor and
 // DegPlusOne against the n-scan originals on GNP, Apollonian, grid and
 // 3-regular graphs under random masks of several densities and a nil mask,
-// with shuffled IDs.
+// with shuffled IDs, all on one held workspace.
 func TestLinialMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewPCG(18, 2))
 	regular, err := gen.RandomRegular(1500, 3, rng)
@@ -268,16 +331,17 @@ func TestLinialMatchesReference(t *testing.T) {
 		{"grid", gen.Grid(40, 45)},
 		{"regular3", regular},
 	}
+	var ws Workspace
 	for _, tc := range graphs {
 		nw := local.NewShuffledNetwork(tc.g, rng)
-		checkAgainstReference(t, tc.name+"/nil", nw, nil)
+		checkAgainstReference(t, tc.name+"/nil", &ws, nw, nil)
 		for _, p := range []float64{0.02, 0.3, 0.7, 1} {
 			for trial := 0; trial < 3; trial++ {
 				mask := make([]bool, tc.g.N())
 				for v := range mask {
 					mask[v] = rng.Float64() < p
 				}
-				checkAgainstReference(t, tc.name, nw, mask)
+				checkAgainstReference(t, tc.name, &ws, nw, mask)
 			}
 		}
 	}
@@ -291,7 +355,7 @@ func TestLinialSmallListInLargeGraph(t *testing.T) {
 	g := gen.Apollonian(100000, rng)
 	nw := local.NewShuffledNetwork(g, rng)
 	mask := smallMask(g, rng)
-	checkAgainstReference(t, "apollonian1e5/100", nw, mask)
+	checkAgainstReference(t, "apollonian1e5/100", new(Workspace), nw, mask)
 }
 
 // smallMask marks 100 vertices of g: a connected patch of 60 (a BFS prefix
@@ -311,12 +375,9 @@ func smallMask(g *graph.Graph, rng *rand.Rand) []bool {
 }
 
 // allocBytes returns the bytes a warm call of fn allocates, as the
-// TotalAlloc delta of a second call after a first. It runs on one P with
-// the collector off, so the second call finds the pooled scratch the first
-// one filled: a per-P pool cache cannot miss and no GC can drop it.
+// TotalAlloc delta of a second call after a first, which finds the scratch
+// the first one grew.
 func allocBytes(fn func()) uint64 {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	fn()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -326,17 +387,16 @@ func allocBytes(fn func()) uint64 {
 }
 
 // TestDegPlusOneAllocatesPerList checks that a warm DegPlusOne over a
-// 100-vertex list in an n=1e5 graph allocates for the list, not for the
-// graph: under 64 KiB, where n-wide scratch would take megabytes.
+// 100-vertex list in an n=1e5 graph, on a held workspace, allocates for the
+// list, not for the graph: under 64 KiB, where n-wide scratch would take
+// megabytes.
 func TestDegPlusOneAllocatesPerList(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops Puts at random under the race detector")
-	}
 	rng := rand.New(rand.NewPCG(18, 9))
 	g := gen.Apollonian(100000, rng)
 	nw := local.NewShuffledNetwork(g, rng)
 	verts := listOf(smallMask(g, rng))
-	if got := allocBytes(func() { DegPlusOne(nw, nil, "", verts) }); got >= 64<<10 {
+	var ws Workspace
+	if got := allocBytes(func() { ws.DegPlusOne(nw, nil, "", verts) }); got >= 64<<10 {
 		t.Fatalf("DegPlusOne over %d of %d vertices allocated %d bytes, want < 64 KiB", len(verts), g.N(), got)
 	}
 }
@@ -344,7 +404,8 @@ func TestDegPlusOneAllocatesPerList(t *testing.T) {
 // BenchmarkDegPlusOne times the (Δ+1)-class schedule in two layer shapes:
 // every vertex of a 3-regular graph (an extension on color-sparse) and the
 // degree-≤6 vertices of an Apollonian graph (gps7's first layer), both at
-// n=1e5 with shuffled IDs.
+// n=1e5 with shuffled IDs, each on one held workspace, as its callers hold
+// one per run.
 func BenchmarkDegPlusOne(b *testing.B) {
 	rng := rand.New(rand.NewPCG(19, 2))
 	regular, err := gen.RandomRegular(100000, 3, rng)
@@ -369,8 +430,9 @@ func BenchmarkDegPlusOne(b *testing.B) {
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
+			var ws Workspace
 			for b.Loop() {
-				DegPlusOne(tc.nw, nil, "", tc.verts)
+				ws.DegPlusOne(tc.nw, nil, "", tc.verts)
 			}
 		})
 	}

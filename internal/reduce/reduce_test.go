@@ -22,10 +22,11 @@ func TestLinialColorProper(t *testing.T) {
 		gen.Grid(40, 50), // n=2000 ≫ Linial fixpoint for Δ=4
 		gen.Cycle(5000),  // n=5000 ≫ fixpoint for Δ=2
 	}
+	var ws Workspace
 	for i, g := range cases {
 		nw := local.NewShuffledNetwork(g, rng)
 		var ledger local.Ledger
-		colors, k := LinialColor(nw, &ledger, "linial", nil)
+		colors, k := ws.LinialColor(nw, &ledger, "linial", nil)
 		if err := VerifyMaskColoring(g, nil, colors); err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
@@ -54,10 +55,11 @@ func TestDegPlusOne(t *testing.T) {
 		gen.Apollonian(100, rng),
 		gen.Path(30),
 	}
+	var ws Workspace
 	for i, g := range cases {
 		nw := local.NewShuffledNetwork(g, rng)
 		var ledger local.Ledger
-		colors := DegPlusOne(nw, &ledger, "dp1", nil)
+		colors := ws.DegPlusOne(nw, &ledger, "dp1", nil)
 		if err := VerifyMaskColoring(g, nil, colors); err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
@@ -83,7 +85,8 @@ func TestDegPlusOneMasked(t *testing.T) {
 		}
 	}
 	nw := local.NewShuffledNetwork(g, rng)
-	classes := DegPlusOne(nw, nil, "", verts)
+	var ws Workspace
+	classes := ws.DegPlusOne(nw, nil, "", verts)
 	colors := make([]int, g.N())
 	for i, v := range verts {
 		colors[v] = classes[i]
@@ -224,7 +227,8 @@ func TestLinialPrime(t *testing.T) {
 func TestReduceEdgeless(t *testing.T) {
 	g := graph.MustNew(5, nil)
 	nw := local.NewNetwork(g)
-	colors, k := LinialColor(nw, nil, "", nil)
+	var ws Workspace
+	colors, k := ws.LinialColor(nw, nil, "", nil)
 	if k != 1 {
 		t.Errorf("edgeless palette=%d, want 1", k)
 	}
@@ -240,7 +244,8 @@ func TestReduceRejectsPalettePastInt32(t *testing.T) {
 			t.Error("palette 2³¹ accepted")
 		}
 	}()
-	ReduceToMaxDegPlusOne(local.NewNetwork(g), nil, "", nil, []int{0, 1, 2}, math.MaxInt32+1)
+	var ws Workspace
+	ws.ReduceToMaxDegPlusOne(local.NewNetwork(g), nil, "", nil, []int{0, 1, 2}, math.MaxInt32+1)
 }
 
 func TestLinialSyncMatchesCentral(t *testing.T) {
@@ -257,6 +262,7 @@ func TestLinialSyncMatchesCentral(t *testing.T) {
 		gen.Cycle(20000),
 		gen.Grid(120, 120),
 	}
+	var ws Workspace
 	for i, g := range cases {
 		nw := local.NewShuffledNetwork(g, rng)
 		var l1, l2 local.Ledger
@@ -264,7 +270,7 @@ func TestLinialSyncMatchesCentral(t *testing.T) {
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
-		centralColors, centralK := LinialColor(nw, &l2, "central", nil)
+		centralColors, centralK := ws.LinialColor(nw, &l2, "central", nil)
 		if err := VerifyMaskColoring(g, nil, centralColors); err != nil {
 			t.Fatalf("case %d central: %v", i, err)
 		}
