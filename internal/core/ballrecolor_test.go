@@ -26,7 +26,6 @@ func colorBallFresh(g *graph.Graph, colors []int, lists [][]int, ball []int) err
 		return err
 	}
 	var w seqcolor.Workspace
-	defer w.Release()
 	subLists := w.EffectiveLists(g, colors, lists, orig)
 	subColors := make([]int, sub.N())
 	for i := range subColors {
@@ -206,7 +205,6 @@ func recolorOutside(rng *rand.Rand, colors []int, ball []int) {
 func TestRootBallReuseMatchesFresh(t *testing.T) {
 	rng := rand.New(rand.NewPCG(20, 1))
 	var ws ballWorkspace
-	defer ws.seq.Release()
 	errs := 0
 	for i, st := range ballSequence(rng) {
 		colors := make([]int, st.host.g.N())
@@ -217,7 +215,7 @@ func TestRootBallReuseMatchesFresh(t *testing.T) {
 		want := slices.Clone(colors)
 		wantErr := colorBallFresh(st.host.g, want, st.host.lists, st.ball)
 		got := slices.Clone(colors)
-		gotErr := colorBallTheorem11(st.host.g, got, st.host.lists, st.ball, false, &ws)
+		gotErr := colorBallTheorem11(st.host.g, got, st.host.lists, st.ball, false, false, &ws)
 		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
 			t.Fatalf("step %d (%s): error %v, fresh path %v", i, st.name, gotErr, wantErr)
 		}
@@ -263,9 +261,8 @@ func allocBytes(fn func()) uint64 {
 
 // TestRootBallAllocatesPerBall checks that once the workspace is warm, the
 // extension's per-ball step — carve the ball, uncolor it, recolor it —
-// allocates only the ball graph's header: a 3-vertex ball in an n=1e5
-// graph costs under 1 KiB, where fresh masks, lists and orders per ball
-// would take several.
+// allocates nothing: a 3-vertex surplus ball in an n=1e5 graph is colored
+// in place on the graph, on the workspace's ball indices and order.
 func TestRootBallAllocatesPerBall(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts at random under the race detector")
@@ -293,14 +290,13 @@ func TestRootBallAllocatesPerBall(t *testing.T) {
 		mask[u] = true
 	}
 	var ws ballWorkspace
-	defer ws.seq.Release()
 	var err error
 	got := allocBytes(func() {
 		ws.ball = g.AppendBall(ws.ball[:0], v, 5, mask)
 		for _, u := range ws.ball {
 			colors[u] = Uncolored
 		}
-		err = colorBallTheorem11(g, colors, lists, ws.ball, false, &ws)
+		err = colorBallTheorem11(g, colors, lists, ws.ball, false, true, &ws)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -308,8 +304,14 @@ func TestRootBallAllocatesPerBall(t *testing.T) {
 	if len(ws.ball) != 3 {
 		t.Fatalf("ball has %d vertices, want 3", len(ws.ball))
 	}
-	if got >= 1<<10 {
-		t.Fatalf("recoloring a 3-vertex ball in an n=%d graph allocated %d bytes, want < 1 KiB", g.N(), got)
+	for _, u := range ws.ball {
+		colors[u] = Uncolored
+	}
+	if !ws.seq.ColorSurplusBall(g, colors, lists, ws.ball, true) {
+		t.Fatal("the surplus ball was not colored in place")
+	}
+	if got != 0 {
+		t.Fatalf("recoloring a 3-vertex ball in an n=%d graph allocated %d bytes, want 0", g.N(), got)
 	}
 }
 
@@ -350,10 +352,12 @@ func layerOneRootBalls(b *testing.B, name string, g *graph.Graph, d int) rootBal
 	return rootBallCase{name, g, res.Lists, res.Colors, richMask, lay.blocks, forest.Roots, radius}
 }
 
-// BenchmarkRootBallRecolor times extend's root-ball step on one workspace
-// per op, as one extension layer runs it: the ~10⁴ small balls of the
-// first layer of an Apollonian graph at n=1e5 (the surplus path), and the
-// single ball spanning a 3-regular graph at n=1e4 (the Brooks path).
+// BenchmarkRootBallRecolor times extend's root-ball step as one extension
+// layer runs it, on carved balls and one workspace held across ops, as a
+// run holds one across its layers: the ~10⁴ small balls of the first layer
+// of an Apollonian graph at n=1e5 (the in-place surplus path), and the
+// single ball spanning a 3-regular graph at n=1e4 (the induced Brooks
+// path).
 func BenchmarkRootBallRecolor(b *testing.B) {
 	rng := rand.New(rand.NewPCG(20, 3))
 	regular, err := gen.RandomRegular(10000, 3, rng)
@@ -368,21 +372,20 @@ func BenchmarkRootBallRecolor(b *testing.B) {
 		c := mk()
 		b.Run(c.name, func(b *testing.B) {
 			colors := slices.Clone(c.colors)
+			var ws ballWorkspace
 			b.ReportAllocs()
 			b.ResetTimer()
 			for range b.N {
-				var ws ballWorkspace
 				for _, r := range c.roots {
 					ws.ball = c.g.AppendBall(ws.ball[:0], r, c.radius, c.richMask)
 					for _, u := range ws.ball {
 						colors[u] = Uncolored
 					}
 					_, oneBlock := slices.BinarySearch(c.blocks, slices.Min(ws.ball))
-					if err := colorBallTheorem11(c.g, colors, c.lists, ws.ball, oneBlock, &ws); err != nil {
+					if err := colorBallTheorem11(c.g, colors, c.lists, ws.ball, oneBlock, true, &ws); err != nil {
 						b.Fatal(err)
 					}
 				}
-				ws.seq.Release()
 			}
 			b.StopTimer()
 			if !slices.Equal(colors, c.colors) {

@@ -29,12 +29,14 @@ type extendStats struct {
 // recoloring; finally recolor each root's rich ball with the constructive
 // Theorem 1.1 (valid because roots are happy). The run's peel state s
 // lends its n-sized rich mask, all false on entry, which holds R during the
-// call and is all false again on return, and its schedule workspace.
+// call and is all false again on return, its schedule workspace and its
+// ball workspace.
 func extend(ctx context.Context, nw *local.Network, ledger *local.Ledger, s *peelState,
 	lay layer, colors []int, lists [][]int, radius int) (extendStats, error) {
 
 	g := nw.G
 	richMask := s.rich
+	ws := &s.balls
 	var st extendStats
 
 	for _, v := range lay.rich {
@@ -101,7 +103,7 @@ func extend(ctx context.Context, nw *local.Network, ledger *local.Ledger, s *pee
 				continue
 			}
 			if depth > radius {
-				if err := seqcolor.GreedyInOrder(g, colors, lists, bucket); err != nil {
+				if err := ws.seq.GreedyInOrder(g, colors, lists, bucket); err != nil {
 					return st, fmt.Errorf("layered pass at depth %d: %w", depth, err)
 				}
 			}
@@ -112,19 +114,17 @@ func extend(ctx context.Context, nw *local.Network, ledger *local.Ledger, s *pee
 	// --- Root balls: uncolor each root's rich ball entirely and recolor it
 	// with the constructive Theorem 1.1. Balls of distinct roots are
 	// disjoint and non-adjacent (α = 2·radius+2), so the components of the
-	// uncolored set are exactly the balls. One workspace serves every ball.
-	// A ball holding the minimum of a one-block component of the layer is
-	// that whole component, so it is one bad block.
+	// uncolored set are exactly the balls. The run's one workspace serves
+	// every ball. A ball holding the minimum of a one-block component of the
+	// layer is that whole component, so it is one bad block.
 	if len(forest.Roots) > 0 {
-		var ws ballWorkspace
-		defer ws.seq.Release()
 		for _, r := range forest.Roots {
 			ws.ball = g.AppendBall(ws.ball[:0], r, radius, richMask)
 			for _, u := range ws.ball {
 				colors[u] = Uncolored
 			}
 			_, oneBlock := slices.BinarySearch(lay.blocks, slices.Min(ws.ball))
-			if err := colorBallTheorem11(g, colors, lists, ws.ball, oneBlock, &ws); err != nil {
+			if err := colorBallTheorem11(g, colors, lists, ws.ball, oneBlock, true, ws); err != nil {
 				return st, fmt.Errorf("root %d ball: %w", r, err)
 			}
 		}
@@ -134,10 +134,11 @@ func extend(ctx context.Context, nw *local.Network, ledger *local.Ledger, s *pee
 	return st, nil
 }
 
-// ballWorkspace is the scratch extend reuses across its root balls: the
-// ball, its induced graph's arrays, its lists and colors and the Theorem
-// 1.1 workspace. Each array grows to the largest ball, to exactly the size
-// needed.
+// ballWorkspace is the scratch extend reuses across its layers and root
+// balls, one per run: the ball, its induced graph's arrays, its lists and
+// colors and the Theorem 1.1 workspace, whose palette bitset also serves
+// the layered pass. Each array grows to the largest ball, to exactly the
+// size needed.
 type ballWorkspace struct {
 	ball   []int
 	ind    graph.InducedBuf
@@ -146,14 +147,21 @@ type ballWorkspace struct {
 	seq    seqcolor.Workspace
 }
 
-// colorBallTheorem11 materializes the (fully uncolored) ball as its own
-// graph, filters each vertex's list by the colors of its colored neighbors
-// (all outside the ball), runs seqcolor.DegreeListColor (constructive
-// Theorem 1.1) and writes the colors back, all on ws's scratch. The
-// happiness of the root guarantees the hypotheses: the ball has a surplus
-// vertex or is not a Gallai tree. oneBlock tells that the ball is one bad
-// block.
-func colorBallTheorem11(g *graph.Graph, colors []int, lists [][]int, ball []int, oneBlock bool, ws *ballWorkspace) error {
+// colorBallTheorem11 colors the (fully uncolored) ball with the
+// constructive Theorem 1.1, all on ws's scratch. The happiness of the root
+// guarantees the hypotheses: the ball has a surplus vertex or is not a
+// Gallai tree. oneBlock tells that the ball is one bad block, and carved
+// that it is in g.AppendBall's order.
+//
+// A ball with a surplus vertex is colored in place on g
+// (seqcolor.Workspace.ColorSurplusBall). Any other ball is materialized as
+// its own graph, each vertex's list is filtered by the colors of its
+// colored neighbors (all outside the ball), seqcolor.DegreeListColor runs
+// on the copy and the colors are written back. Both give the same colors.
+func colorBallTheorem11(g *graph.Graph, colors []int, lists [][]int, ball []int, oneBlock, carved bool, ws *ballWorkspace) error {
+	if !oneBlock && ws.seq.ColorSurplusBall(g, colors, lists, ball, carved) {
+		return nil
+	}
 	sub, err := g.InducedInto(&ws.ind, ball)
 	if err != nil {
 		return err

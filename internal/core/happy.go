@@ -24,6 +24,7 @@ type peelState struct {
 	// happy the happy set, comp one component of G[R] and ball one ball.
 	rich, happy, comp, ball []bool
 	sched                   reduce.Workspace // extend's (Δ+1)-class schedule
+	balls                   ballWorkspace    // extend's layered pass and root balls
 }
 
 func newPeelState(g *graph.Graph) *peelState {

@@ -102,7 +102,7 @@ func PeelColor(ctx context.Context, nw *local.Network, ledger *local.Ledger, pha
 	// Color layers from last to first. Each layer's Linial classes are
 	// counting-sorted into byClass (sized to the largest layer), ascending
 	// vertex order within a class, and the per-vertex forbidden set {0..k}
-	// is a pooled bitset whose FirstZero is the first unused color.
+	// is one bitset per call whose FirstZero is the first unused color.
 	colors := make([]int, n)
 	for v := range colors {
 		colors[v] = reduce.Uncolored
@@ -114,8 +114,7 @@ func PeelColor(ctx context.Context, nw *local.Network, ledger *local.Ledger, pha
 	byClass := make([]int32, largest)
 	var next []int32 // next[c]: where class c's next vertex goes in byClass
 	var ws reduce.Workspace
-	used := graph.AcquireBitset(k + 1)
-	defer graph.ReleaseBitset(used)
+	used := graph.NewBitset(k + 1)
 	for l := layers; l >= 1; l-- {
 		if err := ctx.Err(); err != nil {
 			return nil, err

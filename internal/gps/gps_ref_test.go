@@ -18,7 +18,8 @@ import (
 
 // refPeelColor is PeelColor as it was written with per-layer vertex
 // buckets, a peel list and per-class buckets that all grow by append, and a
-// pooled Linial workspace (here a fresh one per layer). It is the
+// pooled Linial workspace and palette bitset (here a fresh workspace per
+// layer and one bitset per call). It is the
 // differential oracle for the flat PeelColor.
 func refPeelColor(ctx context.Context, nw *local.Network, ledger *local.Ledger, phase string, k int) (*gps.Result, error) {
 	if ctx == nil {
@@ -89,7 +90,7 @@ func refPeelColor(ctx context.Context, nw *local.Network, ledger *local.Ledger, 
 
 	// Color layers from last to first. Layer membership is bucketized once
 	// (ascending vertex order, as the per-layer full scans produced), and
-	// the per-vertex forbidden set {0..k} is a pooled bitset whose FirstZero
+	// the per-vertex forbidden set {0..k} is a bitset whose FirstZero
 	// is exactly the old "first unused index" scan.
 	colors := make([]int, n)
 	for v := range colors {
@@ -99,8 +100,7 @@ func refPeelColor(ctx context.Context, nw *local.Network, ledger *local.Ledger, 
 	for v := 0; v < n; v++ {
 		layerVerts[layerOf[v]] = append(layerVerts[layerOf[v]], v)
 	}
-	used := graph.AcquireBitset(k + 1)
-	defer graph.ReleaseBitset(used)
+	used := graph.NewBitset(k + 1)
 	for l := layers; l >= 1; l-- {
 		if err := ctx.Err(); err != nil {
 			return nil, err

@@ -1,20 +1,17 @@
 package graph
 
-import (
-	"math/bits"
-	"sync"
-)
+import "math/bits"
 
 // Bitset is a fixed-width set over {0, …, Len()-1} backed by a flat []uint64,
 // built for the palette loops of the color-reduction algorithms: marking the
 // colors a vertex's neighbors use and then finding the smallest free one.
 // Every word is epoch-stamped the same way Traversal stamps its visit marks,
 // so Reset is O(1) — a stale word reads as zero until first touched — and a
-// pooled Bitset can be reused across millions of tiny palettes with no
-// per-use clearing and no allocation.
+// Bitset its owner holds can be reused across millions of tiny palettes
+// with no per-use clearing and no allocation.
 //
-// A Bitset is owned by one goroutine at a time. Obtain one with
-// AcquireBitset/ReleaseBitset (pooled) or NewBitset (long-lived).
+// A Bitset is owned by one goroutine at a time. The zero value is an empty
+// set over {}; NewBitset returns one of a given width.
 type Bitset struct {
 	words []uint64
 	stamp []uint32
@@ -28,22 +25,6 @@ func NewBitset(n int) *Bitset {
 	b.Reset(n)
 	return b
 }
-
-var bitsetPool sync.Pool
-
-// AcquireBitset takes an empty bitset over {0..n-1} from the package pool.
-// Pair with ReleaseBitset when done.
-func AcquireBitset(n int) *Bitset {
-	if b, ok := bitsetPool.Get().(*Bitset); ok {
-		b.Reset(n)
-		return b
-	}
-	return NewBitset(n)
-}
-
-// ReleaseBitset returns a bitset obtained from AcquireBitset to the pool.
-// The bitset must not be used afterwards.
-func ReleaseBitset(b *Bitset) { bitsetPool.Put(b) }
 
 // Reset empties the set and resizes it to {0..n-1} in O(words grown): live
 // words are invalidated by bumping the epoch, not cleared.

@@ -164,20 +164,18 @@ func TestBitsetFullAndEmpty(t *testing.T) {
 	}
 }
 
-// TestBitsetPoolReuse checks that a released bitset re-acquired at a larger
-// width starts empty — the epoch stamp, not a clear, must guarantee it.
-func TestBitsetPoolReuse(t *testing.T) {
-	b := AcquireBitset(64)
+// TestBitsetResetReuse checks that a full bitset reset to a larger width
+// starts empty — the epoch stamp, not a clear, must guarantee it.
+func TestBitsetResetReuse(t *testing.T) {
+	b := NewBitset(64)
 	for i := 0; i < 64; i++ {
 		b.Set(i)
 	}
-	ReleaseBitset(b)
-	c := AcquireBitset(200)
-	if got := c.Count(); got != 0 {
-		t.Fatalf("re-acquired bitset not empty: Count() = %d", got)
+	b.Reset(200)
+	if got := b.Count(); got != 0 {
+		t.Fatalf("reset bitset not empty: Count() = %d", got)
 	}
-	if got := c.FirstZero(); got != 0 {
-		t.Fatalf("re-acquired bitset: FirstZero() = %d, want 0", got)
+	if got := b.FirstZero(); got != 0 {
+		t.Fatalf("reset bitset: FirstZero() = %d, want 0", got)
 	}
-	ReleaseBitset(c)
 }

@@ -136,14 +136,15 @@ type member struct {
 // Workspace is the caller-held, vertex-indexed state of the reductions over
 // a vertex list: one member record per vertex (rec[v].in == epoch iff v is
 // listed, rec[v].color its current color), the class counters and order of
-// recolorOrder, the neighbor-color buffer of a Linial sweep and the output
-// classes. The zero value is ready to use; the arrays grow on demand, the
-// records to the largest graph seen. Only the counters are cleared per call:
-// a stale stamp is always older than the next epoch, and colors are only
-// read for members. So a call over a small list in a huge graph touches only
-// the list's entries and its palette's counters, while its inner loops keep
-// direct indexing by vertex ID. A Workspace serves one call at a time, and
-// the classes a method returns are valid until the workspace's next call.
+// recolorOrder, the neighbor-color buffer of a Linial sweep, the output
+// classes and the class reduction's palette bitset. The zero value is ready
+// to use; the arrays grow on demand, the records to the largest graph seen.
+// Only the counters are cleared per call: a stale stamp is always older
+// than the next epoch, and colors are only read for members. So a call over
+// a small list in a huge graph touches only the list's entries and its
+// palette's counters, while its inner loops keep direct indexing by vertex
+// ID. A Workspace serves one call at a time, and the classes a method
+// returns are valid until the workspace's next call.
 type Workspace struct {
 	rec   []member
 	epoch uint32
@@ -151,6 +152,7 @@ type Workspace struct {
 	order []int32
 	nbrs  []int
 	out   []int
+	used  graph.Bitset
 }
 
 // begin stamps verts as the workspace's members for g and returns
@@ -295,8 +297,7 @@ func (ws *Workspace) reduce(g *graph.Graph, ledger *local.Ledger, phase string,
 		rec[v].color = int32(colors[i])
 	}
 	order := ws.recolorOrder(colors, lo, k)
-	used := graph.AcquireBitset(d + 1)
-	defer graph.ReleaseBitset(used)
+	used := &ws.used
 	for _, i := range order {
 		v := verts[i]
 		used.Reset(d + 1)

@@ -122,7 +122,6 @@ func TestBrooksTripleMatchesReference(t *testing.T) {
 	}
 	graphs = append(graphs, g)
 	var w Workspace
-	defer w.Release()
 	for i, d := range graphs {
 		n := d.N()
 		x, y, z, order, err := w.brooksTriple(d, w.maskAllBut(n, -1, -1))

@@ -92,7 +92,6 @@ func blockLists(g *graph.Graph, shape int, rng *rand.Rand) [][]int {
 func TestDegreeListColorBadBlockMatchesDegreeListColor(t *testing.T) {
 	rng := rand.New(rand.NewPCG(22, 2))
 	var w Workspace
-	defer w.Release()
 	for i, g := range badBlocks(t, rng) {
 		for shape := range 5 {
 			lists := blockLists(g, shape, rng)

@@ -207,11 +207,16 @@ func scanFree(g *graph.Graph, colors []int, list []int, v int, b *graph.Bitset, 
 
 // GreedyInOrder colors the given vertices greedily in order from their
 // lists (first free color in list order), skipping already-colored
-// vertices; it fails if some vertex has no free color.
+// vertices; it fails if some vertex has no free color. Callers running
+// many greedy passes should keep a Workspace and call its GreedyInOrder.
 func GreedyInOrder(g *graph.Graph, colors []int, lists [][]int, order []int) error {
-	b := graph.AcquireBitset(0)
-	defer graph.ReleaseBitset(b)
-	return greedyInOrder(g, colors, lists, order, b)
+	var b graph.Bitset
+	return greedyInOrder(g, colors, lists, order, &b)
+}
+
+// GreedyInOrder is the package-level GreedyInOrder on w's palette scratch.
+func (w *Workspace) GreedyInOrder(g *graph.Graph, colors []int, lists [][]int, order []int) error {
+	return greedyInOrder(g, colors, lists, order, &w.b)
 }
 
 // greedyInOrder is GreedyInOrder with the palette scratch b supplied.
@@ -233,24 +238,26 @@ func greedyInOrder(g *graph.Graph, colors []int, lists [][]int, order []int, b *
 	return nil
 }
 
-// Workspace is the reusable scratch of DegreeListColor and EffectiveLists:
-// the masks, the component walk, reverse-BFS orders, effective lists, the
-// palette bitset, and the bad block's graph, lists and colors. Each array
-// grows to the largest graph the workspace has served, to exactly the size
-// needed, and is reused by later calls, so a stream of small graphs (the
-// root balls of Lemma 3.2) costs no allocation per graph once warm. The
-// zero value is ready to use; call Release when done with it. A Workspace
-// is owned by one goroutine at a time.
+// Workspace is the reusable scratch of DegreeListColor, EffectiveLists,
+// GreedyInOrder and ColorSurplusBall: the masks, the component walk,
+// reverse-BFS orders, effective lists, the palette bitset, the ball
+// indices, and the bad block's graph, lists and colors. Each array grows
+// to the largest graph the workspace has served, to exactly the size
+// needed, and is reused by later calls, so a stream of small graphs or
+// balls (the root balls of Lemma 3.2) costs no allocation per graph once
+// warm. The zero value is ready to use. A Workspace is owned by one
+// goroutine at a time.
 type Workspace struct {
-	b         *graph.Bitset // pooled; taken on first use, handed back by Release
-	unc       []bool        // uncolored vertices; the component walk consumes it
-	comp      []bool        // the current component; all false between components
-	mask      []bool        // the tight-block steps' masks
-	compVerts []int         // the last walk's components, back to back
-	compEnds  []int         // component i is compVerts[compEnds[i-1]:compEnds[i]]
-	order     []int         // the last reverse-BFS order
-	lists     listBuf       // EffectiveLists' result
-	block     blockScratch  // the bad block's graph, lists and colors
+	b         graph.Bitset // palette scratch of every list scan
+	at        []int32      // ColorSurplusBall's 1-based ball indices; all 0 between calls
+	unc       []bool       // uncolored vertices; the component walk consumes it
+	comp      []bool       // the current component; all false between components
+	mask      []bool       // the tight-block steps' masks
+	compVerts []int        // the last walk's components, back to back
+	compEnds  []int        // component i is compVerts[compEnds[i-1]:compEnds[i]]
+	order     []int        // the last reverse-BFS order
+	lists     listBuf      // EffectiveLists' result
+	block     blockScratch // the bad block's graph, lists and colors
 }
 
 // listBuf holds effective lists on one flat backing array.
@@ -275,22 +282,6 @@ func grow[T any](s []T, n int) []T {
 		return make([]T, n)
 	}
 	return s[:n]
-}
-
-func (w *Workspace) bits() *graph.Bitset {
-	if w.b == nil {
-		w.b = graph.AcquireBitset(0)
-	}
-	return w.b
-}
-
-// Release hands the workspace's pooled bitset back. The workspace stays
-// usable; its next call takes another.
-func (w *Workspace) Release() {
-	if w.b != nil {
-		graph.ReleaseBitset(w.b)
-		w.b = nil
-	}
 }
 
 // reverseBFSOrder returns the vertices of the masked component of src in
@@ -327,7 +318,6 @@ func (w *Workspace) reverseBFSOrder(g *graph.Graph, src int, mask []bool) []int 
 // should keep one and call its DegreeListColor.
 func DegreeListColor(g *graph.Graph, colors []int, lists [][]int) error {
 	var w Workspace
-	defer w.Release()
 	return w.DegreeListColor(g, colors, lists)
 }
 
@@ -429,7 +419,7 @@ func appendEffectiveList(dst []int, g *graph.Graph, colors []int, list []int, v 
 // one can never spill into the next. The lists are valid until w's next
 // EffectiveLists call.
 func (w *Workspace) EffectiveLists(g *graph.Graph, colors []int, lists [][]int, verts []int) [][]int {
-	return w.lists.cut(g, colors, lists, verts, w.bits())
+	return w.lists.cut(g, colors, lists, verts, &w.b)
 }
 
 // cut fills l with the effective lists of verts and returns them.
@@ -453,7 +443,7 @@ func (l *listBuf) cut(g *graph.Graph, colors []int, lists [][]int, verts []int, 
 // exactly on comp's vertices; the caller owns (and clears) it.
 func (w *Workspace) colorComponent(g *graph.Graph, colors []int, lists [][]int, comp []int, compMask []bool, oneBlock bool) error {
 	// Pass 1: validate the hypothesis, and find a surplus vertex if any.
-	b := w.bits()
+	b := &w.b
 	surplus := -1
 	for _, v := range comp {
 		es := 0
@@ -517,7 +507,7 @@ func (w *Workspace) colorComponent(g *graph.Graph, colors []int, lists [][]int, 
 // The recursion runs on a workspace of its own: w's component walk is still
 // in use by the caller's loop.
 func (w *Workspace) gallaiTightFallback(g *graph.Graph, colors []int, lists [][]int, comp []int, compMask []bool) error {
-	b := w.bits()
+	b := &w.b
 	for _, u := range comp {
 		eu := appendEffectiveList(nil, g, colors, lists[u], u, b)
 		for _, w32 := range g.Neighbors(u) {
@@ -533,7 +523,6 @@ func (w *Workspace) gallaiTightFallback(g *graph.Graph, colors []int, lists [][]
 			colors[u] = a
 			// Recurse on each remaining uncolored sub-component.
 			var sub Workspace
-			defer sub.Release()
 			sub.unc = make([]bool, g.N())
 			count := 0
 			for _, v := range comp {
@@ -591,7 +580,7 @@ func (w *Workspace) colorBadBlock(g *graph.Graph, colors []int, lists [][]int, b
 	// only reads them).
 	eff := lists
 	if verts != nil {
-		eff = s.lists.cut(g, colors, lists, verts, w.bits())
+		eff = s.lists.cut(g, colors, lists, verts, &w.b)
 	}
 	sub := grow(s.colors, d.N())
 	s.colors = sub
@@ -645,7 +634,7 @@ func (w *Workspace) colorTwoConnectedTight(d *graph.Graph, sub []int, eff [][]in
 	for v := 0; v < n; v++ {
 		if len(eff[v]) > d.Degree(v) {
 			order := w.reverseBFSOrder(d, v, nil)
-			return greedyInOrder(d, sub, eff, order, w.bits())
+			return greedyInOrder(d, sub, eff, order, &w.b)
 		}
 	}
 	// (b) an edge with different lists: color u with a ∈ L(u)\L(x); x gains
@@ -659,7 +648,7 @@ func (w *Workspace) colorTwoConnectedTight(d *graph.Graph, sub []int, eff [][]in
 				sub[u] = a
 				mask := w.maskAllBut(n, u, u)
 				order := w.reverseBFSOrder(d, x, mask)
-				return greedyInOrder(d, sub, eff, order, w.bits())
+				return greedyInOrder(d, sub, eff, order, &w.b)
 			}
 		}
 	}
@@ -685,7 +674,7 @@ func (w *Workspace) colorTwoConnectedTight(d *graph.Graph, sub []int, eff [][]in
 	a := eff[x][0]
 	sub[x] = a
 	sub[y] = a
-	return greedyInOrder(d, sub, eff, order, w.bits())
+	return greedyInOrder(d, sub, eff, order, &w.b)
 }
 
 // sameLists reports whether every list equals the first.

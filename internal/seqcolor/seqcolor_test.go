@@ -490,7 +490,7 @@ func TestPaletteScanMatchesNaive(t *testing.T) {
 					verts[v] = v
 				}
 				eff := new(Workspace).EffectiveLists(g, colors, lists, verts)
-				b := graph.AcquireBitset(0)
+				b := graph.NewBitset(0)
 				for v := 0; v < n; v++ {
 					want, wantUnc := naiveFree(g, colors, lists[v], v)
 					if !slices.Equal(eff[v], want) {
@@ -514,7 +514,6 @@ func TestPaletteScanMatchesNaive(t *testing.T) {
 						t.Fatalf("%s/%s/%.1f: vertex %d first-fit %d (%v), want %d", gname, lname, colored, v, one[v], err, want[0])
 					}
 				}
-				graph.ReleaseBitset(b)
 			}
 		}
 	}

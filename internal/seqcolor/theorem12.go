@@ -75,7 +75,6 @@ func SparseListColor(g *graph.Graph, d int, lists [][]int) ([]int, error) {
 	// equal to K_{d+1} is the excluded clique; otherwise Theorem 1.1 applies.
 	compMask := make([]bool, n)
 	var w Workspace
-	defer w.Release()
 	for _, comp := range g.Components(alive) {
 		if len(comp) == d+1 && g.IsClique(comp) {
 			return nil, &CliqueError{Clique: comp}
@@ -95,7 +94,7 @@ func SparseListColor(g *graph.Graph, d int, lists [][]int) ([]int, error) {
 	// all of which are the only ones colored after it, so a list of size d
 	// always has a free color.
 	slices.Reverse(stack)
-	if err := GreedyInOrder(g, colors, lists, stack); err != nil {
+	if err := w.GreedyInOrder(g, colors, lists, stack); err != nil {
 		return nil, fmt.Errorf("seqcolor: internal: peel unwind: %w", err)
 	}
 	return colors, nil

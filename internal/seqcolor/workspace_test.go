@@ -21,7 +21,6 @@ import (
 func TestWorkspaceReuseMatchesFresh(t *testing.T) {
 	rng := rand.New(rand.NewPCG(20, 4))
 	var w Workspace
-	defer w.Release()
 	fails := 0
 	for trial := range 300 {
 		var g *graph.Graph
