@@ -215,7 +215,7 @@ func TestRootBallReuseMatchesFresh(t *testing.T) {
 		want := slices.Clone(colors)
 		wantErr := colorBallFresh(st.host.g, want, st.host.lists, st.ball)
 		got := slices.Clone(colors)
-		gotErr := colorBallTheorem11(st.host.g, got, st.host.lists, st.ball, false, false, &ws)
+		gotErr := colorBallTheorem11(st.host.g, got, st.host.lists, st.ball, false, &ws)
 		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
 			t.Fatalf("step %d (%s): error %v, fresh path %v", i, st.name, gotErr, wantErr)
 		}
@@ -296,7 +296,7 @@ func TestRootBallAllocatesPerBall(t *testing.T) {
 		for _, u := range ws.ball {
 			colors[u] = Uncolored
 		}
-		err = colorBallTheorem11(g, colors, lists, ws.ball, false, true, &ws)
+		err = colorBallTheorem11(g, colors, lists, ws.ball, false, &ws)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -307,7 +307,7 @@ func TestRootBallAllocatesPerBall(t *testing.T) {
 	for _, u := range ws.ball {
 		colors[u] = Uncolored
 	}
-	if !ws.seq.ColorSurplusBall(g, colors, lists, ws.ball, true) {
+	if !ws.seq.ColorSurplusBall(g, colors, lists, ws.ball) {
 		t.Fatal("the surplus ball was not colored in place")
 	}
 	if got != 0 {
@@ -382,7 +382,7 @@ func BenchmarkRootBallRecolor(b *testing.B) {
 						colors[u] = Uncolored
 					}
 					_, oneBlock := slices.BinarySearch(c.blocks, slices.Min(ws.ball))
-					if err := colorBallTheorem11(c.g, colors, c.lists, ws.ball, oneBlock, true, &ws); err != nil {
+					if err := colorBallTheorem11(c.g, colors, c.lists, ws.ball, oneBlock, &ws); err != nil {
 						b.Fatal(err)
 					}
 				}

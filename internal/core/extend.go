@@ -124,7 +124,7 @@ func extend(ctx context.Context, nw *local.Network, ledger *local.Ledger, s *pee
 				colors[u] = Uncolored
 			}
 			_, oneBlock := slices.BinarySearch(lay.blocks, slices.Min(ws.ball))
-			if err := colorBallTheorem11(g, colors, lists, ws.ball, oneBlock, true, ws); err != nil {
+			if err := colorBallTheorem11(g, colors, lists, ws.ball, oneBlock, ws); err != nil {
 				return st, fmt.Errorf("root %d ball: %w", r, err)
 			}
 		}
@@ -150,16 +150,16 @@ type ballWorkspace struct {
 // colorBallTheorem11 colors the (fully uncolored) ball with the
 // constructive Theorem 1.1, all on ws's scratch. The happiness of the root
 // guarantees the hypotheses: the ball has a surplus vertex or is not a
-// Gallai tree. oneBlock tells that the ball is one bad block, and carved
-// that it is in g.AppendBall's order.
+// Gallai tree. oneBlock tells that the ball is one bad block. The ball
+// is in g.AppendBall's order, which the in-place path relies on.
 //
 // A ball with a surplus vertex is colored in place on g
 // (seqcolor.Workspace.ColorSurplusBall). Any other ball is materialized as
 // its own graph, each vertex's list is filtered by the colors of its
 // colored neighbors (all outside the ball), seqcolor.DegreeListColor runs
 // on the copy and the colors are written back. Both give the same colors.
-func colorBallTheorem11(g *graph.Graph, colors []int, lists [][]int, ball []int, oneBlock, carved bool, ws *ballWorkspace) error {
-	if !oneBlock && ws.seq.ColorSurplusBall(g, colors, lists, ball, carved) {
+func colorBallTheorem11(g *graph.Graph, colors []int, lists [][]int, ball []int, oneBlock bool, ws *ballWorkspace) error {
+	if !oneBlock && ws.seq.ColorSurplusBall(g, colors, lists, ball) {
 		return nil
 	}
 	sub, err := g.InducedInto(&ws.ind, ball)

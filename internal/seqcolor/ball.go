@@ -21,24 +21,19 @@ import (
 // list is shorter than the vertex's degree in the ball; or the greedy gets
 // stuck, which a list repeating a color can cause.
 //
-// bfsOrdered tells that ball is in the BFS order of the subgraph from
-// ball[0], as g.AppendBall carves it, so the component walk is ball itself.
-func (w *Workspace) ColorSurplusBall(g *graph.Graph, colors []int, lists [][]int, ball []int, bfsOrdered bool) bool {
+// A connected ball must list the BFS, from ball[0], of the subgraph it
+// induces, as g.AppendBall carves it: that is the copy's component walk,
+// so ball's own order picks the same surplus vertex the copy would. A ball
+// the surplus vertex's BFS does not cover is disconnected.
+func (w *Workspace) ColorSurplusBall(g *graph.Graph, colors []int, lists [][]int, ball []int) bool {
 	if !w.indexBall(g, colors, ball) {
 		return false
 	}
 	defer w.unindexBall(ball)
-	walk := ball
-	if !bfsOrdered && len(ball) > 0 {
-		w.compVerts = w.ballBFS(g, ball[0], grow(w.compVerts, len(ball))[:0])
-		if walk = w.compVerts; len(walk) < len(ball) {
-			return false
-		}
-	}
-	// Pass 1, in walk order: every effective list must cover the vertex's
+	// Pass 1, in ball order: every effective list must cover the vertex's
 	// degree in the ball, and the first vertex it exceeds is the surplus.
 	surplus := -1
-	for _, v := range walk {
+	for _, v := range ball {
 		free, deg, ok := w.ballSlack(g, colors, lists[v], v)
 		if !ok || free < deg {
 			return false
@@ -51,8 +46,11 @@ func (w *Workspace) ColorSurplusBall(g *graph.Graph, colors []int, lists [][]int
 		return false
 	}
 	order := w.ballBFS(g, surplus, grow(w.order, len(ball))[:0])
-	slices.Reverse(order)
 	w.order = order
+	if len(order) < len(ball) {
+		return false // disconnected
+	}
+	slices.Reverse(order)
 	if greedyInOrder(g, colors, lists, order, &w.b) != nil {
 		for _, v := range ball {
 			colors[v] = Uncolored
