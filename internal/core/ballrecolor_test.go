@@ -261,19 +261,49 @@ func allocBytes(fn func()) uint64 {
 
 // TestRootBallAllocatesPerBall checks that once the workspace is warm, the
 // extension's per-ball step — carve the ball, uncolor it, recolor it —
-// allocates nothing: a 3-vertex surplus ball in an n=1e5 graph is colored
-// in place on the graph, on the workspace's ball indices and order.
+// allocates nothing. Both balls are colored in place on the graph, on the
+// workspace's ball indices, neighbors and order: a 3-vertex surplus ball in
+// an n=1e5 graph, and a ball spanning a 3-regular graph at n=1e4 under one
+// tight palette, which takes the Brooks fast path.
 func TestRootBallAllocatesPerBall(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts at random under the race detector")
 	}
 	rng := rand.New(rand.NewPCG(20, 2))
-	g := gen.Apollonian(100000, rng)
-	lists := seqcolor.UniformLists(g.N(), 6)
-	colors := make([]int, g.N())
-	for v := range colors {
-		colors[v] = Uncolored
+	var ws ballWorkspace
+	// recolor carves the ball of radius around v in mask, checks that a warm
+	// recoloring of it allocates nothing, and that ColorBall takes it.
+	recolor := func(name string, g *graph.Graph, lists [][]int, v, radius int, mask []bool, oneBlock bool, size int) {
+		colors := make([]int, g.N())
+		for u := range colors {
+			colors[u] = Uncolored
+		}
+		var err error
+		got := allocBytes(func() {
+			ws.ball = g.AppendBall(ws.ball[:0], v, radius, mask)
+			for _, u := range ws.ball {
+				colors[u] = Uncolored
+			}
+			err = colorBallTheorem11(g, colors, lists, ws.ball, oneBlock, &ws)
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(ws.ball) != size {
+			t.Fatalf("%s: ball has %d vertices, want %d", name, len(ws.ball), size)
+		}
+		for _, u := range ws.ball {
+			colors[u] = Uncolored
+		}
+		if !ws.seq.ColorBall(g, colors, lists, ws.ball, oneBlock) {
+			t.Fatalf("%s: the ball was not colored in place", name)
+		}
+		if got != 0 {
+			t.Fatalf("%s: recoloring allocated %d bytes, want 0", name, got)
+		}
 	}
+
+	g := gen.Apollonian(100000, rng)
 	// A triangle: an Apollonian vertex and two adjacent neighbors.
 	v := 1000
 	nbrs := g.Neighbors(v)
@@ -289,30 +319,16 @@ func TestRootBallAllocatesPerBall(t *testing.T) {
 	for _, u := range tri {
 		mask[u] = true
 	}
-	var ws ballWorkspace
-	var err error
-	got := allocBytes(func() {
-		ws.ball = g.AppendBall(ws.ball[:0], v, 5, mask)
-		for _, u := range ws.ball {
-			colors[u] = Uncolored
-		}
-		err = colorBallTheorem11(g, colors, lists, ws.ball, false, &ws)
-	})
+	recolor("surplus triangle", g, seqcolor.UniformLists(g.N(), 6), v, 5, mask, false, 3)
+
+	r3, err := gen.RandomRegular(10000, 3, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ws.ball) != 3 {
-		t.Fatalf("ball has %d vertices, want 3", len(ws.ball))
+	if !oneBadBlock(r3) {
+		t.Fatal("the 3-regular graph is not one bad block")
 	}
-	for _, u := range ws.ball {
-		colors[u] = Uncolored
-	}
-	if !ws.seq.ColorSurplusBall(g, colors, lists, ws.ball) {
-		t.Fatal("the surplus ball was not colored in place")
-	}
-	if got != 0 {
-		t.Fatalf("recoloring a 3-vertex ball in an n=%d graph allocated %d bytes, want 0", g.N(), got)
-	}
+	recolor("spanning 3-regular", r3, seqcolor.UniformLists(r3.N(), 3), 0, -1, nil, true, r3.N())
 }
 
 // rootBallCase is one benchmark input: a colored graph and the root balls
@@ -356,7 +372,7 @@ func layerOneRootBalls(b *testing.B, name string, g *graph.Graph, d int) rootBal
 // layer runs it, on carved balls and one workspace held across ops, as a
 // run holds one across its layers: the ~10⁴ small balls of the first layer
 // of an Apollonian graph at n=1e5 (the in-place surplus path), and the
-// single ball spanning a 3-regular graph at n=1e4 (the induced Brooks
+// single ball spanning a 3-regular graph at n=1e4 (the in-place Brooks
 // path).
 func BenchmarkRootBallRecolor(b *testing.B) {
 	rng := rand.New(rand.NewPCG(20, 3))

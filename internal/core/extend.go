@@ -135,14 +135,12 @@ func extend(ctx context.Context, nw *local.Network, ledger *local.Ledger, s *pee
 }
 
 // ballWorkspace is the scratch extend reuses across its layers and root
-// balls, one per run: the ball, its induced graph's arrays, its lists and
-// colors and the Theorem 1.1 workspace, whose palette bitset also serves
-// the layered pass. Each array grows to the largest ball, to exactly the
-// size needed.
+// balls, one per run: the ball, its induced graph's arrays and colors and
+// the Theorem 1.1 workspace, whose palette bitset also serves the layered
+// pass. Each array grows to the largest ball, to exactly the size needed.
 type ballWorkspace struct {
 	ball   []int
 	ind    graph.InducedBuf
-	lists  [][]int
 	colors []int
 	seq    seqcolor.Workspace
 }
@@ -153,33 +151,21 @@ type ballWorkspace struct {
 // Gallai tree. oneBlock tells that the ball is one bad block. The ball
 // is in g.AppendBall's order, which the in-place path relies on.
 //
-// A ball with a surplus vertex is colored in place on g
-// (seqcolor.Workspace.ColorSurplusBall). Any other ball is materialized as
-// its own graph, each vertex's list is filtered by the colors of its
-// colored neighbors (all outside the ball), seqcolor.DegreeListColor runs
-// on the copy and the colors are written back. Both give the same colors.
+// A ball with a surplus vertex, and a one-block ball that takes step (b)
+// or the Brooks fast path, is colored in place on g
+// (seqcolor.Workspace.ColorBall). Any other ball is materialized as its
+// own graph, each vertex's list is filtered by the colors of its colored
+// neighbors (all outside the ball), seqcolor.DegreeListColor runs on the
+// copy and the colors are written back. Both give the same colors.
 func colorBallTheorem11(g *graph.Graph, colors []int, lists [][]int, ball []int, oneBlock bool, ws *ballWorkspace) error {
-	if !oneBlock && ws.seq.ColorSurplusBall(g, colors, lists, ball) {
+	if ws.seq.ColorBall(g, colors, lists, ball, oneBlock) {
 		return nil
 	}
 	sub, err := g.InducedInto(&ws.ind, ball)
 	if err != nil {
 		return err
 	}
-	// A ball that is all of g leaves no vertex of g colored, so its
-	// effective lists are the lists themselves.
-	var subLists [][]int
-	if len(ball) == g.N() {
-		if cap(ws.lists) < len(ball) {
-			ws.lists = make([][]int, len(ball))
-		}
-		subLists = ws.lists[:len(ball)]
-		for i, u := range ball {
-			subLists[i] = lists[u]
-		}
-	} else {
-		subLists = ws.seq.EffectiveLists(g, colors, lists, ball)
-	}
+	subLists := ws.seq.EffectiveLists(g, colors, lists, ball)
 	if cap(ws.colors) < len(ball) {
 		ws.colors = make([]int, len(ball))
 	}
@@ -187,11 +173,7 @@ func colorBallTheorem11(g *graph.Graph, colors []int, lists [][]int, ball []int,
 	for i := range subColors {
 		subColors[i] = Uncolored
 	}
-	color := ws.seq.DegreeListColor
-	if oneBlock {
-		color = ws.seq.DegreeListColorBadBlock
-	}
-	if err := color(sub, subColors, subLists); err != nil {
+	if err := ws.seq.DegreeListColor(sub, subColors, subLists); err != nil {
 		return fmt.Errorf("Theorem 1.1 on the ball failed (broken happiness invariant?): %w", err)
 	}
 	for i, u := range ball {

@@ -62,10 +62,11 @@ func hostBallList(rng *rand.Rand, deg int) []int {
 }
 
 // hostPathExpected reports whether the induced copy of ball takes the
-// surplus path: the copy is connected, every list fits the bitset scan,
-// every effective list covers its vertex's degree in the copy and at least
-// one exceeds it. ColorSurplusBall should color such a ball in place
-// unless the greedy gets stuck, which the fresh path then reports.
+// surplus path: the copy is connected, every list fits the bitset scan
+// unless the ball spans g, every effective list covers its vertex's degree
+// in the copy and at least one exceeds it. ColorBall should color such a
+// ball in place unless the greedy gets stuck, which the fresh path then
+// reports.
 func hostPathExpected(g *graph.Graph, colors []int, lists [][]int, ball []int) bool {
 	sub, orig, err := g.Induced(ball)
 	if err != nil || len(sub.Components(nil)) != 1 {
@@ -74,7 +75,8 @@ func hostPathExpected(g *graph.Graph, colors []int, lists [][]int, ball []int) b
 	eff := new(seqcolor.Workspace).EffectiveLists(g, colors, lists, orig)
 	surplus := false
 	for i, v := range orig {
-		if slices.ContainsFunc(lists[v], func(c int) bool { return c < 0 || c >= 1<<20 }) || len(eff[i]) < sub.Degree(i) {
+		far := len(ball) < g.N() && slices.ContainsFunc(lists[v], func(c int) bool { return c < 0 || c >= 1<<20 })
+		if far || len(eff[i]) < sub.Degree(i) {
 			return false
 		}
 		surplus = surplus || len(eff[i]) > sub.Degree(i)
@@ -114,7 +116,7 @@ func appendFarBall(rng *rand.Rand, g *graph.Graph, ball []int) []int {
 // on relabeled hosts, under outside colorings that leave about half the
 // outside vertices uncolored, with repeated, negative and too-large list
 // colors, tight balls and the union of two far-apart balls, colorBallTheorem11
-// must give the same colors and the same error, and ColorSurplusBall must
+// must give the same colors and the same error, and ColorBall must
 // take exactly the balls whose induced copy is connected, has a surplus
 // vertex and passes the list checks.
 func TestRootBallHostMatchesFresh(t *testing.T) {
@@ -128,7 +130,8 @@ func TestRootBallHostMatchesFresh(t *testing.T) {
 		}
 		if hi == 3 {
 			// The 3-regular host with one tight palette: balls spanning it
-			// are Brooks blocks and must fall back.
+			// are Brooks blocks, and must fall back when not flagged as
+			// one block.
 			lists = seqcolor.UniformLists(g.N(), 3)
 		}
 		mask := make([]bool, g.N())
@@ -180,9 +183,9 @@ func TestRootBallHostMatchesFresh(t *testing.T) {
 				t.Fatalf("%s: colors differ from the fresh path", name)
 			}
 			got = slices.Clone(colors)
-			done := ws.seq.ColorSurplusBall(g, got, lists, ball)
+			done := ws.seq.ColorBall(g, got, lists, ball, false)
 			if expect := wantErr == nil && hostPathExpected(g, colors, lists, ball); done != expect {
-				t.Fatalf("%s: ColorSurplusBall took the ball: %v, want %v", name, done, expect)
+				t.Fatalf("%s: ColorBall took the ball: %v, want %v", name, done, expect)
 			}
 			switch {
 			case done:
@@ -193,7 +196,7 @@ func TestRootBallHostMatchesFresh(t *testing.T) {
 				fallback++
 			}
 			if !done && !slices.Equal(got, colors) {
-				t.Fatalf("%s: ColorSurplusBall fell back but changed colors", name)
+				t.Fatalf("%s: ColorBall fell back but changed colors", name)
 			}
 		}
 	}
@@ -205,7 +208,7 @@ func TestRootBallHostMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestRootBallCarvedInInducedBFSOrder checks the order ColorSurplusBall
+// TestRootBallCarvedInInducedBFSOrder checks the order ColorBall
 // requires of its ball: AppendBall returns a ball in the BFS order, from
 // ball[0], of the subgraph it induces with vertex i being ball[i] (rows
 // in ascending ball index), on relabeled hosts and random masks.

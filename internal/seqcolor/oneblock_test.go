@@ -1,7 +1,6 @@
 package seqcolor
 
 import (
-	"fmt"
 	"math"
 	"math/rand/v2"
 	"slices"
@@ -49,17 +48,15 @@ func badBlocks(t *testing.T, rng *rand.Rand) []*graph.Graph {
 	return out
 }
 
-// blockLists returns lists of g in one of five shapes: tight ones (0: one
-// common palette, in one order on regular graphs; 1: a common palette in a
-// random order per vertex; 2: random lists), random lists with a surplus
-// at about a third of the vertices (3), and random lists with one list
-// shorter than its degree (4). Non-regular graphs get random lists for
-// shapes 0 and 1.
+// blockLists returns tight lists of g in one of three shapes: one common
+// palette, in one order on regular graphs (0); a common palette in a
+// random order per vertex (1); random lists (2). Non-regular graphs get
+// random lists for every shape.
 func blockLists(g *graph.Graph, shape int, rng *rand.Rand) [][]int {
-	if g.MinDegree() != g.MaxDegree() && shape < 2 {
+	k := g.MaxDegree()
+	if g.MinDegree() != k {
 		shape = 2
 	}
-	k := g.MaxDegree()
 	switch shape {
 	case 0:
 		return UniformLists(g.N(), k)
@@ -70,47 +67,7 @@ func blockLists(g *graph.Graph, shape int, rng *rand.Rand) [][]int {
 		}
 		return lists
 	default:
-		lists := degreeLists(g, 0, k+2, rng)
-		for v := range lists {
-			if shape == 3 && rng.IntN(3) == 0 {
-				lists[v] = rng.Perm(k + 3)[:g.Degree(v)+1]
-			}
-		}
-		if shape == 4 {
-			v := rng.IntN(g.N())
-			lists[v] = lists[v][1:]
-		}
-		return lists
-	}
-}
-
-// TestDegreeListColorBadBlockMatchesDegreeListColor colors random
-// 2-connected bad graphs under tight lists (one common palette, a common
-// palette in differing orders, random lists), surplus lists and one short
-// list, with DegreeListColor and with the one-block entry on one reused
-// workspace, and requires the same colors and the same errors.
-func TestDegreeListColorBadBlockMatchesDegreeListColor(t *testing.T) {
-	rng := rand.New(rand.NewPCG(22, 2))
-	var w Workspace
-	for i, g := range badBlocks(t, rng) {
-		for shape := range 5 {
-			lists := blockLists(g, shape, rng)
-			want, got := freshColors(g.N()), freshColors(g.N())
-			wantErr := DegreeListColor(g, want, lists)
-			gotErr := w.DegreeListColorBadBlock(g, got, lists)
-			name := fmt.Sprintf("graph %d (n=%d m=%d) shape %d", i, g.N(), g.M(), shape)
-			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
-				t.Fatalf("%s: error %v, DegreeListColor %v", name, gotErr, wantErr)
-			}
-			if !slices.Equal(got, want) {
-				t.Fatalf("%s: colors differ from DegreeListColor", name)
-			}
-			if wantErr == nil {
-				if err := Verify(g, got, lists); err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-			}
-		}
+		return degreeLists(g, 0, k+2, rng)
 	}
 }
 

@@ -239,9 +239,9 @@ func greedyInOrder(g *graph.Graph, colors []int, lists [][]int, order []int, b *
 }
 
 // Workspace is the reusable scratch of DegreeListColor, EffectiveLists,
-// GreedyInOrder and ColorSurplusBall: the masks, the component walk,
-// reverse-BFS orders, effective lists, the palette bitset, the ball
-// indices, and the bad block's graph, lists and colors. Each array grows
+// GreedyInOrder and ColorBall: the masks, the component walk, reverse-BFS
+// orders, effective lists, the palette bitset, the ball indices and
+// neighbors, and the bad block's graph, lists and colors. Each array grows
 // to the largest graph the workspace has served, to exactly the size
 // needed, and is reused by later calls, so a stream of small graphs or
 // balls (the root balls of Lemma 3.2) costs no allocation per graph once
@@ -249,7 +249,8 @@ func greedyInOrder(g *graph.Graph, colors []int, lists [][]int, order []int, b *
 // goroutine at a time.
 type Workspace struct {
 	b         graph.Bitset // palette scratch of every list scan
-	at        []int32      // ColorSurplusBall's 1-based ball indices; all 0 between calls
+	at        []int32      // ColorBall's 1-based ball indices; all 0 between calls
+	nbrs      []int        // ColorBall's ball neighbors of one vertex
 	unc       []bool       // uncolored vertices; the component walk consumes it
 	comp      []bool       // the current component; all false between components
 	mask      []bool       // the tight-block steps' masks
@@ -325,18 +326,6 @@ func DegreeListColor(g *graph.Graph, colors []int, lists [][]int) error {
 // leaves w's effective lists alone, so lists may be the result of w's
 // EffectiveLists.
 func (w *Workspace) DegreeListColor(g *graph.Graph, colors []int, lists [][]int) error {
-	return w.degreeListColor(g, colors, lists, false)
-}
-
-// DegreeListColorBadBlock is w's DegreeListColor for a g that is one bad
-// block. Precondition: g is 2-connected and neither complete nor an odd
-// cycle. It colors as DegreeListColor does, but with every vertex
-// uncolored and tight lists it skips the block decomposition.
-func (w *Workspace) DegreeListColorBadBlock(g *graph.Graph, colors []int, lists [][]int) error {
-	return w.degreeListColor(g, colors, lists, true)
-}
-
-func (w *Workspace) degreeListColor(g *graph.Graph, colors []int, lists [][]int, oneBlock bool) error {
 	n := g.N()
 	if len(colors) != n || len(lists) != n {
 		return fmt.Errorf("seqcolor: size mismatch")
@@ -350,15 +339,14 @@ func (w *Workspace) degreeListColor(g *graph.Graph, colors []int, lists [][]int,
 			count++
 		}
 	}
-	return w.colorComponents(g, colors, lists, count, oneBlock && count == n)
+	return w.colorComponents(g, colors, lists, count)
 }
 
 // colorComponents colors each component of the subgraph of g on w.unc,
 // which holds count vertices, consuming w.unc. One component mask serves
 // all components, cleared between uses, so a graph with many small
 // components (forests, peeled balls) does not pay O(n) per component.
-// oneBlock: the subgraph is g, and g is one bad block.
-func (w *Workspace) colorComponents(g *graph.Graph, colors []int, lists [][]int, count int, oneBlock bool) error {
+func (w *Workspace) colorComponents(g *graph.Graph, colors []int, lists [][]int, count int) error {
 	w.walkComponents(g, count)
 	compMask := grow(w.comp, g.N()) // all false: every use clears it by list
 	w.comp = compMask
@@ -369,7 +357,7 @@ func (w *Workspace) colorComponents(g *graph.Graph, colors []int, lists [][]int,
 		for _, v := range comp {
 			compMask[v] = true
 		}
-		err := w.colorComponent(g, colors, lists, comp, compMask, oneBlock)
+		err := w.colorComponent(g, colors, lists, comp, compMask)
 		for _, v := range comp {
 			compMask[v] = false
 		}
@@ -441,7 +429,7 @@ func (l *listBuf) cut(g *graph.Graph, colors []int, lists [][]int, verts []int, 
 
 // colorComponent colors one uncolored component. compMask must be true
 // exactly on comp's vertices; the caller owns (and clears) it.
-func (w *Workspace) colorComponent(g *graph.Graph, colors []int, lists [][]int, comp []int, compMask []bool, oneBlock bool) error {
+func (w *Workspace) colorComponent(g *graph.Graph, colors []int, lists [][]int, comp []int, compMask []bool) error {
 	// Pass 1: validate the hypothesis, and find a surplus vertex if any.
 	b := &w.b
 	surplus := -1
@@ -465,10 +453,7 @@ func (w *Workspace) colorComponent(g *graph.Graph, colors []int, lists [][]int, 
 		}
 		return nil
 	}
-	// Tight everywhere. Find a bad block of the component, unless it is g.
-	if oneBlock {
-		return w.colorTwoConnectedTight(g, colors, lists)
-	}
+	// Tight everywhere. Find a bad block of the component.
 	dec := g.Blocks(compMask)
 	bad := graph.FirstBadBlock(dec)
 	if bad == -1 {
@@ -531,7 +516,7 @@ func (w *Workspace) gallaiTightFallback(g *graph.Graph, colors []int, lists [][]
 					count++
 				}
 			}
-			if err := sub.colorComponents(g, colors, lists, count, false); err != nil {
+			if err := sub.colorComponents(g, colors, lists, count); err != nil {
 				return &GallaiTightError{Component: append([]int(nil), comp...)}
 			}
 			return nil
@@ -727,6 +712,10 @@ func colorEvenCycle(d *graph.Graph, sub []int, eff [][]int) error {
 	return nil
 }
 
+// brooksTries bounds the candidate triples of the Brooks fast path, in
+// brooksTriple and ColorBall alike, before the exhaustive search.
+const brooksTries = 32
+
 // brooksTriple finds x, y, z with x,y ∈ N(z), x,y non-adjacent and
 // d−{x,y} connected, in a 2-connected non-complete graph d. (Lovász's
 // lemma, algorithmic form.) A candidate is tried by one BFS from z over
@@ -751,10 +740,10 @@ func (w *Workspace) brooksTriple(d *graph.Graph, mask []bool) (x, y, z int, orde
 	// distance-2 pair works; try a bounded number of candidates before the
 	// exhaustive block-structure search.
 	tried := 0
-	for zc := 0; zc < n && tried < 32; zc++ {
+	for zc := 0; zc < n && tried < brooksTries; zc++ {
 		nbrs := d.Neighbors(zc)
-		for i := 0; i < len(nbrs) && tried < 32; i++ {
-			for j := i + 1; j < len(nbrs) && tried < 32; j++ {
+		for i := 0; i < len(nbrs) && tried < brooksTries; i++ {
+			for j := i + 1; j < len(nbrs) && tried < brooksTries; j++ {
 				a, b := int(nbrs[i]), int(nbrs[j])
 				if d.HasEdge(a, b) {
 					continue

@@ -82,7 +82,7 @@ func SparseListColor(g *graph.Graph, d int, lists [][]int) ([]int, error) {
 		for _, v := range comp {
 			compMask[v] = true
 		}
-		err := w.colorComponent(g, colors, lists, comp, compMask, false)
+		err := w.colorComponent(g, colors, lists, comp, compMask)
 		for _, v := range comp {
 			compMask[v] = false
 		}

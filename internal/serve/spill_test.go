@@ -10,7 +10,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -125,7 +124,8 @@ func TestStoreSpillReadmitOnce(t *testing.T) {
 // the disk budget while a readmission of it is reading the image with the
 // store lock released. The readmission must then report a miss and leave
 // the store's accounting as the drop left it, instead of admitting an entry
-// the indexes no longer hold.
+// the indexes no longer hold. The store's image open is held until the
+// drop is done, so the two interleave on every run.
 func TestStoreSpillDroppedDuringReadmit(t *testing.T) {
 	const n = 1 << 17
 	store := NewGraphStore(graphWeight(gen.Path(n)))
@@ -145,28 +145,30 @@ func TestStoreSpillDroppedDuringReadmit(t *testing.T) {
 	if e == nil || e.g != nil {
 		t.Fatal("want the first graph spilled")
 	}
+	opening, release := make(chan struct{}), make(chan struct{})
+	store.openImage = func(path string) (*graph.MappedGraph, error) {
+		close(opening)
+		<-release
+		return graph.OpenDCSR(path)
+	}
 	resolved := make(chan bool)
 	go func() {
 		_, _, ok := store.Resolve(cold)
 		resolved <- ok
 	}()
-	// Once the entry is marked opening under the lock, the readmission is
-	// between releasing and re-taking it, and cannot finish while we hold it.
-	for {
-		store.mu.Lock()
-		if e.opening != nil {
-			store.spillCap = 1
-			store.enforceSpillCap()
-			store.mu.Unlock()
-			break
-		}
-		if e.g != nil {
-			store.mu.Unlock()
-			t.Fatal("readmission finished before the drop could interleave")
-		}
+	// The readmission is in the image open, between releasing the lock and
+	// re-taking it, and stays there until released.
+	<-opening
+	store.mu.Lock()
+	if e.opening == nil || e.g != nil {
 		store.mu.Unlock()
-		runtime.Gosched()
+		close(release)
+		t.Fatal("readmission finished before the drop could interleave")
 	}
+	store.spillCap = 1
+	store.enforceSpillCap()
+	store.mu.Unlock()
+	close(release)
 	if <-resolved {
 		t.Fatal("Resolve succeeded for a graph dropped during its readmission")
 	}

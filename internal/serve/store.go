@@ -60,6 +60,10 @@ type GraphStore struct {
 	spillDrops  int64
 
 	log *slog.Logger // spill-tier failure events
+
+	// openImage maps a spilled image back in: graph.OpenDCSR, or a test's
+	// wrapper that holds a readmission between releasing and re-taking mu.
+	openImage func(path string) (*graph.MappedGraph, error)
 }
 
 // Image is a .dcsr file under the spill directory that holds a graph.
@@ -146,12 +150,13 @@ func NewGraphStore(capacity int64) *GraphStore {
 		panic("serve: graph store capacity must be positive")
 	}
 	return &GraphStore{
-		cap:      capacity,
-		items:    make(map[string]*entry),
-		bySpec:   make(map[string]*entry),
-		lru:      list.New(),
-		spillLRU: list.New(),
-		log:      slog.New(slog.DiscardHandler),
+		cap:       capacity,
+		items:     make(map[string]*entry),
+		bySpec:    make(map[string]*entry),
+		lru:       list.New(),
+		spillLRU:  list.New(),
+		log:       slog.New(slog.DiscardHandler),
+		openImage: graph.OpenDCSR,
 	}
 }
 
@@ -445,7 +450,7 @@ func (s *GraphStore) readmit(e *entry) {
 	done := make(chan struct{})
 	e.opening = done
 	s.mu.Unlock()
-	mg, err := graph.OpenDCSR(e.Path)
+	mg, err := s.openImage(e.Path)
 	if err == nil {
 		if err = mg.Verify(); err != nil {
 			mg.Close()
