@@ -47,17 +47,17 @@ test-serial:
 # scheduler, LRU store, coalescing, cancellation), the metrics registry
 # (registration concurrent with scrapes) and the LOCAL engine's sharded
 # message plane, plus the root-package cancellation/registry,
-# trace/progress and cross-GOMAXPROCS determinism tests, the pooled
-# per-layer scratch (the package-level traversal pool, with concurrent
-# acquires on graphs of different sizes, and the ruling scratch), the
-# caller-held reduction and root-ball workspaces, the gps7 peel coloring
+# trace/progress, cross-GOMAXPROCS determinism and per-call allocation
+# tests, the caller-held per-layer scratch (one traversal rebound to
+# graphs of different sizes, the ruling, reduction and root-ball
+# workspaces) and its allocation tests, the gps7 peel coloring
 # (concurrent PeelColor calls on one shared graph, as on a resident
 # graph) and the block-parallel text ingest (ReadEdgeList's tests and fuzz
 # seeds run on 1, 2 and 4 Ps).
 test-race:
 	$(GO) test -race ./internal/serve/... ./internal/obs/... ./internal/local/... ./internal/cluster/... ./internal/gps
-	$(GO) test -race -run 'Cancel|Registry|Deadline|Progress|Trace|Luby|Deterministic|ProperColoring|Golden' .
-	$(GO) test -race -run 'Traversal|Pool|Linial|DegPlusOne|Ruling|ReadEdgeList' ./internal/graph ./internal/reduce ./internal/ruling
+	$(GO) test -race -run 'Cancel|Registry|Deadline|Progress|Trace|Luby|Deterministic|ProperColoring|Golden|Allocates' .
+	$(GO) test -race -run 'Traversal|Allocates|Linial|DegPlusOne|Ruling|ReadEdgeList' ./internal/graph ./internal/reduce ./internal/ruling
 	$(GO) test -race -run 'RootBall|Workspace' ./internal/core ./internal/seqcolor
 
 # Clustering suite under the race detector: the ring/quota/health unit
@@ -117,8 +117,7 @@ bench-smoke:
 # vertex row costs ~10^5 allocs/op there) and the gps7 peel coloring (a
 # return to per-layer append buckets costs ~10^3): fails when a benchmark's allocs/op exceeds 1.10×
 # its committed BENCH_PR.json value (growth under benchjson's small
-# absolute slack, pool refills after a GC, is forgiven) or has no committed
-# value. allocs/op barely moves between machines or minutes, so unlike
+# absolute slack is forgiven) or has no committed value. allocs/op barely moves between machines or minutes, so unlike
 # bench-smoke's ns/op this gate does not need a wide tolerance; -tolerance 0
 # leaves ns/op to bench-smoke.
 bench-allocs:

@@ -94,10 +94,10 @@ func parse(r io.Reader) (map[string]Result, error) {
 	return out, nil
 }
 
-// allocsSlack is the allocs/op growth the allocs gate always forgives. A
-// pooled workspace that a GC emptied is rebuilt on the next call, and at
-// -benchtime 3x those refills read as tens of allocs/op on benchmarks that
-// otherwise allocate next to nothing.
+// allocsSlack is the allocs/op growth the allocs gate always forgives:
+// allocation that follows the machine rather than the code, such as the
+// block-parallel text reader's per-worker buffers, reads as tens of
+// allocs/op on benchmarks that otherwise allocate next to nothing.
 const allocsSlack = 64
 
 // check compares results against a baseline, returning one line per result

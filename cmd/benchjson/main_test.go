@@ -108,7 +108,7 @@ func TestCheckAllocs(t *testing.T) {
 	results := map[string]Result{
 		"A": {NsPerOp: 900, AllocsPerOp: 1100},            // at 1.10x allocs; ns/op ungated
 		"B": {NsPerOp: 100, AllocsPerOp: 1101},            // over 1.10x
-		"C": {NsPerOp: 100, AllocsPerOp: allocsSlack - 1}, // pool refills: forgiven
+		"C": {NsPerOp: 100, AllocsPerOp: allocsSlack - 1}, // under the slack: forgiven
 		"D": {NsPerOp: 100, AllocsPerOp: allocsSlack},     // past the slack
 		"E": {NsPerOp: 100, AllocsPerOp: 5000},
 		"F": {NsPerOp: 100, AllocsPerOp: -1}, // this run without -benchmem

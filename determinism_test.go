@@ -4,6 +4,8 @@ import (
 	"context"
 	"reflect"
 	"runtime"
+	"runtime/debug"
+	"slices"
 	"sort"
 	"testing"
 
@@ -73,4 +75,76 @@ func TestAlgorithmsDeterministicAcrossGOMAXPROCS(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestRunAllocatesSameEveryCall checks that a run owns all of its scratch:
+// with the collector off, at GOMAXPROCS 1 and 2, five calls after a
+// warm-up, three in a row and then two each after two collections, must
+// allocate the same number of heap bytes. Scratch held between calls, in
+// a pool or a cache, makes a call after a collection allocate more, and
+// scratch last bound to a smaller graph regrows by chance.
+//
+// At GOMAXPROCS 2 the runtime itself may add bytes to one call: its tiny
+// allocator packs small pointer-free objects into a 16-byte block per P,
+// so a call that moves to another P mid-run takes one more block, and a
+// stop-the-world may start a new M. Neither repeats, so a series of five
+// is taken up to three times; scratch kept between calls shows in every
+// series.
+func TestRunAllocatesSameEveryCall(t *testing.T) {
+	cases := []struct {
+		algo, spec string
+		opts       []distcolor.Option
+	}{
+		{"planar6", "apollonian:5000", nil},
+		{"sparse", "regular:5000,3", []distcolor.Option{distcolor.WithD(3)}},
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, c := range cases {
+		g, err := runcfg.Generate(c.spec, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := append([]distcolor.Option{distcolor.WithSeed(7)}, c.opts...)
+		run := func() {
+			if _, err := distcolor.Run(context.Background(), g, c.algo, opts...); err != nil {
+				t.Fatalf("%s on %s: %v", c.algo, c.spec, err)
+			}
+		}
+		for _, p := range []int{1, 2} {
+			old := runtime.GOMAXPROCS(p)
+			run() // warm-up
+			var got []uint64
+			for range 3 {
+				if got = callAllocs(run); !slices.ContainsFunc(got, func(b uint64) bool { return b != got[0] }) {
+					break
+				}
+			}
+			runtime.GOMAXPROCS(old)
+			if slices.ContainsFunc(got, func(b uint64) bool { return b != got[0] }) {
+				t.Errorf("%s on %s at GOMAXPROCS=%d: calls allocated %v bytes, want all equal", c.algo, c.spec, p, got)
+			}
+		}
+	}
+}
+
+// callAllocs returns the heap bytes each of five calls of run allocates,
+// the last two each after two collections. It reads MemStats.TotalAlloc,
+// which ReadMemStats takes after flushing every P's allocation cache. The
+// /gc/heap/allocs:bytes metric counts the same bytes, but only as a span
+// leaves a P's cache, so it misses the slots a call leaves in cached spans.
+func callAllocs(run func()) []uint64 {
+	var got []uint64
+	var ms runtime.MemStats
+	for i := range 5 {
+		if i >= 3 {
+			runtime.GC()
+			runtime.GC()
+		}
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		run()
+		runtime.ReadMemStats(&ms)
+		got = append(got, ms.TotalAlloc-before)
+	}
+	return got
 }

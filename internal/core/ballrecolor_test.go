@@ -5,14 +5,12 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"runtime"
-	"runtime/debug"
 	"slices"
 	"testing"
 
 	"distcolor/internal/gen"
 	"distcolor/internal/graph"
 	"distcolor/internal/local"
-	"distcolor/internal/ruling"
 	"distcolor/internal/seqcolor"
 )
 
@@ -205,6 +203,7 @@ func recolorOutside(rng *rand.Rand, colors []int, ball []int) {
 func TestRootBallReuseMatchesFresh(t *testing.T) {
 	rng := rand.New(rand.NewPCG(20, 1))
 	var ws ballWorkspace
+	var tr graph.Traversal
 	errs := 0
 	for i, st := range ballSequence(rng) {
 		colors := make([]int, st.host.g.N())
@@ -215,7 +214,7 @@ func TestRootBallReuseMatchesFresh(t *testing.T) {
 		want := slices.Clone(colors)
 		wantErr := colorBallFresh(st.host.g, want, st.host.lists, st.ball)
 		got := slices.Clone(colors)
-		gotErr := colorBallTheorem11(st.host.g, got, st.host.lists, st.ball, false, &ws)
+		gotErr := colorBallTheorem11(st.host.g, &tr, got, st.host.lists, st.ball, false, &ws)
 		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
 			t.Fatalf("step %d (%s): error %v, fresh path %v", i, st.name, gotErr, wantErr)
 		}
@@ -245,12 +244,9 @@ func TestRootBallReuseMatchesFresh(t *testing.T) {
 }
 
 // allocBytes returns the bytes a warm call of fn allocates, as the
-// TotalAlloc delta of a second call after a first. It runs on one P with
-// the collector off, so the second call finds the pooled scratch the first
-// one filled.
+// TotalAlloc delta of a second call after a first, which finds the scratch
+// the first one grew.
 func allocBytes(fn func()) uint64 {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	fn()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -266,11 +262,9 @@ func allocBytes(fn func()) uint64 {
 // an n=1e5 graph, and a ball spanning a 3-regular graph at n=1e4 under one
 // tight palette, which takes the Brooks fast path.
 func TestRootBallAllocatesPerBall(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops Puts at random under the race detector")
-	}
 	rng := rand.New(rand.NewPCG(20, 2))
 	var ws ballWorkspace
+	var tr graph.Traversal
 	// recolor carves the ball of radius around v in mask, checks that a warm
 	// recoloring of it allocates nothing, and that ColorBall takes it.
 	recolor := func(name string, g *graph.Graph, lists [][]int, v, radius int, mask []bool, oneBlock bool, size int) {
@@ -280,11 +274,11 @@ func TestRootBallAllocatesPerBall(t *testing.T) {
 		}
 		var err error
 		got := allocBytes(func() {
-			ws.ball = g.AppendBall(ws.ball[:0], v, radius, mask)
+			ws.ball = tr.Bind(g).AppendBall(ws.ball[:0], v, radius, mask)
 			for _, u := range ws.ball {
 				colors[u] = Uncolored
 			}
-			err = colorBallTheorem11(g, colors, lists, ws.ball, oneBlock, &ws)
+			err = colorBallTheorem11(g, &tr, colors, lists, ws.ball, oneBlock, &ws)
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -361,7 +355,7 @@ func layerOneRootBalls(b *testing.B, name string, g *graph.Graph, d int) rootBal
 	for _, v := range lay.rich {
 		richMask[v] = true
 	}
-	forest, err := ruling.Compute(context.Background(), nw, &local.Ledger{}, "", richMask, lay.happy, 2*radius+2)
+	forest, err := s.ruling.Compute(context.Background(), nw, &s.tr, &local.Ledger{}, "", richMask, lay.happy, 2*radius+2)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -389,19 +383,24 @@ func BenchmarkRootBallRecolor(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			colors := slices.Clone(c.colors)
 			var ws ballWorkspace
-			b.ReportAllocs()
-			b.ResetTimer()
-			for range b.N {
+			tr := new(graph.Traversal).Bind(c.g)
+			recolor := func() {
 				for _, r := range c.roots {
-					ws.ball = c.g.AppendBall(ws.ball[:0], r, c.radius, c.richMask)
+					ws.ball = tr.AppendBall(ws.ball[:0], r, c.radius, c.richMask)
 					for _, u := range ws.ball {
 						colors[u] = Uncolored
 					}
 					_, oneBlock := slices.BinarySearch(c.blocks, slices.Min(ws.ball))
-					if err := colorBallTheorem11(c.g, colors, c.lists, ws.ball, oneBlock, &ws); err != nil {
+					if err := colorBallTheorem11(c.g, tr, colors, c.lists, ws.ball, oneBlock, &ws); err != nil {
 						b.Fatal(err)
 					}
 				}
+			}
+			recolor() // warm the workspace, as a run's earlier layers do
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				recolor()
 			}
 			b.StopTimer()
 			if !slices.Equal(colors, c.colors) {

@@ -7,7 +7,6 @@ import (
 
 	"distcolor/internal/graph"
 	"distcolor/internal/local"
-	"distcolor/internal/ruling"
 	"distcolor/internal/seqcolor"
 )
 
@@ -29,8 +28,8 @@ type extendStats struct {
 // recoloring; finally recolor each root's rich ball with the constructive
 // Theorem 1.1 (valid because roots are happy). The run's peel state s
 // lends its n-sized rich mask, all false on entry, which holds R during the
-// call and is all false again on return, its schedule workspace and its
-// ball workspace.
+// call and is all false again on return, its host traversal and its
+// ruling, schedule and ball workspaces.
 func extend(ctx context.Context, nw *local.Network, ledger *local.Ledger, s *peelState,
 	lay layer, colors []int, lists [][]int, radius int) (extendStats, error) {
 
@@ -51,7 +50,7 @@ func extend(ctx context.Context, nw *local.Network, ledger *local.Ledger, s *pee
 	// --- Ruling forest: roots pairwise > 2·radius apart so that their rich
 	// balls are disjoint with no edges in between.
 	alpha := 2*radius + 2
-	forest, err := ruling.Compute(ctx, nw, ledger, "extend/ruling", richMask, lay.happy, alpha)
+	forest, err := s.ruling.Compute(ctx, nw, &s.tr, ledger, "extend/ruling", richMask, lay.happy, alpha)
 	if err != nil {
 		return st, fmt.Errorf("ruling forest: %w", err)
 	}
@@ -119,12 +118,12 @@ func extend(ctx context.Context, nw *local.Network, ledger *local.Ledger, s *pee
 	// layer is that whole component, so it is one bad block.
 	if len(forest.Roots) > 0 {
 		for _, r := range forest.Roots {
-			ws.ball = g.AppendBall(ws.ball[:0], r, radius, richMask)
+			ws.ball = s.tr.AppendBall(ws.ball[:0], r, radius, richMask)
 			for _, u := range ws.ball {
 				colors[u] = Uncolored
 			}
 			_, oneBlock := slices.BinarySearch(lay.blocks, slices.Min(ws.ball))
-			if err := colorBallTheorem11(g, colors, lists, ws.ball, oneBlock, ws); err != nil {
+			if err := colorBallTheorem11(g, &s.tr, colors, lists, ws.ball, oneBlock, ws); err != nil {
 				return st, fmt.Errorf("root %d ball: %w", r, err)
 			}
 		}
@@ -146,10 +145,11 @@ type ballWorkspace struct {
 }
 
 // colorBallTheorem11 colors the (fully uncolored) ball with the
-// constructive Theorem 1.1, all on ws's scratch. The happiness of the root
-// guarantees the hypotheses: the ball has a surplus vertex or is not a
-// Gallai tree. oneBlock tells that the ball is one bad block. The ball
-// is in g.AppendBall's order, which the in-place path relies on.
+// constructive Theorem 1.1, all on ws's scratch and the host traversal tr,
+// which it binds to g. The happiness of the root guarantees the
+// hypotheses: the ball has a surplus vertex or is not a Gallai tree.
+// oneBlock tells that the ball is one bad block. The ball is in
+// AppendBall's order, which the in-place path relies on.
 //
 // A ball with a surplus vertex, and a one-block ball that takes step (b)
 // or the Brooks fast path, is colored in place on g
@@ -157,11 +157,11 @@ type ballWorkspace struct {
 // own graph, each vertex's list is filtered by the colors of its colored
 // neighbors (all outside the ball), seqcolor.DegreeListColor runs on the
 // copy and the colors are written back. Both give the same colors.
-func colorBallTheorem11(g *graph.Graph, colors []int, lists [][]int, ball []int, oneBlock bool, ws *ballWorkspace) error {
+func colorBallTheorem11(g *graph.Graph, tr *graph.Traversal, colors []int, lists [][]int, ball []int, oneBlock bool, ws *ballWorkspace) error {
 	if ws.seq.ColorBall(g, colors, lists, ball, oneBlock) {
 		return nil
 	}
-	sub, err := g.InducedInto(&ws.ind, ball)
+	sub, err := tr.Bind(g).InducedInto(&ws.ind, ball)
 	if err != nil {
 		return err
 	}

@@ -96,7 +96,7 @@ func extendFull(ctx context.Context, nw *local.Network, ledger *local.Ledger, ri
 			richMask[v] = false
 		}
 	}()
-	forest, err := ruling.Compute(ctx, nw, ledger, "extend/ruling", richMask, lay.happy, 2*radius+2)
+	forest, err := new(ruling.Workspace).Compute(ctx, nw, new(graph.Traversal), ledger, "extend/ruling", richMask, lay.happy, 2*radius+2)
 	if err != nil {
 		return extendStats{}, err
 	}

@@ -5,15 +5,16 @@ import (
 
 	"distcolor/internal/graph"
 	"distcolor/internal/reduce"
+	"distcolor/internal/ruling"
 )
 
 // peelState is the per-vertex state of one peeling run, allocated once per
 // run: the alive vertices as an ascending list, their alive-degrees (kept
 // current by peel, which decrements the alive neighbors of every removed
 // vertex), the masks that happySet and extend fill from a vertex list and
-// clear by the same list before they return, and extend's schedule
-// workspace. So each layer's work is proportional to the alive graph, not
-// to n.
+// clear by the same list before they return, the run's traversals, and
+// extend's ruling, schedule and ball workspaces. So each layer's work is
+// proportional to the alive graph, not to n.
 type peelState struct {
 	g       *graph.Graph
 	alive   []int // alive vertices, ascending
@@ -23,8 +24,14 @@ type peelState struct {
 	// Masks, all false between uses: rich is G[R] for happySet and extend,
 	// happy the happy set, comp one component of G[R] and ball one ball.
 	rich, happy, comp, ball []bool
-	sched                   reduce.Workspace // extend's (Δ+1)-class schedule
-	balls                   ballWorkspace    // extend's layered pass and root balls
+	// tr is the run's host traversal: happySet's searches and Gallai
+	// tests, the ruling forest's searches and extend's ball carving and
+	// induced copies. ballTr serves classifyComponent's per-vertex
+	// fallback, which runs while a component lies in tr's search order.
+	tr, ballTr graph.Traversal
+	ruling     ruling.Workspace // extend's ruling forest
+	sched      reduce.Workspace // extend's (Δ+1)-class schedule
+	balls      ballWorkspace    // extend's layered pass and root balls
 }
 
 func newPeelState(g *graph.Graph) *peelState {
@@ -44,6 +51,7 @@ func newPeelState(g *graph.Graph) *peelState {
 		s.isAlive[v] = true
 		s.deg[v] = g.Degree(v)
 	}
+	s.tr.Bind(g)
 	return s
 }
 
@@ -83,9 +91,8 @@ func happySet(s *peelState, radius int,
 	richTest func(degAlive int, v int) bool,
 	witness func(degAlive int, v int) bool) (IterationStats, layer) {
 
-	g := s.g
 	st := IterationStats{Alive: len(s.alive)}
-	richMask, happyMask, compMask, ballMask := s.rich, s.happy, s.comp, s.ball
+	richMask, happyMask := s.rich, s.happy
 	for _, v := range s.alive {
 		if richTest(s.deg[v], v) {
 			richMask[v] = true
@@ -101,8 +108,7 @@ func happySet(s *peelState, radius int,
 		}
 	}
 
-	tr := g.AcquireTraversal()
-	defer g.ReleaseTraversal(tr)
+	tr := &s.tr
 	// (a) witness path: multi-source BFS inside G[rich] from the witnesses.
 	sources := slices.Grow(s.sources[:0], len(rich))
 	for _, v := range rich {
@@ -134,7 +140,7 @@ func happySet(s *peelState, radius int,
 		}
 		tr.Run(rich[i:i+1], richMask, -1)
 		comp := tr.Order()
-		if classifyComponent(g, comp, tr.MaxDist(), radius, happyMask, compMask, ballMask, &st) {
+		if classifyComponent(s, comp, tr.MaxDist(), radius, &st) {
 			blocks = append(blocks, v0)
 		}
 		for _, v := range comp {
@@ -154,12 +160,13 @@ func happySet(s *peelState, radius int,
 }
 
 // classifyComponent marks the vertices of one component of G[rich] whose
-// radius-r balls are not Gallai trees, adding them to happyMask. ecc is
-// comp[0]'s eccentricity in the component. compMask and ballMask are all
-// false on entry and on return. It reports whether every ball of the
-// component is the whole component and that is one bad block.
-func classifyComponent(g *graph.Graph, comp []int32, ecc, radius int,
-	happyMask, compMask, ballMask []bool, st *IterationStats) bool {
+// radius-r balls are not Gallai trees, adding them to s.happy. comp is
+// s.tr's search order, and ecc is comp[0]'s eccentricity in the component.
+// s.comp and s.ball are all false on entry and on return. It reports
+// whether every ball of the component is the whole component and that is
+// one bad block.
+func classifyComponent(s *peelState, comp []int32, ecc, radius int, st *IterationStats) bool {
+	happyMask, compMask, ballMask := s.happy, s.comp, s.ball
 	if !slices.ContainsFunc(comp, func(v int32) bool { return !happyMask[v] }) {
 		return false // all happy already
 	}
@@ -174,7 +181,7 @@ func classifyComponent(g *graph.Graph, comp []int32, ecc, radius int,
 	// Component-level Gallai test: every ball of a Gallai tree is an
 	// induced connected subgraph of it, hence a Gallai tree, so nobody
 	// gains happiness here.
-	gallai, bad := g.IsGallaiForest(comp, compMask)
+	gallai, bad := s.tr.IsGallaiForest(comp, compMask)
 	if gallai {
 		return false
 	}
@@ -189,9 +196,8 @@ func classifyComponent(g *graph.Graph, comp []int32, ecc, radius int,
 		}
 		return bad == len(comp)
 	}
-	// Exact per-vertex fallback.
-	tr := g.AcquireTraversal()
-	defer g.ReleaseTraversal(tr)
+	// Exact per-vertex fallback, on the second traversal: comp is s.tr's.
+	tr := s.ballTr.Bind(s.g)
 	for _, v := range comp {
 		if happyMask[v] {
 			continue
@@ -201,7 +207,7 @@ func classifyComponent(g *graph.Graph, comp []int32, ecc, radius int,
 		for _, u := range ball {
 			ballMask[u] = true
 		}
-		if ok, _ := g.IsGallaiForest(ball, ballMask); !ok {
+		if ok, _ := tr.IsGallaiForest(ball, ballMask); !ok {
 			happyMask[v] = true
 			st.HappyGal++
 		}

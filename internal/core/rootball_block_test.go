@@ -177,6 +177,7 @@ func ballPath(g *graph.Graph, colors []int, lists [][]int, ball []int) string {
 func TestRootBallBadBlockHostMatchesFresh(t *testing.T) {
 	rng := rand.New(rand.NewPCG(28, 1))
 	var ws ballWorkspace
+	var tr graph.Traversal
 	inPlace := map[string]int{}
 	var spanning, embedded, fallback, errs int
 	check := func(name string, g *graph.Graph, colors []int, lists [][]int, ball []int) {
@@ -189,7 +190,7 @@ func TestRootBallBadBlockHostMatchesFresh(t *testing.T) {
 		want := slices.Clone(colors)
 		wantErr := colorBallFresh(g, want, lists, ball)
 		got := slices.Clone(colors)
-		gotErr := colorBallTheorem11(g, got, lists, ball, oneBlock, &ws)
+		gotErr := colorBallTheorem11(g, &tr, got, lists, ball, oneBlock, &ws)
 		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
 			t.Fatalf("%s: error %v, fresh path %v", name, gotErr, wantErr)
 		}
@@ -242,8 +243,8 @@ func TestRootBallBadBlockHostMatchesFresh(t *testing.T) {
 			}
 			name := fmt.Sprintf("block %d shape %d", i, shape)
 			root := rng.IntN(g.N())
-			check(name+" spanning", g, colors, hostLists, g.AppendBall(nil, root, -1, nil))
-			check(name+" small", g, colors, hostLists, g.AppendBall(nil, root, 1+rng.IntN(3), nil))
+			check(name+" spanning", g, colors, hostLists, g.Ball(root, -1, nil))
+			check(name+" small", g, colors, hostLists, g.Ball(root, 1+rng.IntN(3), nil))
 
 			// The block inside a host with a leaf on half its vertices, the
 			// leaf colored outside the block's palette (or, one in eight,
@@ -274,8 +275,8 @@ func TestRootBallBadBlockHostMatchesFresh(t *testing.T) {
 				mask[perm[v]] = true
 			}
 			root = perm[rng.IntN(b.N())]
-			check(name+" embedded", g, colors, hostLists, g.AppendBall(nil, root, -1, mask))
-			check(name+" embedded small", g, colors, hostLists, g.AppendBall(nil, root, 1+rng.IntN(3), mask))
+			check(name+" embedded", g, colors, hostLists, g.Ball(root, -1, mask))
+			check(name+" embedded small", g, colors, hostLists, g.Ball(root, 1+rng.IntN(3), mask))
 		}
 	}
 	t.Logf("in place %v (%d spanning, %d embedded one-block), %d fell back, %d errors",

@@ -108,7 +108,7 @@ func appendFarBall(rng *rand.Rand, g *graph.Graph, ball []int) []int {
 	if len(roots) == 0 {
 		return ball
 	}
-	return g.AppendBall(ball, roots[rng.IntN(len(roots))], rng.IntN(3), free)
+	return append(ball, g.Ball(roots[rng.IntN(len(roots))], rng.IntN(3), free)...)
 }
 
 // TestRootBallHostMatchesFresh holds the in-place surplus path to the
@@ -122,6 +122,7 @@ func appendFarBall(rng *rand.Rand, g *graph.Graph, ball []int) []int {
 func TestRootBallHostMatchesFresh(t *testing.T) {
 	rng := rand.New(rand.NewPCG(27, 1))
 	var ws ballWorkspace
+	var tr graph.Traversal
 	var host, fallback, errs, unsorted, split int
 	for hi, g := range hostBallGraphs(rng) {
 		lists := make([][]int, g.N())
@@ -150,7 +151,7 @@ func TestRootBallHostMatchesFresh(t *testing.T) {
 			if radius >= 0 {
 				m = mask
 			}
-			ball := g.AppendBall(nil, root, radius, m)
+			ball := g.Ball(root, radius, m)
 			if trial%6 == 5 {
 				n := len(ball)
 				if ball = appendFarBall(rng, g, ball); len(ball) > n {
@@ -175,7 +176,7 @@ func TestRootBallHostMatchesFresh(t *testing.T) {
 			want := slices.Clone(colors)
 			wantErr := colorBallFresh(g, want, lists, ball)
 			got := slices.Clone(colors)
-			gotErr := colorBallTheorem11(g, got, lists, ball, false, &ws)
+			gotErr := colorBallTheorem11(g, &tr, got, lists, ball, false, &ws)
 			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
 				t.Fatalf("%s: error %v, fresh path %v", name, gotErr, wantErr)
 			}
@@ -223,7 +224,7 @@ func TestRootBallCarvedInInducedBFSOrder(t *testing.T) {
 			root := rng.IntN(g.N())
 			mask[root] = true
 			radius := rng.IntN(7) - 1
-			ball := g.AppendBall(nil, root, radius, mask)
+			ball := g.Ball(root, radius, mask)
 			sub, _, err := g.Induced(ball)
 			if err != nil {
 				t.Fatal(err)

@@ -55,8 +55,7 @@ func Carve(g *graph.Graph, mask []bool) *Decomposition {
 			remaining++
 		}
 	}
-	tr := g.AcquireTraversal()
-	defer g.ReleaseTraversal(tr)
+	tr := new(graph.Traversal).Bind(g)
 	color := 0
 	for remaining > 0 {
 		blocked := make([]bool, n)

@@ -1,16 +1,20 @@
 package graph
 
-import "sync"
-
-// Traversal is a reusable breadth-first-search workspace. All per-vertex
+// Traversal is the graph package's walk scratch: breadth-first searches
+// (Run, AppendBall), block DFSes (Blocks, IsGallaiForest) and induced
+// copies (InducedInto) on the graph it is bound to. All per-vertex search
 // state is epoch-stamped, so starting a new search is O(1) — no per-call
 // allocation and no O(n) clearing — which matters in the hot loops (ruling
 // forests, happy-set classification, ball carving) that run thousands of
 // bounded searches.
 //
-// A Traversal is owned by one goroutine at a time. Obtain one with
-// AcquireTraversal and hand it back with ReleaseTraversal; the package's
-// own wrappers (Ball, Components, …) do the same.
+// The zero value is ready for Bind, and the caller owns it: a Traversal is
+// used by one goroutine at a time, and a caller that runs in a loop keeps
+// one across its calls. Run and InducedInto invalidate the last search
+// (InducedInto stamps its vertex index into the search's arrays). A block
+// DFS does not: its records and stacks are separate, allocated by the
+// first DFS, so a DFS may walk the last search's Order, and a traversal
+// that only searches never pays for them.
 type Traversal struct {
 	g      *Graph
 	dist   []int32
@@ -18,46 +22,37 @@ type Traversal struct {
 	mark   []uint32
 	epoch  uint32
 	queue  []int32
+	// The block DFS's state; see blocksDFS.
+	vs       []dfsVert
+	estack   []blockEdge
+	stack    []int32
+	blkVerts []int
 }
 
-// traversalPool holds idle traversals of any graph: one package-level pool
-// serves every graph, so the thousands of small induced graphs the root-ball
-// recoloring builds reuse the workspaces of the graphs before them.
-var traversalPool sync.Pool
-
-// AcquireTraversal takes a traversal workspace from the package pool and
-// binds it to g, growing its arrays when g is larger than any graph the
-// workspace served before. Rebinding needs no clearing: every stamp a
-// previous graph left is older than the epoch of the next Run. Pair with
-// ReleaseTraversal when done; external hot loops should use this rather
-// than allocating per call.
-func (g *Graph) AcquireTraversal() *Traversal {
-	t, _ := traversalPool.Get().(*Traversal)
-	if t == nil {
-		t = &Traversal{}
-	}
-	t.bind(g)
-	return t
-}
-
-// bind points t at g, growing its per-vertex arrays to g's size. Fresh
-// marks are 0, below every epoch a Run stamps, so growth needs no care.
-func (t *Traversal) bind(g *Graph) {
+// Bind points t at g and returns t, growing its per-vertex search arrays,
+// the queue included, only when g is larger than every graph t served
+// before. Rebinding needs no clearing: every stamp a previous graph left
+// is older than the epoch of the next search, and fresh marks are 0, below
+// every epoch.
+func (t *Traversal) Bind(g *Graph) *Traversal {
 	t.g = g
 	if n := g.N(); n > len(t.mark) {
 		t.dist = make([]int32, n)
 		t.parent = make([]int32, n)
 		t.mark = make([]uint32, n)
+		t.queue = make([]int32, 0, n)
 	}
+	return t
 }
 
-// ReleaseTraversal returns a workspace obtained from AcquireTraversal to the
-// pool. The traversal must not be used afterwards. It drops its graph, so a
-// pooled workspace never keeps a graph (or the file mapping behind one)
-// alive.
-func (g *Graph) ReleaseTraversal(t *Traversal) {
-	t.g = nil
-	traversalPool.Put(t)
+// nextEpoch starts a new search's stamps and returns its epoch.
+func (t *Traversal) nextEpoch() uint32 {
+	if t.epoch == ^uint32(0) { // epoch wrap: clear stamps once every 2³² searches
+		clear(t.mark)
+		t.epoch = 0
+	}
+	t.epoch++
+	return t.epoch
 }
 
 // Run executes a BFS from sources, restricted to vertices with
@@ -65,11 +60,7 @@ func (g *Graph) ReleaseTraversal(t *Traversal) {
 // unbounded). Previous results in the workspace are invalidated. Sources
 // outside the mask, and duplicate sources, are ignored.
 func (t *Traversal) Run(sources []int, mask []bool, radius int) {
-	if t.epoch == ^uint32(0) { // epoch wrap: clear stamps once every 2³² runs
-		clear(t.mark)
-		t.epoch = 0
-	}
-	t.epoch++
+	t.nextEpoch()
 	t.queue = t.queue[:0]
 	for _, s := range sources {
 		if mask != nil && !mask[s] {
@@ -160,7 +151,7 @@ type BFSResult struct {
 // searches over the same graph should hold a Traversal instead.
 func (g *Graph) BFS(sources []int, mask []bool, radius int) BFSResult {
 	n := g.N()
-	t := g.AcquireTraversal()
+	t := new(Traversal).Bind(g)
 	t.Run(sources, mask, radius)
 	res := BFSResult{
 		Dist:   make([]int, n),
@@ -177,25 +168,25 @@ func (g *Graph) BFS(sources []int, mask []bool, radius int) BFSResult {
 		res.Parent[v] = int(t.parent[v32])
 		res.Order = append(res.Order, v)
 	}
-	g.ReleaseTraversal(t)
 	return res
 }
 
 // Ball returns the set of vertices at distance ≤ radius from v within the
 // mask (nil mask = whole graph), in BFS order. If mask excludes v the ball is
-// empty, matching the paper's convention for B_R(v) with v ∉ R.
+// empty, matching the paper's convention for B_R(v) with v ∉ R. It runs on
+// a fresh Traversal; a caller carving many balls holds one and calls its
+// AppendBall.
 func (g *Graph) Ball(v int, radius int, mask []bool) []int {
-	return g.AppendBall(nil, v, radius, mask)
+	return new(Traversal).Bind(g).AppendBall(nil, v, radius, mask)
 }
 
 // AppendBall appends Ball(v, radius, mask) to dst and returns the extended
 // slice, so a caller carving many balls can reuse one buffer. When dst must
 // grow, the new array holds exactly the result.
-func (g *Graph) AppendBall(dst []int, v int, radius int, mask []bool) []int {
+func (t *Traversal) AppendBall(dst []int, v int, radius int, mask []bool) []int {
 	if mask != nil && !mask[v] {
 		return dst
 	}
-	t := g.AcquireTraversal()
 	t.Run([]int{v}, mask, radius)
 	if need := len(dst) + len(t.queue); need > cap(dst) {
 		dst = append(make([]int, 0, need), dst...)
@@ -203,18 +194,15 @@ func (g *Graph) AppendBall(dst []int, v int, radius int, mask []bool) []int {
 	for _, u := range t.queue {
 		dst = append(dst, int(u))
 	}
-	g.ReleaseTraversal(t)
 	return dst
 }
 
 // Eccentricity returns the maximum distance from v to any vertex reachable
 // within the mask. Returns 0 for isolated v.
 func (g *Graph) Eccentricity(v int, mask []bool) int {
-	t := g.AcquireTraversal()
+	t := new(Traversal).Bind(g)
 	t.Run([]int{v}, mask, -1)
-	ecc := t.MaxDist()
-	g.ReleaseTraversal(t)
-	return ecc
+	return t.MaxDist()
 }
 
 // Components returns the connected components as vertex lists, restricted to
@@ -222,7 +210,7 @@ func (g *Graph) Eccentricity(v int, mask []bool) int {
 func (g *Graph) Components(mask []bool) [][]int {
 	n := g.N()
 	seen := make([]bool, n)
-	t := g.AcquireTraversal()
+	t := new(Traversal).Bind(g)
 	var comps [][]int
 	for v := 0; v < n; v++ {
 		if seen[v] || (mask != nil && !mask[v]) {
@@ -236,7 +224,6 @@ func (g *Graph) Components(mask []bool) [][]int {
 		}
 		comps = append(comps, comp)
 	}
-	g.ReleaseTraversal(t)
 	return comps
 }
 
@@ -245,8 +232,7 @@ func (g *Graph) Components(mask []bool) [][]int {
 // connected.
 func (g *Graph) IsConnected(mask []bool) bool {
 	n := g.N()
-	t := g.AcquireTraversal()
-	defer g.ReleaseTraversal(t)
+	t := new(Traversal).Bind(g)
 	for v := 0; v < n; v++ {
 		if mask != nil && !mask[v] {
 			continue
@@ -273,7 +259,7 @@ func (g *Graph) IsConnected(mask []bool) bool {
 // analysis and tests, not inner loops.
 func (g *Graph) Diameter(mask []bool) int {
 	d := 0
-	t := g.AcquireTraversal()
+	t := new(Traversal).Bind(g)
 	for v := 0; v < g.N(); v++ {
 		if mask != nil && !mask[v] {
 			continue
@@ -283,7 +269,6 @@ func (g *Graph) Diameter(mask []bool) int {
 			d = e
 		}
 	}
-	g.ReleaseTraversal(t)
 	return d
 }
 

@@ -1,7 +1,5 @@
 package graph
 
-import "sync"
-
 // Block is a biconnected component: a maximal 2-connected subgraph, or a
 // bridge edge, or (degenerately) an isolated vertex is *not* a block — blocks
 // always contain at least one edge.
@@ -33,55 +31,33 @@ type dfsVert struct {
 	num, low, parent, iter, seen int32
 }
 
-// blocksScratch is the pooled DFS workspace of Blocks. acquireBlocksScratch
-// clears the records of the listed vertices (nil: all n), the only ones a
-// walk touches, so the block stamps restart at 1 and fit in int32 (a walk
-// emits at most m ≤ MaxInt32/2 blocks).
-type blocksScratch struct {
-	vs       []dfsVert
-	estack   []blockEdge
-	stack    []int32
-	blkVerts []int
-}
-
-var blocksScratchPool sync.Pool
-
-func acquireBlocksScratch(n int, verts []int32) *blocksScratch {
-	s, _ := blocksScratchPool.Get().(*blocksScratch)
-	if s == nil {
-		s = &blocksScratch{}
-	}
-	if n > len(s.vs) {
-		s.vs = make([]dfsVert, n)
+// blocksDFS is the Hopcroft–Tarjan core shared by Blocks and
+// IsGallaiForest, on t's DFS records and stacks, which it allocates on
+// first use and grows to a larger graph. It walks the masked graph from
+// roots in verts order (nil: ascending), and a non-nil verts listing every
+// masked vertex keeps the walk to their records: it clears just those (nil:
+// all n), so the block stamps restart at 1 and fit in int32 (a walk emits
+// at most m ≤ MaxInt32/2 blocks). For every block it calls sink with the
+// block's edges as the segment of the edge stack they were popped from (so
+// the block's edge order is seg read backwards) and its vertices in
+// first-seen order along that pop. Both slices are transient — valid only
+// during the call, reused for the next block; sink returns false to abort
+// the walk early. markCut (may be nil) is called for articulation points,
+// possibly more than once per vertex.
+func (t *Traversal) blocksDFS(verts []int32, mask []bool, sink func(seg []blockEdge, verts []int) bool, markCut func(int)) {
+	g := t.g
+	n := g.N()
+	if n > len(t.vs) {
+		t.vs = make([]dfsVert, n)
 	} else if verts == nil {
-		clear(s.vs[:n])
+		clear(t.vs[:n])
 	}
 	for _, v := range verts {
-		s.vs[v] = dfsVert{}
+		t.vs[v] = dfsVert{}
 	}
-	s.estack = s.estack[:0]
-	s.stack = s.stack[:0]
-	return s
-}
-
-// blocksDFS is the Hopcroft–Tarjan core shared by Blocks and
-// IsGallaiForest. It walks the masked graph from roots in verts order
-// (nil: ascending), and a non-nil verts listing every masked vertex keeps
-// the walk to their records. For every block it calls sink with the
-// block's edges as
-// the segment of the edge stack they were popped from (so the block's edge
-// order is seg read backwards) and its vertices in first-seen order along
-// that pop. Both slices are transient — valid only during the call, reused
-// for the next block; sink returns false to abort the walk early. markCut
-// (may be nil) is called for articulation points, possibly more than once
-// per vertex.
-func (g *Graph) blocksDFS(verts []int32, mask []bool, sink func(seg []blockEdge, verts []int) bool, markCut func(int)) {
-	n := g.N()
-	ws := acquireBlocksScratch(n, verts)
-	defer blocksScratchPool.Put(ws)
-	vs := ws.vs[:n]
+	vs := t.vs[:n]
 	offsets, neighbors := g.offsets, g.neighbors
-	estack := ws.estack
+	estack := t.estack[:0]
 	var counter, stamp int32
 
 	inMask := func(v int32) bool { return mask == nil || mask[v] }
@@ -98,7 +74,7 @@ func (g *Graph) blocksDFS(verts []int32, mask []bool, sink func(seg []blockEdge,
 		seg := estack[i:]
 		estack = estack[:i]
 		stamp++
-		verts := ws.blkVerts[:0]
+		verts := t.blkVerts[:0]
 		if most := min(len(seg)+1, n); cap(verts) < most {
 			verts = make([]int, 0, most)
 		}
@@ -113,14 +89,14 @@ func (g *Graph) blocksDFS(verts []int32, mask []bool, sink func(seg []blockEdge,
 				verts = append(verts, int(e.v))
 			}
 		}
-		ws.blkVerts = verts
+		t.blkVerts = verts
 		return sink(seg, verts)
 	}
 
-	stack := ws.stack
+	stack := t.stack
 	defer func() {
-		ws.estack = estack[:0]
-		ws.stack = stack[:0]
+		t.estack = estack[:0]
+		t.stack = stack[:0]
 	}()
 	roots := len(verts)
 	if verts == nil {
@@ -200,16 +176,21 @@ func (g *Graph) blocksDFS(verts []int32, mask []bool, sink func(seg []blockEdge,
 
 // Blocks computes the biconnected components of the masked graph (nil mask =
 // all vertices) with an iterative Hopcroft–Tarjan DFS (no recursion, safe for
-// path graphs of any length). The DFS workspace is pooled: the root-ball
-// recoloring path runs Blocks on thousands of tiny induced subgraphs.
+// path graphs of any length). It runs on a fresh Traversal's DFS records;
+// a caller decomposing many graphs holds a Traversal and calls its Blocks.
 func (g *Graph) Blocks(mask []bool) *BlockDecomposition {
-	n := g.N()
+	return (&Traversal{g: g}).Blocks(mask)
+}
+
+// Blocks is Graph.Blocks on t's graph, reusing t's DFS records.
+func (t *Traversal) Blocks(mask []bool) *BlockDecomposition {
+	n := t.g.N()
 	dec := &BlockDecomposition{
 		IsCut:    make([]bool, n),
 		BlocksOf: make([][]int, n),
 	}
 	members := 0
-	g.blocksDFS(nil, mask, func(seg []blockEdge, verts []int) bool {
+	t.blocksDFS(nil, mask, func(seg []blockEdge, verts []int) bool {
 		edges := make([][2]int, len(seg))
 		for j, e := range seg {
 			edges[len(seg)-1-j] = [2]int{int(e.u), int(e.v)}
@@ -257,12 +238,18 @@ func gallaiBlock(k, m int) bool {
 // tree (every block a clique or an odd cycle; edgeless graphs qualify),
 // with mask true exactly on verts, or nil for both to test all of g. It
 // walks only verts, streams blocks out of the DFS and stops at the first
-// bad one, allocating nothing: the happy-set classification calls it per
-// component and per ball. bad is that block's vertex count (0 for a Gallai
-// forest), so a connected G[verts] is one bad block exactly when
-// bad == len(verts), in any walk order.
+// bad one. bad is that block's vertex count (0 for a Gallai forest), so a
+// connected G[verts] is one bad block exactly when bad == len(verts), in
+// any walk order. It runs on a fresh Traversal's DFS records.
 func (g *Graph) IsGallaiForest(verts []int32, mask []bool) (ok bool, bad int) {
-	g.blocksDFS(verts, mask, func(seg []blockEdge, blk []int) bool {
+	return (&Traversal{g: g}).IsGallaiForest(verts, mask)
+}
+
+// IsGallaiForest is Graph.IsGallaiForest on t's graph, reusing t's DFS
+// records, so a warm call allocates nothing: the happy-set classification
+// calls it per component and per ball.
+func (t *Traversal) IsGallaiForest(verts []int32, mask []bool) (ok bool, bad int) {
+	t.blocksDFS(verts, mask, func(seg []blockEdge, blk []int) bool {
 		if !gallaiBlock(len(blk), len(seg)) {
 			bad = len(blk)
 		}

@@ -239,8 +239,8 @@ func TestBlocksMatchReferenceDFSRegular100k(t *testing.T) {
 }
 
 // TestGallaiListMatchesMaskForm runs the list-scoped Gallai test on many
-// random vertex lists of one graph in a row, so each walk reuses the
-// pooled records the walks before it left behind, and compares it with the
+// random vertex lists of one graph in a row on one traversal, so each walk
+// reuses the records the walks before it left behind, and compares it with the
 // mask-only form, which clears all n records. Ascending lists walk in the
 // mask form's order, so the bad block found must match too; shuffled lists
 // must agree on the verdict and on whether the first bad block spans a
@@ -261,7 +261,7 @@ func TestGallaiListMatchesMaskForm(t *testing.T) {
 		gen.Grid(15, 15),
 	}
 	for hi, g := range hosts {
-		tr := g.AcquireTraversal()
+		tr := new(graph.Traversal).Bind(g)
 		for trial := range 200 {
 			var mask []bool
 			var verts []int32
@@ -279,12 +279,12 @@ func TestGallaiListMatchesMaskForm(t *testing.T) {
 			}
 			name := fmt.Sprintf("host %d trial %d (%d vertices)", hi, trial, len(verts))
 			wantOK, wantBad := g.IsGallaiForestMask(mask)
-			gotOK, gotBad := g.IsGallaiForest(verts, mask)
+			gotOK, gotBad := tr.IsGallaiForest(verts, mask)
 			if gotOK != wantOK || gotBad != wantBad {
 				t.Fatalf("%s ascending: (%v, %d), mask form (%v, %d)", name, gotOK, gotBad, wantOK, wantBad)
 			}
 			rng.Shuffle(len(verts), func(i, j int) { verts[i], verts[j] = verts[j], verts[i] })
-			gotOK, gotBad = g.IsGallaiForest(verts, mask)
+			gotOK, gotBad = tr.IsGallaiForest(verts, mask)
 			if gotOK != wantOK {
 				t.Fatalf("%s shuffled: Gallai %v, mask form %v", name, gotOK, wantOK)
 			}
@@ -292,6 +292,5 @@ func TestGallaiListMatchesMaskForm(t *testing.T) {
 				t.Fatalf("%s shuffled: bad block of %d, mask form %d", name, gotBad, wantBad)
 			}
 		}
-		g.ReleaseTraversal(tr)
 	}
 }

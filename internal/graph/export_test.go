@@ -4,7 +4,7 @@ package graph
 // replaced: a walk from every masked vertex in ascending order, over all n
 // records cleared. It is the oracle for the list-scoped walk.
 func (g *Graph) IsGallaiForestMask(mask []bool) (ok bool, bad int) {
-	g.blocksDFS(nil, mask, func(seg []blockEdge, blk []int) bool {
+	(&Traversal{g: g}).blocksDFS(nil, mask, func(seg []blockEdge, blk []int) bool {
 		if gallaiBlock(len(blk), len(seg)) {
 			return true
 		}

@@ -447,48 +447,11 @@ func (g *Graph) DegreesInMask(mask []bool, out []int) []int {
 	return out
 }
 
-// indexMap is a pooled vertex→dense-index map backed by epoch-stamped flat
-// arrays, replacing the per-call Go map in Induced: clearing is O(1) and
-// lookups are an array probe. Same stamping discipline as Traversal/Bitset.
-type indexMap struct {
-	idx   []int32
-	stamp []uint32
-	epoch uint32
-}
-
-var indexMapPool sync.Pool
-
-func acquireIndexMap(n int) *indexMap {
-	m, _ := indexMapPool.Get().(*indexMap)
-	if m == nil {
-		m = &indexMap{}
-	}
-	if m.epoch == ^uint32(0) { // epoch wrap: clear stamps once every 2³² uses
-		clear(m.stamp)
-		m.epoch = 0
-	}
-	m.epoch++
-	if n > len(m.idx) {
-		m.idx = append(m.idx, make([]int32, n-len(m.idx))...)
-		m.stamp = append(m.stamp, make([]uint32, n-len(m.stamp))...)
-	}
-	return m
-}
-
-func (m *indexMap) set(v, i int) { m.idx[v] = int32(i); m.stamp[v] = m.epoch }
-
-func (m *indexMap) get(v int) (int, bool) {
-	if m.stamp[v] != m.epoch {
-		return 0, false
-	}
-	return int(m.idx[v]), true
-}
-
 // Induced returns the subgraph induced by verts, plus the mapping from new
 // vertex ids (0..len(verts)-1) back to the original ids. Vertices listed more
 // than once are an error.
 func (g *Graph) Induced(verts []int) (*Graph, []int, error) {
-	sub, err := g.InducedInto(new(InducedBuf), verts)
+	sub, err := new(Traversal).Bind(g).InducedInto(new(InducedBuf), verts)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -514,22 +477,25 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// InducedInto is Induced building the subgraph in buf. Vertex i of the
-// subgraph is verts[i], so the mapping back is verts itself. The returned
-// graph is buf's one header, reset over buf's arrays (its cached
-// degeneracy and mirror start empty): it is valid until buf's next use,
-// which overwrites it in place.
-func (g *Graph) InducedInto(buf *InducedBuf, verts []int) (*Graph, error) {
-	im := acquireIndexMap(g.N())
-	defer indexMapPool.Put(im)
+// InducedInto is Induced on t's graph, building the subgraph in buf.
+// Vertex i of the subgraph is verts[i], so the mapping back is verts
+// itself. The returned graph is buf's one header, reset over buf's arrays
+// (its cached degeneracy and mirror start empty): it is valid until buf's
+// next use, which overwrites it in place. Under a fresh epoch, t's marks
+// hold verts and its distance array each one's index, so the last search
+// is invalidated.
+func (t *Traversal) InducedInto(buf *InducedBuf, verts []int) (*Graph, error) {
+	g := t.g
+	epoch := t.nextEpoch()
+	in, idx := t.mark, t.dist
 	for i, v := range verts {
 		if v < 0 || v >= g.N() {
 			return nil, fmt.Errorf("graph: induced vertex %d out of range", v)
 		}
-		if _, dup := im.get(v); dup {
+		if in[v] == epoch {
 			return nil, fmt.Errorf("graph: induced vertex %d listed twice", v)
 		}
-		im.set(v, i)
+		in[v], idx[v] = epoch, int32(i)
 	}
 	// Build the CSR directly (two passes over the set's adjacency) instead
 	// of going through Builder: no per-vertex adjacency slices.
@@ -539,7 +505,7 @@ func (g *Graph) InducedInto(buf *InducedBuf, verts []int) (*Graph, error) {
 	for i, v := range verts {
 		d := int32(0)
 		for _, w := range g.Neighbors(v) {
-			if _, ok := im.get(int(w)); ok {
+			if in[w] == epoch {
 				d++
 			}
 		}
@@ -550,8 +516,8 @@ func (g *Graph) InducedInto(buf *InducedBuf, verts []int) (*Graph, error) {
 	for i, v := range verts {
 		row := neighbors[offsets[i]:offsets[i]]
 		for _, w := range g.Neighbors(v) {
-			if j, ok := im.get(int(w)); ok {
-				row = append(row, int32(j))
+			if in[w] == epoch {
+				row = append(row, idx[w])
 			}
 		}
 	}

@@ -206,6 +206,7 @@ func TestInducedIntoReuseMatchesInduced(t *testing.T) {
 	rng := rand.New(rand.NewPCG(20, 5))
 	graphs := []*Graph{randomGraph(rng, 600, 6.0/600), randomGraph(rng, 90, 5.0/90)}
 	var buf InducedBuf
+	var tr Traversal
 	var balls []int
 	for trial := range 60 {
 		g := graphs[trial/15%2]
@@ -214,7 +215,7 @@ func TestInducedIntoReuseMatchesInduced(t *testing.T) {
 			size = 1 + rng.IntN(8)
 		}
 		verts := rng.Perm(g.N())[:size]
-		got, err := g.InducedInto(&buf, verts)
+		got, err := tr.Bind(g).InducedInto(&buf, verts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -232,12 +233,12 @@ func TestInducedIntoReuseMatchesInduced(t *testing.T) {
 		v, radius := rng.IntN(g.N()), rng.IntN(4)
 		prefix := min(rng.IntN(3), len(balls))
 		kept := slices.Clone(balls[:prefix])
-		balls = g.AppendBall(balls[:prefix], v, radius, nil)
+		balls = tr.AppendBall(balls[:prefix], v, radius, nil)
 		if !slices.Equal(balls[:prefix], kept) || !slices.Equal(balls[prefix:], g.Ball(v, radius, nil)) {
 			t.Fatalf("trial %d: AppendBall differs from Ball", trial)
 		}
 	}
-	if _, err := graphs[0].InducedInto(&buf, []int{3, 3}); err == nil {
+	if _, err := tr.Bind(graphs[0]).InducedInto(&buf, []int{3, 3}); err == nil {
 		t.Error("duplicate vertex accepted")
 	}
 }

@@ -3,8 +3,8 @@ package graph
 import (
 	"fmt"
 	"math/rand/v2"
+	"reflect"
 	"slices"
-	"sync"
 	"testing"
 )
 
@@ -26,8 +26,7 @@ func viewOf(t *Traversal, g *Graph) bfsView {
 
 // freshView runs one search on a traversal nothing else has touched.
 func freshView(g *Graph, sources []int, mask []bool, radius int) bfsView {
-	t := &Traversal{}
-	t.bind(g)
+	t := new(Traversal).Bind(g)
 	t.Run(sources, mask, radius)
 	return viewOf(t, g)
 }
@@ -61,7 +60,7 @@ func TestTraversalRebindMatchesFresh(t *testing.T) {
 	large2 := randomGraph(rng, 2500, 3.0/2500)
 	tr := &Traversal{}
 	for step, g := range []*Graph{large1, small, large2, small, large1} {
-		tr.bind(g)
+		tr.Bind(g)
 		for k := 0; k < 8; k++ {
 			sources, mask, radius := randomSearch(rng, g)
 			tr.Run(sources, mask, radius)
@@ -84,13 +83,13 @@ func TestTraversalEpochWrapAfterRebind(t *testing.T) {
 	small := path(11)
 	for _, start := range []uint32{^uint32(0), ^uint32(0) - 1} {
 		tr := &Traversal{}
-		tr.bind(large)
+		tr.Bind(large)
 		for e := 0; e < 40; e++ {
 			tr.Run([]int{rng.IntN(large.N())}, nil, 3)
 		}
 		tr.epoch = start
 		for step, g := range []*Graph{small, small, large, large, small, large, large, large} {
-			tr.bind(g)
+			tr.Bind(g)
 			sources, mask, radius := randomSearch(rng, g)
 			tr.Run(sources, mask, radius)
 			if !sameView(viewOf(tr, g), freshView(g, sources, mask, radius)) {
@@ -100,55 +99,67 @@ func TestTraversalEpochWrapAfterRebind(t *testing.T) {
 	}
 }
 
-// TestTraversalPoolConcurrent acquires pooled traversals for graphs of
-// different sizes from many goroutines at once (run it under -race): every
-// search must match the fresh-traversal answer for its own graph. A
-// released traversal must not keep its graph alive.
-func TestTraversalPoolConcurrent(t *testing.T) {
+// TestTraversalRebind binds one traversal to graphs of 7, 60, 900 and
+// 2,000 vertices and back to 7, and on each interleaves searches, block
+// decompositions, Gallai tests and induced copies, checking every result
+// against a fresh traversal. A block DFS walks the last search's order and
+// must leave that search intact; an induced copy of the vertices the
+// search just stamped must not take them for listed twice.
+func TestTraversalRebind(t *testing.T) {
 	rng := rand.New(rand.NewPCG(18, 8))
-	type job struct {
-		g       *Graph
-		sources []int
-		mask    []bool
-		radius  int
-		want    bfsView
-	}
-	var jobs []job
+	var graphs []*Graph
 	for _, n := range []int{7, 60, 900, 2000} {
-		g := randomGraph(rng, n, 3.0/float64(n))
-		for k := 0; k < 3; k++ {
+		graphs = append(graphs, randomGraph(rng, n, 3.0/float64(n)))
+	}
+	graphs = append(graphs, graphs[0])
+	tr := &Traversal{}
+	var buf InducedBuf
+	for step, g := range graphs {
+		tr.Bind(g)
+		for k := range 6 {
+			name := fmt.Sprintf("step %d (n=%d) round %d", step, g.N(), k)
 			sources, mask, radius := randomSearch(rng, g)
-			jobs = append(jobs, job{g, sources, mask, radius, freshView(g, sources, mask, radius)})
-		}
-	}
-	var wg sync.WaitGroup
-	errs := make(chan error, 8)
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 40; i++ {
-				j := jobs[(w*7+i)%len(jobs)]
-				tr := j.g.AcquireTraversal()
-				tr.Run(j.sources, j.mask, j.radius)
-				ok := sameView(viewOf(tr, j.g), j.want)
-				j.g.ReleaseTraversal(tr)
-				if !ok {
-					errs <- fmt.Errorf("worker %d search %d (n=%d): pooled traversal differs from a fresh one", w, i, j.g.N())
-					return
-				}
+			tr.Run(sources, mask, radius)
+			want := freshView(g, sources, mask, radius)
+			if !sameView(viewOf(tr, g), want) {
+				t.Fatalf("%s: search differs from a fresh traversal", name)
 			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	g := jobs[0].g
-	tr := g.AcquireTraversal()
-	g.ReleaseTraversal(tr)
-	if tr.g != nil {
-		t.Fatal("a released traversal still holds its graph")
+
+			reached := tr.Order()
+			inSearch := make([]bool, g.N())
+			for _, v := range reached {
+				inSearch[v] = true
+			}
+			gotOK, gotBad := tr.IsGallaiForest(reached, inSearch)
+			wantOK, wantBad := new(Traversal).Bind(g).IsGallaiForest(slices.Clone(reached), inSearch)
+			if gotOK != wantOK || gotBad != wantBad {
+				t.Fatalf("%s: Gallai test (%v, %d), fresh (%v, %d)", name, gotOK, gotBad, wantOK, wantBad)
+			}
+			if !reflect.DeepEqual(tr.Blocks(mask), new(Traversal).Bind(g).Blocks(mask)) {
+				t.Fatalf("%s: block decomposition differs from a fresh traversal", name)
+			}
+			if !sameView(viewOf(tr, g), want) {
+				t.Fatalf("%s: a block DFS changed the last search", name)
+			}
+
+			verts := make([]int, 0, len(reached))
+			for _, v := range reached {
+				verts = append(verts, int(v))
+			}
+			rng.Shuffle(len(verts), func(i, j int) { verts[i], verts[j] = verts[j], verts[i] })
+			got, err := tr.InducedInto(&buf, verts)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			fresh, err := new(Traversal).Bind(g).InducedInto(new(InducedBuf), verts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotOff, gotNbr := got.CSR()
+			wantOff, wantNbr := fresh.CSR()
+			if !slices.Equal(gotOff, wantOff) || !slices.Equal(gotNbr, wantNbr) {
+				t.Fatalf("%s: induced copy of %d vertices differs from a fresh traversal", name, len(verts))
+			}
+		}
 	}
 }

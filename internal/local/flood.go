@@ -266,11 +266,13 @@ func CollectBallsCentral(nw *Network, ledger *Ledger, phase string, radius int, 
 	n := g.N()
 	balls := make([]BallGraph, n)
 	in := make([]bool, n)
+	tr := new(graph.Traversal).Bind(g)
+	var members []int
 	for v := 0; v < n; v++ {
 		if mask != nil && !mask[v] {
 			continue
 		}
-		members := g.Ball(v, radius, mask)
+		members = tr.AppendBall(members[:0], v, radius, mask)
 		for _, u := range members {
 			in[u] = true
 		}

@@ -32,7 +32,6 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sync"
 
 	"distcolor/internal/graph"
 	"distcolor/internal/local"
@@ -54,13 +53,14 @@ type Forest struct {
 	MaxDepth int
 }
 
-// scratch is the pooled state of one Compute: per-vertex component labels
-// and root-path marks, each valid only where its stamp equals the call's
-// epoch, and per-component diameter bounds and winners. Stale entries are
-// never cleared (a stale stamp is older than every later epoch), so a call
-// writes only the vertices it labels or keeps; emitting the tree reads the
-// keep stamps once, in one ascending scan.
-type scratch struct {
+// Workspace is the scratch of Compute, reused across calls: per-vertex
+// component labels and root-path marks, each valid only where its stamp
+// equals the call's epoch, and per-component diameter bounds and winners.
+// Stale entries are never cleared (a stale stamp is older than every later
+// epoch), so a call writes only the vertices it labels or keeps; emitting
+// the tree reads the keep stamps once, in one ascending scan. The zero
+// value is ready to use. A Workspace is owned by one goroutine at a time.
+type Workspace struct {
 	epoch   uint32
 	labeled []uint32 // labeled[v] == epoch: comp[v] is v's component index
 	comp    []int32
@@ -69,13 +69,8 @@ type scratch struct {
 	winner  []int    // winner[c] is component c's minimum-ID U vertex
 }
 
-var scratchPool sync.Pool
-
-func acquireScratch(n int) *scratch {
-	s, _ := scratchPool.Get().(*scratch)
-	if s == nil {
-		s = &scratch{}
-	}
+// begin starts a call on an n-vertex graph and returns its epoch.
+func (s *Workspace) begin(n int) uint32 {
 	if s.epoch == ^uint32(0) { // epoch wrap: clear stamps once every 2³² calls
 		clear(s.labeled)
 		clear(s.kept)
@@ -87,7 +82,7 @@ func acquireScratch(n int) *scratch {
 		s.comp = make([]int32, n)
 		s.kept = make([]uint32, n)
 	}
-	return s
+	return s.epoch
 }
 
 // Compute builds an (α, O(α log n))-ruling forest of the masked graph with
@@ -95,8 +90,10 @@ func acquireScratch(n int) *scratch {
 // (nil = all vertices); every u ∈ U must satisfy the mask. Rounds are
 // charged to the ledger under the given phase. Cancellation is cooperative:
 // ctx is checked once per bit level (each level costs α LOCAL rounds).
-// Allocation is proportional to the components holding U, not to n.
-func Compute(ctx context.Context, nw *local.Network, ledger *local.Ledger, phase string,
+// Every search runs on tr, which Compute binds to nw.G; the last search
+// is left in it. Once s and tr are warm, allocation is proportional to
+// the components holding U, not to n.
+func (s *Workspace) Compute(ctx context.Context, nw *local.Network, tr *graph.Traversal, ledger *local.Ledger, phase string,
 	mask []bool, u []int, alpha int) (*Forest, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -115,12 +112,9 @@ func Compute(ctx context.Context, nw *local.Network, ledger *local.Ledger, phase
 		}
 	}
 
-	// --- Phase 1: the ruling set. One pooled traversal serves every BFS.
-	tr := g.AcquireTraversal()
-	defer g.ReleaseTraversal(tr)
-	s := acquireScratch(n)
-	defer scratchPool.Put(s)
-	epoch := s.epoch
+	// --- Phase 1: the ruling set. One traversal serves every BFS.
+	tr.Bind(g)
+	epoch := s.begin(n)
 
 	// Label the components that hold U. 2·ecc of the first U vertex seen
 	// bounds the component's diameter; a component is saturated when that
@@ -253,10 +247,11 @@ func Compute(ctx context.Context, nw *local.Network, ledger *local.Ledger, phase
 // vertex of U is within O(log n) hops of a member. With U = V this is a
 // maximal-independent-set-grade symmetry-breaking primitive, obtained here
 // deterministically from the same AGLP machinery (α = 2 makes "distance
-// ≥ α" mean exactly "non-adjacent").
+// ≥ α" mean exactly "non-adjacent"). It runs on a fresh workspace.
 func IndependentRulingSet(ctx context.Context, nw *local.Network, ledger *local.Ledger, phase string,
 	mask []bool, u []int) ([]int, error) {
-	f, err := Compute(ctx, nw, ledger, phase, mask, u, 2)
+	var s Workspace
+	f, err := s.Compute(ctx, nw, new(graph.Traversal), ledger, phase, mask, u, 2)
 	if err != nil {
 		return nil, err
 	}

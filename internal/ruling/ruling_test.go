@@ -5,7 +5,6 @@ import (
 	"math/bits"
 	"math/rand/v2"
 	"runtime"
-	"runtime/debug"
 	"slices"
 	"testing"
 
@@ -26,7 +25,7 @@ func TestRulingForestPath(t *testing.T) {
 	g := gen.Path(50)
 	nw := local.NewNetwork(g)
 	var ledger local.Ledger
-	f, err := Compute(context.Background(), nw, &ledger, "ruling", nil, allVertices(g), 5)
+	f, err := compute(context.Background(), nw, &ledger, "ruling", nil, allVertices(g), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +52,7 @@ func TestRulingForestSubsetU(t *testing.T) {
 		}
 	}
 	alpha := 4
-	f, err := Compute(context.Background(), nw, nil, "", nil, u, alpha)
+	f, err := compute(context.Background(), nw, nil, "", nil, u, alpha)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +84,7 @@ func TestRulingForestWithMask(t *testing.T) {
 			u = append(u, v)
 		}
 	}
-	f, err := Compute(context.Background(), nw, nil, "", mask, u, 3)
+	f, err := compute(context.Background(), nw, nil, "", mask, u, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +110,7 @@ func TestRulingForestRandomProperty(t *testing.T) {
 			continue
 		}
 		alpha := 2 + rng.IntN(4)
-		f, err := Compute(context.Background(), nw, nil, "", nil, u, alpha)
+		f, err := compute(context.Background(), nw, nil, "", nil, u, alpha)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -150,7 +149,7 @@ func TestRulingForestRandomProperty(t *testing.T) {
 func TestRulingForestSingleton(t *testing.T) {
 	g := gen.Cycle(10)
 	nw := local.NewNetwork(g)
-	f, err := Compute(context.Background(), nw, nil, "", nil, []int{3}, 4)
+	f, err := compute(context.Background(), nw, nil, "", nil, []int{3}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +164,7 @@ func TestRulingForestSingleton(t *testing.T) {
 func TestRulingForestEmptyU(t *testing.T) {
 	g := gen.Cycle(6)
 	nw := local.NewNetwork(g)
-	f, err := Compute(context.Background(), nw, nil, "", nil, nil, 3)
+	f, err := compute(context.Background(), nw, nil, "", nil, nil, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,14 +176,14 @@ func TestRulingForestEmptyU(t *testing.T) {
 func TestRulingForestBadInput(t *testing.T) {
 	g := gen.Cycle(6)
 	nw := local.NewNetwork(g)
-	if _, err := Compute(context.Background(), nw, nil, "", nil, []int{0}, 0); err == nil {
+	if _, err := compute(context.Background(), nw, nil, "", nil, []int{0}, 0); err == nil {
 		t.Error("alpha=0 accepted")
 	}
-	if _, err := Compute(context.Background(), nw, nil, "", nil, []int{99}, 2); err == nil {
+	if _, err := compute(context.Background(), nw, nil, "", nil, []int{99}, 2); err == nil {
 		t.Error("out-of-range U accepted")
 	}
 	mask := make([]bool, 6)
-	if _, err := Compute(context.Background(), nw, nil, "", mask, []int{0}, 2); err == nil {
+	if _, err := compute(context.Background(), nw, nil, "", mask, []int{0}, 2); err == nil {
 		t.Error("U outside mask accepted")
 	}
 }
@@ -230,13 +229,20 @@ func TestRulingSetMaximality(t *testing.T) {
 	g := gen.Grid(5, 5)
 	nw := local.NewNetwork(g)
 	u := allVertices(g)
-	f, err := Compute(context.Background(), nw, nil, "", nil, u, 1)
+	f, err := compute(context.Background(), nw, nil, "", nil, u, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(f.Roots) != len(u) {
 		t.Errorf("alpha=1: %d roots, want %d", len(f.Roots), len(u))
 	}
+}
+
+// compute is Compute on a fresh workspace and traversal.
+func compute(ctx context.Context, nw *local.Network, ledger *local.Ledger, phase string,
+	mask []bool, u []int, alpha int) (*Forest, error) {
+	var ws Workspace
+	return ws.Compute(ctx, nw, new(graph.Traversal), ledger, phase, mask, u, alpha)
 }
 
 // referenceRulers is the bit-by-bit merge run literally, the differential
@@ -248,8 +254,7 @@ func referenceRulers(nw *local.Network, ledger *local.Ledger, phase string,
 	mask []bool, u []int, alpha int) []int {
 	g := nw.G
 	n := g.N()
-	tr := g.AcquireTraversal()
-	defer g.ReleaseTraversal(tr)
+	tr := new(graph.Traversal).Bind(g)
 
 	compID := make([]int, n)
 	for i := range compID {
@@ -429,9 +434,12 @@ func randomPieces(t *testing.T, rng *rand.Rand) *graph.Graph {
 // original on seeded random inputs: mixed component shapes, α from 1 to 8
 // plus one above every diameter, random U subsets (with an occasional
 // duplicate), random masks and shuffled IDs. Roots, the forest and the
-// charged rounds must all agree exactly.
+// charged rounds must all agree exactly. One workspace and one traversal
+// serve every call, across graphs of different sizes.
 func TestComputeMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewPCG(15, 1802))
+	var ws Workspace
+	var tr graph.Traversal
 	for trial := 0; trial < 300; trial++ {
 		g := randomPieces(t, rng)
 		n := g.N()
@@ -456,7 +464,7 @@ func TestComputeMatchesReference(t *testing.T) {
 		}
 		for _, alpha := range []int{1, 2, 3, 4, 5, 6, 7, 8, 2*n + 2} {
 			var got, want local.Ledger
-			f, err := Compute(context.Background(), nw, &got, "ruling", mask, u, alpha)
+			f, err := ws.Compute(context.Background(), nw, &tr, &got, "ruling", mask, u, alpha)
 			if err != nil {
 				t.Fatalf("trial %d α=%d: %v", trial, alpha, err)
 			}
@@ -480,7 +488,7 @@ func checkComputeAgainstReference(t *testing.T, name string, nw *local.Network, 
 	t.Helper()
 	for _, alpha := range alphas {
 		var got, want local.Ledger
-		f, err := Compute(context.Background(), nw, &got, "ruling", mask, u, alpha)
+		f, err := compute(context.Background(), nw, &got, "ruling", mask, u, alpha)
 		if err != nil {
 			t.Fatalf("%s α=%d: %v", name, alpha, err)
 		}
@@ -556,7 +564,8 @@ func TestComputeSmallUInLargeGraph(t *testing.T) {
 // the ruling set: an Apollonian graph at the paper's α for n=1e5, where
 // every component is saturated and elects its minimum-ID vertex, and a grid
 // at α=8, whose one component is far wider than α and runs the ID-ordered
-// merge level by level.
+// merge level by level. One warm workspace and traversal serve every call,
+// as a run's serve its layers.
 func BenchmarkRulingCompute(b *testing.B) {
 	cases := []struct {
 		name  string
@@ -573,12 +582,18 @@ func BenchmarkRulingCompute(b *testing.B) {
 			g := c.g()
 			nw := local.NewShuffledNetwork(g, rand.New(rand.NewPCG(2, 2)))
 			u := allVertices(g)
+			var ws Workspace
+			var tr graph.Traversal
+			compute := func() {
+				if _, err := ws.Compute(context.Background(), nw, &tr, nil, "", nil, u, c.alpha); err != nil {
+					b.Fatal(err)
+				}
+			}
+			compute() // warm the workspace and the traversal, as a run's earlier layers do
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := Compute(context.Background(), nw, nil, "", nil, u, c.alpha); err != nil {
-					b.Fatal(err)
-				}
+				compute()
 			}
 		})
 	}
@@ -601,12 +616,9 @@ func smallMask(g *graph.Graph, rng *rand.Rand) []bool {
 }
 
 // allocBytes returns the bytes a warm call of fn allocates, as the
-// TotalAlloc delta of a second call after a first. It runs on one P with
-// the collector off, so the second call finds the pooled scratch the first
-// one filled: a per-P pool cache cannot miss and no GC can drop it.
+// TotalAlloc delta of a second call after a first, which finds the scratch
+// the first one grew.
 func allocBytes(fn func()) uint64 {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	fn()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -619,9 +631,6 @@ func allocBytes(fn func()) uint64 {
 // whole 100-vertex mask) in an n=1e5 graph allocates for U, not for the
 // graph: under 64 KiB, where n-wide forest arrays would take megabytes.
 func TestComputeAllocatesPerU(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops Puts at random under the race detector")
-	}
 	rng := rand.New(rand.NewPCG(18, 10))
 	g := gen.Apollonian(100000, rng)
 	nw := local.NewShuffledNetwork(g, rng)
@@ -632,8 +641,10 @@ func TestComputeAllocatesPerU(t *testing.T) {
 			u = append(u, v)
 		}
 	}
+	var ws Workspace
+	var tr graph.Traversal
 	run := func() {
-		if _, err := Compute(context.Background(), nw, nil, "", mask, u, 4); err != nil {
+		if _, err := ws.Compute(context.Background(), nw, &tr, nil, "", mask, u, 4); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -35,7 +35,7 @@ func builderBlockGraph(t *testing.T, blk *graph.Block) (*graph.Graph, []int) {
 // arrays, edge count, maximum degree and vertex mapping.
 func checkBlockGraph(t *testing.T, name string, g *graph.Graph, blk *graph.Block) *graph.Graph {
 	t.Helper()
-	d, verts, err := blockGraph(g, blk, new(blockScratch))
+	d, verts, err := new(Workspace).blockGraph(g, blk)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}

@@ -240,25 +240,26 @@ func greedyInOrder(g *graph.Graph, colors []int, lists [][]int, order []int, b *
 
 // Workspace is the reusable scratch of DegreeListColor, EffectiveLists,
 // GreedyInOrder and ColorBall: the masks, the component walk, reverse-BFS
-// orders, effective lists, the palette bitset, the ball indices and
-// neighbors, and the bad block's graph, lists and colors. Each array grows
-// to the largest graph the workspace has served, to exactly the size
-// needed, and is reused by later calls, so a stream of small graphs or
-// balls (the root balls of Lemma 3.2) costs no allocation per graph once
-// warm. The zero value is ready to use. A Workspace is owned by one
-// goroutine at a time.
+// orders, effective lists, the palette bitset, the traversal, the ball
+// indices and neighbors, and the bad block's graph, lists and colors. Each
+// array grows to the largest graph the workspace has served, to exactly
+// the size needed, and is reused by later calls, so a stream of small
+// graphs or balls (the root balls of Lemma 3.2) costs no allocation per
+// graph once warm. The zero value is ready to use. A Workspace is owned by
+// one goroutine at a time.
 type Workspace struct {
-	b         graph.Bitset // palette scratch of every list scan
-	at        []int32      // ColorBall's 1-based ball indices; all 0 between calls
-	nbrs      []int        // ColorBall's ball neighbors of one vertex
-	unc       []bool       // uncolored vertices; the component walk consumes it
-	comp      []bool       // the current component; all false between components
-	mask      []bool       // the tight-block steps' masks
-	compVerts []int        // the last walk's components, back to back
-	compEnds  []int        // component i is compVerts[compEnds[i-1]:compEnds[i]]
-	order     []int        // the last reverse-BFS order
-	lists     listBuf      // EffectiveLists' result
-	block     blockScratch // the bad block's graph, lists and colors
+	b         graph.Bitset    // palette scratch of every list scan
+	tr        graph.Traversal // every search, block DFS and block graph
+	at        []int32         // ColorBall's 1-based ball indices; all 0 between calls
+	nbrs      []int           // ColorBall's ball neighbors of one vertex
+	unc       []bool          // uncolored vertices; the component walk consumes it
+	comp      []bool          // the current component; all false between components
+	mask      []bool          // the tight-block steps' masks
+	compVerts []int           // the last walk's components, back to back
+	compEnds  []int           // component i is compVerts[compEnds[i-1]:compEnds[i]]
+	order     []int           // the last reverse-BFS order
+	lists     listBuf         // EffectiveLists' result
+	block     blockScratch    // the bad block's graph, lists and colors
 }
 
 // listBuf holds effective lists on one flat backing array.
@@ -288,17 +289,15 @@ func grow[T any](s []T, n int) []T {
 // reverseBFSOrder returns the vertices of the masked component of src in
 // order of decreasing BFS distance from src (src last), in w.order.
 // Processing in this order guarantees every vertex except src has an
-// uncolored neighbor (its BFS parent) at coloring time. The traversal goes
-// back to the pool before returning, so the steps that follow can take it.
+// uncolored neighbor (its BFS parent) at coloring time.
 func (w *Workspace) reverseBFSOrder(g *graph.Graph, src int, mask []bool) []int {
-	tr := g.AcquireTraversal()
+	tr := w.tr.Bind(g)
 	tr.Run([]int{src}, mask, -1)
 	fwd := tr.Order() // nondecreasing distance; emit it reversed
 	order := grow(w.order, len(fwd))
 	for i, v := range fwd {
 		order[len(fwd)-1-i] = int(v)
 	}
-	g.ReleaseTraversal(tr)
 	w.order = order
 	return order
 }
@@ -375,7 +374,7 @@ func (w *Workspace) walkComponents(g *graph.Graph, count int) {
 	unc := w.unc
 	verts := grow(w.compVerts, count)[:0]
 	ends := w.compEnds[:0]
-	tr := g.AcquireTraversal()
+	tr := w.tr.Bind(g)
 	for v := range g.N() {
 		if !unc[v] {
 			continue
@@ -387,7 +386,6 @@ func (w *Workspace) walkComponents(g *graph.Graph, count int) {
 		}
 		ends = append(ends, len(verts))
 	}
-	g.ReleaseTraversal(tr)
 	w.compVerts, w.compEnds = verts, ends
 }
 
@@ -454,7 +452,7 @@ func (w *Workspace) colorComponent(g *graph.Graph, colors []int, lists [][]int, 
 		return nil
 	}
 	// Tight everywhere. Find a bad block of the component.
-	dec := g.Blocks(compMask)
+	dec := w.tr.Bind(g).Blocks(compMask)
 	bad := graph.FirstBadBlock(dec)
 	if bad == -1 {
 		return w.gallaiTightFallback(g, colors, lists, comp, compMask)
@@ -556,7 +554,7 @@ func reverseBFSOrderInBlock(blk *graph.Block, src int) []int {
 // size ≥ block-degree (tight in the hard case).
 func (w *Workspace) colorBadBlock(g *graph.Graph, colors []int, lists [][]int, blk *graph.Block) error {
 	s := &w.block
-	d, verts, err := blockGraph(g, blk, s)
+	d, verts, err := w.blockGraph(g, blk)
 	if err != nil {
 		return err
 	}
@@ -591,16 +589,17 @@ func (w *Workspace) colorBadBlock(g *graph.Graph, colors []int, lists [][]int, b
 // blockGraph returns the block as its own graph on vertices 0..k-1, with
 // verts[i] the g-vertex of block vertex i in increasing order. A block holds
 // every edge of g between its vertices, so this is the subgraph induced by
-// the sorted vertex set, built in s. When the block spans all of g it is g
-// itself, and verts is nil (the identity).
-func blockGraph(g *graph.Graph, blk *graph.Block, s *blockScratch) (d *graph.Graph, verts []int, err error) {
+// the sorted vertex set, built in w.block. When the block spans all of g it
+// is g itself, and verts is nil (the identity).
+func (w *Workspace) blockGraph(g *graph.Graph, blk *graph.Block) (d *graph.Graph, verts []int, err error) {
 	d = g
 	if len(blk.Vertices) != g.N() {
+		s := &w.block
 		verts = grow(s.verts, len(blk.Vertices))
 		s.verts = verts
 		copy(verts, blk.Vertices)
 		slices.Sort(verts)
-		if d, err = g.InducedInto(&s.ind, verts); err != nil {
+		if d, err = w.tr.Bind(g).InducedInto(&s.ind, verts); err != nil {
 			return nil, nil, fmt.Errorf("seqcolor: block graph: %w", err)
 		}
 	}
@@ -759,7 +758,7 @@ func (w *Workspace) brooksTriple(d *graph.Graph, mask []bool) (x, y, z int, orde
 	// of z in two different leaf blocks of d−z.
 	for zc := 0; zc < n; zc++ {
 		mask[zc] = false
-		dec := d.Blocks(mask)
+		dec := w.tr.Bind(d).Blocks(mask)
 		mask[zc] = true
 		hasCut := false
 		for v := 0; v < n; v++ {
