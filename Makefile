@@ -50,15 +50,16 @@ test-serial:
 # trace/progress, cross-GOMAXPROCS determinism and per-call allocation
 # tests, the caller-held per-layer scratch (one traversal rebound to
 # graphs of different sizes, the ruling, reduction and root-ball
-# workspaces) and its allocation tests, the gps7 peel coloring
+# workspaces) and its allocation tests, the ruling labels the peel leaves
+# and the root balls carved off the forest's search, the gps7 peel coloring
 # (concurrent PeelColor calls on one shared graph, as on a resident
 # graph) and the block-parallel text ingest (ReadEdgeList's tests and fuzz
 # seeds run on 1, 2 and 4 Ps).
 test-race:
 	$(GO) test -race ./internal/serve/... ./internal/obs/... ./internal/local/... ./internal/cluster/... ./internal/gps
 	$(GO) test -race -run 'Cancel|Registry|Deadline|Progress|Trace|Luby|Deterministic|ProperColoring|Golden|Allocates' .
-	$(GO) test -race -run 'Traversal|Allocates|Linial|DegPlusOne|Ruling|ReadEdgeList' ./internal/graph ./internal/reduce ./internal/ruling
-	$(GO) test -race -run 'RootBall|Workspace' ./internal/core ./internal/seqcolor
+	$(GO) test -race -run 'Traversal|Allocates|Linial|DegPlusOne|Ruling|ReadEdgeList|CarveBalls|SameUnderEveryBound' ./internal/graph ./internal/reduce ./internal/ruling
+	$(GO) test -race -run 'RootBall|Workspace|HappySetLabels|ExtendMatchesFullLayeredPass' ./internal/core ./internal/seqcolor
 
 # Clustering suite under the race detector: the ring/quota/health unit
 # tests plus the in-process 3-replica harness (routing determinism,

@@ -207,7 +207,13 @@ func peelAndExtend(ctx context.Context, nw *local.Network, res *Result, lists []
 		s.peel(lay.happy)
 	}
 
-	// ---- Extension phase (Lemma 3.2), reverse order.
+	// ---- Extension phase (Lemma 3.2), reverse order. A layer's root balls
+	// lie in its rich set, so the largest one bounds every layer's carving.
+	maxRich := 0
+	for _, lay := range layers {
+		maxRich = max(maxRich, len(lay.rich))
+	}
+	s.balls.carved = make([]int32, 0, maxRich)
 	colors := make([]int, n)
 	for v := range colors {
 		colors[v] = Uncolored

@@ -7,6 +7,7 @@ import (
 
 	"distcolor/internal/graph"
 	"distcolor/internal/local"
+	"distcolor/internal/ruling"
 	"distcolor/internal/seqcolor"
 )
 
@@ -50,7 +51,8 @@ func extend(ctx context.Context, nw *local.Network, ledger *local.Ledger, s *pee
 	// --- Ruling forest: roots pairwise > 2·radius apart so that their rich
 	// balls are disjoint with no edges in between.
 	alpha := 2*radius + 2
-	forest, err := s.ruling.Compute(ctx, nw, &s.tr, ledger, "extend/ruling", richMask, lay.happy, alpha)
+	labels := ruling.Labels{Comp: s.compOf, Diam: lay.diam}
+	forest, err := s.ruling.Compute(ctx, nw, &s.tr, ledger, "extend/ruling", richMask, lay.happy, labels, alpha)
 	if err != nil {
 		return st, fmt.Errorf("ruling forest: %w", err)
 	}
@@ -110,22 +112,10 @@ func extend(ctx context.Context, nw *local.Network, ledger *local.Ledger, s *pee
 		}
 	}
 
-	// --- Root balls: uncolor each root's rich ball entirely and recolor it
-	// with the constructive Theorem 1.1. Balls of distinct roots are
-	// disjoint and non-adjacent (α = 2·radius+2), so the components of the
-	// uncolored set are exactly the balls. The run's one workspace serves
-	// every ball. A ball holding the minimum of a one-block component of the
-	// layer is that whole component, so it is one bad block.
+	// --- Root balls, on the forest's search, which Compute leaves in s.tr.
 	if len(forest.Roots) > 0 {
-		for _, r := range forest.Roots {
-			ws.ball = s.tr.AppendBall(ws.ball[:0], r, radius, richMask)
-			for _, u := range ws.ball {
-				colors[u] = Uncolored
-			}
-			_, oneBlock := slices.BinarySearch(lay.blocks, slices.Min(ws.ball))
-			if err := colorBallTheorem11(g, &s.tr, colors, lists, ws.ball, oneBlock, ws); err != nil {
-				return st, fmt.Errorf("root %d ball: %w", r, err)
-			}
+		if err := extendRootBalls(g, &s.tr, colors, lists, lay.blocks, radius, ws); err != nil {
+			return st, err
 		}
 		// Collect + recolor each ball: radius+1 rounds, all roots parallel.
 		ledger.Charge("extend/rootballs", radius+1)
@@ -133,23 +123,57 @@ func extend(ctx context.Context, nw *local.Network, ledger *local.Ledger, s *pee
 	return st, nil
 }
 
+// extendRootBalls uncolors each root's rich ball entirely and recolors it
+// with the constructive Theorem 1.1. Balls of distinct roots are disjoint
+// and non-adjacent (α = 2·radius+2), so the components of the uncolored
+// set are exactly the balls. tr holds the search of the rich set from the
+// roots, which all balls are carved off at once: roots are more than
+// 2·radius apart, so each carved ball is its root's, root first, in the
+// order AppendBall would give it. The run's one workspace serves every
+// ball. A ball holding the minimum of a one-block component of the layer
+// (blocks) is that whole component, so it is one bad block.
+func extendRootBalls(g *graph.Graph, tr *graph.Traversal, colors []int, lists [][]int, blocks []int, radius int, ws *ballWorkspace) error {
+	ws.carved, ws.ends = tr.CarveBalls(ws.carved, ws.ends, radius)
+	start := int32(0)
+	for _, end := range ws.ends {
+		if cap(ws.ball) < int(end-start) {
+			ws.ball = make([]int, 0, end-start)
+		}
+		ws.ball = ws.ball[:0]
+		for _, u := range ws.carved[start:end] {
+			ws.ball = append(ws.ball, int(u))
+			colors[u] = Uncolored
+		}
+		start = end
+		_, oneBlock := slices.BinarySearch(blocks, slices.Min(ws.ball))
+		if err := colorBallTheorem11(g, tr, colors, lists, ws.ball, oneBlock, ws); err != nil {
+			return fmt.Errorf("root %d ball: %w", ws.ball[0], err)
+		}
+	}
+	return nil
+}
+
 // ballWorkspace is the scratch extend reuses across its layers and root
-// balls, one per run: the ball, its induced graph's arrays and colors and
-// the Theorem 1.1 workspace, whose palette bitset also serves the layered
-// pass. Each array grows to the largest ball, to exactly the size needed.
+// balls, one per run: a layer's carved balls and their ends, the ball
+// being recolored, its induced graph's arrays and colors and the Theorem
+// 1.1 workspace, whose palette bitset also serves the layered pass. Each
+// array grows to exactly the size needed; peelAndExtend sizes carved once,
+// to the largest rich set.
 type ballWorkspace struct {
-	ball   []int
-	ind    graph.InducedBuf
-	colors []int
-	seq    seqcolor.Workspace
+	carved, ends []int32
+	ball         []int
+	ind          graph.InducedBuf
+	colors       []int
+	seq          seqcolor.Workspace
 }
 
 // colorBallTheorem11 colors the (fully uncolored) ball with the
 // constructive Theorem 1.1, all on ws's scratch and the host traversal tr,
 // which it binds to g. The happiness of the root guarantees the
 // hypotheses: the ball has a surplus vertex or is not a Gallai tree.
-// oneBlock tells that the ball is one bad block. The ball is in
-// AppendBall's order, which the in-place path relies on.
+// oneBlock tells that the ball is one bad block. The ball lists the BFS
+// of the rich set from its root, as AppendBall or CarveBalls carves it,
+// the order the in-place path relies on.
 //
 // A ball with a surplus vertex, and a one-block ball that takes step (b)
 // or the Brooks fast path, is colored in place on g

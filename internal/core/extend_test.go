@@ -96,7 +96,8 @@ func extendFull(ctx context.Context, nw *local.Network, ledger *local.Ledger, ri
 			richMask[v] = false
 		}
 	}()
-	forest, err := new(ruling.Workspace).Compute(ctx, nw, new(graph.Traversal), ledger, "extend/ruling", richMask, lay.happy, 2*radius+2)
+	labels := walkLabels(g, richMask, lay.happy)
+	forest, err := new(ruling.Workspace).Compute(ctx, nw, new(graph.Traversal), ledger, "extend/ruling", richMask, lay.happy, labels, 2*radius+2)
 	if err != nil {
 		return extendStats{}, err
 	}
@@ -138,6 +139,29 @@ func extendFull(ctx context.Context, nw *local.Network, ledger *local.Ledger, ri
 		ledger.Charge("extend/rootballs", radius+1)
 	}
 	return st, nil
+}
+
+// walkLabels labels the components of the masked graph that hold U as the
+// ruling forest once did itself, independently of the peel: one search per
+// component from the first U vertex met, whose doubled eccentricity bounds
+// the diameter.
+func walkLabels(g *graph.Graph, mask []bool, u []int) ruling.Labels {
+	comp := make([]int32, g.N())
+	for v := range comp {
+		comp[v] = -1
+	}
+	var diam []int32
+	for _, v := range u {
+		if comp[v] >= 0 {
+			continue
+		}
+		res := g.BFS([]int{v}, mask, -1)
+		for _, w := range res.Order {
+			comp[w] = int32(len(diam))
+		}
+		diam = append(diam, int32(2*res.Dist[res.Order[len(res.Order)-1]]))
+	}
+	return ruling.Labels{Comp: comp, Diam: diam}
 }
 
 // checkOneBlockMinima checks that every minimum happySet recorded starts a
@@ -275,5 +299,82 @@ func TestExtendMatchesFullLayeredPass(t *testing.T) {
 	}
 	if oneBlock["bridged"] {
 		t.Fatal("bridged: a component with a bridge was recorded as one block")
+	}
+}
+
+// TestHappySetLabelsHappyVertices drives the peel layer by layer and checks
+// the ruling labels happySet leaves for extend: each happy vertex of the
+// layer carries the index of its component of G[R] among the components
+// holding a happy vertex, numbered by their minima, and diam holds 2·ecc
+// of each such component's minimum. No other label is written: the test
+// fills the labels with -1 first, and every alive vertex that is not happy
+// in the layer must still read -1.
+func TestHappySetLabelsHappyVertices(t *testing.T) {
+	rng := rand.New(rand.NewPCG(30, 3))
+	regular, err := gen.RandomRegular(600, 3, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hosts := []struct {
+		name string
+		g    *graph.Graph
+		d    int
+	}{
+		{"grid", gen.Grid(30, 30), 3},
+		{"apollonian", gen.Apollonian(800, rng), 6},
+		{"regular3", regular, 3},
+		{"bridged", bridgedCubic(), 3},
+	}
+	for _, h := range hosts {
+		for _, c := range []float64{0.3, 1, DefaultBallC} {
+			g, d, n := h.g, h.d, h.g.N()
+			radius := max(1, int(math.Ceil(c*math.Log2(float64(n)))))
+			s := newPeelState(g)
+			for v := range s.compOf {
+				s.compOf[v] = -1
+			}
+			for layerNo := 1; len(s.alive) > 0; layerNo++ {
+				name := fmt.Sprintf("%s c=%.2f layer %d", h.name, c, layerNo)
+				alive := slices.Clone(s.alive)
+				_, lay := happySet(s, radius, func(deg, _ int) bool { return deg <= d }, func(deg, _ int) bool { return deg <= d-1 })
+				if len(lay.happy) == 0 {
+					t.Fatalf("%s: peeling stalled", name)
+				}
+				rich, happy := make([]bool, n), make([]bool, n)
+				for _, v := range lay.rich {
+					rich[v] = true
+				}
+				for _, v := range lay.happy {
+					happy[v] = true
+				}
+				labeled := 0
+				for _, comp := range g.Components(rich) {
+					if !slices.ContainsFunc(comp, func(v int) bool { return happy[v] }) {
+						continue
+					}
+					if labeled >= len(lay.diam) {
+						t.Fatalf("%s: %d component bounds, more components hold a happy vertex", name, len(lay.diam))
+					}
+					if want := 2 * g.Eccentricity(comp[0], rich); int(lay.diam[labeled]) != want {
+						t.Fatalf("%s: component %d (minimum %d) bound %d, want 2·ecc = %d", name, labeled, comp[0], lay.diam[labeled], want)
+					}
+					for _, v := range comp {
+						if happy[v] && s.compOf[v] != int32(labeled) {
+							t.Fatalf("%s: happy vertex %d labeled %d, want %d", name, v, s.compOf[v], labeled)
+						}
+					}
+					labeled++
+				}
+				if labeled != len(lay.diam) {
+					t.Fatalf("%s: %d component bounds for %d components holding a happy vertex", name, len(lay.diam), labeled)
+				}
+				for _, v := range alive {
+					if !happy[v] && s.compOf[v] != -1 {
+						t.Fatalf("%s: vertex %d is not happy but labeled %d", name, v, s.compOf[v])
+					}
+				}
+				s.peel(lay.happy)
+			}
+		}
 	}
 }

@@ -12,9 +12,10 @@ import (
 // run: the alive vertices as an ascending list, their alive-degrees (kept
 // current by peel, which decrements the alive neighbors of every removed
 // vertex), the masks that happySet and extend fill from a vertex list and
-// clear by the same list before they return, the run's traversals, and
-// extend's ruling, schedule and ball workspaces. So each layer's work is
-// proportional to the alive graph, not to n.
+// clear by the same list before they return, the happy vertices'
+// component labels, the run's traversals, and extend's ruling, schedule
+// and ball workspaces. So each layer's work is proportional to the alive
+// graph, not to n.
 type peelState struct {
 	g       *graph.Graph
 	alive   []int // alive vertices, ascending
@@ -24,6 +25,11 @@ type peelState struct {
 	// Masks, all false between uses: rich is G[R] for happySet and extend,
 	// happy the happy set, comp one component of G[R] and ball one ball.
 	rich, happy, comp, ball []bool
+	// compOf[v] is the index of v's component of G[R] in the layer where
+	// v is happy, written then and never else: a vertex is happy in
+	// exactly one layer, so one array serves the run's ruling forests.
+	compOf []int32
+	diam   []int32 // happySet's component bounds, reused across layers
 	// tr is the run's host traversal: happySet's searches and Gallai
 	// tests, the ruling forest's searches and extend's ball carving and
 	// induced copies. ballTr serves classifyComponent's per-vertex
@@ -45,6 +51,7 @@ func newPeelState(g *graph.Graph) *peelState {
 		happy:   make([]bool, n),
 		comp:    make([]bool, n),
 		ball:    make([]bool, n),
+		compOf:  make([]int32, n),
 	}
 	for v := range n {
 		s.alive[v] = v
@@ -72,9 +79,13 @@ func (s *peelState) peel(happy []int) {
 
 // layer is one peel iteration's output, all lists ascending: the rich set
 // R, the happy set A ⊆ R, and the minima of the components of G[R] whose
-// every ball is the whole component and that are one bad block.
+// every ball is the whole component and that are one bad block. diam[c]
+// is 2·ecc of the minimum of the c-th component of G[R] that holds a
+// happy vertex, a bound on its diameter; peelState.compOf gives each
+// happy vertex's c.
 type layer struct {
 	rich, happy, blocks []int
+	diam                []int32
 }
 
 // happySet classifies the alive vertices into rich/poor and computes the
@@ -133,20 +144,32 @@ func happySet(s *peelState, radius int,
 	// leaves richMask once settled. Later components' searches never miss
 	// it, since no rich edge joins two components. The walk from comp[0]
 	// covers exactly the component, so its depth is comp[0]'s eccentricity.
+	// Each component with a happy vertex is labeled for extend's ruling
+	// forest, which needs no walk of its own.
 	var blocks []int // ascending, as the components' minima are met
+	diam := s.diam[:0]
 	for i, v0 := range rich {
 		if !richMask[v0] {
 			continue
 		}
 		tr.Run(rich[i:i+1], richMask, -1)
-		comp := tr.Order()
-		if classifyComponent(s, comp, tr.MaxDist(), radius, &st) {
+		comp, ecc := tr.Order(), tr.MaxDist()
+		if classifyComponent(s, comp, ecc, radius, &st) {
 			blocks = append(blocks, v0)
 		}
+		c, labeled := int32(len(diam)), false
 		for _, v := range comp {
 			richMask[v] = false
+			if happyMask[v] {
+				s.compOf[v] = c
+				labeled = true
+			}
+		}
+		if labeled {
+			diam = append(diam, int32(2*ecc))
 		}
 	}
+	s.diam = diam
 
 	happy := make([]int, 0, st.HappyLow+st.HappyGal)
 	for _, v := range rich {
@@ -156,7 +179,7 @@ func happySet(s *peelState, radius int,
 		}
 	}
 	st.Happy = len(happy)
-	return st, layer{rich, happy, blocks}
+	return st, layer{rich, happy, blocks, slices.Clone(diam)}
 }
 
 // classifyComponent marks the vertices of one component of G[rich] whose

@@ -210,35 +210,75 @@ func TestRootBallHostMatchesFresh(t *testing.T) {
 }
 
 // TestRootBallCarvedInInducedBFSOrder checks the order ColorBall
-// requires of its ball: AppendBall returns a ball in the BFS order, from
-// ball[0], of the subgraph it induces with vertex i being ball[i] (rows
-// in ascending ball index), on relabeled hosts and random masks.
+// requires of its ball: each ball CarveBalls carves off a search from
+// roots pairwise more than 2·radius apart, as extend's roots are, lists
+// the BFS, from the ball's root, of the subgraph it induces with vertex i
+// being ball[i] (rows in ascending ball index), on relabeled hosts and
+// random masks.
 func TestRootBallCarvedInInducedBFSOrder(t *testing.T) {
 	rng := rand.New(rand.NewPCG(27, 2))
+	var tr graph.Traversal
+	var carved, ends []int32
 	for hi, g := range hostBallGraphs(rng) {
 		mask := make([]bool, g.N())
 		for trial := range 100 {
 			for v := range mask {
 				mask[v] = rng.IntN(10) < 3+trial%7
 			}
-			root := rng.IntN(g.N())
-			mask[root] = true
 			radius := rng.IntN(7) - 1
-			ball := g.Ball(root, radius, mask)
-			sub, _, err := g.Induced(ball)
-			if err != nil {
-				t.Fatal(err)
-			}
-			order := sub.BFS([]int{0}, nil, -1).Order
-			for i, v := range order {
-				if v != i {
-					t.Fatalf("host %d trial %d (radius %d, %d vertices): induced BFS visits ball index %d at step %d",
-						hi, trial, radius, len(ball), v, i)
+			roots := farApartRoots(rng, g, mask, radius)
+			tr.Bind(g).Run(roots, mask, -1)
+			carved, ends = tr.CarveBalls(carved, ends, radius)
+			start := int32(0)
+			for i, end := range ends {
+				ball := make([]int, 0, end-start)
+				for _, v := range carved[start:end] {
+					ball = append(ball, int(v))
 				}
-			}
-			if len(order) != len(ball) {
-				t.Fatalf("host %d trial %d: induced BFS reaches %d of %d ball vertices", hi, trial, len(order), len(ball))
+				start = end
+				if ball[0] != roots[i] {
+					t.Fatalf("host %d trial %d: ball %d starts at %d, not at its root %d", hi, trial, i, ball[0], roots[i])
+				}
+				sub, _, err := g.Induced(ball)
+				if err != nil {
+					t.Fatal(err)
+				}
+				order := sub.BFS([]int{0}, nil, -1).Order
+				for i, v := range order {
+					if v != i {
+						t.Fatalf("host %d trial %d (radius %d, %d vertices): induced BFS visits ball index %d at step %d",
+							hi, trial, radius, len(ball), v, i)
+					}
+				}
+				if len(order) != len(ball) {
+					t.Fatalf("host %d trial %d: induced BFS reaches %d of %d ball vertices", hi, trial, len(order), len(ball))
+				}
 			}
 		}
 	}
+}
+
+// farApartRoots picks up to 8 masked vertices, in random order, pairwise
+// more than 2·radius apart in the mask (negative radius: at most one per
+// component).
+func farApartRoots(rng *rand.Rand, g *graph.Graph, mask []bool, radius int) []int {
+	near := make([]bool, g.N())
+	reach := 2 * radius
+	if radius < 0 {
+		reach = -1
+	}
+	var roots []int
+	for _, v := range rng.Perm(g.N()) {
+		if len(roots) == 8 {
+			break
+		}
+		if near[v] || !mask[v] {
+			continue
+		}
+		roots = append(roots, v)
+		for _, u := range g.Ball(v, reach, mask) {
+			near[u] = true
+		}
+	}
+	return roots
 }

@@ -1,20 +1,20 @@
 package graph
 
 // Traversal is the graph package's walk scratch: breadth-first searches
-// (Run, AppendBall), block DFSes (Blocks, IsGallaiForest) and induced
-// copies (InducedInto) on the graph it is bound to. All per-vertex search
-// state is epoch-stamped, so starting a new search is O(1) — no per-call
-// allocation and no O(n) clearing — which matters in the hot loops (ruling
-// forests, happy-set classification, ball carving) that run thousands of
-// bounded searches.
+// (Run, AppendBall, CarveBalls), block DFSes (Blocks, IsGallaiForest) and
+// induced copies (InducedInto) on the graph it is bound to. All per-vertex
+// search state is epoch-stamped, so starting a new search is O(1) — no
+// per-call allocation and no O(n) clearing — which matters in the hot
+// loops (ruling forests, happy-set classification, ball carving) that run
+// thousands of bounded searches.
 //
 // The zero value is ready for Bind, and the caller owns it: a Traversal is
 // used by one goroutine at a time, and a caller that runs in a loop keeps
-// one across its calls. Run and InducedInto invalidate the last search
-// (InducedInto stamps its vertex index into the search's arrays). A block
-// DFS does not: its records and stacks are separate, allocated by the
-// first DFS, so a DFS may walk the last search's Order, and a traversal
-// that only searches never pays for them.
+// one across its calls. Run, CarveBalls and InducedInto invalidate the
+// last search (InducedInto stamps its vertex index into the search's
+// arrays). A block DFS does not: its records and stacks are separate,
+// allocated by the first DFS, so a DFS may walk the last search's Order,
+// and a traversal that only searches never pays for them.
 type Traversal struct {
 	g      *Graph
 	dist   []int32
@@ -195,6 +195,69 @@ func (t *Traversal) AppendBall(dst []int, v int, radius int, mask []bool) []int 
 		dst = append(dst, int(u))
 	}
 	return dst
+}
+
+// CarveBalls consumes the last Run: it groups the vertices that search
+// reached within distance radius (negative = unbounded) by the source
+// whose BFS tree holds them, in one pass over the search order and one
+// over the groups' sizes. Group i, dst[ends[i-1]:ends[i]] (from 0 for
+// i = 0), belongs to the search's i-th source (Order()[i]: Run keeps its
+// sources first, in the order given) and lists its vertices in search
+// order. dst and ends are reused, and grown to exactly the need when too
+// short.
+//
+// When the sources are pairwise more than 2·radius apart in the search's
+// mask, group i is exactly AppendBall(nil, source i, radius, mask), in
+// the same order: a vertex at distance k ≤ radius from a source is
+// farther from every other source, and so is each neighbor at distance
+// k−1 that could discover it, so the multi-source search visits each
+// source's ball as the single-source search does. The search's parents
+// are overwritten, so t holds no search afterwards.
+func (t *Traversal) CarveBalls(dst []int32, ends []int32, radius int) ([]int32, []int32) {
+	order := t.queue
+	sources := 0
+	for sources < len(order) && t.dist[order[sources]] == 0 {
+		sources++
+	}
+	if cap(ends) < sources {
+		ends = make([]int32, sources)
+	}
+	ends = ends[:sources]
+	clear(ends)
+	// Each vertex's group replaces its parent, which the search order
+	// lists first; ends counts each group's size.
+	reach := 0
+	for ; reach < len(order); reach++ {
+		v := order[reach]
+		if radius >= 0 && int(t.dist[v]) > radius {
+			break
+		}
+		if reach < sources {
+			t.parent[v] = int32(reach)
+		} else {
+			t.parent[v] = t.parent[t.parent[v]]
+		}
+		ends[t.parent[v]]++
+	}
+	// A stable counting sort: ends turns into group starts, then advances
+	// to the group ends as the groups fill.
+	start := int32(0)
+	for i, size := range ends {
+		ends[i] = start
+		start += size
+	}
+	if cap(dst) < reach {
+		dst = make([]int32, reach)
+	}
+	dst = dst[:reach]
+	for _, v := range order[:reach] {
+		g := t.parent[v]
+		dst[ends[g]] = v
+		ends[g]++
+	}
+	t.queue = t.queue[:0]
+	t.nextEpoch()
+	return dst, ends
 }
 
 // Eccentricity returns the maximum distance from v to any vertex reachable

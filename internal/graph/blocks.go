@@ -31,6 +31,17 @@ type dfsVert struct {
 	num, low, parent, iter, seen int32
 }
 
+// push appends x to s, doubling s's capacity when it is full. The DFS
+// stacks start empty in a fresh traversal and grow with the walk, and
+// append grows a large slice by about 1.25×, so on one long walk it would
+// allocate several times the final stack.
+func push[T any](s []T, x T) []T {
+	if len(s) == cap(s) {
+		s = append(make([]T, 0, max(2*cap(s), 16)), s...)
+	}
+	return append(s, x)
+}
+
 // blocksDFS is the Hopcroft–Tarjan core shared by Blocks and
 // IsGallaiForest, on t's DFS records and stacks, which it allocates on
 // first use and grows to a larger graph. It walks the masked graph from
@@ -127,10 +138,10 @@ func (t *Traversal) blocksDFS(verts []int32, mask []bool, sink func(seg []blockE
 				}
 				pw := &vs[w]
 				if pw.num == 0 {
-					estack = append(estack, blockEdge{v, w})
+					estack = push(estack, blockEdge{v, w})
 					counter++
 					*pw = dfsVert{num: counter, low: counter, parent: v}
-					stack = append(stack, w)
+					stack = push(stack, w)
 					if v == root {
 						rootChildren++
 					}
@@ -139,7 +150,7 @@ func (t *Traversal) blocksDFS(verts []int32, mask []bool, sink func(seg []blockE
 				}
 				if w != pv.parent && pw.num < pv.num {
 					// back edge
-					estack = append(estack, blockEdge{v, w})
+					estack = push(estack, blockEdge{v, w})
 					if pw.num < pv.low {
 						pv.low = pw.num
 					}

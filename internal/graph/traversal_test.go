@@ -163,3 +163,88 @@ func TestTraversalRebind(t *testing.T) {
 		}
 	}
 }
+
+// farApart picks, in random vertex order, masked vertices pairwise more
+// than 2·radius apart in the mask (negative radius: one per component),
+// taking each vertex no earlier pick lies that close to.
+func farApart(rng *rand.Rand, g *Graph, mask []bool, radius int) []int {
+	near := make([]bool, g.N())
+	reach := 2 * radius
+	if radius < 0 {
+		reach = -1
+	}
+	var picked []int
+	for _, v := range rng.Perm(g.N()) {
+		if near[v] || (mask != nil && !mask[v]) {
+			continue
+		}
+		picked = append(picked, v)
+		for _, u := range g.Ball(v, reach, mask) {
+			near[u] = true
+		}
+	}
+	return picked
+}
+
+// TestCarveBallsMatchesAppendBall checks CarveBalls against one AppendBall
+// per source on random graphs and masks, with sources pairwise more than
+// 2·radius apart and out of vertex order, at radius 0, 1 and 3, past the
+// diameter and unbounded, off bounded and unbounded searches: each group
+// must be its source's ball, vertex for vertex, and the traversal must
+// hold no search afterwards. One traversal and one pair of buffers serve
+// every call.
+func TestCarveBallsMatchesAppendBall(t *testing.T) {
+	rng := rand.New(rand.NewPCG(30, 2))
+	var tr Traversal
+	var balls, ends []int32
+	unsorted := 0
+	for trial := range 150 {
+		n := 2 + rng.IntN(200)
+		g := randomGraph(rng, n, (1+2*rng.Float64())/float64(n))
+		var mask []bool
+		if trial%3 != 0 {
+			mask = make([]bool, n)
+			for v := range mask {
+				mask[v] = rng.Float64() < 0.85
+			}
+		}
+		for _, radius := range []int{0, 1, 3, n, -1} {
+			sources := farApart(rng, g, mask, radius)
+			if !slices.IsSorted(sources) {
+				unsorted++
+			}
+			search := -1
+			if radius >= 0 && rng.IntN(2) == 0 {
+				search = radius + rng.IntN(3)
+			}
+			tr.Bind(g).Run(sources, mask, search)
+			balls, ends = tr.CarveBalls(balls, ends, radius)
+			if len(ends) != len(sources) {
+				t.Fatalf("trial %d radius %d: %d groups for %d sources", trial, radius, len(ends), len(sources))
+			}
+			start := int32(0)
+			for i, s := range sources {
+				want := g.Ball(s, radius, mask)
+				got := balls[start:ends[i]]
+				start = ends[i]
+				if len(got) != len(want) {
+					t.Fatalf("trial %d radius %d source %d: group of %d vertices, ball of %d", trial, radius, s, len(got), len(want))
+				}
+				for j, v := range want {
+					if int(got[j]) != v {
+						t.Fatalf("trial %d radius %d source %d: group differs from the ball at %d", trial, radius, s, j)
+					}
+				}
+			}
+			if int(start) != len(balls) {
+				t.Fatalf("trial %d radius %d: groups end at %d of %d carved vertices", trial, radius, start, len(balls))
+			}
+			if len(tr.Order()) != 0 || (len(sources) > 0 && tr.Reached(sources[0])) {
+				t.Fatalf("trial %d radius %d: the search outlived CarveBalls", trial, radius)
+			}
+		}
+	}
+	if unsorted < 100 {
+		t.Fatalf("only %d source lists out of vertex order", unsorted)
+	}
+}

@@ -11,15 +11,18 @@
 // LOCAL rounds (a distance-α BFS); there are ⌈log₂(n+1)⌉ levels.
 //
 // The central simulation settles each connected component of the masked
-// graph on its own, since no BFS leaves its component. In a component
-// whose diameter bound is ≤ α−1 (saturated: with the paper's
+// graph on its own, since no BFS leaves its component. The caller names
+// the components that hold U and bounds their diameters (Labels); the
+// extension's caller has walked each of them already, at peel time. In a
+// component whose diameter bound is ≤ α−1 (saturated: with the paper's
 // α = 2·⌈c·log n⌉+2 almost all of them) the merge provably leaves exactly
 // the component's minimum-ID U vertex, so that vertex is elected in one
 // pass. The other components' candidates are sorted by ID once; every
 // level's groups are then contiguous runs of equal ID prefix, each settled
 // by one bounded BFS from its bit-0 members. Either way the rulers are
-// those of the merge, and the ledger is charged the merge's α rounds per
-// level whatever the simulation skipped: the LOCAL algorithm is unchanged.
+// those of the merge, whichever valid bounds the labels carry, and the
+// ledger is charged the merge's α rounds per level whatever the
+// simulation skipped: the LOCAL algorithm is unchanged.
 //
 // The forest is then the multi-source BFS forest of the rulers, trimmed to
 // the union of root paths of U-vertices; its construction costs depth
@@ -53,33 +56,37 @@ type Forest struct {
 	MaxDepth int
 }
 
+// Labels names the components of the masked graph that hold U, as the
+// caller found them: Comp[v] is the index of v's component for every v in
+// U (no other entry is read), and Diam[c] bounds component c's diameter
+// from above, as 2·ecc(x) does for any x in it. An index may name a
+// component that holds no U vertex.
+type Labels struct {
+	Comp []int32
+	Diam []int32
+}
+
 // Workspace is the scratch of Compute, reused across calls: per-vertex
-// component labels and root-path marks, each valid only where its stamp
-// equals the call's epoch, and per-component diameter bounds and winners.
-// Stale entries are never cleared (a stale stamp is older than every later
-// epoch), so a call writes only the vertices it labels or keeps; emitting
-// the tree reads the keep stamps once, in one ascending scan. The zero
-// value is ready to use. A Workspace is owned by one goroutine at a time.
+// root-path marks, each valid only where its stamp equals the call's
+// epoch, and the per-component winners. Stale marks are never cleared (a
+// stale stamp is older than every later epoch), so a call writes only the
+// vertices it keeps; emitting the tree reads the stamps once, in one
+// ascending scan. The zero value is ready to use. A Workspace is owned by
+// one goroutine at a time.
 type Workspace struct {
-	epoch   uint32
-	labeled []uint32 // labeled[v] == epoch: comp[v] is v's component index
-	comp    []int32
-	kept    []uint32 // kept[v] == epoch: v lies on a U vertex's root path
-	diamUB  []int    // diamUB[c] bounds component c's diameter
-	winner  []int    // winner[c] is component c's minimum-ID U vertex
+	epoch  uint32
+	kept   []uint32 // kept[v] == epoch: v lies on a U vertex's root path
+	winner []int32  // winner[c] is component c's minimum-ID U vertex
 }
 
 // begin starts a call on an n-vertex graph and returns its epoch.
 func (s *Workspace) begin(n int) uint32 {
 	if s.epoch == ^uint32(0) { // epoch wrap: clear stamps once every 2³² calls
-		clear(s.labeled)
 		clear(s.kept)
 		s.epoch = 0
 	}
 	s.epoch++
-	if n > len(s.labeled) {
-		s.labeled = make([]uint32, n)
-		s.comp = make([]int32, n)
+	if n > len(s.kept) {
 		s.kept = make([]uint32, n)
 	}
 	return s.epoch
@@ -87,14 +94,15 @@ func (s *Workspace) begin(n int) uint32 {
 
 // Compute builds an (α, O(α log n))-ruling forest of the masked graph with
 // respect to U. IDs come from the network (nw.ID); mask restricts the graph
-// (nil = all vertices); every u ∈ U must satisfy the mask. Rounds are
-// charged to the ledger under the given phase. Cancellation is cooperative:
-// ctx is checked once per bit level (each level costs α LOCAL rounds).
-// Every search runs on tr, which Compute binds to nw.G; the last search
-// is left in it. Once s and tr are warm, allocation is proportional to
-// the components holding U, not to n.
+// (nil = all vertices); every u ∈ U must satisfy the mask, and labels name
+// U's components. Rounds are charged to the ledger under the given phase.
+// Cancellation is cooperative: ctx is checked once per bit level (each
+// level costs α LOCAL rounds). Every search runs on tr, which Compute
+// binds to nw.G, and the forest's is the last: on success tr holds
+// Run(f.Roots, mask, -1). Once s and tr are warm, allocation is
+// proportional to U and its components, not to n.
 func (s *Workspace) Compute(ctx context.Context, nw *local.Network, tr *graph.Traversal, ledger *local.Ledger, phase string,
-	mask []bool, u []int, alpha int) (*Forest, error) {
+	mask []bool, u []int, labels Labels, alpha int) (*Forest, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -110,34 +118,29 @@ func (s *Workspace) Compute(ctx context.Context, nw *local.Network, tr *graph.Tr
 		if mask != nil && !mask[v] {
 			return nil, fmt.Errorf("ruling: U vertex %d outside mask", v)
 		}
+		if c := labels.Comp[v]; c < 0 || int(c) >= len(labels.Diam) {
+			return nil, fmt.Errorf("ruling: U vertex %d in component %d of %d", v, c, len(labels.Diam))
+		}
 	}
 
-	// --- Phase 1: the ruling set. One traversal serves every BFS.
+	// --- Phase 1: the ruling set. One traversal serves every BFS. A
+	// component is saturated when its diameter bound is ≤ α−1, i.e. every
+	// vertex in it is within distance < α of every other.
 	tr.Bind(g)
 	epoch := s.begin(n)
-
-	// Label the components that hold U. 2·ecc of the first U vertex seen
-	// bounds the component's diameter; a component is saturated when that
-	// bound is ≤ α−1, i.e. every vertex in it is within distance < α of
-	// every other.
-	diamUB, winner := s.diamUB[:0], s.winner[:0]
-	for i, v := range u {
-		if s.labeled[v] == epoch {
-			if c := s.comp[v]; nw.ID[v] < nw.ID[winner[c]] {
-				winner[c] = v
-			}
-			continue
-		}
-		tr.Run(u[i:i+1], mask, -1)
-		c := int32(len(diamUB))
-		diamUB = append(diamUB, 2*tr.MaxDist())
-		winner = append(winner, v)
-		for _, w := range tr.Order() {
-			s.labeled[w] = epoch
-			s.comp[w] = c
+	diam := labels.Diam
+	if cap(s.winner) < len(diam) {
+		s.winner = make([]int32, len(diam))
+	}
+	winner := s.winner[:len(diam)]
+	for c := range winner {
+		winner[c] = -1
+	}
+	for _, v := range u {
+		if c := labels.Comp[v]; winner[c] < 0 || nw.ID[v] < nw.ID[winner[c]] {
+			winner[c] = int32(v)
 		}
 	}
-	s.diamUB, s.winner = diamUB, winner
 
 	// A saturated component's tournament leaves exactly its minimum-ID U
 	// vertex: after level b each (component, ID>>(b+1)) class keeps only
@@ -149,7 +152,7 @@ func (s *Workspace) Compute(ctx context.Context, nw *local.Network, tr *graph.Tr
 	// becomes the ruler list, starts with room for one per component.
 	cand := make([]int, 0, len(winner))
 	for _, v := range u {
-		if diamUB[s.comp[v]] > alpha-1 {
+		if int(diam[labels.Comp[v]]) > alpha-1 {
 			cand = append(cand, v)
 		}
 	}
@@ -197,8 +200,8 @@ func (s *Workspace) Compute(ctx context.Context, nw *local.Network, tr *graph.Tr
 	}
 	roots := cand
 	for c, w := range winner {
-		if diamUB[c] <= alpha-1 {
-			roots = append(roots, w)
+		if w >= 0 && int(diam[c]) <= alpha-1 {
+			roots = append(roots, int(w))
 		}
 	}
 	slices.Sort(roots)
@@ -240,22 +243,6 @@ func (s *Workspace) Compute(ctx context.Context, nw *local.Network, tr *graph.Tr
 		ledger.Charge(phase, f.MaxDepth+1)
 	}
 	return f, nil
-}
-
-// IndependentRulingSet computes a (2, O(log n))-ruling set of the masked
-// graph with respect to U: an independent subset of U such that every
-// vertex of U is within O(log n) hops of a member. With U = V this is a
-// maximal-independent-set-grade symmetry-breaking primitive, obtained here
-// deterministically from the same AGLP machinery (α = 2 makes "distance
-// ≥ α" mean exactly "non-adjacent"). It runs on a fresh workspace.
-func IndependentRulingSet(ctx context.Context, nw *local.Network, ledger *local.Ledger, phase string,
-	mask []bool, u []int) ([]int, error) {
-	var s Workspace
-	f, err := s.Compute(ctx, nw, new(graph.Traversal), ledger, phase, mask, u, 2)
-	if err != nil {
-		return nil, err
-	}
-	return f.Roots, nil
 }
 
 // VerifyInvariants checks the (α, β) ruling-forest properties against the

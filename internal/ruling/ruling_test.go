@@ -238,12 +238,62 @@ func TestRulingSetMaximality(t *testing.T) {
 	}
 }
 
-// compute is Compute on a fresh workspace and traversal.
+// compute is Compute on a fresh workspace and traversal, with the
+// reference labels.
 func compute(ctx context.Context, nw *local.Network, ledger *local.Ledger, phase string,
 	mask []bool, u []int, alpha int) (*Forest, error) {
 	var ws Workspace
-	return ws.Compute(ctx, nw, new(graph.Traversal), ledger, phase, mask, u, alpha)
+	return ws.Compute(ctx, nw, new(graph.Traversal), ledger, phase, mask, u, labelComponents(nw.G, mask, u, firstVertex), alpha)
 }
+
+// IndependentRulingSet computes a (2, O(log n))-ruling set of the masked
+// graph with respect to U: an independent subset of U such that every
+// vertex of U is within O(log n) hops of a member. With U = V this is a
+// maximal-independent-set-grade symmetry-breaking primitive, obtained here
+// deterministically from the same AGLP machinery (α = 2 makes "distance
+// ≥ α" mean exactly "non-adjacent").
+func IndependentRulingSet(ctx context.Context, nw *local.Network, ledger *local.Ledger, phase string,
+	mask []bool, u []int) ([]int, error) {
+	f, err := compute(ctx, nw, ledger, phase, mask, u, 2)
+	if err != nil {
+		return nil, err
+	}
+	return f.Roots, nil
+}
+
+// labelComponents is the reference labeller, the walk Compute ran itself
+// before its caller supplied the labels: one search per component holding
+// U, from the first U vertex met, in U order. Each component's diameter
+// bound is 2·ecc of the vertex pick chooses from its search order (the
+// search's source first); out-of-range and unmasked U vertices stay
+// unlabeled, for Compute to reject.
+func labelComponents(g *graph.Graph, mask []bool, u []int, pick func(order []int32) int32) Labels {
+	comp := make([]int32, g.N())
+	for v := range comp {
+		comp[v] = -1
+	}
+	tr := new(graph.Traversal).Bind(g)
+	var diam []int32
+	for _, v := range u {
+		if v < 0 || v >= len(comp) || comp[v] >= 0 || (mask != nil && !mask[v]) {
+			continue
+		}
+		tr.Run([]int{v}, mask, -1)
+		for _, w := range tr.Order() {
+			comp[w] = int32(len(diam))
+		}
+		tr.Run([]int{int(pick(tr.Order()))}, mask, -1)
+		diam = append(diam, int32(2*tr.MaxDist()))
+	}
+	return Labels{comp, diam}
+}
+
+// The vertices whose eccentricity bounds a component's diameter in the
+// labels TestComputeSameUnderEveryBound compares: the old walk's first U
+// vertex, and the component's least and largest vertex.
+func firstVertex(order []int32) int32   { return order[0] }
+func leastVertex(order []int32) int32   { return slices.Min(order) }
+func largestVertex(order []int32) int32 { return slices.Max(order) }
 
 // referenceRulers is the bit-by-bit merge run literally, the differential
 // oracle for Compute's component election and ID-ordered merge: every bit
@@ -462,9 +512,10 @@ func TestComputeMatchesReference(t *testing.T) {
 		if len(u) > 0 && rng.IntN(4) == 0 {
 			u = append(u, u[rng.IntN(len(u))])
 		}
+		labels := labelComponents(g, mask, u, firstVertex)
 		for _, alpha := range []int{1, 2, 3, 4, 5, 6, 7, 8, 2*n + 2} {
 			var got, want local.Ledger
-			f, err := ws.Compute(context.Background(), nw, &tr, &got, "ruling", mask, u, alpha)
+			f, err := ws.Compute(context.Background(), nw, &tr, &got, "ruling", mask, u, labels, alpha)
 			if err != nil {
 				t.Fatalf("trial %d α=%d: %v", trial, alpha, err)
 			}
@@ -479,6 +530,75 @@ func TestComputeMatchesReference(t *testing.T) {
 				t.Fatalf("trial %d α=%d: %d rounds, reference %d", trial, alpha, got.Rounds(), want.Rounds())
 			}
 		}
+	}
+}
+
+// TestComputeSameUnderEveryBound checks that the forest does not depend on
+// which valid diameter bound the labels carry: labels bounding each
+// component by 2·ecc of the old walk's first U vertex, of its least vertex
+// and of its largest vertex all give the reference's roots, forest and
+// rounds. The inputs hold saturated and unsaturated components: random
+// pieces, and a 4×60 grid strip, whose corner bound (124) and middle bound
+// (about 66) put one component on both sides of α−1 for α between them.
+func TestComputeSameUnderEveryBound(t *testing.T) {
+	rng := rand.New(rand.NewPCG(30, 1))
+	picks := []func([]int32) int32{firstVertex, leastVertex, largestVertex}
+	var ws Workspace
+	var tr graph.Traversal
+	split := 0 // calls where the labels disagree on a component's saturation
+	for trial := range 90 {
+		g := gen.Grid(4, 60)
+		if trial%3 != 0 {
+			g = randomPieces(t, rng)
+		}
+		n := g.N()
+		nw := local.NewShuffledNetwork(g, rng)
+		var mask []bool
+		if rng.IntN(2) == 0 {
+			mask = make([]bool, n)
+			for v := range mask {
+				mask[v] = rng.Float64() < 0.9
+			}
+		}
+		var u []int
+		for v := 0; v < n; v++ {
+			if (mask == nil || mask[v]) && rng.Float64() < 0.5 {
+				u = append(u, v)
+			}
+		}
+		var labels [3]Labels
+		for i, pick := range picks {
+			labels[i] = labelComponents(g, mask, u, pick)
+		}
+		for _, alpha := range []int{2, 3, 5, 8, 20, 70, 100, 2*n + 2} {
+			var want local.Ledger
+			ref := referenceCompute(nw, &want, "ruling", mask, u, alpha)
+			for i := range labels {
+				var got local.Ledger
+				f, err := ws.Compute(context.Background(), nw, &tr, &got, "ruling", mask, u, labels[i], alpha)
+				if err != nil {
+					t.Fatalf("trial %d α=%d labels %d: %v", trial, alpha, i, err)
+				}
+				if !sameForest(f, ref) || got.Rounds() != want.Rounds() {
+					t.Fatalf("trial %d α=%d labels %d: forest or rounds differ from the reference (roots %v, reference %v)",
+						trial, alpha, i, f.Roots, ref.Roots)
+				}
+			}
+			for c := range labels[0].Diam {
+				saturated := 0
+				for i := range labels {
+					if int(labels[i].Diam[c]) <= alpha-1 {
+						saturated++
+					}
+				}
+				if saturated == 1 || saturated == 2 {
+					split++
+				}
+			}
+		}
+	}
+	if split < 20 {
+		t.Fatalf("only %d components saturated under some labels and not others", split)
 	}
 }
 
@@ -564,8 +684,9 @@ func TestComputeSmallUInLargeGraph(t *testing.T) {
 // the ruling set: an Apollonian graph at the paper's α for n=1e5, where
 // every component is saturated and elects its minimum-ID vertex, and a grid
 // at α=8, whose one component is far wider than α and runs the ID-ordered
-// merge level by level. One warm workspace and traversal serve every call,
-// as a run's serve its layers.
+// merge level by level. The labels are built before the timer, as a run's
+// peel builds them; one warm workspace and traversal serve every call, as
+// a run's serve its layers.
 func BenchmarkRulingCompute(b *testing.B) {
 	cases := []struct {
 		name  string
@@ -582,10 +703,11 @@ func BenchmarkRulingCompute(b *testing.B) {
 			g := c.g()
 			nw := local.NewShuffledNetwork(g, rand.New(rand.NewPCG(2, 2)))
 			u := allVertices(g)
+			labels := labelComponents(g, nil, u, firstVertex)
 			var ws Workspace
 			var tr graph.Traversal
 			compute := func() {
-				if _, err := ws.Compute(context.Background(), nw, &tr, nil, "", nil, u, c.alpha); err != nil {
+				if _, err := ws.Compute(context.Background(), nw, &tr, nil, "", nil, u, labels, c.alpha); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -641,10 +763,11 @@ func TestComputeAllocatesPerU(t *testing.T) {
 			u = append(u, v)
 		}
 	}
+	labels := labelComponents(g, mask, u, firstVertex)
 	var ws Workspace
 	var tr graph.Traversal
 	run := func() {
-		if _, err := ws.Compute(context.Background(), nw, &tr, nil, "", mask, u, 4); err != nil {
+		if _, err := ws.Compute(context.Background(), nw, &tr, nil, "", mask, u, labels, 4); err != nil {
 			t.Fatal(err)
 		}
 	}

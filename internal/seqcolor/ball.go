@@ -27,8 +27,10 @@ import (
 // which a list repeating a color can cause.
 //
 // A connected ball must list the BFS, from ball[0], of the subgraph it
-// induces, as Traversal.AppendBall carves it: that is the copy's component
-// walk, so ball's own order picks the same vertices the copy would.
+// induces, as Traversal.AppendBall carves it, and as Traversal.CarveBalls
+// does off a search from sources more than twice the radius apart: that
+// is the copy's component walk, so ball's own order picks the same
+// vertices the copy would.
 func (w *Workspace) ColorBall(g *graph.Graph, colors []int, lists [][]int, ball []int, oneBlock bool) bool {
 	if len(ball) == 0 || !w.indexBall(g, colors, ball) {
 		return false
