@@ -103,10 +103,11 @@ func (r *Result) Rounds() int { return r.Ledger.Rounds() }
 
 // Run executes Theorem 1.3 on the network. It returns either a coloring or
 // a (d+1)-clique inside Result. Cancellation is cooperative: ctx is checked
-// at every peeling iteration, every extension layer, and every round of the
-// message-passing subroutines, so a cancelled run stops within one round
-// and returns ctx.Err(). Run does not verify the coloring: callers check
-// it once over the whole graph (distcolor.Run does).
+// at every peeling iteration, in every extension layer before its ruling
+// forest, its schedule and each batch of its root balls, and every round
+// of the message-passing subroutines, so a cancelled run stops within one
+// round and returns ctx.Err(). Run does not verify the coloring: callers
+// check it once over the whole graph (distcolor.Run does).
 func Run(ctx context.Context, nw *local.Network, cfg Config) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()

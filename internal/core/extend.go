@@ -66,6 +66,13 @@ func extend(ctx context.Context, nw *local.Network, ledger *local.Ledger, s *pee
 		colors[v] = Uncolored
 	}
 
+	// The ruling forest checked ctx last; the schedule and the root balls
+	// check it again, so that a deadline during the last layer's extension
+	// still stops the run.
+	if err := ctx.Err(); err != nil {
+		return st, err
+	}
+
 	// --- Schedule: proper coloring of H = G[T] with ≤ Δ(H)+1 classes
 	// (Δ(H) ≤ d when T ⊆ R, per Theorem 1.3; ≤ Δ(G) for Theorem 6.1),
 	// aligned with the tree list.
@@ -114,7 +121,7 @@ func extend(ctx context.Context, nw *local.Network, ledger *local.Ledger, s *pee
 
 	// --- Root balls, on the forest's search, which Compute leaves in s.tr.
 	if len(forest.Roots) > 0 {
-		if err := extendRootBalls(g, &s.tr, colors, lists, lay.blocks, radius, ws); err != nil {
+		if err := extendRootBalls(ctx, g, &s.tr, colors, lists, lay.blocks, radius, ws); err != nil {
 			return st, err
 		}
 		// Collect + recolor each ball: radius+1 rounds, all roots parallel.
@@ -131,11 +138,17 @@ func extend(ctx context.Context, nw *local.Network, ledger *local.Ledger, s *pee
 // 2·radius apart, so each carved ball is its root's, root first, in the
 // order AppendBall would give it. The run's one workspace serves every
 // ball. A ball holding the minimum of a one-block component of the layer
-// (blocks) is that whole component, so it is one bad block.
-func extendRootBalls(g *graph.Graph, tr *graph.Traversal, colors []int, lists [][]int, blocks []int, radius int, ws *ballWorkspace) error {
+// (blocks) is that whole component, so it is one bad block. ctx is checked
+// before each batch of ballsPerCheck balls.
+func extendRootBalls(ctx context.Context, g *graph.Graph, tr *graph.Traversal, colors []int, lists [][]int, blocks []int, radius int, ws *ballWorkspace) error {
 	ws.carved, ws.ends = tr.CarveBalls(ws.carved, ws.ends, radius)
 	start := int32(0)
-	for _, end := range ws.ends {
+	for i, end := range ws.ends {
+		if i%ballsPerCheck == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
 		if cap(ws.ball) < int(end-start) {
 			ws.ball = make([]int, 0, end-start)
 		}
@@ -152,6 +165,10 @@ func extendRootBalls(g *graph.Graph, tr *graph.Traversal, colors []int, lists []
 	}
 	return nil
 }
+
+// ballsPerCheck is how many root balls extendRootBalls recolors between
+// two checks of ctx.
+const ballsPerCheck = 64
 
 // ballWorkspace is the scratch extend reuses across its layers and root
 // balls, one per run: a layer's carved balls and their ends, the ball

@@ -2,10 +2,12 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand/v2"
 	"slices"
+	"strings"
 	"testing"
 
 	"distcolor/internal/gen"
@@ -376,5 +378,46 @@ func TestHappySetLabelsHappyVertices(t *testing.T) {
 				s.peel(lay.happy)
 			}
 		}
+	}
+}
+
+// TestExtendHonorsCancelAfterLastRuling cancels a planar6 run from a ledger
+// observer at the last extension layer's last schedule charge, after the
+// last ruling forest has checked ctx, and requires context.Canceled: the
+// steps after the schedule check ctx too, so a deadline there still stops
+// the run instead of returning a coloring late.
+func TestExtendHonorsCancelAfterLastRuling(t *testing.T) {
+	g := gen.Apollonian(3000, rand.New(rand.NewPCG(4, 12)))
+	// run colors g on a traced ledger whose observer sees every charge.
+	run := func(ctx context.Context, observe func(phase string)) error {
+		var l local.Ledger
+		l.Begin()
+		local.OnCharge(&l, func(phase string, _, _ int) { observe(phase) })
+		_, err := Run(ctx, local.NewNetwork(g), Config{D: 6, Ledger: &l})
+		return err
+	}
+	var phases []string
+	if err := run(context.Background(), func(phase string) { phases = append(phases, phase) }); err != nil {
+		t.Fatal(err)
+	}
+	last := -1
+	for i, phase := range phases {
+		if strings.HasPrefix(phase, "extend/schedule") {
+			last = i
+		}
+	}
+	if last < 0 || slices.Contains(phases[last:], "extend/ruling") {
+		t.Fatalf("the last schedule charge is not in the last layer: charges %v", phases)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	charges := 0
+	err := run(ctx, func(string) {
+		if charges++; charges == last+1 {
+			cancel()
+		}
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("run cancelled at the last layer's schedule returned %v, want context.Canceled", err)
 	}
 }

@@ -87,11 +87,6 @@ func (g *Graph) DegeneracyOrder() DegeneracyResult {
 	return g.degen
 }
 
-// peelRec is one vertex's state in a smallest-last elimination: its degree
-// among the vertices not yet removed (-1 once removed) and its links in the
-// list of its degree's bucket.
-type peelRec struct{ deg, next, prev int32 }
-
 // smallestLast is the elimination behind Degeneracy and FindCliqueDPlus1.
 // Bucket d is a doubly linked list of the remaining vertices of degree d,
 // newest first: the initial fill pushes in vertex order and a decrement
@@ -99,53 +94,94 @@ type peelRec struct{ deg, next, prev int32 }
 // that entered the lowest nonempty bucket last (LIFO). min is lowered on
 // every decrement and rises only past empty buckets, and a removal lowers
 // it by at most one, so a whole elimination costs O(n + m + Δ).
+//
+// deg[v] is v's degree among the vertices not yet removed (-1 once
+// removed), and next[v], prev[v] its links in its bucket's list. The three
+// share one allocation, unless coreSize made the first two.
 type smallestLast struct {
-	g    *Graph
-	rec  []peelRec
-	head []int32 // head[d] is bucket d's newest vertex, -1 when empty
-	min  int
+	g               *Graph
+	deg, next, prev []int32
+	head            []int32 // head[d] is bucket d's newest vertex, -1 when empty
+	min             int
 }
 
-// init fills the buckets with every vertex of g.
+// init fills the buckets with every vertex of g, on coreSize's arrays if
+// it ran.
 func (s *smallestLast) init(g *Graph) {
 	s.g = g
-	s.rec = make([]peelRec, g.N())
+	n := g.N()
+	if s.deg == nil {
+		buf := make([]int32, 3*n)
+		s.deg, s.next, s.prev = buf[:n:n], buf[n:2*n:2*n], buf[2*n:]
+	} else {
+		s.prev = make([]int32, n)
+	}
 	s.head = make([]int32, g.MaxDegree()+1)
 	for d := range s.head {
 		s.head[d] = -1
 	}
-	for v := range s.rec {
-		s.rec[v].deg = int32(g.Degree(v))
+	for v := range s.deg {
+		s.deg[v] = int32(g.Degree(v))
 		s.push(int32(v))
 	}
 }
 
+// coreSize returns the size of the d-core of g, in O(n + m): it drops
+// every vertex of degree < d, then every vertex whose degree falls below d
+// as its neighbors go. A vertex's excess over degree d-1 falls by one per
+// dropped neighbor, so it is queued when that reaches 0, once, with no
+// test of whether a neighbor is gone. The excesses and the queue are deg
+// and next, which init then reuses.
+func (s *smallestLast) coreSize(g *Graph, d int) int {
+	n := g.N()
+	buf := make([]int32, 2*n)
+	excess, queue := buf[:n:n], buf[n:]
+	s.deg, s.next = excess, queue
+	tail := 0
+	for v := range excess {
+		if excess[v] = int32(g.Degree(v) - (d - 1)); excess[v] <= 0 {
+			queue[tail] = int32(v)
+			tail++
+		}
+	}
+	for h := 0; h < tail; h++ {
+		for _, w := range g.Neighbors(int(queue[h])) {
+			if excess[w]--; excess[w] == 0 {
+				queue[tail] = w
+				tail++
+			}
+		}
+	}
+	return n - tail
+}
+
 // push puts v at the front of the bucket of its degree.
 func (s *smallestLast) push(v int32) {
-	r := &s.rec[v]
-	r.prev, r.next = -1, s.head[r.deg]
-	if r.next >= 0 {
-		s.rec[r.next].prev = v
+	d := s.deg[v]
+	next := s.head[d]
+	s.prev[v], s.next[v] = -1, next
+	if next >= 0 {
+		s.prev[next] = v
 	}
-	s.head[r.deg] = v
+	s.head[d] = v
 }
 
 // unlink takes v out of the bucket of its degree.
 func (s *smallestLast) unlink(v int32) {
-	r := s.rec[v]
-	if r.prev >= 0 {
-		s.rec[r.prev].next = r.next
+	prev, next := s.prev[v], s.next[v]
+	if prev >= 0 {
+		s.next[prev] = next
 	} else {
-		s.head[r.deg] = r.next
+		s.head[s.deg[v]] = next
 	}
-	if r.next >= 0 {
-		s.rec[r.next].prev = r.prev
+	if next >= 0 {
+		s.prev[next] = prev
 	}
 }
 
 // pop removes the next vertex of the order and returns it with its degree
 // at removal, or -1 once every vertex is gone. Afterwards v's later
-// neighbors are exactly its neighbors w with rec[w].deg ≥ 0.
+// neighbors are exactly its neighbors w with deg[w] ≥ 0.
 func (s *smallestLast) pop() (v, deg int) {
 	for s.min < len(s.head) && s.head[s.min] < 0 {
 		s.min++
@@ -155,15 +191,15 @@ func (s *smallestLast) pop() (v, deg int) {
 	}
 	v32, deg := s.head[s.min], s.min
 	s.unlink(v32)
-	s.rec[v32].deg = -1
+	s.deg[v32] = -1
 	for _, w := range s.g.Neighbors(int(v32)) {
-		if s.rec[w].deg < 0 {
+		if s.deg[w] < 0 {
 			continue // removed, or outside the mask
 		}
 		s.unlink(w)
-		s.rec[w].deg--
+		s.deg[w]--
 		s.push(w)
-		s.min = min(s.min, int(s.rec[w].deg))
+		s.min = min(s.min, int(s.deg[w]))
 	}
 	return int(v32), deg
 }
@@ -180,11 +216,24 @@ func (s *smallestLast) pop() (v, deg int) {
 // The test runs inside the elimination, as each vertex is removed: its
 // later neighbors are then its remaining neighbors, as many as its degree
 // at removal. The search stops at the first clique and keeps no order.
+//
+// A vertex is tested only when it leaves with degree ≥ d, and then every
+// vertex left has degree ≥ d, so all of them lie in the d-core. When the
+// d-core is empty (a planar graph at d = 6, any graph at d > Δ), no vertex
+// is ever tested, and an O(n + m) peel of the vertices of degree < d
+// returns nil without the elimination. A graph of minimum degree ≥ d is
+// its own d-core and skips the peel; the minimum is read off the offsets
+// before anything is allocated, so that such a graph gets the
+// elimination's arrays in one allocation, and an empty core only the
+// peel's two.
 func (g *Graph) FindCliqueDPlus1(d int) []int {
-	if d < 1 {
+	if d < 1 || d > g.MaxDegree() {
 		return nil
 	}
 	var s smallestLast
+	if g.MinDegree() < d && s.coreSize(g, d) == 0 {
+		return nil
+	}
 	s.init(g)
 	// One buffer for every vertex's later neighborhood; a found clique is
 	// returned as a copy.
@@ -197,7 +246,7 @@ func (g *Graph) FindCliqueDPlus1(d int) []int {
 		}
 		later = later[:0]
 		for _, w := range g.Neighbors(v) {
-			if s.rec[w].deg >= 0 {
+			if s.deg[w] >= 0 {
 				later = append(later, int(w))
 			}
 		}

@@ -148,30 +148,143 @@ func TestDegeneracyMatchesReference(t *testing.T) {
 	}
 }
 
+// refCoreSize is the size of the d-core of g by its definition: remove a
+// vertex with fewer than d remaining neighbors until none is left.
+func refCoreSize(g *Graph, d int) int {
+	in := make([]bool, g.N())
+	for v := range in {
+		in[v] = true
+	}
+	size := g.N()
+	for changed := true; changed; {
+		changed = false
+		for v := range in {
+			if in[v] && g.DegreeInMask(v, in) < d {
+				in[v] = false
+				size--
+				changed = true
+			}
+		}
+	}
+	return size
+}
+
+// coreCases returns, for clique size d+1, graphs that reach each way out
+// of FindCliqueDPlus1: an empty d-core (every vertex joins at most d-1
+// earlier ones), a non-empty d-core holding no K_{d+1} (K_{d,d} with
+// pendant paths), a K_{d+1} reached only through a path of degree-2
+// vertices and pendant trees, and minimum degree ≥ d with and without a
+// clique (K_{d,d}, K_{d+1}, a ring of K_{d+1}s joined by single edges,
+// the d-th power of a cycle).
+func coreCases(rng *rand.Rand, d int) []*Graph {
+	join := func(b *Builder, u, v int) { b.AddEdgeOK(u, v) }
+	// sparse: each vertex joins up to d-1 earlier ones.
+	b := NewBuilder(60)
+	for v := 1; v < 60; v++ {
+		for range d - 1 {
+			join(b, v, rng.IntN(v))
+		}
+	}
+	sparse := b.Graph()
+	// bipartite: K_{d,d} on 0..2d-1, then pendant paths of 3 from random
+	// vertices.
+	bip := func(pendants int) *Graph {
+		b := NewBuilder(2*d + 3*pendants)
+		for u := range d {
+			for v := d; v < 2*d; v++ {
+				join(b, u, v)
+			}
+		}
+		for p := range pendants {
+			at := 2*d + 3*p
+			join(b, rng.IntN(2*d+3*p), at)
+			join(b, at, at+1)
+			join(b, at+1, at+2)
+		}
+		return b.Graph()
+	}
+	// behind: a path of 20 from vertex 0 to a K_{d+1} on the highest IDs,
+	// with random pendant trees hung on the path.
+	b = NewBuilder(20 + d + 1 + 10)
+	for v := 1; v < 20; v++ {
+		join(b, v-1, v)
+	}
+	for u := 20; u <= 20+d; u++ {
+		for v := u + 1; v <= 20+d; v++ {
+			join(b, u, v)
+		}
+	}
+	join(b, 19, 20+rng.IntN(d+1))
+	for v := 21 + d; v < 31+d; v++ {
+		join(b, v, rng.IntN(20))
+	}
+	behind := b.Graph()
+	// ring: six K_{d+1}s, each joined to the next by one edge.
+	b = NewBuilder(6 * (d + 1))
+	for c := range 6 {
+		for u := c * (d + 1); u < (c+1)*(d+1); u++ {
+			for v := u + 1; v < (c+1)*(d+1); v++ {
+				join(b, u, v)
+			}
+		}
+		join(b, c*(d+1), ((c+1)%6)*(d+1)+1)
+	}
+	ring := b.Graph()
+	// power: the (⌈d/2⌉)-th power of a cycle of 40, degree ≥ d.
+	b = NewBuilder(40)
+	for v := range 40 {
+		for j := 1; j <= (d+1)/2; j++ {
+			join(b, v, (v+j)%40)
+		}
+	}
+	return []*Graph{sparse, bip(0), bip(5), behind, complete(d + 1), ring, b.Graph()}
+}
+
 // TestFindCliqueMatchesReference checks FindCliqueDPlus1 against the old
-// two-pass search for d = 1..8 on random graphs, planted cliques and graphs
-// of degeneracy above d: the same clique in the same order, or nil for
-// both. The cases must reach the later-neighborhood-bigger-than-d search.
+// two-pass search for d = 1..8 on random graphs, planted cliques, graphs
+// of degeneracy above d and coreCases: the same clique in the same order,
+// or nil for both. The cases must reach the later-neighborhood-bigger-than-d
+// search, an empty d-core, non-empty ones with and without a clique under
+// a vertex of degree < d, and a graph of minimum degree ≥ d. On every case the peel's d-core size
+// must equal refCoreSize's.
 func TestFindCliqueMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewPCG(21, 2))
-	found, big := 0, 0
-	for i, g := range degeneracyCases(rng) {
+	big, empty, peeled, foundPeeled, whole := 0, 0, 0, 0, 0
+	gs := degeneracyCases(rng)
+	for d := 1; d <= 8; d++ {
+		gs = append(gs, coreCases(rng, d)...)
+	}
+	for i, g := range gs {
 		for d := 1; d <= 8; d++ {
 			got := g.FindCliqueDPlus1(d)
 			want, bigLater := refFindCliqueDPlus1(g, d)
 			if !slices.Equal(got, want) {
 				t.Fatalf("case %d (n=%d, m=%d), d=%d: got %v, reference %v", i, g.N(), g.M(), d, got, want)
 			}
-			if want != nil {
-				found++
-			}
 			if bigLater {
 				big++
 			}
+			if g.MinDegree() >= d {
+				whole++
+				continue
+			}
+			core, wantCore := new(smallestLast).coreSize(g, d), refCoreSize(g, d)
+			if core != wantCore {
+				t.Fatalf("case %d (n=%d, m=%d), d=%d: peel left a %d-vertex core, reference %d", i, g.N(), g.M(), d, core, wantCore)
+			}
+			switch {
+			case core == 0:
+				empty++
+			case want != nil:
+				foundPeeled++
+			default:
+				peeled++
+			}
 		}
 	}
-	if found == 0 || big == 0 {
-		t.Fatalf("cases found %d cliques, %d through a later neighborhood bigger than d; want both > 0", found, big)
+	if big == 0 || empty == 0 || peeled == 0 || foundPeeled == 0 || whole == 0 {
+		t.Fatalf("%d cliques through a later neighborhood bigger than d; %d empty cores; under a vertex of degree < d, %d non-empty cores without a clique and %d with one; %d graphs of minimum degree ≥ d; want all > 0",
+			big, empty, peeled, foundPeeled, whole)
 	}
 }
 
@@ -201,7 +314,9 @@ func allocBytes(fn func()) uint64 {
 
 // TestFindCliqueAllocatesLittle checks that a clique search over a whole
 // n=1e5 graph keeps only its packed per-vertex state: under 2 MiB. The
-// graph is bipartite, so no triangle stops the search early at d=2.
+// graph is bipartite, so no triangle stops the search early at d=2, and it
+// has isolated vertices and a non-empty 2-core, so the search peels and
+// then eliminates on the peel's two arrays and a third.
 func TestFindCliqueAllocatesLittle(t *testing.T) {
 	n := 100000
 	b := NewBuilder(n)
@@ -212,6 +327,9 @@ func TestFindCliqueAllocatesLittle(t *testing.T) {
 		}
 	}
 	g := b.Graph()
+	if g.MinDegree() >= 2 || new(smallestLast).coreSize(g, 2) == 0 {
+		t.Fatal("the graph does not peel to a non-empty 2-core")
+	}
 	var clique []int
 	got := allocBytes(func() { clique = g.FindCliqueDPlus1(2) })
 	if clique != nil {

@@ -10,8 +10,10 @@ import (
 // linialProgram is Linial's color reduction as a genuine message-passing
 // node program: each round every node broadcasts its current color;
 // receiving the neighbors' colors, it evaluates its polynomial against
-// theirs and picks a non-conflicting point. Message size is O(log n) bits —
-// this subroutine is CONGEST-friendly, unlike the ball-collection phases.
+// theirs and picks a non-conflicting point with linialStep, from x = 0.
+// Message size is O(log n) bits — this subroutine is CONGEST-friendly,
+// unlike the ball-collection phases. It is the message-plane oracle for
+// LinialColor, whose sweep settles x = 0 itself.
 type linialProgram struct {
 	info    local.NodeInfo
 	d       int // global max degree (known to all nodes, like n)
@@ -46,7 +48,7 @@ func (p *linialProgram) Step(round int, inbox []local.Inbound) ([]local.Outbound
 	// lockstep and halt at the same step.
 	if round > 1 {
 		q, t := linialPrime(p.k, p.d)
-		p.color = linialStep(p.color, p.nbrCols, newField(q), t)
+		p.color = linialStep(p.color, p.nbrCols, newField(q), t, 0)
 		p.k = q * q
 	}
 	// Broadcast only if another iteration will shrink the palette.
@@ -76,9 +78,8 @@ func linialFixpoint(n, d int) (palette, iters int) {
 }
 
 // LinialColorSync runs Linial's reduction with real message passing and
-// returns the coloring plus the final palette size. Semantically identical
-// to LinialColor (same fixpoint palette); used for cross-validation and the
-// CONGEST narrative. The engine guard is the exact fixpoint iteration
+// returns the coloring plus the final palette size, which LinialColor must
+// match vertex by vertex. The engine guard is the exact fixpoint iteration
 // count (known in advance from n and Δ) plus the output step — not a
 // hardcoded constant.
 func LinialColorSync(ctx context.Context, nw *local.Network, ledger *local.Ledger, phase string) ([]int, int, error) {

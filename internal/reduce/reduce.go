@@ -4,7 +4,8 @@
 //   - Linial's O(Δ²)-coloring in O(log* n) rounds (polynomial set systems
 //     over finite fields; a color's polynomial is evaluated straight from
 //     its base-q digits with multiply-shift arithmetic, no digit table and
-//     no division);
+//     no division; each sweep settles x = 0, where most vertices stop, by
+//     comparing colors mod q, and runs the general step only on a clash);
 //   - one-class-per-round reduction down to Δ+1 colors;
 //   - Cole–Vishkin 3-coloring of rooted forests (shift-down + reduce);
 //   - the simple randomized (deg+1)-list-coloring (Question 6.2 remark).
@@ -12,7 +13,8 @@
 // Implementations execute centrally but charge exact LOCAL round counts to
 // the ledger (see internal/local for the simulation argument); the
 // randomized algorithm is additionally implemented as genuine message-
-// passing node programs.
+// passing node programs, and so is Linial's step, in the tests, as the
+// oracle for the central sweep.
 package reduce
 
 import (
@@ -104,12 +106,13 @@ func (f field) eval(c uint64, xs []uint64) uint64 {
 // linialStep is one Linial step of a vertex with color own whose neighbors
 // hold the colors nbrs, over the field of the step's prime q, t digits per
 // color: it picks the first x ∈ F_q with p_own(x) ≠ p_u(x) for every
-// neighbor color u ≠ own, trying x upward from 0 (where p(x) is the color
-// mod q), and returns the new color x·q + p_own(x). LinialColor and the
-// message-passing program both call it.
-func linialStep(own int, nbrs []int, f field, t int) int {
+// neighbor color u ≠ own, trying x = from, from+1, … (at x = 0, p(x) is
+// the color mod q), and returns the new color x·q + p_own(x). The
+// message-passing program calls it from 0; LinialColor's sweep settles
+// x = 0 itself and calls it from 1 for a vertex that clashes there.
+func linialStep(own int, nbrs []int, f field, t int, from uint64) int {
 	var buf [32]uint64 // t ≤ 31: q ≥ 2 and q^(t-1) < k < 2³¹
-	for x := uint64(0); x < f.q; x++ {
+	for x := from; x < f.q; x++ {
 		xs := f.powers(buf[:t], x)
 		ev := f.eval(uint64(own), xs)
 		ok := true
@@ -220,7 +223,7 @@ func (ws *Workspace) LinialColor(nw *local.Network, ledger *local.Ledger, phase 
 // maximum degree is d.
 func (ws *Workspace) linial(nw *local.Network, ledger *local.Ledger, phase string, verts []int, d int) ([]int, int) {
 	g := nw.G
-	rec, epoch := ws.rec, ws.epoch
+	rec := ws.rec
 	out := ws.classes(len(verts))
 	if d == 0 {
 		// no edges: one color suffices, zero rounds
@@ -230,7 +233,6 @@ func (ws *Workspace) linial(nw *local.Network, ledger *local.Ledger, phase strin
 	for _, v := range verts {
 		rec[v].color = int32(nw.ID[v] - 1) // palette [0, n)
 	}
-	nbrs := ws.nbrs
 	k := g.N()
 	for {
 		q, t := linialPrime(k, d)
@@ -238,22 +240,9 @@ func (ws *Workspace) linial(nw *local.Network, ledger *local.Ledger, phase strin
 			for i, v := range verts {
 				out[i] = int(rec[v].color)
 			}
-			ws.nbrs = nbrs
 			return out, k
 		}
-		f := newField(q)
-		// New colors go to out (one per list position) and are written back
-		// only after the sweep: every vertex picks from its neighbors' old
-		// colors, gathered in adjacency order.
-		for i, v := range verts {
-			nbrs = nbrs[:0]
-			for _, w := range g.Neighbors(v) {
-				if r := rec[w]; r.in == epoch {
-					nbrs = append(nbrs, int(r.color))
-				}
-			}
-			out[i] = linialStep(int(rec[v].color), nbrs, f, t)
-		}
+		ws.sweep(g, verts, out, newField(q), t)
 		for i, v := range verts {
 			rec[v].color = int32(out[i])
 		}
@@ -262,6 +251,45 @@ func (ws *Workspace) linial(nw *local.Network, ledger *local.Ledger, phase strin
 			ledger.Charge(phase, 1)
 		}
 	}
+}
+
+// sweep is one Linial step of every member in verts, over the field f of
+// the step's prime, t digits per color. New colors go to out (one per list
+// position); the members' colors are left for the caller to write back
+// after the sweep, so every vertex picks from its neighbors' old colors.
+// Most vertices settle at x = 0, where p_c(0) is c mod q: the sweep tries
+// that point first on the member records, skipping neighbors of the
+// vertex's own color as linialStep does. Only a vertex with a clash there
+// gathers its neighbors' colors, in adjacency order, for linialStep from
+// x = 1.
+func (ws *Workspace) sweep(g *graph.Graph, verts, out []int, f field, t int) {
+	rec, epoch := ws.rec, ws.epoch
+	nbrs := ws.nbrs
+	for i, v := range verts {
+		own := rec[v].color
+		_, r0 := f.divmod(uint64(own))
+		clash := false
+		for _, w := range g.Neighbors(v) {
+			if r := rec[w]; r.in == epoch && r.color != own {
+				if _, rw := f.divmod(uint64(r.color)); rw == r0 {
+					clash = true
+					break
+				}
+			}
+		}
+		if !clash {
+			out[i] = int(r0)
+			continue
+		}
+		nbrs = nbrs[:0]
+		for _, w := range g.Neighbors(v) {
+			if r := rec[w]; r.in == epoch {
+				nbrs = append(nbrs, int(r.color))
+			}
+		}
+		out[i] = linialStep(int(own), nbrs, f, t, 1)
+	}
+	ws.nbrs = nbrs
 }
 
 // ReduceToMaxDegPlusOne takes a proper coloring with palette [0, k) of the

@@ -347,6 +347,191 @@ func TestLinialMatchesReference(t *testing.T) {
 	}
 }
 
+// refGatherSweep is the Linial sweep as it was before the x = 0 test moved
+// into it: every vertex of verts gathers the colors of its neighbors in
+// the member set, in adjacency order, and calls linialStep from x = 0.
+// colors is vertex-indexed.
+func refGatherSweep(g *graph.Graph, verts []int, member []bool, colors []int, f field, t int) []int {
+	out := make([]int, len(verts))
+	for i, v := range verts {
+		var nbrs []int
+		for _, w := range g.Neighbors(v) {
+			if member[w] {
+				nbrs = append(nbrs, colors[w])
+			}
+		}
+		out[i] = linialStep(colors[v], nbrs, f, t, 0)
+	}
+	return out
+}
+
+// refListLinial is LinialColor with refGatherSweep for its sweep. It
+// returns the colors aligned with verts, the palette, and how many of its
+// vertex steps went past x = 0 (a new color ≥ q) out of how many.
+func refListLinial(nw *local.Network, ledger *local.Ledger, phase string, verts []int) (out []int, k, clashes, steps int) {
+	g := nw.G
+	member := make([]bool, g.N())
+	for _, v := range verts {
+		member[v] = true
+	}
+	d := 0
+	for _, v := range verts {
+		d = max(d, g.DegreeInMask(v, member))
+	}
+	out = make([]int, len(verts))
+	if d == 0 {
+		return out, 1, 0, 0
+	}
+	colors := make([]int, g.N())
+	for _, v := range verts {
+		colors[v] = nw.ID[v] - 1
+	}
+	k = g.N()
+	for {
+		q, t := linialPrime(k, d)
+		if q*q >= k {
+			for i, v := range verts {
+				out[i] = colors[v]
+			}
+			return out, k, clashes, steps
+		}
+		next := refGatherSweep(g, verts, member, colors, newField(q), t)
+		for i, v := range verts {
+			colors[v] = next[i]
+			if next[i] >= q {
+				clashes++
+			}
+		}
+		steps += len(verts)
+		k = q * q
+		if ledger != nil {
+			ledger.Charge(phase, 1)
+		}
+	}
+}
+
+// shuffledSublist returns about a fraction p of g's vertices of degree at
+// most maxDeg, in random order.
+func shuffledSublist(g *graph.Graph, maxDeg int, p float64, rng *rand.Rand) []int {
+	var verts []int
+	for _, v := range rng.Perm(g.N()) {
+		if g.Degree(v) <= maxDeg && rng.Float64() < p {
+			verts = append(verts, v)
+		}
+	}
+	return verts
+}
+
+// TestLinialResidueFirstMatchesGatherSweep holds LinialColor and
+// DegPlusOne, whose sweep settles x = 0 on the member records, to
+// refListLinial, which gathers every vertex's neighbor colors for the
+// general step: colors, palettes and charges, with shuffled IDs, over all
+// vertices and over shuffled sublists, on one held workspace (on the
+// Apollonian graph, its vertices of degree ≤ 6, as gps7's first layer).
+// The 8-regular graph has q = 29 against 8 neighbors, so that at least 10%
+// of its steps clash at x = 0 and take the general step.
+func TestLinialResidueFirstMatchesGatherSweep(t *testing.T) {
+	rng := rand.New(rand.NewPCG(18, 5))
+	regular3, err := gen.RandomRegular(1500, 3, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	regular8, err := gen.RandomRegular(1000, 8, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphs := []struct {
+		name   string
+		g      *graph.Graph
+		maxDeg int
+	}{
+		{"gnp", gen.GNP(1200, 8.0/1200, rng), 1200},
+		{"apollonian", gen.Apollonian(1500, rng), 6},
+		{"regular3", regular3, 3},
+		{"regular8", regular8, 8},
+	}
+	var ws Workspace
+	for _, tc := range graphs {
+		nw := local.NewShuffledNetwork(tc.g, rng)
+		clashes, steps := 0, 0
+		for _, p := range []float64{1, 0.7, 0.3} {
+			verts := shuffledSublist(tc.g, tc.maxDeg, p, rng)
+			var got, want local.Ledger
+			colors, k := ws.LinialColor(nw, &got, "linial", verts)
+			refColors, refK, c, n := refListLinial(nw, &want, "linial", verts)
+			clashes, steps = clashes+c, steps+n
+			if k != refK || !slices.Equal(colors, refColors) {
+				t.Fatalf("%s p=%v: Linial palette %d colors %v, reference %d %v", tc.name, p, k, colors, refK, refColors)
+			}
+			classes := ws.DegPlusOne(nw, &got, "dp1", verts)
+			refLin, refLinK, _, _ := refListLinial(nw, &want, "dp1/linial", verts)
+			refClasses := new(Workspace).ReduceToMaxDegPlusOne(nw, &want, "dp1/reduce", verts, refLin, refLinK)
+			if !slices.Equal(classes, refClasses) {
+				t.Fatalf("%s p=%v: Δ+1 classes %v, reference %v", tc.name, p, classes, refClasses)
+			}
+			if !slices.Equal(got.Phases(), want.Phases()) {
+				t.Fatalf("%s p=%v: charged %v, reference %v", tc.name, p, got.Phases(), want.Phases())
+			}
+		}
+		if steps == 0 || clashes == 0 {
+			t.Fatalf("%s: %d of %d steps clashed at x = 0, want some of some", tc.name, clashes, steps)
+		}
+		if tc.name == "regular8" && 10*clashes < steps {
+			t.Fatalf("%s: %d of %d steps clashed at x = 0, want ≥ 10%%", tc.name, clashes, steps)
+		}
+	}
+}
+
+// TestLinialSweepOnImproperColors runs one sweep over colors that are
+// not a proper coloring, a quarter of the edges given one color at both
+// ends, against refGatherSweep: linialStep skips a neighbor of the
+// vertex's own color, and the sweep's x = 0 test must skip it too, or a
+// vertex whose only match is such a neighbor leaves x = 0 for the general
+// step, which starts at x = 1.
+func TestLinialSweepOnImproperColors(t *testing.T) {
+	rng := rand.New(rand.NewPCG(18, 6))
+	regular, err := gen.RandomRegular(2000, 5, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := regular
+	var ws Workspace
+	for _, p := range []float64{1, 0.6} {
+		verts := shuffledSublist(g, 5, p, rng)
+		d := ws.begin(g, verts)
+		member := make([]bool, g.N())
+		for _, v := range verts {
+			member[v] = true
+		}
+		k := g.N()
+		colors := make([]int, g.N())
+		for _, v := range verts {
+			colors[v] = rng.IntN(k)
+		}
+		shared := 0
+		for _, v := range verts {
+			for _, w := range g.Neighbors(v) {
+				if member[w] && int(w) < v && rng.IntN(4) == 0 {
+					colors[v] = colors[w]
+					shared++
+				}
+			}
+		}
+		for _, v := range verts {
+			ws.rec[v].color = int32(colors[v])
+		}
+		q, tt := linialPrime(k, d)
+		out := make([]int, len(verts))
+		ws.sweep(g, verts, out, newField(q), tt)
+		if want := refGatherSweep(g, verts, member, colors, newField(q), tt); !slices.Equal(out, want) {
+			t.Fatalf("p=%v: sweep %v, reference %v", p, out, want)
+		}
+		if shared == 0 {
+			t.Fatalf("p=%v: no edge shares a color", p)
+		}
+	}
+}
+
 // TestLinialSmallListInLargeGraph checks a 100-vertex list, a connected
 // patch plus scattered vertices, inside an n=1e5 graph, where the IDs (and
 // so the starting palette) are those of the whole graph.
@@ -403,9 +588,10 @@ func TestDegPlusOneAllocatesPerList(t *testing.T) {
 
 // BenchmarkDegPlusOne times the (Δ+1)-class schedule in two layer shapes:
 // every vertex of a 3-regular graph (an extension on color-sparse) and the
-// degree-≤6 vertices of an Apollonian graph (gps7's first layer), both at
-// n=1e5 with shuffled IDs, each on one held workspace, as its callers hold
-// one per run.
+// degree-≤6 vertices of an Apollonian graph, both at n=1e5 with shuffled
+// IDs, each on one held workspace, as its callers hold one per run. The
+// linial case times LinialColor alone on the Apollonian list, which is how
+// gps7 schedules its first layer.
 func BenchmarkDegPlusOne(b *testing.B) {
 	rng := rand.New(rand.NewPCG(19, 2))
 	regular, err := gen.RandomRegular(100000, 3, rng)
@@ -419,20 +605,28 @@ func BenchmarkDegPlusOne(b *testing.B) {
 			low = append(low, v)
 		}
 	}
+	regNw := local.NewShuffledNetwork(regular, rng)
+	apoNw := local.NewShuffledNetwork(apollonian, rng)
 	cases := []struct {
-		name  string
-		nw    *local.Network
-		verts []int
+		name       string
+		nw         *local.Network
+		verts      []int
+		linialOnly bool
 	}{
-		{"regular3_n1e5", local.NewShuffledNetwork(regular, rng), allIfNil(nil, regular.N())},
-		{"apollonian_deg6_n1e5", local.NewShuffledNetwork(apollonian, rng), low},
+		{"regular3_n1e5", regNw, allIfNil(nil, regular.N()), false},
+		{"apollonian_deg6_n1e5", apoNw, low, false},
+		{"apollonian_deg6_linial_n1e5", apoNw, low, true},
 	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			var ws Workspace
 			for b.Loop() {
-				ws.DegPlusOne(tc.nw, nil, "", tc.verts)
+				if tc.linialOnly {
+					ws.LinialColor(tc.nw, nil, "", tc.verts)
+				} else {
+					ws.DegPlusOne(tc.nw, nil, "", tc.verts)
+				}
 			}
 		})
 	}
