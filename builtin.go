@@ -11,6 +11,7 @@ import (
 	"distcolor/internal/gps"
 	"distcolor/internal/local"
 	"distcolor/internal/reduce"
+	"distcolor/internal/seqcolor"
 )
 
 // The RoundBound envelopes below are deliberately loose upper bounds on the
@@ -113,7 +114,7 @@ func init() {
 		RoundBound:  polylog3Bound,
 		Run: func(ctx context.Context, g *Graph, rc *RunConfig) (*Coloring, error) {
 			res, err := core.Arboricity2a(ctx, rc.network(g), rc.Params.Int("a"), core.Config{
-				Lists: rc.Lists, BallC: rc.BallC, Ledger: rc.ledger(),
+				Lists: seqcolor.Given(rc.Lists), BallC: rc.BallC, Ledger: rc.ledger(),
 			})
 			if err != nil {
 				return nil, err
@@ -137,7 +138,7 @@ func init() {
 		RoundBound: polylog3Bound,
 		Run: func(ctx context.Context, g *Graph, rc *RunConfig) (*Coloring, error) {
 			res, err := core.GenusHg(ctx, rc.network(g), rc.Params.Int("genus"), core.Config{
-				Lists: rc.Lists, BallC: rc.BallC, Ledger: rc.ledger(),
+				Lists: seqcolor.Given(rc.Lists), BallC: rc.BallC, Ledger: rc.ledger(),
 			})
 			if err != nil {
 				return nil, err
@@ -159,12 +160,8 @@ func init() {
 		Smoke:      "grid:5x6",
 		RoundBound: polylog3Bound,
 		Run: func(ctx context.Context, g *Graph, rc *RunConfig) (*Coloring, error) {
-			lists := rc.Lists
-			if lists == nil {
-				lists = UniformLists(g.N(), g.MaxDegree())
-			}
 			res, err := core.DeltaListColor(ctx, rc.network(g), core.Config{
-				Lists: lists, BallC: rc.BallC, Ledger: rc.ledger(),
+				Lists: seqcolor.Given(rc.Lists), BallC: rc.BallC, Ledger: rc.ledger(),
 			})
 			if err != nil {
 				return nil, err
@@ -185,7 +182,7 @@ func init() {
 				lists = niceLists(g, rc.RNG())
 			}
 			res, err := core.RunNice(ctx, rc.network(g), core.Config{
-				Lists: lists, BallC: rc.BallC, Ledger: rc.ledger(),
+				Lists: seqcolor.Given(lists), BallC: rc.BallC, Ledger: rc.ledger(),
 			})
 			if err != nil {
 				return nil, err
@@ -249,7 +246,7 @@ func init() {
 func coreRun(ctx context.Context, g *Graph, rc *RunConfig,
 	run func(context.Context, *local.Network, core.Config) (*core.Result, error),
 	cfg core.Config) (*Coloring, error) {
-	cfg.Lists = rc.Lists
+	cfg.Lists = seqcolor.Given(rc.Lists)
 	cfg.BallC = rc.BallC
 	cfg.Ledger = rc.ledger()
 	res, err := run(ctx, rc.network(g), cfg)

@@ -77,8 +77,11 @@ type Coloring struct {
 	Colors []int
 	// Clique is a K_{d+1} certificate, when found.
 	Clique []int
-	// Lists echoes the list assignment the run actually used (nil when the
-	// algorithm fixes its own palette); the coloring is verified against it.
+	// Lists echoes the list assignment the run actually used; the coloring
+	// is verified against it. It is nil when the algorithm fixes its own
+	// palette, and when a list-coloring algorithm ran on its canonical
+	// palette {0, …, k−1} because the caller gave no lists: Run then checks
+	// every color against [0, PaletteSize) instead.
 	Lists [][]int
 	// Rounds is the total LOCAL round cost.
 	Rounds int
@@ -99,7 +102,7 @@ type Phase struct {
 
 func fromResult(res *core.Result) *Coloring {
 	c := coloringFromLedger(res.Colors, res.Ledger)
-	c.Clique, c.Lists = res.Clique, res.Lists
+	c.Clique, c.Lists = res.Clique, res.Lists.Given()
 	return c
 }
 
@@ -127,7 +130,7 @@ func HeawoodNumber(genus int) int { return core.HeawoodNumber(genus) }
 // Verify checks that colors is a proper coloring of g drawn from lists
 // (nil lists skips the list check).
 func Verify(g *Graph, colors []int, lists [][]int) error {
-	return seqcolor.Verify(g, colors, lists)
+	return seqcolor.Verify(g, colors, seqcolor.Given(lists))
 }
 
 // NumColors counts distinct colors used.

@@ -61,6 +61,8 @@ func ExampleRun() {
 		panic(err)
 	}
 	fmt.Println("algorithm:", col.Algorithm)
+	// With no caller lists col.Lists is nil, so Verify checks properness;
+	// Run has already checked the palette [0, 3).
 	fmt.Println("verified:", distcolor.Verify(g, col.Colors, col.Lists) == nil)
 	fmt.Println("colors ≤ 3:", distcolor.NumColors(col.Colors) <= 3)
 	fmt.Println("saw progress:", events > 0)

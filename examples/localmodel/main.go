@@ -58,7 +58,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := seqcolor.Verify(g, colors, lists); err != nil {
+	if err := seqcolor.Verify(g, colors, seqcolor.Given(lists)); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("randomized (deg+1)-list-coloring: proper, from private lists,\n")

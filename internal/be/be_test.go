@@ -111,7 +111,7 @@ func TestColorForests3Product(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := seqcolor.Verify(g, colors, nil); err != nil {
+	if err := seqcolor.Verify(g, colors, seqcolor.Lists{}); err != nil {
 		t.Fatal(err)
 	}
 	maxPalette := 1
@@ -133,7 +133,7 @@ func TestColorArbHeadline(t *testing.T) {
 		if err != nil {
 			t.Fatalf("a=%d: %v", a, err)
 		}
-		if err := seqcolor.Verify(g, res.Colors, nil); err != nil {
+		if err := seqcolor.Verify(g, res.Colors, seqcolor.Lists{}); err != nil {
 			t.Fatalf("a=%d: %v", a, err)
 		}
 		want := Threshold(a, 0.5) + 1
@@ -152,7 +152,7 @@ func TestTwoAPlusOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := seqcolor.Verify(g, res.Colors, nil); err != nil {
+	if err := seqcolor.Verify(g, res.Colors, seqcolor.Lists{}); err != nil {
 		t.Fatal(err)
 	}
 	if k := seqcolor.NumColors(res.Colors); k > 2*a+1 {

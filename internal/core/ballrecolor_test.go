@@ -26,7 +26,7 @@ func colorBallFresh(g *graph.Graph, colors []int, lists [][]int, ball []int) err
 		return err
 	}
 	var w seqcolor.Workspace
-	subLists := w.EffectiveLists(g, colors, lists, orig)
+	subLists := w.EffectiveLists(g, colors, seqcolor.Given(lists), orig)
 	subColors := make([]int, sub.N())
 	for i := range subColors {
 		subColors[i] = Uncolored
@@ -216,7 +216,7 @@ func TestRootBallReuseMatchesFresh(t *testing.T) {
 		want := slices.Clone(colors)
 		wantErr := colorBallFresh(st.host.g, want, st.host.lists, st.ball)
 		got := slices.Clone(colors)
-		gotErr := colorBallTheorem11(st.host.g, &tr, got, st.host.lists, st.ball, false, &ws)
+		gotErr := colorBallTheorem11(st.host.g, &tr, got, seqcolor.Given(st.host.lists), st.ball, false, &ws)
 		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
 			t.Fatalf("step %d (%s): error %v, fresh path %v", i, st.name, gotErr, wantErr)
 		}
@@ -282,7 +282,7 @@ func TestRootBallAllocatesPerBall(t *testing.T) {
 		var err error
 		call := func() {
 			tr.Bind(g).Run([]int{v}, mask, -1)
-			err = extendRootBalls(context.Background(), g, &tr, colors, lists, blocks, radius, &ws)
+			err = extendRootBalls(context.Background(), g, &tr, colors, seqcolor.Given(lists), blocks, radius, &ws)
 		}
 		// A reading can catch a runtime allocation that is not the call's
 		// (another P's tiny block, a new M); those do not repeat, so the
@@ -303,7 +303,7 @@ func TestRootBallAllocatesPerBall(t *testing.T) {
 		for _, u := range ws.ball {
 			colors[u] = Uncolored
 		}
-		if !ws.seq.ColorBall(g, colors, lists, ws.ball, oneBlock) {
+		if !ws.seq.ColorBall(g, colors, seqcolor.Given(lists), ws.ball, oneBlock) {
 			t.Fatalf("%s: the ball was not colored in place", name)
 		}
 		if got != 0 {
@@ -377,7 +377,7 @@ func TestRootBallsHonorCancel(t *testing.T) {
 			colors[v] = Uncolored
 		}
 		tr.Bind(g).Run(roots, nil, -1)
-		err := extendRootBalls(&cancelAfter{context.Background(), tc.calls}, g, &tr, colors, lists, nil, 1, &ws)
+		err := extendRootBalls(&cancelAfter{context.Background(), tc.calls}, g, &tr, colors, seqcolor.Given(lists), nil, 1, &ws)
 		colored := 0
 		for _, c := range colors {
 			if c != Uncolored {
@@ -395,7 +395,7 @@ func TestRootBallsHonorCancel(t *testing.T) {
 type rootBallCase struct {
 	name     string
 	g        *graph.Graph
-	lists    [][]int
+	lists    seqcolor.Lists
 	colors   []int
 	richMask []bool
 	blocks   []int

@@ -38,7 +38,7 @@ func TestRunOnToroidalTriangulation(t *testing.T) {
 		t.Fatal("C_n(1,2,3) has no K7")
 	}
 	lists := randomLists(g.N(), 6, 13, rng)
-	res := mustRun(t, g, Config{D: 6, Lists: lists}, rng)
+	res := mustRun(t, g, Config{D: 6, Lists: seqcolor.Given(lists)}, rng)
 	if res.Radius <= 0 {
 		t.Error("radius not recorded")
 	}
@@ -78,18 +78,18 @@ func TestRunMatchesSequentialTheorem12(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: sequential: %v", trial, err)
 		}
-		if err := seqcolor.Verify(g, seqColors, lists); err != nil {
+		if err := seqcolor.Verify(g, seqColors, seqcolor.Given(lists)); err != nil {
 			t.Fatalf("trial %d: sequential invalid: %v", trial, err)
 		}
 		nw := local.NewShuffledNetwork(g, rng)
-		res, err := Run(context.Background(), nw, Config{D: d, Lists: lists})
+		res, err := Run(context.Background(), nw, Config{D: d, Lists: seqcolor.Given(lists)})
 		if err != nil {
 			t.Fatalf("trial %d: distributed: %v", trial, err)
 		}
 		if res.Clique != nil {
 			t.Fatalf("trial %d: unexpected clique", trial)
 		}
-		if err := seqcolor.Verify(g, res.Colors, lists); err != nil {
+		if err := seqcolor.Verify(g, res.Colors, seqcolor.Given(lists)); err != nil {
 			t.Fatalf("trial %d: distributed invalid: %v", trial, err)
 		}
 	}

@@ -54,9 +54,10 @@ type Config struct {
 	// D is the sparsity parameter d ≥ 3 with mad(G) ≤ d (ignored by the
 	// corollary wrappers, which set it themselves).
 	D int
-	// Lists holds each vertex's color list (|Lists[v]| ≥ D). Nil means the
-	// canonical lists {0, …, D−1} (plain d-coloring).
-	Lists [][]int
+	// Lists holds each vertex's color list (every list of size ≥ D). The
+	// zero value means the canonical lists {0, …, D−1} (plain d-coloring),
+	// which cost nothing per vertex.
+	Lists seqcolor.Lists
 	// BallC overrides the ball-radius constant c (0 = paper default). Only
 	// the Lemma 3.1 size guarantee depends on the paper's value; smaller
 	// constants are correct until they stall (ablation experiment E9).
@@ -94,8 +95,9 @@ type Result struct {
 	Radius int
 	// Iterations describes each peeling iteration.
 	Iterations []IterationStats
-	// Lists echoes the lists used (canonical ones when Config.Lists == nil).
-	Lists [][]int
+	// Lists echoes the lists used (the canonical ones when Config.Lists is
+	// zero).
+	Lists seqcolor.Lists
 }
 
 // Rounds returns the total LOCAL rounds charged.
@@ -125,13 +127,11 @@ func Run(ctx context.Context, nw *local.Network, cfg Config) (*Result, error) {
 		}
 	}
 	lists := cfg.Lists
-	if lists == nil {
-		lists = seqcolor.UniformLists(n, d)
+	if lists.IsZero() {
+		lists = seqcolor.Canonical(d)
 	}
-	for v := 0; v < n; v++ {
-		if len(lists[v]) < d {
-			return nil, fmt.Errorf("core: vertex %d has list of size %d < d=%d", v, len(lists[v]), d)
-		}
+	if v := lists.Short(n, d); v >= 0 {
+		return nil, fmt.Errorf("core: vertex %d has list of size %d < d=%d", v, len(lists.Of(v)), d)
 	}
 	ledger := cmp.Or(cfg.Ledger, &local.Ledger{})
 	res := &Result{Ledger: ledger, Lists: lists}
@@ -179,7 +179,7 @@ func ballRadius(c float64, n int) int {
 // keep their names and stay plain functions (a method's symbol carries its
 // receiver and would not match). colorBallTheorem11 takes extend's ball
 // workspace as a parameter for that reason, rather than being its method.
-func peelAndExtend(ctx context.Context, nw *local.Network, res *Result, lists [][]int,
+func peelAndExtend(ctx context.Context, nw *local.Network, res *Result, lists seqcolor.Lists,
 	radius, maxIter int,
 	richTest, witness func(degAlive int, v int) bool) error {
 

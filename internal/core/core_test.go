@@ -55,7 +55,7 @@ func TestRunPlanar6WithRandomLists(t *testing.T) {
 	rng := rand.New(rand.NewPCG(2, 2))
 	g := gen.Apollonian(200, rng)
 	lists := randomLists(g.N(), 6, 14, rng)
-	mustRun(t, g, Config{D: 6, Lists: lists}, rng)
+	mustRun(t, g, Config{D: 6, Lists: seqcolor.Given(lists)}, rng)
 }
 
 func TestRunGridTriangleFree4(t *testing.T) {
@@ -63,11 +63,11 @@ func TestRunGridTriangleFree4(t *testing.T) {
 	g := gen.Grid(15, 15)
 	lists := randomLists(g.N(), 4, 9, rng)
 	nw := local.NewShuffledNetwork(g, rng)
-	res, err := TriangleFree4(context.Background(), nw, Config{Lists: lists})
+	res, err := TriangleFree4(context.Background(), nw, Config{Lists: seqcolor.Given(lists)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := seqcolor.Verify(g, res.Colors, lists); err != nil {
+	if err := seqcolor.Verify(g, res.Colors, seqcolor.Given(lists)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -85,11 +85,11 @@ func TestRunGirth6Planar3(t *testing.T) {
 	}
 	lists := randomLists(g.N(), 3, 7, rng)
 	nw := local.NewShuffledNetwork(g, rng)
-	res, err := Girth6Planar3(context.Background(), nw, Config{Lists: lists})
+	res, err := Girth6Planar3(context.Background(), nw, Config{Lists: seqcolor.Given(lists)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := seqcolor.Verify(g, res.Colors, lists); err != nil {
+	if err := seqcolor.Verify(g, res.Colors, seqcolor.Given(lists)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -107,7 +107,7 @@ func TestRunRegularBrooksHeavy(t *testing.T) {
 			continue // rare; skip the degenerate sample
 		}
 		lists := randomLists(g.N(), d, 2*d+3, rng)
-		res := mustRun(t, g, Config{D: d, Lists: lists}, rng)
+		res := mustRun(t, g, Config{D: d, Lists: seqcolor.Given(lists)}, rng)
 		if res.Iterations[0].Rich != g.N() {
 			t.Errorf("d=%d: all vertices of a d-regular graph are rich", d)
 		}
@@ -122,7 +122,7 @@ func TestRunCycleOfCliquesGallai(t *testing.T) {
 		t.Fatal("pendant-triangle path should have mad ≤ 3")
 	}
 	lists := randomLists(g.N(), 3, 8, rng)
-	mustRun(t, g, Config{D: 3, Lists: lists}, rng)
+	mustRun(t, g, Config{D: 3, Lists: seqcolor.Given(lists)}, rng)
 }
 
 func TestRunForestUnionCorollary14(t *testing.T) {
@@ -131,14 +131,14 @@ func TestRunForestUnionCorollary14(t *testing.T) {
 		g := gen.ForestUnion(150, a, rng)
 		lists := randomLists(g.N(), 2*a, 5*a, rng)
 		nw := local.NewShuffledNetwork(g, rng)
-		res, err := Arboricity2a(context.Background(), nw, a, Config{Lists: lists})
+		res, err := Arboricity2a(context.Background(), nw, a, Config{Lists: seqcolor.Given(lists)})
 		if err != nil {
 			t.Fatalf("a=%d: %v", a, err)
 		}
 		if res.Clique != nil {
 			t.Fatalf("a=%d: unexpected clique", a)
 		}
-		if err := seqcolor.Verify(g, res.Colors, lists); err != nil {
+		if err := seqcolor.Verify(g, res.Colors, seqcolor.Given(lists)); err != nil {
 			t.Fatalf("a=%d: %v", a, err)
 		}
 	}
@@ -179,7 +179,7 @@ func TestRunRejectsBadInput(t *testing.T) {
 	for i := range short {
 		short[i] = []int{0, 1}
 	}
-	if _, err := Run(context.Background(), nw, Config{D: 3, Lists: short}); err == nil {
+	if _, err := Run(context.Background(), nw, Config{D: 3, Lists: seqcolor.Given(short)}); err == nil {
 		t.Error("short lists accepted")
 	}
 }
@@ -256,11 +256,11 @@ func TestRunNiceLists(t *testing.T) {
 		perm := rng.Perm(g.MaxDegree() + 4)
 		lists[v] = perm[:size]
 	}
-	res, err := RunNice(context.Background(), nw, Config{Lists: lists})
+	res, err := RunNice(context.Background(), nw, Config{Lists: seqcolor.Given(lists)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := seqcolor.Verify(g, res.Colors, lists); err != nil {
+	if err := seqcolor.Verify(g, res.Colors, seqcolor.Given(lists)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -269,7 +269,7 @@ func TestRunNiceRejectsNonNice(t *testing.T) {
 	g := gen.Path(4) // endpoints have degree 1 ⇒ need 2 colors
 	nw := local.NewNetwork(g)
 	lists := [][]int{{0}, {0, 1}, {0, 1}, {0, 1}}
-	if _, err := RunNice(context.Background(), nw, Config{Lists: lists}); !errors.Is(err, ErrNotNice) {
+	if _, err := RunNice(context.Background(), nw, Config{Lists: seqcolor.Given(lists)}); !errors.Is(err, ErrNotNice) {
 		t.Errorf("want ErrNotNice, got %v", err)
 	}
 }
@@ -285,7 +285,7 @@ func TestDeltaListColorCorollary21(t *testing.T) {
 	n := g.N()
 	lists := randomLists(n, 4, 10, rng)
 	nw := local.NewShuffledNetwork(g, rng)
-	res, err := DeltaListColor(context.Background(), nw, Config{Lists: lists})
+	res, err := DeltaListColor(context.Background(), nw, Config{Lists: seqcolor.Given(lists)})
 	if err != nil {
 		// A K5 with jointly-unmatchable 4-lists is legitimately infeasible.
 		if errors.Is(err, seqcolor.ErrNoColoring) {
@@ -293,7 +293,7 @@ func TestDeltaListColorCorollary21(t *testing.T) {
 		}
 		t.Fatal(err)
 	}
-	if err := seqcolor.Verify(g, res.Colors, lists); err != nil {
+	if err := seqcolor.Verify(g, res.Colors, seqcolor.Given(lists)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -302,7 +302,7 @@ func TestDeltaListColorInfeasibleClique(t *testing.T) {
 	g := gen.Complete(5) // Δ=4, identical 4-lists: infeasible
 	nw := local.NewNetwork(g)
 	lists := seqcolor.UniformLists(5, 4)
-	_, err := DeltaListColor(context.Background(), nw, Config{Lists: lists})
+	_, err := DeltaListColor(context.Background(), nw, Config{Lists: seqcolor.Given(lists)})
 	if !errors.Is(err, seqcolor.ErrNoColoring) {
 		t.Fatalf("want ErrNoColoring, got %v", err)
 	}
@@ -316,11 +316,11 @@ func TestDeltaListColorFeasibleClique(t *testing.T) {
 	for v := range lists {
 		lists[v] = []int{v, v + 1, v + 2, v + 3} // distinct minima ⇒ SDR exists
 	}
-	res, err := DeltaListColor(context.Background(), nw, Config{Lists: lists})
+	res, err := DeltaListColor(context.Background(), nw, Config{Lists: seqcolor.Given(lists)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := seqcolor.Verify(g, res.Colors, lists); err != nil {
+	if err := seqcolor.Verify(g, res.Colors, seqcolor.Given(lists)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -341,14 +341,14 @@ func TestGenusCorollary211(t *testing.T) {
 	g := gen.CyclePower(60, 3)
 	nw := local.NewShuffledNetwork(g, rng)
 	lists := randomLists(g.N(), HeawoodNumber(2), 16, rng)
-	res, err := GenusHg(context.Background(), nw, 2, Config{Lists: lists})
+	res, err := GenusHg(context.Background(), nw, 2, Config{Lists: seqcolor.Given(lists)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Clique != nil {
 		t.Fatalf("unexpected K_%d", HeawoodNumber(2)+1)
 	}
-	if err := seqcolor.Verify(g, res.Colors, lists); err != nil {
+	if err := seqcolor.Verify(g, res.Colors, seqcolor.Given(lists)); err != nil {
 		t.Fatal(err)
 	}
 }

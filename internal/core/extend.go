@@ -32,7 +32,7 @@ type extendStats struct {
 // call and is all false again on return, its host traversal and its
 // ruling, schedule and ball workspaces.
 func extend(ctx context.Context, nw *local.Network, ledger *local.Ledger, s *peelState,
-	lay layer, colors []int, lists [][]int, radius int) (extendStats, error) {
+	lay layer, colors []int, lists seqcolor.Lists, radius int) (extendStats, error) {
 
 	g := nw.G
 	richMask := s.rich
@@ -140,7 +140,7 @@ func extend(ctx context.Context, nw *local.Network, ledger *local.Ledger, s *pee
 // ball. A ball holding the minimum of a one-block component of the layer
 // (blocks) is that whole component, so it is one bad block. ctx is checked
 // before each batch of ballsPerCheck balls.
-func extendRootBalls(ctx context.Context, g *graph.Graph, tr *graph.Traversal, colors []int, lists [][]int, blocks []int, radius int, ws *ballWorkspace) error {
+func extendRootBalls(ctx context.Context, g *graph.Graph, tr *graph.Traversal, colors []int, lists seqcolor.Lists, blocks []int, radius int, ws *ballWorkspace) error {
 	ws.carved, ws.ends = tr.CarveBalls(ws.carved, ws.ends, radius)
 	start := int32(0)
 	for i, end := range ws.ends {
@@ -198,7 +198,7 @@ type ballWorkspace struct {
 // own graph, each vertex's list is filtered by the colors of its colored
 // neighbors (all outside the ball), seqcolor.DegreeListColor runs on the
 // copy and the colors are written back. Both give the same colors.
-func colorBallTheorem11(g *graph.Graph, tr *graph.Traversal, colors []int, lists [][]int, ball []int, oneBlock bool, ws *ballWorkspace) error {
+func colorBallTheorem11(g *graph.Graph, tr *graph.Traversal, colors []int, lists seqcolor.Lists, ball []int, oneBlock bool, ws *ballWorkspace) error {
 	if ws.seq.ColorBall(g, colors, lists, ball, oneBlock) {
 		return nil
 	}

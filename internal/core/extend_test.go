@@ -65,7 +65,7 @@ func TestExtendColorsOnlyAliveVertices(t *testing.T) {
 				for _, v := range layers[i].happy {
 					alive[v] = true
 				}
-				if _, err := extend(context.Background(), nw, ledger, s, layers[i], colors, lists, radius); err != nil {
+				if _, err := extend(context.Background(), nw, ledger, s, layers[i], colors, seqcolor.Given(lists), radius); err != nil {
 					t.Fatalf("%s c=%.2f layer %d: %v", tc.name, c, i+1, err)
 				}
 				for v, col := range colors {
@@ -74,7 +74,7 @@ func TestExtendColorsOnlyAliveVertices(t *testing.T) {
 					}
 				}
 			}
-			if err := seqcolor.Verify(g, colors, lists); err != nil {
+			if err := seqcolor.Verify(g, colors, seqcolor.Given(lists)); err != nil {
 				t.Fatalf("%s c=%.2f: %v", tc.name, c, err)
 			}
 		}
@@ -122,7 +122,7 @@ func extendFull(ctx context.Context, nw *local.Network, ledger *local.Ledger, ri
 			if len(bucket) == 0 {
 				continue
 			}
-			if err := seqcolor.GreedyInOrder(g, colors, lists, bucket); err != nil {
+			if err := seqcolor.GreedyInOrder(g, colors, seqcolor.Given(lists), bucket); err != nil {
 				return st, err
 			}
 			ledger.Charge("extend/layered", 1)
@@ -267,7 +267,7 @@ func TestExtendMatchesFullLayeredPass(t *testing.T) {
 			}
 			gotLedger, wantLedger := &local.Ledger{}, &local.Ledger{}
 			for i := len(layers) - 1; i >= 0; i-- {
-				gotSt, err := extend(context.Background(), nw, gotLedger, s, layers[i], got, lists, radius)
+				gotSt, err := extend(context.Background(), nw, gotLedger, s, layers[i], got, seqcolor.Given(lists), radius)
 				if err != nil {
 					t.Fatalf("%s layer %d: %v", name, i+1, err)
 				}
@@ -286,7 +286,7 @@ func TestExtendMatchesFullLayeredPass(t *testing.T) {
 			if !slices.Equal(gotLedger.Phases(), wantLedger.Phases()) {
 				t.Fatalf("%s: ledger %v, full pass %v", name, gotLedger.Phases(), wantLedger.Phases())
 			}
-			if err := seqcolor.Verify(g, got, lists); err != nil {
+			if err := seqcolor.Verify(g, got, seqcolor.Given(lists)); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
 		}

@@ -58,14 +58,14 @@ func TestQuickTheorem13EndToEnd(t *testing.T) {
 			lists[v] = perm[:in.D]
 		}
 		nw := local.NewNetwork(in.G)
-		res, err := Run(context.Background(), nw, Config{D: in.D, Lists: lists})
+		res, err := Run(context.Background(), nw, Config{D: in.D, Lists: seqcolor.Given(lists)})
 		if err != nil {
 			return false
 		}
 		if res.Clique != nil {
 			return len(res.Clique) == in.D+1 && in.G.IsClique(res.Clique)
 		}
-		return seqcolor.Verify(in.G, res.Colors, lists) == nil
+		return seqcolor.Verify(in.G, res.Colors, seqcolor.Given(lists)) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)

@@ -146,7 +146,7 @@ func ballPath(g *graph.Graph, colors []int, lists [][]int, ball []int) string {
 	if err != nil {
 		panic(err)
 	}
-	eff := new(seqcolor.Workspace).EffectiveLists(g, colors, lists, orig)
+	eff := new(seqcolor.Workspace).EffectiveLists(g, colors, seqcolor.Given(lists), orig)
 	for i := range orig {
 		if len(eff[i]) > sub.Degree(i) {
 			return "surplus"
@@ -190,7 +190,7 @@ func TestRootBallBadBlockHostMatchesFresh(t *testing.T) {
 		want := slices.Clone(colors)
 		wantErr := colorBallFresh(g, want, lists, ball)
 		got := slices.Clone(colors)
-		gotErr := colorBallTheorem11(g, &tr, got, lists, ball, oneBlock, &ws)
+		gotErr := colorBallTheorem11(g, &tr, got, seqcolor.Given(lists), ball, oneBlock, &ws)
 		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
 			t.Fatalf("%s: error %v, fresh path %v", name, gotErr, wantErr)
 		}
@@ -198,7 +198,7 @@ func TestRootBallBadBlockHostMatchesFresh(t *testing.T) {
 			t.Fatalf("%s: colors differ from the fresh path", name)
 		}
 		got = slices.Clone(colors)
-		done := ws.seq.ColorBall(g, got, lists, ball, oneBlock)
+		done := ws.seq.ColorBall(g, got, seqcolor.Given(lists), ball, oneBlock)
 		path := ballPath(g, colors, lists, ball)
 		// Only a ball spanning g takes lists with colors listWidth rejects.
 		far := len(ball) < g.N() && slices.ContainsFunc(ball, func(v int) bool {

@@ -72,7 +72,7 @@ func hostPathExpected(g *graph.Graph, colors []int, lists [][]int, ball []int) b
 	if err != nil || len(sub.Components(nil)) != 1 {
 		return false
 	}
-	eff := new(seqcolor.Workspace).EffectiveLists(g, colors, lists, orig)
+	eff := new(seqcolor.Workspace).EffectiveLists(g, colors, seqcolor.Given(lists), orig)
 	surplus := false
 	for i, v := range orig {
 		far := len(ball) < g.N() && slices.ContainsFunc(lists[v], func(c int) bool { return c < 0 || c >= 1<<20 })
@@ -176,7 +176,7 @@ func TestRootBallHostMatchesFresh(t *testing.T) {
 			want := slices.Clone(colors)
 			wantErr := colorBallFresh(g, want, lists, ball)
 			got := slices.Clone(colors)
-			gotErr := colorBallTheorem11(g, &tr, got, lists, ball, false, &ws)
+			gotErr := colorBallTheorem11(g, &tr, got, seqcolor.Given(lists), ball, false, &ws)
 			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
 				t.Fatalf("%s: error %v, fresh path %v", name, gotErr, wantErr)
 			}
@@ -184,7 +184,7 @@ func TestRootBallHostMatchesFresh(t *testing.T) {
 				t.Fatalf("%s: colors differ from the fresh path", name)
 			}
 			got = slices.Clone(colors)
-			done := ws.seq.ColorBall(g, got, lists, ball, false)
+			done := ws.seq.ColorBall(g, got, seqcolor.Given(lists), ball, false)
 			if expect := wantErr == nil && hostPathExpected(g, colors, lists, ball); done != expect {
 				t.Fatalf("%s: ColorBall took the ball: %v, want %v", name, done, expect)
 			}

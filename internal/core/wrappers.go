@@ -30,15 +30,15 @@ func IsSimplicial(nw *local.Network, v int) bool {
 
 // ValidateNice checks the Theorem 6.1 niceness condition: |L(v)| ≥ deg(v)
 // for every v, and |L(v)| ≥ deg(v)+1 whenever deg(v) ≤ 2 or v is simplicial.
-func ValidateNice(nw *local.Network, lists [][]int) error {
+func ValidateNice(nw *local.Network, lists seqcolor.Lists) error {
 	g := nw.G
 	for v := 0; v < g.N(); v++ {
 		need := g.Degree(v)
 		if need <= 2 || IsSimplicial(nw, v) {
 			need++
 		}
-		if len(lists[v]) < need {
-			return fmt.Errorf("%w: vertex %d needs %d colors, has %d", ErrNotNice, v, need, len(lists[v]))
+		if len(lists.Of(v)) < need {
+			return fmt.Errorf("%w: vertex %d needs %d colors, has %d", ErrNotNice, v, need, len(lists.Of(v)))
 		}
 	}
 	return nil
@@ -71,7 +71,7 @@ func RunNice(ctx context.Context, nw *local.Network, cfg Config) (*Result, error
 		maxIter = 8*(delta+2)*int(math.Ceil(math.Log2(float64(n+1)))) + 64
 	}
 	richTest := func(degAlive int, v int) bool { return true }
-	witness := func(degAlive int, v int) bool { return degAlive < len(lists[v]) }
+	witness := func(degAlive int, v int) bool { return degAlive < len(lists.Of(v)) }
 	if err := peelAndExtend(ctx, nw, res, lists, radius, maxIter, richTest, witness); err != nil {
 		return nil, err
 	}
@@ -79,26 +79,28 @@ func RunNice(ctx context.Context, nw *local.Network, cfg Config) (*Result, error
 }
 
 // DeltaListColor is Corollary 2.1: given Δ ≥ 3 and a Δ-list assignment
-// (cfg.Lists), either finds an L-list-coloring or certifies that none
-// exists. K_{Δ+1} components are solved exactly by Hall matching
-// (seqcolor.CliqueListColor); when one is infeasible, seqcolor.ErrNoColoring
-// is returned. All other components go through Theorem 1.3 with d = Δ.
-// cfg.D is ignored.
+// (cfg.Lists; zero means the canonical lists {0, …, Δ−1}), either finds an
+// L-list-coloring or certifies that none exists. K_{Δ+1} components are
+// solved exactly by Hall matching (seqcolor.CliqueListColor); when one is
+// infeasible, seqcolor.ErrNoColoring is returned. All other components go
+// through Theorem 1.3 with d = Δ, on the same canonical lists or on the
+// given lists of their vertices. cfg.D is ignored.
 func DeltaListColor(ctx context.Context, nw *local.Network, cfg Config) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	g := nw.G
 	n := g.N()
-	lists := cfg.Lists
 	delta := g.MaxDegree()
 	if delta < 3 {
 		return nil, fmt.Errorf("core: Corollary 2.1 requires Δ ≥ 3, got %d", delta)
 	}
-	for v := 0; v < n; v++ {
-		if len(lists[v]) < delta {
-			return nil, fmt.Errorf("core: vertex %d has list of size %d < Δ=%d", v, len(lists[v]), delta)
-		}
+	lists := cfg.Lists
+	if lists.IsZero() {
+		lists = seqcolor.Canonical(delta)
+	}
+	if v := lists.Short(n, delta); v >= 0 {
+		return nil, fmt.Errorf("core: vertex %d has list of size %d < Δ=%d", v, len(lists.Of(v)), delta)
 	}
 	ledger := cmp.Or(cfg.Ledger, &local.Ledger{})
 	colors := make([]int, n)
@@ -131,9 +133,13 @@ func DeltaListColor(ctx context.Context, nw *local.Network, cfg Config) (*Result
 	}
 	res := &Result{Ledger: ledger, Lists: lists, Colors: colors}
 	if sub.N() > 0 {
-		subLists := make([][]int, sub.N())
-		for i, v := range orig {
-			subLists[i] = lists[v]
+		subLists := lists
+		if given := lists.Given(); given != nil {
+			per := make([][]int, sub.N())
+			for i, v := range orig {
+				per[i] = given[v]
+			}
+			subLists = seqcolor.Given(per)
 		}
 		nw2 := local.NewNetwork(sub)
 		sres, err := Run(ctx, nw2, Config{D: delta, Lists: subLists, BallC: cfg.BallC, Ledger: ledger})
@@ -155,7 +161,7 @@ func DeltaListColor(ctx context.Context, nw *local.Network, cfg Config) (*Result
 
 // Planar6 is Corollary 2.3(1): 6-list-coloring of planar graphs in
 // O(log³ n) rounds (planar ⇒ mad < 6; a K₇ would be reported, but planar
-// graphs have none). cfg.Lists == nil means colors {0..5}; cfg.D is forced.
+// graphs have none). A zero cfg.Lists means colors {0..5}; cfg.D is forced.
 func Planar6(ctx context.Context, nw *local.Network, cfg Config) (*Result, error) {
 	cfg.D = 6
 	return Run(ctx, nw, cfg)

@@ -16,20 +16,20 @@ func TestValidateNiceCases(t *testing.T) {
 	g := gen.Path(3)
 	nw := local.NewNetwork(g)
 	ok := [][]int{{0, 1}, {0, 1, 2}, {0, 1}}
-	if err := ValidateNice(nw, ok); err != nil {
+	if err := ValidateNice(nw, seqcolor.Given(ok)); err != nil {
 		t.Errorf("valid nice assignment rejected: %v", err)
 	}
 	bad := [][]int{{0}, {0, 1, 2}, {0, 1}}
-	if err := ValidateNice(nw, bad); !errors.Is(err, ErrNotNice) {
+	if err := ValidateNice(nw, seqcolor.Given(bad)); !errors.Is(err, ErrNotNice) {
 		t.Errorf("want ErrNotNice, got %v", err)
 	}
 	// simplicial: K3 vertex with deg-sized list is not nice
 	k3 := gen.Complete(3)
 	nw3 := local.NewNetwork(k3)
-	if err := ValidateNice(nw3, seqcolor.UniformLists(3, 2)); !errors.Is(err, ErrNotNice) {
+	if err := ValidateNice(nw3, seqcolor.Given(seqcolor.UniformLists(3, 2))); !errors.Is(err, ErrNotNice) {
 		t.Errorf("simplicial tight list accepted: %v", err)
 	}
-	if err := ValidateNice(nw3, seqcolor.UniformLists(3, 3)); err != nil {
+	if err := ValidateNice(nw3, seqcolor.Given(seqcolor.UniformLists(3, 3))); err != nil {
 		t.Errorf("simplicial deg+1 list rejected: %v", err)
 	}
 }
@@ -55,7 +55,7 @@ func TestIsSimplicial(t *testing.T) {
 func TestDeltaListColorRejectsSmallDelta(t *testing.T) {
 	g := gen.Path(5) // Δ = 2
 	nw := local.NewNetwork(g)
-	if _, err := DeltaListColor(context.Background(), nw, Config{Lists: seqcolor.UniformLists(5, 2)}); err == nil {
+	if _, err := DeltaListColor(context.Background(), nw, Config{Lists: seqcolor.Given(seqcolor.UniformLists(5, 2))}); err == nil {
 		t.Error("Δ=2 accepted (Corollary 2.1 needs Δ ≥ 3)")
 	}
 }
@@ -67,7 +67,7 @@ func TestDeltaListColorRejectsShortLists(t *testing.T) {
 		t.Fatal(err)
 	}
 	nw := local.NewNetwork(g)
-	if _, err := DeltaListColor(context.Background(), nw, Config{Lists: seqcolor.UniformLists(20, 3)}); err == nil {
+	if _, err := DeltaListColor(context.Background(), nw, Config{Lists: seqcolor.Given(seqcolor.UniformLists(20, 3))}); err == nil {
 		t.Error("lists shorter than Δ accepted")
 	}
 }
@@ -109,11 +109,11 @@ func TestRunNiceOnRegular(t *testing.T) {
 		perm := rng.Perm(10)
 		lists[v] = perm[:size]
 	}
-	res, err := RunNice(context.Background(), nw, Config{Lists: lists})
+	res, err := RunNice(context.Background(), nw, Config{Lists: seqcolor.Given(lists)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := seqcolor.Verify(g, res.Colors, lists); err != nil {
+	if err := seqcolor.Verify(g, res.Colors, seqcolor.Given(lists)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -208,7 +208,7 @@ func DegPlusOneListColor(nw *local.Network, ledger *local.Ledger, phase string,
 		}
 	}
 	for _, class := range classes {
-		if err := seqcolor.GreedyInOrder(g, colors, lists, class); err != nil {
+		if err := seqcolor.GreedyInOrder(g, colors, seqcolor.Given(lists), class); err != nil {
 			return nil, fmt.Errorf("decomp: %w", err)
 		}
 		if ledger != nil {

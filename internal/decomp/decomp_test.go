@@ -79,7 +79,7 @@ func TestDegPlusOneListColorViaDecomposition(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := seqcolor.Verify(tc, colors, lists); err != nil {
+		if err := seqcolor.Verify(tc, colors, seqcolor.Given(lists)); err != nil {
 			t.Fatal(err)
 		}
 		// O(colors · diameter) rounds

@@ -39,7 +39,7 @@ func E19(scale Scale) *Section {
 		if err != nil {
 			panic(err)
 		}
-		if err := seqcolor.Verify(g, colors, lists); err != nil {
+		if err := seqcolor.Verify(g, colors, seqcolor.Given(lists)); err != nil {
 			panic(err)
 		}
 		var l2 local.Ledger

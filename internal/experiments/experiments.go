@@ -145,7 +145,7 @@ func E1(scale Scale) *Section {
 			k := mustColors(g, res)
 			// arbitrary lists: the d-LIST-coloring claim (per-vertex compliance)
 			lists := randomLists(g.N(), w.d, 2*w.d+4, r)
-			lres, err := core.Run(context.Background(), local.NewShuffledNetwork(g, r), core.Config{D: w.d, Lists: lists})
+			lres, err := core.Run(context.Background(), local.NewShuffledNetwork(g, r), core.Config{D: w.d, Lists: seqcolor.Given(lists)})
 			if err != nil {
 				panic(err)
 			}
@@ -184,7 +184,7 @@ func E2(scale Scale) *Section {
 			}
 			ours := mustColors(g, res)
 			lists := randomLists(g.N(), 2*a, 4*a+2, r)
-			lres, err := core.Arboricity2a(context.Background(), local.NewShuffledNetwork(g, r), a, core.Config{Lists: lists})
+			lres, err := core.Arboricity2a(context.Background(), local.NewShuffledNetwork(g, r), a, core.Config{Lists: seqcolor.Given(lists)})
 			if err != nil {
 				panic(err)
 			}
@@ -222,17 +222,17 @@ func E3(scale Scale) *Section {
 	}
 	lists := randomLists(g.N(), 4, 9, r)
 	nw := local.NewShuffledNetwork(g, r)
-	res, err := core.DeltaListColor(context.Background(), nw, core.Config{Lists: lists})
+	res, err := core.DeltaListColor(context.Background(), nw, core.Config{Lists: seqcolor.Given(lists)})
 	if err != nil {
 		panic(err)
 	}
-	if err := seqcolor.Verify(g, res.Colors, lists); err != nil {
+	if err := seqcolor.Verify(g, res.Colors, seqcolor.Given(lists)); err != nil {
 		panic(err)
 	}
 	s.Rows = append(s.Rows, fmt.Sprintf("| Δ-list, 4-regular | %d | 4 | colored | true | %d |", n, res.Ledger.Rounds()))
 	// infeasible K5
 	k5 := gen.Complete(5)
-	_, err = core.DeltaListColor(context.Background(), local.NewNetwork(k5), core.Config{Lists: seqcolor.UniformLists(5, 4)})
+	_, err = core.DeltaListColor(context.Background(), local.NewNetwork(k5), core.Config{Lists: seqcolor.Canonical(4)})
 	s.Rows = append(s.Rows, fmt.Sprintf("| K₅ with identical 4-lists | 5 | 4 | %v | — | 2 |", err != nil))
 	// nice lists on a clique-decorated cycle
 	g2 := gen.WithPendantCliques(gen.Cycle(n/4), 4)
@@ -246,11 +246,11 @@ func E3(scale Scale) *Section {
 		perm := r.Perm(g2.MaxDegree() + 4)
 		lists2[v] = perm[:size]
 	}
-	res2, err := core.RunNice(context.Background(), nw2, core.Config{Lists: lists2})
+	res2, err := core.RunNice(context.Background(), nw2, core.Config{Lists: seqcolor.Given(lists2)})
 	if err != nil {
 		panic(err)
 	}
-	if err := seqcolor.Verify(g2, res2.Colors, lists2); err != nil {
+	if err := seqcolor.Verify(g2, res2.Colors, seqcolor.Given(lists2)); err != nil {
 		panic(err)
 	}
 	s.Rows = append(s.Rows, fmt.Sprintf("| nice lists, K₄-decorated cycle | %d | %d | colored | true | %d |",
@@ -282,7 +282,7 @@ func E4(scale Scale) *Section {
 		}
 		k := mustColors(g, res)
 		lists := randomLists(g.N(), 6, 14, r)
-		lres, err := core.Planar6(context.Background(), local.NewShuffledNetwork(g, r), core.Config{Lists: lists})
+		lres, err := core.Planar6(context.Background(), local.NewShuffledNetwork(g, r), core.Config{Lists: seqcolor.Given(lists)})
 		if err != nil {
 			panic(err)
 		}
@@ -313,7 +313,7 @@ func E5(scale Scale) *Section {
 		}
 		k := mustColors(g, res)
 		lists := randomLists(g.N(), 4, 9, r)
-		lres, err := core.TriangleFree4(context.Background(), local.NewShuffledNetwork(g, r), core.Config{Lists: lists})
+		lres, err := core.TriangleFree4(context.Background(), local.NewShuffledNetwork(g, r), core.Config{Lists: seqcolor.Given(lists)})
 		if err != nil {
 			panic(err)
 		}
@@ -349,7 +349,7 @@ func E6(scale Scale) *Section {
 		}
 		k := mustColors(g, res)
 		lists := randomLists(g.N(), 3, 7, r)
-		lres, err := core.Girth6Planar3(context.Background(), local.NewShuffledNetwork(g, r), core.Config{Lists: lists})
+		lres, err := core.Girth6Planar3(context.Background(), local.NewShuffledNetwork(g, r), core.Config{Lists: seqcolor.Given(lists)})
 		if err != nil {
 			panic(err)
 		}
@@ -380,7 +380,7 @@ func E7(scale Scale) *Section {
 		if err != nil {
 			panic(err)
 		}
-		if err := seqcolor.Verify(g, gres.Colors, nil); err != nil {
+		if err := seqcolor.Verify(g, gres.Colors, seqcolor.Lists{}); err != nil {
 			panic(err)
 		}
 		pres, err := core.Planar6(context.Background(), local.NewShuffledNetwork(g, r), core.Config{})
@@ -585,7 +585,7 @@ func E16(scale Scale) *Section {
 		}
 		k := mustColors(g, res)
 		lists := randomLists(g.N(), core.HeawoodNumber(2), 16, r)
-		lres, err := core.GenusHg(context.Background(), local.NewShuffledNetwork(g, r), 2, core.Config{Lists: lists})
+		lres, err := core.GenusHg(context.Background(), local.NewShuffledNetwork(g, r), 2, core.Config{Lists: seqcolor.Given(lists)})
 		if err != nil {
 			panic(err)
 		}

@@ -172,7 +172,7 @@ func randomizedSection(scale Scale) *Section {
 		if err != nil {
 			panic(err)
 		}
-		if err := seqcolor.Verify(g, colors, lists); err != nil {
+		if err := seqcolor.Verify(g, colors, seqcolor.Given(lists)); err != nil {
 			panic(err)
 		}
 		s.Rows = append(s.Rows, fmt.Sprintf("| apollonian | %d | %d | %.1f |",

@@ -18,6 +18,7 @@ package gps
 import (
 	"context"
 	"fmt"
+	"math/bits"
 
 	"distcolor/internal/graph"
 	"distcolor/internal/local"
@@ -101,8 +102,8 @@ func PeelColor(ctx context.Context, nw *local.Network, ledger *local.Ledger, pha
 
 	// Color layers from last to first. Each layer's Linial classes are
 	// counting-sorted into byClass (sized to the largest layer), ascending
-	// vertex order within a class, and the per-vertex forbidden set {0..k}
-	// is one bitset per call whose FirstZero is the first unused color.
+	// vertex order within a class, and each vertex takes the first color
+	// of {0..k} that no colored neighbor has.
 	colors := make([]int, n)
 	for v := range colors {
 		colors[v] = reduce.Uncolored
@@ -114,7 +115,7 @@ func PeelColor(ctx context.Context, nw *local.Network, ledger *local.Ledger, pha
 	byClass := make([]int32, largest)
 	var next []int32 // next[c]: where class c's next vertex goes in byClass
 	var ws reduce.Workspace
-	used := graph.NewBitset(k + 1)
+	var used graph.Bitset
 	for l := layers; l >= 1; l-- {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -144,13 +145,28 @@ func PeelColor(ctx context.Context, nw *local.Network, ledger *local.Ledger, pha
 			for _, v := range class {
 				// v has ≤ k neighbors in its own or later layers, all the
 				// already-colored ones; pick a free color among {0..k}.
-				used.Reset(k + 1)
+				// Colors below 64 are marked in a local word, whose
+				// lowest clear bit it is unless all 64 are taken, and only
+				// a palette wider than 64 marks the rest in used. A color
+				// above k in the word is never the lowest clear bit while
+				// one of 0..k is free, so it needs no test.
+				if k >= 64 {
+					used.Reset(k + 1)
+				}
+				var word uint64
 				for _, w := range g.Neighbors(int(v)) {
-					if cw := colors[w]; cw >= 0 && cw <= k {
+					cw := colors[w]
+					word |= 1 << uint(cw) // 0 for Uncolored and for colors of 64 or more
+					if cw >= 64 && cw <= k {
 						used.Set(cw)
 					}
 				}
-				picked := used.FirstZero()
+				picked := bits.TrailingZeros64(^word)
+				if picked == 64 {
+					for picked <= k && used.Test(picked) {
+						picked++
+					}
+				}
 				if picked > k {
 					return nil, fmt.Errorf("gps: no free color at %d (layer %d)", v, l)
 				}

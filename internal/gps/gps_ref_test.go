@@ -148,7 +148,9 @@ type peelCase struct {
 // 2·10⁴ at k=6, a 20×20 grid at k=2 (whose first layer is not its largest),
 // random 3- and 4-regular graphs at k=d (one layer, the whole graph) and
 // k=d−1 (a stall), unions of two forests at the Barenboim–Elkin threshold,
-// K6 at k=3 (a stall) and the empty graph, all with shuffled IDs.
+// K6 at k=3 (a stall), the empty graph, and K_{k+1} and a random graph of
+// degeneracy ≤ k at k ∈ {6, 63, 64, 70}, palettes on either side of one
+// 64-bit word, all with shuffled IDs.
 func peelCases(t *testing.T) []peelCase {
 	t.Helper()
 	rng := rand.New(rand.NewPCG(26, 1))
@@ -173,7 +175,26 @@ func peelCases(t *testing.T) []peelCase {
 	}
 	add("K6", gen.Complete(6), 3)
 	add("empty", graph.MustNew(0, nil), 6)
+	// Palettes on either side of one 64-bit word: K_{k+1} uses all of
+	// {0..k}, and a random graph of degeneracy ≤ k leaves vertices whose
+	// colored neighbors straddle colors 63 and 64.
+	for _, k := range []int{6, 63, 64, 70} {
+		add(fmt.Sprintf("K%d", k+1), gen.Complete(k+1), k)
+		add(fmt.Sprintf("degenerate%d", k), degenerate(600, k, rng), k)
+	}
 	return cases
+}
+
+// degenerate is a random graph on n vertices in which each vertex joins
+// up to k earlier ones, so that peeling at k exhausts it.
+func degenerate(n, k int, rng *rand.Rand) *graph.Graph {
+	b := graph.NewBuilder(n)
+	for v := 1; v < n; v++ {
+		for _, u := range rng.Perm(v)[:min(v, k)] {
+			b.AddEdgeOK(v, u)
+		}
+	}
+	return b.Graph()
 }
 
 // TestPeelColorMatchesReference checks the flat PeelColor against

@@ -22,7 +22,7 @@ func TestPlanar7Apollonian(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		if err := seqcolor.Verify(g, res.Colors, nil); err != nil {
+		if err := seqcolor.Verify(g, res.Colors, seqcolor.Lists{}); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
 		if k := seqcolor.NumColors(res.Colors); k > 7 {
@@ -44,7 +44,7 @@ func TestPeelColorGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := seqcolor.Verify(g, res.Colors, nil); err != nil {
+	if err := seqcolor.Verify(g, res.Colors, seqcolor.Lists{}); err != nil {
 		t.Fatal(err)
 	}
 	if k := seqcolor.NumColors(res.Colors); k > 3 {
@@ -89,7 +89,7 @@ func TestPeelColorTree(t *testing.T) {
 	if k := seqcolor.NumColors(res.Colors); k > 2 {
 		t.Errorf("tree used %d colors > 2", k)
 	}
-	if err := seqcolor.Verify(g, res.Colors, nil); err != nil {
+	if err := seqcolor.Verify(g, res.Colors, seqcolor.Lists{}); err != nil {
 		t.Fatal(err)
 	}
 }

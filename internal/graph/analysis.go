@@ -1,5 +1,7 @@
 package graph
 
+import "slices"
+
 // Girth returns the length of a shortest cycle in the masked graph, or -1
 // if the graph is a forest. Runs a BFS from every vertex: O(n·m). When a BFS
 // from v finds an edge between two vertices x,y with dist(x)+dist(y)+1 < best
@@ -226,12 +228,28 @@ func (s *smallestLast) pop() (v, deg int) {
 // before anything is allocated, so that such a graph gets the
 // elimination's arrays in one allocation, and an empty core only the
 // peel's two.
+//
+// When the d-core is d-regular (Theorem 1.3's Δ ≤ d case), a K_{d+1} in
+// it is a whole component, so each of its vertices has a clique for a core
+// neighbourhood: when no core vertex does, there is none, and nil is
+// returned without the elimination. A core that is not regular, or a
+// vertex that passes, takes the elimination, which finds the certificate.
 func (g *Graph) FindCliqueDPlus1(d int) []int {
 	if d < 1 || d > g.MaxDegree() {
 		return nil
 	}
 	var s smallestLast
-	if g.MinDegree() < d && s.coreSize(g, d) == 0 {
+	whole := g.MinDegree() >= d
+	if !whole && s.coreSize(g, d) == 0 {
+		return nil
+	}
+	// coreSize leaves each core vertex's excess, its core degree − (d−1),
+	// in s.deg, and a value ≤ 0 for every vertex it dropped.
+	var excess []int32
+	if !whole {
+		excess = s.deg
+	}
+	if g.cliqueFreeRegularCore(d, excess) {
 		return nil
 	}
 	s.init(g)
@@ -259,6 +277,53 @@ func (g *Graph) FindCliqueDPlus1(d int) []int {
 		}
 	}
 	return nil
+}
+
+// cliqueFreeRegularCore reports that the d-core is d-regular and holds no
+// K_{d+1}. excess is coreSize's (a core vertex's is its core degree −
+// (d−1), ≥ 1), or nil when the core is all of g, of minimum degree ≥ d.
+// In a d-regular core the least vertex of a K_{d+1} has the rest of it for
+// its core neighbourhood, all above it, so only a core vertex below all its
+// core neighbours is tested: its neighbourhood's pairs, up to the first
+// that is not an edge.
+func (g *Graph) cliqueFreeRegularCore(d int, excess []int32) bool {
+	if excess == nil {
+		if g.MaxDegree() != d {
+			return false
+		}
+	} else if slices.ContainsFunc(excess, func(e int32) bool { return e > 1 }) {
+		return false
+	}
+	inCore := func(v int32) bool { return excess == nil || excess[v] > 0 }
+	for v := range g.N() {
+		if !inCore(int32(v)) {
+			continue
+		}
+		nbrs := g.Neighbors(v) // ascending
+		i := 0
+		for i < len(nbrs) && !inCore(nbrs[i]) {
+			i++
+		}
+		if i == len(nbrs) || int(nbrs[i]) < v {
+			continue
+		}
+		clique := true
+		for j := i; j < len(nbrs) && clique; j++ {
+			if !inCore(nbrs[j]) {
+				continue
+			}
+			for _, b := range nbrs[j+1:] {
+				if inCore(b) && !g.HasEdge(int(nbrs[j]), int(b)) {
+					clique = false
+					break
+				}
+			}
+		}
+		if clique {
+			return false
+		}
+	}
+	return true
 }
 
 // findCliqueOfSize searches cand (assumed all adjacent to an implicit apex)

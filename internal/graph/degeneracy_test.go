@@ -151,11 +151,18 @@ func TestDegeneracyMatchesReference(t *testing.T) {
 // refCoreSize is the size of the d-core of g by its definition: remove a
 // vertex with fewer than d remaining neighbors until none is left.
 func refCoreSize(g *Graph, d int) int {
+	size, _ := refCore(g, d)
+	return size
+}
+
+// refCore returns the size of the d-core by repeated scans and whether
+// the core is non-empty and d-regular.
+func refCore(g *Graph, d int) (size int, regular bool) {
 	in := make([]bool, g.N())
 	for v := range in {
 		in[v] = true
 	}
-	size := g.N()
+	size = g.N()
 	for changed := true; changed; {
 		changed = false
 		for v := range in {
@@ -166,7 +173,89 @@ func refCoreSize(g *Graph, d int) int {
 			}
 		}
 	}
-	return size
+	regular = size > 0
+	for v := range in {
+		if in[v] && g.DegreeInMask(v, in) != d {
+			regular = false
+		}
+	}
+	return size, regular
+}
+
+// regularCases returns, for clique size d+1, graphs whose d-core is
+// d-regular or nearly so, each under a random vertex numbering: a union of
+// d random perfect matchings (a d-regular graph with, for d ≥ 3, almost
+// never a K_{d+1}); that graph beside K_{d+1} components; both with
+// pendant paths, which the peel removes to leave a d-regular core; and
+// cores that are not regular, with a K_{d+1} in which no vertex has the
+// clique for its neighbourhood: two K_{d+1}s joined by a perfect
+// matching, with and without a pendant path, and the regular graph beside
+// a K_{d+1} each of whose vertices also joins it.
+func regularCases(rng *rand.Rand, d int) []*Graph {
+	matchings := func(n int) [][2]int {
+	retry:
+		for {
+			seen := map[[2]int]bool{}
+			var edges [][2]int
+			for range d {
+				p := rng.Perm(n)
+				for i := 0; i < n; i += 2 {
+					e := [2]int{min(p[i], p[i+1]), max(p[i], p[i+1])}
+					if seen[e] {
+						continue retry
+					}
+					seen[e] = true
+					edges = append(edges, e)
+				}
+			}
+			return edges
+		}
+	}
+	clique := func(base int) [][2]int {
+		var edges [][2]int
+		for u := base; u <= base+d; u++ {
+			for v := u + 1; v <= base+d; v++ {
+				edges = append(edges, [2]int{u, v})
+			}
+		}
+		return edges
+	}
+	// pendants hangs a path of two on each of the first count vertices.
+	pendants := func(n int, edges [][2]int, count int) (int, [][2]int) {
+		for v := range count {
+			edges = append(edges, [2]int{v, n}, [2]int{n, n + 1})
+			n += 2
+		}
+		return n, edges
+	}
+	// build numbers the n vertices at random.
+	build := func(n int, edges [][2]int) *Graph {
+		p := rng.Perm(n)
+		b := NewBuilder(n)
+		for _, e := range edges {
+			b.AddEdgeOK(p[e[0]], p[e[1]])
+		}
+		return b.Graph()
+	}
+	const n = 40
+	reg := matchings(n)
+	beside := append(append(slices.Clone(reg), clique(n)...), clique(n+d+1)...)
+	nb := n + 2*(d+1)
+	pn, peeled := pendants(n, slices.Clone(reg), 5)
+	pb, peeledBeside := pendants(nb, slices.Clone(beside), n+d+1)
+	twin := append(clique(0), clique(d+1)...)
+	for u := range d + 1 {
+		twin = append(twin, [2]int{u, d + 1 + u})
+	}
+	tn, twinPeeled := pendants(2*(d+1), slices.Clone(twin), 1)
+	joined := append(slices.Clone(reg), clique(n)...)
+	for u := n; u <= n+d; u++ {
+		joined = append(joined, [2]int{u - n, u})
+	}
+	return []*Graph{
+		build(n, reg), build(nb, beside), build(pn, peeled), build(pb, peeledBeside),
+		build(2*(d+1), twin), build(tn, twinPeeled), build(n+d+1, joined),
+	}
 }
 
 // coreCases returns, for clique size d+1, graphs that reach each way out
@@ -242,11 +331,13 @@ func coreCases(rng *rand.Rand, d int) []*Graph {
 
 // TestFindCliqueMatchesReference checks FindCliqueDPlus1 against the old
 // two-pass search for d = 1..8 on random graphs, planted cliques, graphs
-// of degeneracy above d and coreCases: the same clique in the same order,
-// or nil for both. The cases must reach the later-neighborhood-bigger-than-d
-// search, an empty d-core, non-empty ones with and without a clique under
-// a vertex of degree < d, and a graph of minimum degree ≥ d. On every case the peel's d-core size
-// must equal refCoreSize's.
+// of degeneracy above d, coreCases and regularCases: the same clique in
+// the same order, or nil for both. The cases must reach the
+// later-neighborhood-bigger-than-d search, an empty d-core, non-empty ones
+// with and without a clique under a vertex of degree < d, a graph of
+// minimum degree ≥ d, d-regular cores with and without a K_{d+1}, and an
+// irregular core whose K_{d+1} is no vertex's whole neighbourhood. On
+// every case the peel's d-core size must equal refCoreSize's.
 func TestFindCliqueMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewPCG(21, 2))
 	big, empty, peeled, foundPeeled, whole := 0, 0, 0, 0, 0
@@ -254,6 +345,10 @@ func TestFindCliqueMatchesReference(t *testing.T) {
 	for d := 1; d <= 8; d++ {
 		gs = append(gs, coreCases(rng, d)...)
 	}
+	for d := 2; d <= 6; d++ {
+		gs = append(gs, regularCases(rng, d)...)
+	}
+	regularNil, regularFound, irregularFound := 0, 0, 0
 	for i, g := range gs {
 		for d := 1; d <= 8; d++ {
 			got := g.FindCliqueDPlus1(d)
@@ -263,6 +358,13 @@ func TestFindCliqueMatchesReference(t *testing.T) {
 			}
 			if bigLater {
 				big++
+			}
+			if _, regular := refCore(g, d); regular && want == nil {
+				regularNil++
+			} else if regular {
+				regularFound++
+			} else if want != nil && !hasCliqueNeighbourhood(g, want) {
+				irregularFound++
 			}
 			if g.MinDegree() >= d {
 				whole++
@@ -286,6 +388,16 @@ func TestFindCliqueMatchesReference(t *testing.T) {
 		t.Fatalf("%d cliques through a later neighborhood bigger than d; %d empty cores; under a vertex of degree < d, %d non-empty cores without a clique and %d with one; %d graphs of minimum degree ≥ d; want all > 0",
 			big, empty, peeled, foundPeeled, whole)
 	}
+	if regularNil == 0 || regularFound == 0 || irregularFound == 0 {
+		t.Fatalf("d-regular cores without a K_{d+1}: %d, with one: %d; irregular cores whose K_{d+1} is no vertex's neighbourhood: %d; want all > 0",
+			regularNil, regularFound, irregularFound)
+	}
+}
+
+// hasCliqueNeighbourhood reports whether some vertex of clique has the
+// rest of it for its whole neighbourhood.
+func hasCliqueNeighbourhood(g *Graph, clique []int) bool {
+	return slices.ContainsFunc(clique, func(v int) bool { return g.Degree(v) == len(clique)-1 })
 }
 
 // sparseGraph is a random connected graph on n vertices: each vertex

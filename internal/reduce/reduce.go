@@ -6,7 +6,9 @@
 //     its base-q digits with multiply-shift arithmetic, no digit table and
 //     no division; each sweep settles x = 0, where most vertices stop, by
 //     comparing colors mod q, and runs the general step only on a clash);
-//   - one-class-per-round reduction down to Δ+1 colors;
+//   - one-class-per-round reduction down to Δ+1 colors, where a vertex
+//     marks its neighbors' colors below 64 in one word and picks its
+//     lowest clear bit (only when Δ ≥ 64 do higher colors go to a bitset);
 //   - Cole–Vishkin 3-coloring of rooted forests (shift-down + reduce);
 //   - the simple randomized (deg+1)-list-coloring (Question 6.2 remark).
 //
@@ -328,13 +330,30 @@ func (ws *Workspace) reduce(g *graph.Graph, ledger *local.Ledger, phase string,
 	used := &ws.used
 	for _, i := range order {
 		v := verts[i]
-		used.Reset(d + 1)
+		// The first free color of [0, d]: colors below 64 are marked in a
+		// local word, whose lowest clear bit it is unless all 64 are taken,
+		// and only a palette wider than 64 marks the rest in ws.used. A
+		// color above d in the word is never the lowest clear bit while
+		// one of [0, d] is free, so it needs no test.
+		if d >= 64 {
+			used.Reset(d + 1)
+		}
+		var word uint64
 		for _, w := range g.Neighbors(v) {
-			if r := rec[w]; r.in == epoch && r.color >= 0 && int(r.color) <= d {
-				used.Set(int(r.color))
+			if r := rec[w]; r.in == epoch {
+				if c := r.color; uint32(c) < 64 {
+					word |= 1 << uint32(c)
+				} else if c >= 0 && int(c) <= d {
+					used.Set(int(c))
+				}
 			}
 		}
-		picked := used.FirstZero()
+		picked := bits.TrailingZeros64(^word)
+		if picked == 64 {
+			for picked <= d && used.Test(picked) {
+				picked++
+			}
+		}
 		if picked > d {
 			panic("reduce: no free color ≤ Δ (internal bug)")
 		}

@@ -1,6 +1,7 @@
 package reduce
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 	"math/rand/v2"
@@ -344,6 +345,62 @@ func TestLinialMatchesReference(t *testing.T) {
 				checkAgainstReference(t, tc.name, &ws, nw, mask)
 			}
 		}
+	}
+}
+
+// TestDegPlusOneReductionOnWidePalettes holds the class reduction's
+// one-word palette to the reference on trees of maximum degree 62 to 130,
+// around the 64 colors one word holds: stars joined leaf to hub into a
+// path, whose leaves keep random distinct colors of [0, Δ] and whose hubs,
+// colored above Δ, each take the least color their leaves leave free.
+// The hubs' picks must straddle 63 and 64.
+func TestDegPlusOneReductionOnWidePalettes(t *testing.T) {
+	rng := rand.New(rand.NewPCG(32, 4))
+	var ws Workspace
+	picks := map[bool]int{}
+	for _, maxDeg := range []int{62, 63, 64, 65, 100, 130} {
+		for trial := range 4 {
+			const hubs = 6
+			// Star h is a hub and deg−1 leaves; the hubs after the first
+			// join the first leaf of the star before, degree deg.
+			degs := make([]int, hubs)
+			n := 0
+			for h := range degs {
+				degs[h] = maxDeg - rng.IntN(3)*min(h, 1)
+				n += degs[h]
+			}
+			b := graph.NewBuilder(n)
+			colors := make([]int, 0, n)
+			hubOf := make([]int, hubs)
+			for h, deg := range degs {
+				hub := len(colors)
+				hubOf[h] = hub
+				colors = append(colors, maxDeg+1+h)
+				colors = append(colors, rng.Perm(maxDeg + 1)[:deg-1]...)
+				for leaf := hub + 1; leaf < len(colors); leaf++ {
+					b.AddEdgeOK(hub, leaf)
+				}
+				if h > 0 {
+					b.AddEdgeOK(hub, hubOf[h-1]+1)
+				}
+			}
+			g := b.Graph()
+			nw := local.NewShuffledNetwork(g, rng)
+			k := maxDeg + 1 + hubs
+			var got, want local.Ledger
+			out := ws.ReduceToMaxDegPlusOne(nw, &got, "r", nil, colors, k)
+			ref := referenceReduce(nw, &want, "r", nil, colors, k)
+			name := fmt.Sprintf("Δ=%d trial %d", g.MaxDegree(), trial)
+			if !slices.Equal(out, ref) || !slices.Equal(got.Phases(), want.Phases()) {
+				t.Fatalf("%s: reduced classes differ from the reference", name)
+			}
+			for _, hub := range hubOf {
+				picks[out[hub] >= 64]++
+			}
+		}
+	}
+	if picks[false] == 0 || picks[true] == 0 {
+		t.Fatalf("hub picks below 64: %d, at or above: %d; want both > 0", picks[false], picks[true])
 	}
 }
 

@@ -31,7 +31,7 @@ import (
 // does off a search from sources more than twice the radius apart: that
 // is the copy's component walk, so ball's own order picks the same
 // vertices the copy would.
-func (w *Workspace) ColorBall(g *graph.Graph, colors []int, lists [][]int, ball []int, oneBlock bool) bool {
+func (w *Workspace) ColorBall(g *graph.Graph, colors []int, lists Lists, ball []int, oneBlock bool) bool {
 	if len(ball) == 0 || !w.indexBall(g, colors, ball) {
 		return false
 	}
@@ -48,7 +48,7 @@ func (w *Workspace) ColorBall(g *graph.Graph, colors []int, lists [][]int, ball 
 		}
 	} else {
 		for _, v := range ball {
-			free, deg, ok := w.ballSlack(g, colors, lists[v], v)
+			free, deg, ok := w.ballSlack(g, colors, lists.Of(v), v)
 			if !ok || free < deg {
 				return false
 			}
@@ -71,10 +71,10 @@ func (w *Workspace) ColorBall(g *graph.Graph, colors []int, lists [][]int, ball 
 // degree the degree: they are read in vertex order, and the surplus vertex
 // is the one of least ball index; -1 when there is none. ok is false when
 // a list is shorter than its vertex's degree.
-func (w *Workspace) spanningSurplus(g *graph.Graph, lists [][]int) (surplus int, ok bool) {
+func (w *Workspace) spanningSurplus(g *graph.Graph, lists Lists) (surplus int, ok bool) {
 	surplus = -1
 	for v := range g.N() {
-		free, deg := len(lists[v]), g.Degree(v)
+		free, deg := len(lists.Of(v)), g.Degree(v)
 		if free < deg {
 			return -1, false
 		}
@@ -87,23 +87,24 @@ func (w *Workspace) spanningSurplus(g *graph.Graph, lists [][]int) (surplus int,
 
 // colorTightBall is colorTwoConnectedTight's steps (b) and (c) on the
 // indexed ball, one bad block whose effective lists are all tight.
-func (w *Workspace) colorTightBall(g *graph.Graph, colors []int, lists [][]int, ball []int, spanning bool) bool {
+func (w *Workspace) colorTightBall(g *graph.Graph, colors []int, lists Lists, ball []int, spanning bool) bool {
 	// eff holds the effective lists: by vertex when the ball spans g, where
-	// they are the lists, and by ball index otherwise.
-	eff := lists[:len(ball)]
+	// they are the lists, and by ball index otherwise. Canonical lists pass
+	// the identical-list and equal-length tests below in one comparison.
+	eff := lists
 	if !spanning {
-		eff = w.EffectiveLists(g, colors, lists, ball)
+		eff = Given(w.EffectiveLists(g, colors, lists, ball))
 	}
 	at := w.at
 	effOf := func(v int) []int {
 		if spanning {
-			return eff[v]
+			return eff.Of(v)
 		}
-		return eff[at[v]-1]
+		return eff.Of(int(at[v] - 1))
 	}
 	// (b) an edge (u, x) with a color a ∈ L(u) \ L(x): color u with a, and
 	// x gains a surplus in the ball less u.
-	if !sameLists(eff) {
+	if !eff.same(len(ball)) {
 		for _, u := range ball {
 			for _, x := range w.ballNeighbors(g, u) {
 				a, ok := colorInFirstNotSecond(effOf(u), effOf(x))
@@ -122,8 +123,8 @@ func (w *Workspace) colorTightBall(g *graph.Graph, colors []int, lists [][]int, 
 	// of some z, non-adjacent, whose removal leaves the ball connected. a
 	// and b share a color and z is colored last. Tight lists are as long
 	// as their vertices' degrees, so equal lengths mean a regular ball.
-	k := len(eff[0])
-	if k < 3 || slices.ContainsFunc(eff, func(l []int) bool { return len(l) != k }) {
+	k := len(eff.Of(0))
+	if k < 3 || !eff.allLen(len(ball), k) {
 		return false
 	}
 	tried := 0
@@ -190,7 +191,7 @@ func (w *Workspace) reach(g *graph.Graph, ball []int, src, x, y int) []int {
 // finish colors the vertices of w.order greedily from the last, as the
 // reverse BFS order the copy colors in. When the greedy gets stuck it
 // uncolors the whole ball and reports false.
-func (w *Workspace) finish(g *graph.Graph, colors []int, lists [][]int, ball []int) bool {
+func (w *Workspace) finish(g *graph.Graph, colors []int, lists Lists, ball []int) bool {
 	slices.Reverse(w.order)
 	if greedyInOrder(g, colors, lists, w.order, &w.b) != nil {
 		for _, v := range ball {
@@ -229,23 +230,33 @@ func (w *Workspace) unindexBall(ball []int) {
 // with repeats, that no colored neighbor uses — and v's degree in the
 // indexed ball: its uncolored degree in the induced subgraph, where
 // uncolored neighbors outside the ball do not count. ok is false when
-// listWidth rejects list.
+// listWidth rejects list. As in scanFree, neighbor colors below 64 are
+// marked in one word and only a list with a color of 64 or more uses w.b.
 func (w *Workspace) ballSlack(g *graph.Graph, colors []int, list []int, v int) (free, deg int, ok bool) {
 	width := listWidth(list)
 	if width < 0 {
 		return 0, 0, false
 	}
 	b := &w.b
-	b.Reset(width)
+	if width > 64 {
+		b.Reset(width)
+	}
+	var word uint64
 	for _, u := range g.Neighbors(v) {
 		if w.at[u] != 0 {
 			deg++
-		} else if c := colors[u]; c >= 0 && c < width {
+		} else if c := colors[u]; uint(c) < 64 {
+			word |= 1 << uint(c)
+		} else if c >= 0 && c < width {
 			b.Set(c)
 		}
 	}
 	for _, c := range list {
-		if !b.Test(c) {
+		if uint(c) < 64 {
+			if word&(1<<uint(c)) == 0 {
+				free++
+			}
+		} else if !b.Test(c) {
 			free++
 		}
 	}

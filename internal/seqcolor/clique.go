@@ -14,12 +14,12 @@ var ErrNoColoring = errors.New("seqcolor: no list coloring exists")
 // decided by bipartite augmenting-path matching. colors is updated in place
 // on success; ErrNoColoring is returned otherwise. This is how Corollary 2.1
 // "finds that no such coloring exists" on K_{Δ+1} components.
-func CliqueListColor(g *graph.Graph, verts []int, colors []int, lists [][]int) error {
+func CliqueListColor(g *graph.Graph, verts []int, colors []int, lists Lists) error {
 	// Palette index.
 	palette := map[int]int{}
 	var colorVals []int
 	for _, v := range verts {
-		for _, c := range lists[v] {
+		for _, c := range lists.Of(v) {
 			if _, ok := palette[c]; !ok {
 				palette[c] = len(colorVals)
 				colorVals = append(colorVals, c)
@@ -33,7 +33,7 @@ func CliqueListColor(g *graph.Graph, verts []int, colors []int, lists [][]int) e
 	}
 	var try func(pos int, visited []bool) bool
 	try = func(pos int, visited []bool) bool {
-		for _, c := range lists[verts[pos]] {
+		for _, c := range lists.Of(verts[pos]) {
 			ci := palette[c]
 			if visited[ci] {
 				continue

@@ -105,7 +105,7 @@ func TestSameListsSkipsOnlyEmptyScans(t *testing.T) {
 			default:
 				eff = blockLists(g, 2, rng)
 			}
-			same := sameLists(eff)
+			same := Given(eff).same(len(eff))
 			if u, x := edgeWithOwnColor(g, eff); same && u >= 0 {
 				t.Fatalf("graph %d shape %d: lists taken as equal, but edge (%d, %d) has a color of its own", i, shape, u, x)
 			}

@@ -55,7 +55,7 @@ func TestQuickTheorem11Dichotomy(t *testing.T) {
 		}
 		err := DegreeListColor(in.G, colors, in.Lists)
 		if err == nil {
-			return Verify(in.G, colors, in.Lists) == nil
+			return Verify(in.G, colors, Given(in.Lists)) == nil
 		}
 		var gte *GallaiTightError
 		if !errors.As(err, &gte) {
@@ -110,7 +110,7 @@ func TestQuickSurplusAlwaysSucceeds(t *testing.T) {
 		if err := DegreeListColor(in.G, colors, lists); err != nil {
 			return false
 		}
-		return Verify(in.G, colors, lists) == nil
+		return Verify(in.G, colors, Given(lists)) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 250}); err != nil {
 		t.Error(err)
@@ -132,7 +132,7 @@ func TestQuickBruteAgreesOnFeasibility(t *testing.T) {
 		err := DegreeListColor(in.G, colors, in.Lists)
 		_, feasible := ListColorableBrute(in.G, in.Lists)
 		if err == nil {
-			return feasible && Verify(in.G, colors, in.Lists) == nil
+			return feasible && Verify(in.G, colors, Given(in.Lists)) == nil
 		}
 		return true // failures allowed only per the dichotomy test above
 	}

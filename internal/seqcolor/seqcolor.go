@@ -5,6 +5,13 @@
 // Theorem 1.2, and coloring verification. These run inside a single node's
 // free local computation in the LOCAL model (root-ball extension of
 // Lemma 3.2) and serve as sequential baselines in the experiments.
+//
+// A run's list assignment is a Lists: the canonical palette {0, …, k−1},
+// held once for every vertex, or per-vertex lists as given. Every palette
+// scan (scanFree, ballSlack) marks neighbor colors below 64 in one local
+// word and only colors of 64 or more in the epoch-stamped bitset, which it
+// resets only for a list that holds such a color; Theorem 1.3's palettes
+// of d colors fit the word.
 package seqcolor
 
 import (
@@ -53,22 +60,25 @@ func (e *GallaiTightError) Unwrap() error { return ErrGallaiTight }
 var ErrListTooSmall = errors.New("seqcolor: effective list smaller than uncolored degree")
 
 // Verify checks that colors is a proper coloring of g: every vertex colored,
-// no monochromatic edge and, if lists is non-nil, every color drawn from the
-// vertex's list.
-func Verify(g *graph.Graph, colors []int, lists [][]int) error {
+// no monochromatic edge and, unless lists is zero, every color drawn from
+// the vertex's list. Each edge is compared once, from its lower end: a
+// monochromatic edge to a lower neighbor would have failed there first, so
+// the error names the same vertex and edge as a check of both ends would.
+func Verify(g *graph.Graph, colors []int, lists Lists) error {
 	if len(colors) != g.N() {
 		return fmt.Errorf("seqcolor: %d colors for %d vertices", len(colors), g.N())
 	}
-	for v := 0; v < g.N(); v++ {
-		if colors[v] == Uncolored {
+	check := !lists.IsZero()
+	for v, c := range colors {
+		if c == Uncolored {
 			return fmt.Errorf("seqcolor: vertex %d uncolored", v)
 		}
-		if lists != nil && !containsColor(lists[v], colors[v]) {
-			return fmt.Errorf("seqcolor: vertex %d color %d not in its list %v", v, colors[v], lists[v])
+		if check && !lists.contains(v, c) {
+			return fmt.Errorf("seqcolor: vertex %d color %d not in its list %v", v, c, lists.Of(v))
 		}
 		for _, w := range g.Neighbors(v) {
-			if colors[int(w)] == colors[v] {
-				return fmt.Errorf("seqcolor: edge (%d,%d) monochromatic in color %d", v, w, colors[v])
+			if int(w) > v && colors[w] == c {
+				return fmt.Errorf("seqcolor: edge (%d,%d) monochromatic in color %d", v, w, c)
 			}
 		}
 	}
@@ -77,33 +87,25 @@ func Verify(g *graph.Graph, colors []int, lists [][]int) error {
 
 // VerifyPartial is Verify but tolerates uncolored vertices (it checks only
 // colored-colored conflicts and list membership of colored vertices).
-func VerifyPartial(g *graph.Graph, colors []int, lists [][]int) error {
+func VerifyPartial(g *graph.Graph, colors []int, lists Lists) error {
 	if len(colors) != g.N() {
 		return fmt.Errorf("seqcolor: %d colors for %d vertices", len(colors), g.N())
 	}
-	for v := 0; v < g.N(); v++ {
-		if colors[v] == Uncolored {
+	check := !lists.IsZero()
+	for v, c := range colors {
+		if c == Uncolored {
 			continue
 		}
-		if lists != nil && !containsColor(lists[v], colors[v]) {
-			return fmt.Errorf("seqcolor: vertex %d color %d not in its list", v, colors[v])
+		if check && !lists.contains(v, c) {
+			return fmt.Errorf("seqcolor: vertex %d color %d not in its list", v, c)
 		}
 		for _, w := range g.Neighbors(v) {
-			if int(w) > v && colors[int(w)] == colors[v] {
+			if int(w) > v && colors[w] == c {
 				return fmt.Errorf("seqcolor: edge (%d,%d) monochromatic", v, w)
 			}
 		}
 	}
 	return nil
-}
-
-func containsColor(list []int, c int) bool {
-	for _, x := range list {
-		if x == c {
-			return true
-		}
-	}
-	return false
 }
 
 // NumColors returns the number of distinct colors used. Colors below
@@ -165,32 +167,39 @@ func listWidth(list []int) int {
 
 // scanFree is the one palette scan: it calls keep on each color of list, in
 // list order, that no colored neighbor of v uses, until keep returns false,
-// and returns v's uncolored degree. b is scratch (any width; reset here).
-// Neighbor colors are marked in b in one pass and the list is then scanned
-// in its own order, so the result is identical to the naive per-color
-// neighbor scan, which lists listWidth rejects use instead. The list-order
-// tie-break is load-bearing: every first-fit choice in the repo goes
-// through here.
+// and returns v's uncolored degree. b is scratch (any width; reset here
+// only for a list with a color of 64 or more). Neighbor colors below 64 are
+// marked in one word and any others in b, in one pass, and the list is
+// then scanned in its own order, so the result is identical to the naive
+// per-color neighbor scan, which the colors of 64 or more of a list
+// listWidth rejects use instead. The list-order tie-break is load-bearing:
+// every first-fit choice in the repo goes through here.
 func scanFree(g *graph.Graph, colors []int, list []int, v int, b *graph.Bitset, keep func(c int) bool) (uncDeg int) {
 	width := listWidth(list)
-	if width >= 0 {
+	if width > 64 {
 		b.Reset(width)
 	}
+	var word uint64
 	nbrs := g.Neighbors(v)
 	for _, w := range nbrs {
-		// Colors outside [0, width) cannot occur in a bitset-scanned list,
-		// so dropping them is exact.
+		// Colors of 64 or more outside [0, width) cannot occur in a
+		// bitset-scanned list, so dropping them is exact.
 		if c := colors[int(w)]; c == Uncolored {
 			uncDeg++
+		} else if uint(c) < 64 {
+			word |= 1 << uint(c)
 		} else if c >= 0 && c < width {
 			b.Set(c)
 		}
 	}
 	for _, c := range list {
-		used := false
-		if width >= 0 {
+		var used bool
+		switch {
+		case uint(c) < 64:
+			used = word&(1<<uint(c)) != 0
+		case width >= 0:
 			used = b.Test(c)
-		} else {
+		default:
 			for _, w := range nbrs {
 				if colors[int(w)] == c {
 					used = true
@@ -209,24 +218,24 @@ func scanFree(g *graph.Graph, colors []int, list []int, v int, b *graph.Bitset, 
 // lists (first free color in list order), skipping already-colored
 // vertices; it fails if some vertex has no free color. Callers running
 // many greedy passes should keep a Workspace and call its GreedyInOrder.
-func GreedyInOrder(g *graph.Graph, colors []int, lists [][]int, order []int) error {
+func GreedyInOrder(g *graph.Graph, colors []int, lists Lists, order []int) error {
 	var b graph.Bitset
 	return greedyInOrder(g, colors, lists, order, &b)
 }
 
 // GreedyInOrder is the package-level GreedyInOrder on w's palette scratch.
-func (w *Workspace) GreedyInOrder(g *graph.Graph, colors []int, lists [][]int, order []int) error {
+func (w *Workspace) GreedyInOrder(g *graph.Graph, colors []int, lists Lists, order []int) error {
 	return greedyInOrder(g, colors, lists, order, &w.b)
 }
 
 // greedyInOrder is GreedyInOrder with the palette scratch b supplied.
-func greedyInOrder(g *graph.Graph, colors []int, lists [][]int, order []int, b *graph.Bitset) error {
+func greedyInOrder(g *graph.Graph, colors []int, lists Lists, order []int, b *graph.Bitset) error {
 	for _, v := range order {
 		if colors[v] != Uncolored {
 			continue
 		}
 		free := Uncolored
-		scanFree(g, colors, lists[v], v, b, func(c int) bool {
+		scanFree(g, colors, lists.Of(v), v, b, func(c int) bool {
 			free = c
 			return false
 		})
@@ -338,14 +347,14 @@ func (w *Workspace) DegreeListColor(g *graph.Graph, colors []int, lists [][]int)
 			count++
 		}
 	}
-	return w.colorComponents(g, colors, lists, count)
+	return w.colorComponents(g, colors, Given(lists), count)
 }
 
 // colorComponents colors each component of the subgraph of g on w.unc,
 // which holds count vertices, consuming w.unc. One component mask serves
 // all components, cleared between uses, so a graph with many small
 // components (forests, peeled balls) does not pay O(n) per component.
-func (w *Workspace) colorComponents(g *graph.Graph, colors []int, lists [][]int, count int) error {
+func (w *Workspace) colorComponents(g *graph.Graph, colors []int, lists Lists, count int) error {
 	w.walkComponents(g, count)
 	compMask := grow(w.comp, g.N()) // all false: every use clears it by list
 	w.comp = compMask
@@ -404,21 +413,21 @@ func appendEffectiveList(dst []int, g *graph.Graph, colors []int, list []int, v 
 // backing array of w's: each list is a capped sub-slice, so an append to
 // one can never spill into the next. The lists are valid until w's next
 // EffectiveLists call.
-func (w *Workspace) EffectiveLists(g *graph.Graph, colors []int, lists [][]int, verts []int) [][]int {
+func (w *Workspace) EffectiveLists(g *graph.Graph, colors []int, lists Lists, verts []int) [][]int {
 	return w.lists.cut(g, colors, lists, verts, &w.b)
 }
 
 // cut fills l with the effective lists of verts and returns them.
-func (l *listBuf) cut(g *graph.Graph, colors []int, lists [][]int, verts []int, b *graph.Bitset) [][]int {
+func (l *listBuf) cut(g *graph.Graph, colors []int, lists Lists, verts []int, b *graph.Bitset) [][]int {
 	total := 0
 	for _, v := range verts {
-		total += len(lists[v])
+		total += len(lists.Of(v))
 	}
 	flat := grow(l.flat, total)[:0]
 	eff := grow(l.eff, len(verts))
 	for i, v := range verts {
 		start := len(flat)
-		flat = appendEffectiveList(flat, g, colors, lists[v], v, b)
+		flat = appendEffectiveList(flat, g, colors, lists.Of(v), v, b)
 		eff[i] = flat[start:len(flat):len(flat)]
 	}
 	l.flat, l.eff = flat, eff
@@ -427,13 +436,13 @@ func (l *listBuf) cut(g *graph.Graph, colors []int, lists [][]int, verts []int, 
 
 // colorComponent colors one uncolored component. compMask must be true
 // exactly on comp's vertices; the caller owns (and clears) it.
-func (w *Workspace) colorComponent(g *graph.Graph, colors []int, lists [][]int, comp []int, compMask []bool) error {
+func (w *Workspace) colorComponent(g *graph.Graph, colors []int, lists Lists, comp []int, compMask []bool) error {
 	// Pass 1: validate the hypothesis, and find a surplus vertex if any.
 	b := &w.b
 	surplus := -1
 	for _, v := range comp {
 		es := 0
-		ud := scanFree(g, colors, lists[v], v, b, func(int) bool {
+		ud := scanFree(g, colors, lists.Of(v), v, b, func(int) bool {
 			es++
 			return true
 		})
@@ -489,16 +498,16 @@ func (w *Workspace) colorComponent(g *graph.Graph, colors []int, lists [][]int, 
 //
 // The recursion runs on a workspace of its own: w's component walk is still
 // in use by the caller's loop.
-func (w *Workspace) gallaiTightFallback(g *graph.Graph, colors []int, lists [][]int, comp []int, compMask []bool) error {
+func (w *Workspace) gallaiTightFallback(g *graph.Graph, colors []int, lists Lists, comp []int, compMask []bool) error {
 	b := &w.b
 	for _, u := range comp {
-		eu := appendEffectiveList(nil, g, colors, lists[u], u, b)
+		eu := appendEffectiveList(nil, g, colors, lists.Of(u), u, b)
 		for _, w32 := range g.Neighbors(u) {
 			w := int(w32)
 			if !compMask[w] || colors[w] != Uncolored {
 				continue
 			}
-			ew := appendEffectiveList(nil, g, colors, lists[w], w, b)
+			ew := appendEffectiveList(nil, g, colors, lists.Of(w), w, b)
 			a, ok := colorInFirstNotSecond(eu, ew)
 			if !ok {
 				continue
@@ -552,7 +561,7 @@ func reverseBFSOrderInBlock(blk *graph.Block, src int) []int {
 // colorBadBlock colors a 2-connected block that is neither a clique nor an
 // odd cycle, all of whose vertices are uncolored with effective lists of
 // size ≥ block-degree (tight in the hard case).
-func (w *Workspace) colorBadBlock(g *graph.Graph, colors []int, lists [][]int, blk *graph.Block) error {
+func (w *Workspace) colorBadBlock(g *graph.Graph, colors []int, lists Lists, blk *graph.Block) error {
 	s := &w.block
 	d, verts, err := w.blockGraph(g, blk)
 	if err != nil {
@@ -563,7 +572,7 @@ func (w *Workspace) colorBadBlock(g *graph.Graph, colors []int, lists [][]int, b
 	// only reads them).
 	eff := lists
 	if verts != nil {
-		eff = s.lists.cut(g, colors, lists, verts, &w.b)
+		eff = Given(s.lists.cut(g, colors, lists, verts, &w.b))
 	}
 	sub := grow(s.colors, d.N())
 	s.colors = sub
@@ -612,11 +621,11 @@ func (w *Workspace) blockGraph(g *graph.Graph, blk *graph.Block) (d *graph.Graph
 // colorTwoConnectedTight colors a connected graph d with lists eff where
 // |eff[v]| ≥ deg(v); it requires d to be 2-connected and not a clique nor an
 // odd cycle when all lists are tight and identical (the Brooks case).
-func (w *Workspace) colorTwoConnectedTight(d *graph.Graph, sub []int, eff [][]int) error {
+func (w *Workspace) colorTwoConnectedTight(d *graph.Graph, sub []int, eff Lists) error {
 	n := d.N()
 	// (a) surplus inside the block (can appear after peeling).
 	for v := 0; v < n; v++ {
-		if len(eff[v]) > d.Degree(v) {
+		if len(eff.Of(v)) > d.Degree(v) {
 			order := w.reverseBFSOrder(d, v, nil)
 			return greedyInOrder(d, sub, eff, order, &w.b)
 		}
@@ -624,11 +633,11 @@ func (w *Workspace) colorTwoConnectedTight(d *graph.Graph, sub []int, eff [][]in
 	// (b) an edge with different lists: color u with a ∈ L(u)\L(x); x gains
 	// surplus; finish by reverse BFS from x in d−u (connected: d 2-connected).
 	// When every list equals the first, no edge has one.
-	same := sameLists(eff)
+	same := eff.same(n)
 	for u := 0; u < n && !same; u++ {
 		for _, x32 := range d.Neighbors(u) {
 			x := int(x32)
-			if a, ok := colorInFirstNotSecond(eff[u], eff[x]); ok {
+			if a, ok := colorInFirstNotSecond(eff.Of(u), eff.Of(x)); ok {
 				sub[u] = a
 				mask := w.maskAllBut(n, u, u)
 				order := w.reverseBFSOrder(d, x, mask)
@@ -640,7 +649,7 @@ func (w *Workspace) colorTwoConnectedTight(d *graph.Graph, sub []int, eff [][]in
 	// k-palette: the constructive Brooks case.
 	k := d.Degree(0)
 	for v := 0; v < n; v++ {
-		if d.Degree(v) != k || len(eff[v]) != k {
+		if d.Degree(v) != k || len(eff.Of(v)) != k {
 			return fmt.Errorf("seqcolor: internal: expected %d-regular tight block", k)
 		}
 	}
@@ -655,15 +664,10 @@ func (w *Workspace) colorTwoConnectedTight(d *graph.Graph, sub []int, eff [][]in
 	if order == nil {
 		order = w.reverseBFSOrder(d, z, w.maskAllBut(n, x, y))
 	}
-	a := eff[x][0]
+	a := eff.Of(x)[0]
 	sub[x] = a
 	sub[y] = a
 	return greedyInOrder(d, sub, eff, order, &w.b)
-}
-
-// sameLists reports whether every list equals the first.
-func sameLists(eff [][]int) bool {
-	return !slices.ContainsFunc(eff, func(l []int) bool { return !slices.Equal(l, eff[0]) })
 }
 
 // maskAllBut returns w.mask sized n, true everywhere except at x and y.
@@ -678,7 +682,7 @@ func (w *Workspace) maskAllBut(n, x, y int) []bool {
 
 func colorInFirstNotSecond(a, b []int) (int, bool) {
 	for _, c := range a {
-		if !containsColor(b, c) {
+		if !slices.Contains(b, c) {
 			return c, true
 		}
 	}
@@ -687,18 +691,19 @@ func colorInFirstNotSecond(a, b []int) (int, bool) {
 
 // colorEvenCycle 2-colors an even cycle whose vertices share a common
 // 2-palette (the degenerate k=2 Brooks case).
-func colorEvenCycle(d *graph.Graph, sub []int, eff [][]int) error {
+func colorEvenCycle(d *graph.Graph, sub []int, eff Lists) error {
 	ok, side := d.IsBipartite(nil)
 	if !ok {
 		return fmt.Errorf("seqcolor: internal: odd cycle routed to even-cycle case")
 	}
 	for v := 0; v < d.N(); v++ {
-		if len(eff[v]) < 2 {
+		list := eff.Of(v)
+		if len(list) < 2 {
 			return fmt.Errorf("seqcolor: internal: short list on cycle")
 		}
 		// The two-color palettes are identical as sets but may be ordered
 		// differently per vertex; canonicalize by value.
-		lo, hi := eff[v][0], eff[v][1]
+		lo, hi := list[0], list[1]
 		if lo > hi {
 			lo, hi = hi, lo
 		}

@@ -39,26 +39,26 @@ func degreeLists(g *graph.Graph, slack, palette int, rng *rand.Rand) [][]int {
 func TestVerify(t *testing.T) {
 	g := gen.Cycle(4)
 	good := []int{0, 1, 0, 1}
-	if err := Verify(g, good, nil); err != nil {
+	if err := Verify(g, good, Lists{}); err != nil {
 		t.Errorf("valid coloring rejected: %v", err)
 	}
 	bad := []int{0, 0, 1, 1}
-	if err := Verify(g, bad, nil); err == nil {
+	if err := Verify(g, bad, Lists{}); err == nil {
 		t.Error("monochromatic edge accepted")
 	}
 	uncol := []int{0, 1, Uncolored, 1}
-	if err := Verify(g, uncol, nil); err == nil {
+	if err := Verify(g, uncol, Lists{}); err == nil {
 		t.Error("uncolored vertex accepted")
 	}
-	if err := VerifyPartial(g, uncol, nil); err != nil {
+	if err := VerifyPartial(g, uncol, Lists{}); err != nil {
 		t.Errorf("partial coloring rejected: %v", err)
 	}
 	lists := [][]int{{0}, {1}, {0}, {1}}
-	if err := Verify(g, good, lists); err != nil {
+	if err := Verify(g, good, Given(lists)); err != nil {
 		t.Errorf("list-compliant rejected: %v", err)
 	}
 	badLists := [][]int{{5}, {1}, {0}, {1}}
-	if err := Verify(g, good, badLists); err == nil {
+	if err := Verify(g, good, Given(badLists)); err == nil {
 		t.Error("out-of-list color accepted")
 	}
 }
@@ -79,7 +79,7 @@ func TestDegreeListColorSurplus(t *testing.T) {
 	if err := DegreeListColor(g, colors, lists); err != nil {
 		t.Fatalf("surplus path failed: %v", err)
 	}
-	if err := Verify(g, colors, lists); err != nil {
+	if err := Verify(g, colors, Given(lists)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -92,7 +92,7 @@ func TestDegreeListColorEvenCycleTight(t *testing.T) {
 	if err := DegreeListColor(g, colors, lists); err != nil {
 		t.Fatalf("even cycle failed: %v", err)
 	}
-	if err := Verify(g, colors, lists); err != nil {
+	if err := Verify(g, colors, Given(lists)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -133,7 +133,7 @@ func TestDegreeListColorOddCycleDifferentLists(t *testing.T) {
 	if err := DegreeListColor(g, colors, lists); err != nil {
 		t.Fatalf("deviating odd cycle failed: %v", err)
 	}
-	if err := Verify(g, colors, lists); err != nil {
+	if err := Verify(g, colors, Given(lists)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -146,7 +146,7 @@ func TestDegreeListColorEvenCycleScrambledLists(t *testing.T) {
 	if err := DegreeListColor(g, colors, lists); err != nil {
 		t.Fatalf("scrambled even cycle failed: %v", err)
 	}
-	if err := Verify(g, colors, lists); err != nil {
+	if err := Verify(g, colors, Given(lists)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -171,7 +171,7 @@ func TestDegreeListColorBrooksCase(t *testing.T) {
 	if err := DegreeListColor(g, colors, lists); err != nil {
 		t.Fatalf("Brooks case failed: %v", err)
 	}
-	if err := Verify(g, colors, lists); err != nil {
+	if err := Verify(g, colors, Given(lists)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -181,7 +181,7 @@ func TestDegreeListColorBrooksCase(t *testing.T) {
 	if err := DegreeListColor(pet, colors, lists); err != nil {
 		t.Fatalf("Petersen Brooks case failed: %v", err)
 	}
-	if err := Verify(pet, colors, lists); err != nil {
+	if err := Verify(pet, colors, Given(lists)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -209,7 +209,7 @@ func TestDegreeListColorGallaiTreeWithSurplus(t *testing.T) {
 		if err := DegreeListColor(g, colors, lists); err != nil {
 			t.Fatalf("trial %d: Gallai tree with surplus failed: %v", trial, err)
 		}
-		if err := Verify(g, colors, lists); err != nil {
+		if err := Verify(g, colors, Given(lists)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -232,7 +232,7 @@ func TestDegreeListColorNonGallaiTightProperty(t *testing.T) {
 		if err := DegreeListColor(g, colors, lists); err != nil {
 			t.Fatalf("trial %d: non-Gallai tight failed: %v (n=%d m=%d)", trial, err, n, g.M())
 		}
-		if err := Verify(g, colors, lists); err != nil {
+		if err := Verify(g, colors, Given(lists)); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 	}
@@ -259,7 +259,7 @@ func TestDegreeListColorAgainstBrute(t *testing.T) {
 		err := DegreeListColor(g, colors, lists)
 		_, feasible := ListColorableBrute(g, lists)
 		if err == nil {
-			if verr := Verify(g, colors, lists); verr != nil {
+			if verr := Verify(g, colors, Given(lists)); verr != nil {
 				t.Fatalf("trial %d: invalid success: %v", trial, verr)
 			}
 			if !feasible {
@@ -290,7 +290,7 @@ func TestDegreeListColorRespectsPrecoloring(t *testing.T) {
 	if colors[0] != 2 || colors[3] != 1 {
 		t.Error("precoloring modified")
 	}
-	if err := Verify(g, colors, lists); err != nil {
+	if err := Verify(g, colors, Given(lists)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -302,7 +302,7 @@ func TestDegreeListColorDisconnected(t *testing.T) {
 	if err := DegreeListColor(g, colors, lists); err != nil {
 		t.Fatal(err)
 	}
-	if err := Verify(g, colors, lists); err != nil {
+	if err := Verify(g, colors, Given(lists)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -319,7 +319,7 @@ func TestSparseListColorPlanarStyle(t *testing.T) {
 	if err != nil {
 		t.Fatalf("planar 6-list: %v", err)
 	}
-	if err := Verify(g, colors, lists); err != nil {
+	if err := Verify(g, colors, Given(lists)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -339,7 +339,7 @@ func TestSparseListColorRegular(t *testing.T) {
 	if err != nil {
 		t.Fatalf("4-regular 4-list: %v", err)
 	}
-	if err := Verify(g, colors, lists); err != nil {
+	if err := Verify(g, colors, Given(lists)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -395,7 +395,7 @@ func TestListColorableBrute(t *testing.T) {
 	if !ok {
 		t.Fatal("C5 should be 3-colorable")
 	}
-	if err := Verify(g, colors, UniformLists(5, 3)); err != nil {
+	if err := Verify(g, colors, Given(UniformLists(5, 3))); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -404,16 +404,16 @@ func TestGreedyInOrder(t *testing.T) {
 	g := gen.Path(4)
 	colors := freshColors(4)
 	lists := UniformLists(4, 2)
-	if err := GreedyInOrder(g, colors, lists, []int{0, 1, 2, 3}); err != nil {
+	if err := GreedyInOrder(g, colors, Given(lists), []int{0, 1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
-	if err := Verify(g, colors, lists); err != nil {
+	if err := Verify(g, colors, Given(lists)); err != nil {
 		t.Fatal(err)
 	}
 	// stuck case: middle vertex with both neighbors colored differently
 	colors = []int{0, Uncolored, 1, Uncolored}
 	oneColor := [][]int{{0}, {0}, {1}, {1}}
-	if err := GreedyInOrder(g, colors, oneColor, []int{1}); err == nil {
+	if err := GreedyInOrder(g, colors, Given(oneColor), []int{1}); err == nil {
 		t.Error("expected stuck greedy")
 	}
 }
@@ -489,7 +489,7 @@ func TestPaletteScanMatchesNaive(t *testing.T) {
 				for v := range verts {
 					verts[v] = v
 				}
-				eff := new(Workspace).EffectiveLists(g, colors, lists, verts)
+				eff := new(Workspace).EffectiveLists(g, colors, Given(lists), verts)
 				b := graph.NewBitset(0)
 				for v := 0; v < n; v++ {
 					want, wantUnc := naiveFree(g, colors, lists[v], v)
@@ -505,7 +505,7 @@ func TestPaletteScanMatchesNaive(t *testing.T) {
 						continue
 					}
 					one := slices.Clone(colors)
-					err := GreedyInOrder(g, one, lists, []int{v})
+					err := GreedyInOrder(g, one, Given(lists), []int{v})
 					if len(want) == 0 {
 						if err == nil {
 							t.Fatalf("%s/%s/%.1f: vertex %d colored %d with no free color", gname, lname, colored, v, one[v])

@@ -82,7 +82,7 @@ func SparseListColor(g *graph.Graph, d int, lists [][]int) ([]int, error) {
 		for _, v := range comp {
 			compMask[v] = true
 		}
-		err := w.colorComponent(g, colors, lists, comp, compMask)
+		err := w.colorComponent(g, colors, Given(lists), comp, compMask)
 		for _, v := range comp {
 			compMask[v] = false
 		}
@@ -94,7 +94,7 @@ func SparseListColor(g *graph.Graph, d int, lists [][]int) ([]int, error) {
 	// all of which are the only ones colored after it, so a list of size d
 	// always has a free color.
 	slices.Reverse(stack)
-	if err := w.GreedyInOrder(g, colors, lists, stack); err != nil {
+	if err := w.GreedyInOrder(g, colors, Given(lists), stack); err != nil {
 		return nil, fmt.Errorf("seqcolor: internal: peel unwind: %w", err)
 	}
 	return colors, nil

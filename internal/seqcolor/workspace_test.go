@@ -47,7 +47,7 @@ func TestWorkspaceReuseMatchesFresh(t *testing.T) {
 		name := fmt.Sprintf("trial %d (n=%d)", trial, g.N())
 
 		verts := rng.Perm(g.N())[:rng.IntN(g.N()+1)]
-		if got, want := w.EffectiveLists(g, colors, lists, verts), new(Workspace).EffectiveLists(g, colors, lists, verts); !slices.EqualFunc(got, want, slices.Equal) {
+		if got, want := w.EffectiveLists(g, colors, Given(lists), verts), new(Workspace).EffectiveLists(g, colors, Given(lists), verts); !slices.EqualFunc(got, want, slices.Equal) {
 			t.Fatalf("%s: effective lists differ from a fresh call", name)
 		}
 

@@ -136,7 +136,7 @@ func TestUploadJobColorsRoundTrip(t *testing.T) {
 	if len(colors) != g.N() {
 		t.Fatalf("got %d colors for n=%d", len(colors), g.N())
 	}
-	if err := seqcolor.Verify(g, colors, nil); err != nil {
+	if err := seqcolor.Verify(g, colors, seqcolor.Lists{}); err != nil {
 		t.Fatalf("served coloring invalid: %v", err)
 	}
 }
@@ -423,7 +423,7 @@ func TestParallelIdenticalJobsDeterministic(t *testing.T) {
 			t.Fatalf("parallel run %d returned a different coloring", i)
 		}
 	}
-	if err := seqcolor.Verify(g, colorings[0], nil); err != nil {
+	if err := seqcolor.Verify(g, colorings[0], seqcolor.Lists{}); err != nil {
 		t.Fatalf("coloring invalid: %v", err)
 	}
 }

@@ -60,7 +60,10 @@ func (p ParamValues) Float(name string) float64 { return p[name] }
 
 // RunFunc executes an algorithm on a graph under a resolved RunConfig. The
 // returned Coloring must echo the lists it actually used in Coloring.Lists
-// (nil when it used no lists); Run verifies the coloring against them.
+// (nil when it used no lists, or only its canonical palette); Run verifies
+// the coloring against them. An algorithm with ListsAny support that ran
+// without caller lists and echoes none is checked against its canonical
+// palette [0, PaletteSize(g, params)).
 type RunFunc func(ctx context.Context, g *Graph, rc *RunConfig) (*Coloring, error)
 
 // Algorithm is a self-describing coloring algorithm: the single source of

@@ -41,7 +41,9 @@ func subdividedCube(t *testing.T) *Graph {
 // TestRegistryConformance runs every registered algorithm, with default
 // parameters, on a graph satisfying all their hypotheses, and checks the
 // returned coloring against the lists the run reports using plus the
-// palette bound the registry metadata promises.
+// palette bound the registry metadata promises. A run that reports no
+// lists is also checked against the palette [0, PaletteSize) itself (Run
+// has checked it already for ListsAny algorithms).
 func TestRegistryConformance(t *testing.T) {
 	g := subdividedCube(t)
 	for _, a := range Algorithms() {
@@ -61,8 +63,14 @@ func TestRegistryConformance(t *testing.T) {
 			if err := Verify(g, col.Colors, col.Lists); err != nil {
 				t.Errorf("%s (seed %d): invalid coloring: %v", a.Name, seed, err)
 			}
-			if k, known := a.PaletteSize(g, mustParams(t, a)); known && NumColors(col.Colors) > k {
+			k, known := a.PaletteSize(g, mustParams(t, a))
+			if known && NumColors(col.Colors) > k {
 				t.Errorf("%s: used %d colors, metadata promises ≤ %d", a.Name, NumColors(col.Colors), k)
+			}
+			if known && col.Lists == nil {
+				if err := Verify(g, col.Colors, UniformLists(g.N(), k)); err != nil {
+					t.Errorf("%s (seed %d): outside the palette [0, %d): %v", a.Name, seed, k, err)
+				}
 			}
 			if col.Rounds <= 0 {
 				t.Errorf("%s: no rounds charged", a.Name)

@@ -180,9 +180,22 @@ func Run(ctx context.Context, g *Graph, algo string, opts ...Option) (*Coloring,
 	}
 	col.Algorithm = a.Name
 	if col.Clique == nil {
-		if err := seqcolor.Verify(g, col.Colors, col.Lists); err != nil {
+		if err := seqcolor.Verify(g, col.Colors, verifyLists(g, a, rc, col)); err != nil {
 			return nil, fmt.Errorf("distcolor: algorithm %q produced an invalid coloring: %w", a.Name, err)
 		}
 	}
 	return col, nil
+}
+
+// verifyLists returns the lists Run verifies col against: the lists it
+// echoes or, for an algorithm that takes lists and ran on its canonical
+// palette (the caller gave none and it echoes none), that palette [0, k)
+// of its PaletteSize, held once for every vertex.
+func verifyLists(g *Graph, a *Algorithm, rc *RunConfig, col *Coloring) seqcolor.Lists {
+	if col.Lists == nil && rc.Lists == nil && a.Lists == ListsAny {
+		if k, ok := a.PaletteSize(g, rc.Params); ok {
+			return seqcolor.Canonical(k)
+		}
+	}
+	return seqcolor.Given(col.Lists)
 }
